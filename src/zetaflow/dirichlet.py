@@ -188,9 +188,6 @@ class LFunctionHandle:
         """chi-weighted sum of the per-residue 1/(s-1) coefficients."""
         return self.character.coprime_count() if self.has_pole else 0
 
-    def eval(self, s) -> complex:
-        return l_eval(self, s)
-
     def eval_many(self, s, tol: float = 1e-12) -> np.ndarray:
         """Vectorized evaluation on an array of points away from s = 1."""
         s = np.asarray(s, dtype=complex)

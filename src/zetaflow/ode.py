@@ -290,7 +290,9 @@ def find_critical_zeros(t_max: float, cfg: EvalConfig = DEFAULT_CONFIG) -> ZeroS
         raise DomainError(f"t_max must lie in [0, {ZERO_SCAN_T_CAP:g}]")
     if t_max < _SCAN_STEP * 3:
         return ZeroScan([], [])
-    ts = np.arange(_SCAN_STEP, t_max + _SCAN_STEP, _SCAN_STEP)
+    # the scan runs two steps past t_max, so a zero just below t_max is
+    # still an interior minimum; zeros above t_max are dropped below
+    ts = np.arange(_SCAN_STEP, t_max + 3 * _SCAN_STEP, _SCAN_STEP)
     s = 0.5 + 1j * ts
     reg, _, _ = special.euler_maclaurin_split(s, 1.0, tol=1e-11)
     mag = np.abs(reg + 1.0 / (s - 1.0))

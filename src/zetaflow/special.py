@@ -8,7 +8,15 @@ Two independent evaluation routes are provided and cross-validated:
   [0, inf) computed by adaptive Gauss-Legendre panels with a certified
   truncation point;
 * the defining series accelerated with an Euler-Maclaurin tail, which also
-  provides the analytic continuation.  This route takes over where the
+  provides the analytic continuation.  For a batch with Re s >= 0 the
+  partial-sum length N and the number K <= 12 of Bernoulli corrections are
+  planned in one pass from a remainder majorant over the batch (max|s| and
+  min Re s in place of |s| and Re s), choosing the pair with the least work;
+  the corrections are summed by Horner's rule and the majorant is the error
+  estimate.  For Re s < 0, where cancellation against the partial sum grows
+  like eps (N+a)^(1-Re s), N starts small and grows only until the
+  per-point remainder of 12 corrections meets the tolerance; that estimate
+  leaves the cancellation out.  This route takes over where the
   integral route loses precision in double arithmetic: the integrand of
   ``h`` carries the factor cosh(Im(s) arctan(t/alpha)) and, for small alpha,
   (alpha^2 + t^2)^(-Re(s)/2), so its absolute integral can be many orders
@@ -70,7 +78,14 @@ _BERNOULLI = (
 )
 # B_{2j} / (2j)!  for j = 1..14
 _EM_COEF = tuple(b / math.factorial(2 * (j + 1)) for j, b in enumerate(_BERNOULLI))
-_EM_CORRECTIONS = 12  # corrections summed; the next coefficient drives the error estimate
+# Most corrections summed; the next coefficient bounds the remainder.
+_EM_MAX_CORRECTIONS = 12
+# Cost of one Horner step of the corrections, in units of one partial-sum
+# term (a complex power): per point, and per call for numpy's dispatch on a
+# short array.  Timed with numpy 2.4 on one x86-64 core at batch sizes 1 to
+# 16384: about 0.08 per point and 180 per call, rounded here.
+_EM_STEP_COST_PER_POINT = 0.1
+_EM_STEP_OVERHEAD = 150.0
 
 
 @dataclass(frozen=True)
@@ -399,21 +414,86 @@ def hermite_h_deriv(s, alpha: float, cfg: EvalConfig = DEFAULT_CONFIG) -> comple
 # ---------------------------------------------------------------------------
 
 def _em_start_terms(s: np.ndarray) -> int:
-    im_max = float(np.max(np.abs(s.imag)))
+    # Re s < 0 only: boundary terms grow like (N+a)^(1-Re s), so N is kept
+    # small to limit cancellation against the partial sum
+    return int(6 + 0.45 * float(np.max(np.abs(s.imag)))) + 2
+
+
+def _em_plan(s: np.ndarray, alpha: float, tol: float, want_deriv: bool):
+    """Term count N, correction count K and error bound for a group with Re s >= 0.
+
+    After K corrections the remainder is R = int_N^inf P(x) (s)_{2K+2}
+    (x+a)^(-s-2K-2) dx, where P = (B_{2K+2}({x}) - B_{2K+2})/(2K+2)! keeps
+    one sign and averages -C_{K+1} over each period, so against decreasing
+    convex weights it counts as |C_{K+1}| (Edwards, Riemann's Zeta Function,
+    6.4).  Over the whole group, with S = max|s|, r = min Re s >= 0,
+    p = r+2K+1 and |(s)_{2K+2}| <= Pi = prod_{i=0}^{2K+1} (S+i), the
+    majorant
+
+        |R|  <= M(N+a),   M(x) = |C_{K+1}| Pi x^(-p) / p,
+        |R'| <= M(N+a) (sum_{i=0}^{2K+1} 1/(S+i) + ln(N+a) + 1/p)
+
+    holds at every point; the first is also at least the usual estimate
+    |first omitted correction| |s+2K+1|/(Re s+2K+1).  For each K it is
+    solved for the least N meeting ``tol`` (for the value, and with
+    ``want_deriv`` for the derivative as well).  The pair with the least
+    work wins: one complex power per point and term, and per correction one
+    Horner step costing _EM_STEP_COST_PER_POINT terms per point plus
+    _EM_STEP_OVERHEAD per call.  Returns (N, K, bound at that pair).
+    """
+    big_s = max(float(np.max(np.abs(s))), 1e-300)  # s = 0 zeroes every correction
     re_min = float(np.min(s.real))
-    if re_min < 0:
-        # boundary terms grow like (N+a)^(1-Re s); keep N small to limit
-        # cancellation against the partial sum
-        return int(6 + 0.45 * im_max) + 2
-    return int(14 + 0.45 * im_max) + 2
+    log_tol = math.log(tol)
+    # log Pi and sum 1/(S+i) over i = 0..2K+1, grown with K
+    log_rising = math.log(big_s) + math.log(big_s + 1.0)
+    harmonic = 1.0 / big_s + 1.0 / (big_s + 1.0)
+    best = None
+    for k in range(1, _EM_MAX_CORRECTIONS + 1):
+        for i in (2 * k, 2 * k + 1):
+            log_rising += math.log(big_s + i)
+            harmonic += 1.0 / (big_s + i)
+        power = re_min + 2 * k + 1
+        log_amp = math.log(abs(_EM_COEF[k])) + log_rising - math.log(power)
+
+        def factor(x):
+            return max(1.0, harmonic + math.log(x) + 1.0 / power) if want_deriv else 1.0
+
+        def bound(x):
+            return math.exp(log_amp - power * math.log(x)) * factor(x)
+
+        # M(x) factor(x) = tol; factor grows like ln x, so a few fixed-point
+        # rounds from below leave at most a step or two to the loop
+        x = 1.0 + alpha
+        for _ in range(3 if want_deriv else 1):
+            x = max(1.0 + alpha, math.exp((log_amp + math.log(factor(x)) - log_tol) / power))
+        n_terms = math.ceil(x - alpha)  # >= 1, as x >= 1+a
+        while bound(n_terms + alpha) > tol:
+            n_terms += 1
+        work = s.size * n_terms + k * (_EM_STEP_COST_PER_POINT * s.size + _EM_STEP_OVERHEAD)
+        if best is None or work < best[0]:
+            best = (work, n_terms, k, bound(n_terms + alpha))
+    return best[1:]
 
 
-def _em_split(s: np.ndarray, alpha: float, n_terms: int, want_deriv: bool):
+def _em_tail_estimate(s: np.ndarray, big_a: float, n_corr: int) -> float:
+    """Largest per-point bound of the remainder after ``n_corr`` corrections.
+
+    The first omitted correction C_{K+1} (s)_{2K+1} (N+a)^(-s-2K-1), inflated
+    by the standard remainder factor |s+2K+1| / (Re s+2K+1).
+    """
+    rising = np.abs(np.prod(s + np.arange(2 * n_corr + 1)[:, None], axis=0))
+    term = abs(_EM_COEF[n_corr]) * rising * np.exp(-(s.real + 2 * n_corr + 1) * math.log(big_a))
+    safety = np.abs(s + 2 * n_corr + 1) / np.maximum(s.real + 2 * n_corr + 1, 1.0)
+    return float(np.max(term * safety))
+
+
+def _em_split(s: np.ndarray, alpha: float, n_terms: int, n_corr: int, want_deriv: bool):
     """Euler-Maclaurin evaluation with the 1/(s-1) pole kept symbolic.
 
-    Returns (regular, d_regular or None, error_estimate) with
+    Returns (regular, d_regular or None) with
     zeta(s, alpha) = regular + 1/(s-1) and
-    zeta'(s, alpha) = d_regular - 1/(s-1)^2.
+    zeta'(s, alpha) = d_regular - 1/(s-1)^2, for ``n_terms`` partial-sum
+    terms and ``n_corr`` corrections.
     """
     s = np.asarray(s, dtype=complex)
     flat = s.ravel()
@@ -436,49 +516,39 @@ def _em_split(s: np.ndarray, alpha: float, n_terms: int, want_deriv: bool):
     w = -(flat - 1.0) * la
     # (N+a)^(1-s)/(s-1) = -ln(N+a) f(-(s-1) ln(N+a)) + 1/(s-1)
     reg_int = -la * expm1_over(w)
-    dreg_int = la * la * expm1_over_deriv(w) if want_deriv else None
 
-    decay = np.exp(-flat * la)          # (N+a)^{-s}
-    half = 0.5 * decay
-    dhalf = -0.5 * la * decay if want_deriv else None
-
-    # corrections c_j (s)_{2j-1} (N+a)^{-s-2j+1}
-    corr = np.zeros_like(flat)
-    dcorr = np.zeros_like(flat) if want_deriv else None
-    rising = flat.copy()                # (s)_1
-    drising = np.ones_like(flat)        # d/ds
-    pw = decay / big_a                  # (N+a)^{-s-1}
-    dpw_factor = -la                    # d/ds pw = dpw_factor * pw
+    # (N+a)^(-s) [1/2 + sum_{j<=K} C_j (s)_{2j-1} (N+a)^(1-2j)], the sum by
+    # Horner's rule: (s/(N+a)) (D_1 + v_1 (D_2 + v_2 (... + v_{K-1} D_K)))
+    # with v_j = (s+2j-1)(s+2j) and D_j = C_j (N+a)^(2-2j)
     inv_a2 = 1.0 / (big_a * big_a)
-    term = None
-    for j in range(1, _EM_CORRECTIONS + 2):
-        term = _EM_COEF[j - 1] * rising * pw
-        if j <= _EM_CORRECTIONS:
-            corr += term
-            if want_deriv:
-                dcorr += _EM_COEF[j - 1] * (drising * pw + rising * dpw_factor * pw)
-            # advance (s)_{2j-1} -> (s)_{2j+1} and (N+a)^{-s-2j+1} -> ...-2j-1
-            for off in (2 * j - 1, 2 * j):
-                drising = drising * (flat + off) + rising
-                rising = rising * (flat + off)
-            pw = pw * inv_a2
-    # first omitted correction, inflated by the standard remainder factor
-    safety = np.abs(flat + 2 * _EM_CORRECTIONS + 1) / np.maximum(
-        flat.real + 2 * _EM_CORRECTIONS + 1, 1.0)
-    est = float(np.max(np.abs(term) * safety)) if flat.size else 0.0
-
-    regular = (partial + reg_int + half + corr).reshape(s.shape)
-    dregular = None
-    if want_deriv:
-        dregular = (dpartial + dreg_int + dhalf + dcorr).reshape(s.shape)
-    return regular, dregular, est
+    acc = np.full_like(flat, _EM_COEF[n_corr - 1] * inv_a2 ** (n_corr - 1))
+    dacc = np.zeros_like(flat) if want_deriv else None
+    for j in range(n_corr - 1, 0, -1):
+        v = (flat + (2 * j - 1)) * (flat + 2 * j)
+        if want_deriv:
+            dacc = dacc * v + acc * (2.0 * flat + (4 * j - 1))
+        acc = acc * v + _EM_COEF[j - 1] * inv_a2 ** (j - 1)
+    decay = np.exp(-flat * la)          # (N+a)^{-s}
+    tail = 0.5 + flat * acc / big_a
+    regular = (partial + reg_int + decay * tail).reshape(s.shape)
+    if not want_deriv:
+        return regular, None
+    dreg_int = la * la * expm1_over_deriv(w)
+    dtail = (acc + flat * dacc) / big_a - la * tail
+    return regular, (dpartial + dreg_int + decay * dtail).reshape(s.shape)
 
 
 def euler_maclaurin_split(s, alpha: float, tol: float = 1e-12,
                           want_deriv: bool = False, strict: bool = False):
-    """Adaptive-N Euler-Maclaurin split evaluation (vectorized).
+    """Euler-Maclaurin split evaluation (vectorized).
 
-    Returns (regular, d_regular or None, error_estimate).  With ``strict``
+    Returns (regular, d_regular or None, error_estimate).  With Re s >= 0 on
+    every point, N and K come from the remainder majorant of _em_plan, in
+    one pass, and the estimate is that majorant (<= ``tol``); with
+    ``want_deriv`` it bounds the derivative's remainder too.  Otherwise N
+    starts small and grows (at most 5 rounds) until the largest per-point
+    remainder bound of 12 corrections falls below ``tol``.  Neither
+    estimate counts float64 rounding.  With ``strict``
     an AccuracyError is raised if the estimate cannot be brought below
     ``tol``; otherwise the best result is returned with its estimate.
     """
@@ -486,18 +556,20 @@ def euler_maclaurin_split(s, alpha: float, tol: float = 1e-12,
     s = np.asarray(s, dtype=complex)
     if s.size == 0:
         return s.copy(), (s.copy() if want_deriv else None), 0.0
+    if float(np.min(s.real)) >= 0.0:
+        n_terms, n_corr, est = _em_plan(s.ravel(), alpha, tol, want_deriv)
+        return (*_em_split(s, alpha, n_terms, n_corr, want_deriv), est)
     n_terms = _em_start_terms(s)
-    best = None
     for _ in range(5):
-        reg, dreg, est = _em_split(s, alpha, n_terms, want_deriv)
-        best = (reg, dreg, est)
+        reg, dreg = _em_split(s, alpha, n_terms, _EM_MAX_CORRECTIONS, want_deriv)
+        est = _em_tail_estimate(s.ravel(), n_terms + alpha, _EM_MAX_CORRECTIONS)
         if est < tol:
-            return best
+            return reg, dreg, est
         n_terms = int(n_terms * 1.7) + 8
     if strict:
         raise AccuracyError("Euler-Maclaurin tail did not reach the requested tolerance",
-                            estimate=best[0], residual=best[2])
-    return best
+                            estimate=reg, residual=est)
+    return reg, dreg, est
 
 
 # ---------------------------------------------------------------------------

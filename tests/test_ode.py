@@ -162,6 +162,13 @@ class TestZeroCensus:
         with pytest.raises(zf.DomainError):
             zf.find_critical_zeros(400.0)
 
+    def test_zero_just_below_t_max_is_found(self):
+        # the zero at 284.83596 lies 0.003 below t_max, less than one scan
+        # step, so the scan must reach past t_max to seed it
+        scan = zf.find_critical_zeros(284.8392528693265)
+        assert abs(scan.records[-1].location - (0.5 + 284.83596j)) < 1e-5
+        assert all(r.location.imag <= 284.8392528693265 for r in scan.records)
+
     def test_census_to_100(self, zeros_to_100):
         records = zeros_to_100.records
         assert len(records) == 29

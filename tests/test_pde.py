@@ -114,6 +114,21 @@ class TestEtdStep:
         assert sig.value.index == (5,)
         assert sig.value.min_p < 1e-3
 
+    @pytest.mark.parametrize("shape,dt", [((32,), 0.04), ((32,), 0.02), ((16, 16), 1e-3)])
+    def test_cached_multipliers_bitwise(self, zeta_handle, shape, dt):
+        # the step with multipliers recomputed from scratch is the reference
+        cfg = flow_cfg(zeta_handle, lam=1)
+        f = zf.disc_random_field(-2.0 + 0.5j, 0.05, seed=3, shape=shape)
+        z = dt * pm._laplacian_eigs(shape, f.length)
+        nu = zeta_handle.eval_many(f.values)
+        ahat = np.exp(z) * np.fft.fftn(f.values) + dt * pm._phi1(z) * np.fft.fftn(nu)
+        a = np.fft.ifftn(ahat)
+        ref = np.fft.ifftn(ahat + dt * pm._phi2(z) * np.fft.fftn(zeta_handle.eval_many(a) - nu))
+        for _ in range(2):  # the first call fills the cache, the second reads it
+            got = zf.etd_step(f, dt, cfg).values
+            assert np.array_equal(got.view(float), ref.view(float))
+        assert not any(m.flags.writeable for m in pm._etd_multipliers(shape, f.length, dt))
+
     def test_second_order_self_convergence(self, zeta_handle):
         x = 2.0 * math.pi * np.arange(64) / 64
         datum = zf.GridField((-3.0 + 0.5 * np.cos(x)).astype(complex))
