@@ -27,8 +27,7 @@ from . import dirichlet, ode, pde, special
 from .special import EvalConfig
 
 SCHEMA_VERSION = 1
-_ENVELOPE_IDS = ("thm1.5", "cor1.6", "thm1.7i", "thm1.7ii", "thm1.7iii")
-_CHECK_IDS = _ENVELOPE_IDS + ("thm1.8", "thm1.9")
+_CHECK_IDS = pde.THEOREM_IDS + ("thm1.8", "thm1.9")
 
 
 def _fmt(x: float) -> str:
@@ -68,6 +67,13 @@ def _nonlinearity_from_spec(spec: str, cfg: EvalConfig) -> dirichlet.LFunctionHa
         table = dirichlet.character_from_json(path.read_text())
         return dirichlet.l_function(table, cfg)
     raise ConfigurationError(f"unknown nonlinearity spec {spec!r}")
+
+
+def _l_spec(args) -> str:
+    """The nonlinearity spec named by the --principal / --character-file flags."""
+    if args.principal is not None:
+        return f"principal:{args.principal}"
+    return f"file:{args.character_file}" if args.character_file else "zeta"
 
 
 def _datum_from_spec(spec: str, seed, shape, length) -> pde.GridField:
@@ -137,7 +143,7 @@ def cmd_eval(args) -> int:
         value, est, path = special.eval_diagnostics(s, args.alpha, cfg)
         label = f"zeta({args.s}, {args.alpha:g})"
     elif args.function == "l":
-        handle = _eval_l_handle(args, cfg)
+        handle = _nonlinearity_from_spec(_l_spec(args), cfg)
         value = dirichlet.l_eval(handle, s)
         est, path = cfg.abs_tol, "hurwitz-sum"
         label = f"L[m={handle.period}]({args.s})"
@@ -147,17 +153,6 @@ def cmd_eval(args) -> int:
     print(f"abs error estimate: {est:.3g}")
     print(f"path: {path}")
     return 0
-
-
-def _eval_l_handle(args, cfg: EvalConfig) -> dirichlet.LFunctionHandle:
-    if getattr(args, "principal", None) is not None:
-        return dirichlet.l_function(dirichlet.principal_character(args.principal), cfg)
-    if getattr(args, "character_file", None):
-        path = Path(args.character_file)
-        if not path.exists():
-            raise ConfigurationError(f"character file not found: {path}")
-        return dirichlet.l_function(dirichlet.character_from_json(path.read_text()), cfg)
-    return dirichlet.zeta_function(cfg)
 
 
 def cmd_zeros(args) -> int:
@@ -239,10 +234,9 @@ def _run_flow(args, handle, datum, cfg, out_dir, summary, t0) -> int:
         if args.mode != "pde":
             raise ConfigurationError("--check applies to --mode pde")
         spec = pde.EnvelopeSpec.from_field(datum)
-        if check in _ENVELOPE_IDS:
+        if check in pde.THEOREM_IDS:
             pde.validate_envelope_hypotheses(
-                spec, check, sigma0=args.sigma0,
-                character_real=handle.character.is_real)
+                spec, check, character_real=handle.character.is_real)
         elif check == "thm1.8" and not args.datum.startswith("disc:"):
             raise ConfigurationError("thm1.8 check needs a disc datum")
         elif check == "thm1.9" and not spec.real_case:
@@ -280,7 +274,7 @@ def _run_flow(args, handle, datum, cfg, out_dir, summary, t0) -> int:
               f"ETD deviation {dev:.3g}")
     else:  # pde
         run = pde.integrate_pde(datum, cfg, track_target=_track_target(args),
-                                estimate_error=check in _ENVELOPE_IDS)
+                                estimate_error=check in pde.THEOREM_IDS)
         summary["termination"] = run.termination
         summary["monitor_extrema"] = _monitor_extrema(run)
         if run.quench is not None:
@@ -327,8 +321,8 @@ def _track_target(args) -> complex | None:
 
 
 def _run_check(check: str, run: pde.RunRecord, spec, args) -> dict:
-    if check in _ENVELOPE_IDS:
-        report = pde.envelope_check(run, spec, check, sigma0=args.sigma0)
+    if check in pde.THEOREM_IDS:
+        report = pde.envelope_check(run, spec, check)
         return {"passed": bool(report.passed),
                 "worst_margin": report.worst_margin,
                 "slack": report.slack,
@@ -467,8 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="zeta | principal:m | file:chars.json")
     p_flow.add_argument("--check", default=None,
                         help="|".join(_CHECK_IDS))
-    p_flow.add_argument("--sigma0", type=float, default=None,
-                        help="window sigma0 estimate for envelope hypotheses")
     p_flow.add_argument("--rtol", type=float, default=1e-9)
     p_flow.add_argument("--atol", type=float, default=1e-9)
     p_flow.add_argument("--abs-tol", type=float, default=1e-10)

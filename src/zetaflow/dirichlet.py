@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CharacterValidationError, DomainError, PoleError
+from .errors import AccuracyError, CharacterValidationError, DomainError, PoleError
 from . import special
 from .special import DEFAULT_CONFIG, EvalConfig
 
@@ -188,21 +188,38 @@ class LFunctionHandle:
         """chi-weighted sum of the per-residue 1/(s-1) coefficients."""
         return self.character.coprime_count() if self.has_pole else 0
 
-    def eval_many(self, s, tol: float = 1e-12) -> np.ndarray:
-        """Vectorized evaluation on an array of points away from s = 1."""
+    def eval_with_estimate(self, s):
+        """(values, per-point error estimates) on an array of points.
+
+        The estimate is m^(-Re s) sum_r |chi(r)| est_r, so each Hurwitz
+        term goes through the router at eval_cfg.split_tol scaled by
+        m^(min Re s) / sum_r |chi(r)| where that is below 1.  Principal
+        characters need s != 1.
+        """
         s = np.asarray(s, dtype=complex)
         m = self.period
+        weight = sum(abs(chi) for chi in self.character.values)
+        lowest = float(np.min(s.real, initial=np.inf))
+        tol = self.eval_cfg.split_tol * min(1.0, m ** lowest / weight)
         total = np.zeros_like(s)
+        est = np.zeros(s.shape)
         for r in range(1, m + 1):
             chi = self.character.values[r - 1]
             if chi == 0:
                 continue
-            reg, _ = special.hurwitz_split_many(s, r / m, tol=tol)
+            reg, est_r = special.hurwitz_split_many(s, r / m, tol=tol)
             total = total + chi * reg
+            est = est + abs(chi) * est_r
         pw = self.pole_weight()
         if pw:
             total = total + pw / (s - 1.0)
-        return np.exp(-s * math.log(m)) * total if m > 1 else total
+        if m == 1:
+            return total, est
+        return np.exp(-s * math.log(m)) * total, np.exp(-s.real * math.log(m)) * est
+
+    def eval_many(self, s) -> np.ndarray:
+        """Vectorized evaluation on an array of points away from s = 1."""
+        return self.eval_with_estimate(s)[0]
 
     def eval_point(self, s: complex) -> complex:
         return complex(self.eval_many(np.array([complex(s)]))[0])
@@ -224,26 +241,20 @@ def l_eval(handle: LFunctionHandle, s) -> complex:
 
     Raises PoleError iff the character is principal and s = 1; non-principal
     L-functions are finite there because the chi-weighted residue sum
-    vanishes identically and is dropped symbolically.
+    vanishes identically and is dropped symbolically.  Raises AccuracyError,
+    naming s, the period and the route, where the error estimate exceeds
+    eval_cfg.abs_tol.
     """
     s = complex(s)
     if s == 1 and handle.has_pole:
         raise PoleError("principal L-functions have a pole at s = 1")
-    m = handle.period
-    cfg = handle.eval_cfg
-    total = 0.0 + 0.0j
-    for r in range(1, m + 1):
-        chi = handle.character.values[r - 1]
-        if chi == 0:
-            continue
-        reg, _, _ = special.hurwitz_regular_split(s, r / m, cfg)
-        total += chi * reg
-    pw = handle.pole_weight()
-    if pw:
-        total += pw / (s - 1.0)
-    if m > 1:
-        total *= np.exp(-s * math.log(m))
-    return complex(total)
+    vals, est = handle.eval_with_estimate(np.array([s]))
+    value, est = complex(vals[0]), float(est[0])
+    if not (est <= handle.eval_cfg.abs_tol and np.isfinite(value)):
+        raise AccuracyError(
+            f"estimate {est:.1e} exceeds abs_tol {handle.eval_cfg.abs_tol:.1e} at s={s!r}, "
+            f"m={handle.period} (route hurwitz-sum)", estimate=value, residual=est)
+    return value
 
 
 def dirichlet_series(handle: LFunctionHandle, s, n_terms: int = 1 << 17):

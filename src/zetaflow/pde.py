@@ -376,28 +376,29 @@ class EnvelopeReport:
     bounds: dict
 
 
-_THEOREM_IDS = ("thm1.5", "cor1.6", "thm1.7i", "thm1.7ii", "thm1.7iii")
+# The theorems whose envelopes envelope_check verifies.
+THEOREM_IDS = ("thm1.5", "cor1.6", "thm1.7i", "thm1.7ii", "thm1.7iii")
 
 
 def validate_envelope_hypotheses(spec: EnvelopeSpec, theorem: str,
-                                 sigma0: float | None = None,
                                  character_real: bool | None = None) -> None:
     """Raise ConfigurationError unless the selected theorem's hypotheses hold.
 
-    Without a ``sigma0`` window estimate the universal barrier sigma_1 is
-    used for the complex-data theorems (sufficient, stricter).  A check is
-    only meaningful under its hypotheses, so callers validate before
-    integrating.
+    The complex-data theorems need I1 > max(1, sigma0); the barrier used is
+    max(1, sigma_1), as sigma_1 > sigma0 ~ 1.19235 (sufficient, stricter).
+    A window scan of sigma0 gives a lower estimate of the abscissa, so it
+    cannot stand in for it.  A check is only meaningful under its
+    hypotheses, so callers validate before integrating.
     """
-    if theorem not in _THEOREM_IDS:
+    if theorem not in THEOREM_IDS:
         raise ConfigurationError(f"unknown theorem id {theorem!r}; "
-                                 f"expected one of {_THEOREM_IDS}")
+                                 f"expected one of {THEOREM_IDS}")
     if theorem in ("thm1.5", "cor1.6"):
-        barrier = max(1.0, sigma0 if sigma0 is not None else sigma1_root())
+        barrier = max(1.0, sigma1_root())
         if not spec.i1 > barrier:
             raise ConfigurationError(
                 f"hypothesis I1 > max(1, sigma0) not met: I1 = {spec.i1:.6g}, "
-                f"barrier = {barrier:.6g} (supply a sharper sigma0 if known)")
+                f"barrier max(1, sigma_1) = {barrier:.6g}")
         if theorem == "cor1.6":
             if not spec.i2 > 0:
                 raise ConfigurationError("hypothesis I2 > 0 not met")
@@ -421,18 +422,15 @@ def validate_envelope_hypotheses(spec: EnvelopeSpec, theorem: str,
 
 
 def envelope_check(run: RunRecord, spec: EnvelopeSpec, theorem: str,
-                   sigma0: float | None = None,
                    final_tol: float = 1e-3) -> EnvelopeReport:
     """Verify the affine-in-t (or constant) bounds on every stored snapshot.
 
-    ``sigma0`` may supply a window estimate of the abscissa entering the
-    hypothesis of the complex-data theorems; without it the universal bound
-    sigma_1 (root of zeta = 2) is used, which is sufficient but stricter.
-    Margins are signed distances to the bounds; the check passes when the
-    worst margin stays above -(slack), with slack = 1e-6 plus ten times the
-    run's self-convergence error estimate.
+    The hypotheses are those of validate_envelope_hypotheses.  Margins are
+    signed distances to the bounds; the check passes when the worst margin
+    stays above -(slack), with slack = 1e-6 plus ten times the run's
+    self-convergence error estimate.
     """
-    validate_envelope_hypotheses(spec, theorem, sigma0=sigma0)
+    validate_envelope_hypotheses(spec, theorem)
     slack = 1e-6 + 10.0 * (run.error_estimate or 0.0)
     times = np.array(run.snapshot_times)
     re_parts = [snap.real for snap in run.snapshots]

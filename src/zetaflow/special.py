@@ -1,34 +1,38 @@
 """Hurwitz/Riemann zeta evaluation and the explicit sup-norm bound constants.
 
-Two independent evaluation routes are provided and cross-validated:
+One router, ``_split_many``, evaluates the regular part of zeta(s, a) (the
+1/(s-1) pole term kept symbolic) with a per-point error estimate, for
+batches and, as size-1 calls, for every scalar entry point.  One predicate,
+``_on_h_rule``, picks the route of each point:
 
-* a three-term split ``zeta(s, a) = 1/(s-1) + d(s, a) + h(s, a)`` where ``d``
-  is entire (closed form, with a power series across its removable
+* "hermite" for |Im s| <= 15 and Re s < -3 (for a size-1 call, Re s < 8):
+  the three-term split ``zeta(s, a) = 1/(s-1) + d(s, a) + h(s, a)`` where
+  ``d`` is entire (closed form, with a power series across its removable
   singularity at s = 1) and ``h`` is a rapidly decaying integral over
-  [0, inf) computed by adaptive Gauss-Legendre panels with a certified
-  truncation point;
-* the defining series accelerated with an Euler-Maclaurin tail, which also
-  provides the analytic continuation.  For a batch with Re s >= 0 the
-  partial-sum length N and the number K <= 12 of Bernoulli corrections are
-  planned in one pass from a remainder majorant over the batch (max|s| and
-  min Re s in place of |s| and Re s), choosing the pair with the least work;
-  the corrections are summed by Horner's rule and the majorant is the error
-  estimate.  For Re s < 0, where cancellation against the partial sum grows
-  like eps (N+a)^(1-Re s), N starts small and grows only until the
-  per-point remainder of 12 corrections meets the tolerance; that estimate
-  leaves the cancellation out.  This route takes over where the
-  integral route loses precision in double arithmetic: the integrand of
-  ``h`` carries the factor cosh(Im(s) arctan(t/alpha)) and, for small alpha,
-  (alpha^2 + t^2)^(-Re(s)/2), so its absolute integral can be many orders
-  above ``|h|``, and float64 rounding of the panel sums (about 16 eps times
-  that integral) then exceeds the tolerance.  The quadrature measures that
-  floor from its panel masses as it refines, and the scalar split switches
-  to this route when the floor is above the tolerance; Re(s) >= series_cutoff_sigma and
-  |Im(s)| > HERMITE_IM_LIMIT go to this route without trying the integral.
+  [0, inf), computed by one fixed-panel Gauss-Legendre rule vectorized over
+  s.  Its panels are graded toward t = 0 on the scale a and run to a
+  certified truncation point.  The integrand carries
+  cosh(Im(s) arctan(t/a)) and, for small a, (a^2 + t^2)^(-Re(s)/2), so its
+  absolute integral can lie many orders above ``|h|``; the estimate is the
+  tail level plus the float64 floor of the panel sums, 16 eps times that
+  integral, measured on the same nodes.  Right of Re s = -3 a point whose
+  estimate exceeds the tolerance moves on to Euler-Maclaurin.
+* "series-em" everywhere else: the defining series accelerated with an
+  Euler-Maclaurin tail, which also provides the analytic continuation.  For
+  a batch with Re s >= 0 the partial-sum length N and the number K <= 12 of
+  Bernoulli corrections are planned in one pass from a remainder majorant
+  over the batch (max|s| and min Re s in place of |s| and Re s), choosing
+  the pair with the least work; the corrections are summed by Horner's rule
+  and the majorant is the error estimate.  For Re s < 0 the partial-sum
+  terms grow like (n+a)^(-Re s) and cancel against the boundary term, so N
+  is the least count whose remainder after 12 corrections meets the
+  tolerance, and the estimate adds the float64 rounding of those terms.
 
-Both routes expose a "split" form that keeps the 1/(s-1) pole term symbolic,
-so consumers summing several Hurwitz zetas (Dirichlet L-functions) can cancel
-pole contributions exactly instead of numerically.
+The scalar functions raise AccuracyError, naming s, a and the route, where
+the estimate exceeds ``EvalConfig.abs_tol``; ``hermite_h`` raises
+PrecisionFloorError where the rule's floor does.  The split form lets
+consumers summing several Hurwitz zetas (Dirichlet L-functions) cancel pole
+contributions exactly instead of numerically.
 
 The module also evaluates the closed-form constants bounding |h|, |h'|, |d'|
 and sup|f'| on boxes [-beta, beta]^2, consumed by the local-existence time
@@ -45,17 +49,10 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError, PoleError, PrecisionFloorError
 
-# Above this |Im s| the scalar split goes straight to Euler-Maclaurin.  The
-# h-integrand envelope factor cosh(|Im s| pi/2) passes cosh(15 pi/2) ~ 6e9
-# there, and the quadrature's float64 floor (see _QUAD_FLOOR) soon exceeds
-# abs_tol: at Re s = 1/2 by |Im s| = 20 for alpha <= 3/4 and by 30 for
-# alpha = 1.  Below the cap the floor is measured per point.
-HERMITE_IM_LIMIT = 15.0
-
-# float64 floor of a Gauss-Legendre panel sum, relative to the integral of
-# |f|: below 16 eps * int |f| (eps = 2^-52) a discrepancy is rounding, not
-# truncation.
-_QUAD_FLOOR = 16.0 * 2.0 ** -52
+# float64 floor of a Gauss-Legendre sum, relative to the integral of |f|:
+# 16 eps (eps = 2^-52) times int |f| bounds the rounding of the panel sums.
+_EPS = 2.0 ** -52
+_QUAD_FLOOR = 16.0 * _EPS
 
 _TWO_PI = 2.0 * math.pi
 
@@ -90,45 +87,22 @@ _EM_STEP_OVERHEAD = 150.0
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Tolerances and truncation policy for zeta evaluations.
+    """Tolerance for zeta evaluations.
 
-    abs_tol               target absolute error for function values
-    quad_rule             quadrature scheme identifier, "gauss-legendre-<n>"
-    quad_max_refinements  cap on dyadic panel-subdivision rounds
-    trunc_threshold       integrand-envelope level below which the tail
-                          [T, inf) of the h-integral is dropped
-    series_cutoff_sigma   Re(s) at or above which the direct series route
-                          (with Euler-Maclaurin tail) is used
+    abs_tol   target absolute error of a scalar evaluation; the scalar entry
+              points raise AccuracyError where the router's estimate exceeds it
     """
 
     abs_tol: float = 1e-10
-    quad_rule: str = "gauss-legendre-15"
-    quad_max_refinements: int = 30
-    trunc_threshold: float = 1e-12
-    series_cutoff_sigma: float = 8.0
 
     def __post_init__(self):
         if not self.abs_tol > 0:
             raise DomainError("abs_tol must be positive")
-        if self.trunc_threshold > self.abs_tol / 10:
-            raise DomainError("trunc_threshold must be <= abs_tol / 10")
-        if not self.series_cutoff_sigma > 1:
-            raise DomainError("series_cutoff_sigma must exceed 1")
-        if self.quad_max_refinements < 1:
-            raise DomainError("quad_max_refinements must be >= 1")
-        self.quad_nodes()  # validate the rule identifier eagerly
 
-    def quad_nodes(self) -> int:
-        prefix = "gauss-legendre-"
-        if not self.quad_rule.startswith(prefix):
-            raise DomainError(f"unknown quadrature rule {self.quad_rule!r}")
-        try:
-            n = int(self.quad_rule[len(prefix):])
-        except ValueError as exc:
-            raise DomainError(f"unknown quadrature rule {self.quad_rule!r}") from exc
-        if not 2 <= n <= 64:
-            raise DomainError("gauss-legendre node count must be in [2, 64]")
-        return n
+    @property
+    def split_tol(self) -> float:
+        """Tolerance handed to the router: min(1e-12, abs_tol / 10)."""
+        return min(1e-12, self.abs_tol / 10.0)
 
 
 DEFAULT_CONFIG = EvalConfig()
@@ -145,20 +119,6 @@ def _at(s, alpha, route: str) -> str:
     return f"at s={s!r}, alpha={alpha!r} (route {route})"
 
 
-def _require_finite(value, what: str, s, alpha, route: str):
-    arr = np.atleast_1d(np.asarray(value))
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
-        raise AccuracyError(f"{what} produced a non-finite value {_at(s, alpha, route)}",
-                            estimate=value)
-    return value
-
-
-def _renamed(exc: AccuracyError, s, alpha, route: str) -> AccuracyError:
-    """``exc`` again, with the point, alpha and route appended to its message."""
-    return type(exc)(f"{exc} {_at(s, alpha, route)}",
-                     estimate=exc.estimate, residual=exc.residual)
-
-
 # ---------------------------------------------------------------------------
 # The entire function f(u) = (e^u - 1)/u and its derivative.
 # ---------------------------------------------------------------------------
@@ -167,50 +127,41 @@ _F_SERIES_RADIUS = 0.5
 _F_SERIES_TERMS = 20
 
 
-def _f_series(u):
-    # sum_{k>=0} u^k/(k+1)!  via Horner
-    acc = np.full_like(u, 1.0 / math.factorial(_F_SERIES_TERMS + 1))
-    for k in range(_F_SERIES_TERMS, 0, -1):
-        acc = acc * u + 1.0 / math.factorial(k)
+def _horner_series(u, coefs):
+    acc = np.full_like(u, coefs[0])
+    for c in coefs[1:]:
+        acc = acc * u + c
     return acc
 
 
-def _fp_series(u):
-    # f'(u) = sum_{k>=1} k u^{k-1}/(k+1)!
-    acc = np.full_like(u, _F_SERIES_TERMS / math.factorial(_F_SERIES_TERMS + 1))
-    for k in range(_F_SERIES_TERMS - 1, 0, -1):
-        acc = acc * u + k / math.factorial(k + 1)
-    return acc
+# f(u) = sum_{k>=0} u^k/(k+1)!  and  f'(u) = sum_{k>=1} k u^{k-1}/(k+1)!,
+# coefficients from the highest power down
+_F_COEFS = tuple(1.0 / math.factorial(k + 1) for k in range(_F_SERIES_TERMS, -1, -1))
+_FP_COEFS = tuple(k / math.factorial(k + 1) for k in range(_F_SERIES_TERMS, 0, -1))
+
+
+def _entire(u, coefs, closed):
+    """Power series with ``coefs`` for |u| < 0.5, ``closed(u)`` elsewhere."""
+    u = np.asarray(u, dtype=complex)
+    scalar = u.shape == ()
+    u = np.atleast_1d(u)
+    out = np.empty_like(u)
+    small = np.abs(u) < _F_SERIES_RADIUS
+    if small.any():
+        out[small] = _horner_series(u[small], coefs)
+    if (~small).any():
+        out[~small] = closed(u[~small])
+    return complex(out[0]) if scalar else out
 
 
 def expm1_over(u):
     """f(u) = (e^u - 1)/u, entire; power series for |u| < 0.5."""
-    u = np.asarray(u, dtype=complex)
-    scalar = u.shape == ()
-    u = np.atleast_1d(u)
-    out = np.empty_like(u)
-    small = np.abs(u) < _F_SERIES_RADIUS
-    if small.any():
-        out[small] = _f_series(u[small])
-    if (~small).any():
-        ub = u[~small]
-        out[~small] = (np.exp(ub) - 1.0) / ub
-    return complex(out[0]) if scalar else out
+    return _entire(u, _F_COEFS, lambda v: (np.exp(v) - 1.0) / v)
 
 
 def expm1_over_deriv(u):
     """f'(u) = (e^u (u - 1) + 1)/u^2, entire; power series for |u| < 0.5."""
-    u = np.asarray(u, dtype=complex)
-    scalar = u.shape == ()
-    u = np.atleast_1d(u)
-    out = np.empty_like(u)
-    small = np.abs(u) < _F_SERIES_RADIUS
-    if small.any():
-        out[small] = _fp_series(u[small])
-    if (~small).any():
-        ub = u[~small]
-        out[~small] = (np.exp(ub) * (ub - 1.0) + 1.0) / (ub * ub)
-    return complex(out[0]) if scalar else out
+    return _entire(u, _FP_COEFS, lambda v: (np.exp(v) * (v - 1.0) + 1.0) / (v * v))
 
 
 # ---------------------------------------------------------------------------
@@ -247,118 +198,27 @@ def hermite_d_deriv(s, alpha: float) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Adaptive Gauss-Legendre panels.
+# The integral part h(s, alpha) and its s-derivative: one graded fixed-panel
+# Gauss-Legendre rule, vectorized over s.
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _leggauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
-
-
-def adaptive_gauss_legendre(fvec, a: float, b: float, tol: float,
-                            max_refinements: int, n_nodes: int = 15) -> complex:
-    """Integrate a smooth vectorized complex integrand over [a, b].
-
-    Panels are halved dyadically wherever the coarse/fine Gauss-Legendre
-    discrepancy exceeds the panel's width-proportional share of the
-    tolerance; ``tol`` is floored at a few ulps of the integrand's own scale,
-    since float64 panel sums cannot certify below that.  The result is
-    returned once every panel is accepted or the discrepancies of all panels
-    sum to at most ``tol``.
-
-    Raises PrecisionFloorError as soon as the float64 floor of the whole
-    integral, 16 eps times int |f| as measured by the panel masses of the
-    rounds so far, exceeds ``tol``, and AccuracyError when the refinement
-    budget is exhausted; both carry the best estimate and a residual.
-    """
-    x0, w0 = _leggauss(n_nodes)
-
-    def panel_values(lo, hi):
-        mid = 0.5 * (lo + hi)[:, None]
-        half = 0.5 * (hi - lo)[:, None]
-        nodes = mid + half * x0[None, :]
-        vals = fvec(nodes.ravel()).reshape(nodes.shape)
-        integ = (vals * w0[None, :]).sum(axis=1) * half[:, 0]
-        mass = (np.abs(vals) * w0[None, :]).sum(axis=1) * half[:, 0]
-        return integ, mass
-
-    lo = np.linspace(a, b, 9)[:-1]
-    hi = np.linspace(a, b, 9)[1:]
-    parent, mass = panel_values(lo, hi)
-    total = 0.0 + 0.0j
-    mass_accepted = 0.0
-    err_accepted = 0.0
-    pending_err = float("inf")
-    for _ in range(max_refinements):
-        # int |f| as resolved so far; a coarse round can miss a narrow peak,
-        # so the floor is checked again after every round
-        floor = _QUAD_FLOOR * (mass_accepted + float(mass.sum()))
-        if floor > tol:
-            raise PrecisionFloorError(
-                f"float64 floor {floor:.1e} of the quadrature exceeds tol {tol:.1e}",
-                estimate=complex(total + parent.sum()), residual=floor)
-        mid = 0.5 * (lo + hi)
-        # both halves of every panel in one integrand call
-        half_lo, half_hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        halves, halves_mass = panel_values(half_lo, half_hi)
-        n = lo.size
-        fine = halves[:n] + halves[n:]
-        fine_mass = halves_mass[:n] + halves_mass[n:]
-        err = np.abs(fine - parent)
-        # a panel is done when it meets its width share of tol, or when its
-        # discrepancy sits at the float64 noise floor of its own mass
-        ok = (err <= tol * (hi - lo) / (b - a)) | (err <= 4e-16 * fine_mass)
-        total += fine[ok].sum()
-        err_accepted += float(err[ok].sum())
-        if ok.all():
-            return complex(total)
-        keep = ~ok
-        pending_err = float(err[keep].sum())
-        if err_accepted + pending_err <= tol:
-            # the shares are a refinement policy; the guarantee is the sum
-            return complex(total + fine[keep].sum())
-        mass_accepted += float(fine_mass[ok].sum())
-        keep = np.concatenate([keep, keep])
-        lo, hi, parent, mass = half_lo[keep], half_hi[keep], halves[keep], halves_mass[keep]
-    raise AccuracyError(
-        "quadrature did not converge within the refinement budget",
-        estimate=complex(total + parent.sum()),
-        residual=err_accepted + pending_err,
-    )
-
-
-# ---------------------------------------------------------------------------
-# The integral part h(s, alpha) and its s-derivative.
-# ---------------------------------------------------------------------------
-
-def _h_integrand(t, s, alpha):
-    # sin(s arctan(t/a)) / ((a^2+t^2)^(s/2) (e^{2 pi t} - 1)); finite limit at t=0
-    w = np.arctan(t / alpha)
-    num = np.sin(s * w)
-    den = np.exp((s / 2.0) * np.log(alpha * alpha + t * t)) * np.expm1(_TWO_PI * t)
-    return num / den
-
-
-def _hp_integrand(t, s, alpha):
-    # d/ds of the h-integrand:
-    # [arctan(t/a) cos(s arctan(t/a)) - (1/2) ln(a^2+t^2) sin(s arctan(t/a))]
-    #   / ((a^2+t^2)^(s/2) (e^{2 pi t} - 1))
-    w = np.arctan(t / alpha)
-    lg = np.log(alpha * alpha + t * t)
-    num = w * np.cos(s * w) - 0.5 * lg * np.sin(s * w)
-    den = np.exp((s / 2.0) * lg) * np.expm1(_TWO_PI * t)
-    return num / den
+_H_PANEL_WIDTH = 0.5
+_H_PANEL_NODES = 16
+# Share of the tolerance left to the dropped tail [T, inf) of the integral.
+_H_TAIL_SHARE = 0.1
 
 
 def _truncation_point(s: complex, alpha: float, threshold: float, deriv: bool) -> float:
-    """Smallest T >= 1 where the integrand envelope falls below ``threshold``.
+    """Smallest T >= 1 on the 0.5 grid where the integrand envelope falls below ``threshold``.
 
     Envelope for h:   2 (a^2+t^2)^(|Re s|/2) (|s| pi/2 cosh(|Im s| pi/2)) e^{-2 pi t};
     for h' an extra factor (a^2+t^2)^(1/2) absorbs the arctan and log weights.
+    For a batch, ``s`` is (max |Re s|) + i (max |Im s|), whose envelope
+    dominates that of every point.
     """
     y = abs(s.imag)
     if y * math.pi / 2.0 > 700.0:
-        raise AccuracyError("|Im s| too large for the integral route")
+        raise AccuracyError(f"|Im s| too large for the integral {_at(s, alpha, 'hermite')}")
     ch = math.cosh(y * math.pi / 2.0)
     if deriv:
         amp = 2.1 * (math.pi / 2.0 + 0.5) * ch
@@ -372,52 +232,90 @@ def _truncation_point(s: complex, alpha: float, threshold: float, deriv: bool) -
         if env < threshold:
             return t
         t += 0.5
-    raise AccuracyError("could not certify a truncation point for the h-integral")
+    raise AccuracyError("could not certify a truncation point for the h-integral "
+                        + _at(s, alpha, "hermite"))
 
 
-def _hermite_integral(s: complex, alpha: float, cfg: EvalConfig, deriv: bool) -> complex:
-    """h (or h') by adaptive quadrature; AccuracyErrors name s, alpha and the route."""
-    integrand = _hp_integrand if deriv else _h_integrand
-    try:
-        T = _truncation_point(s, alpha, cfg.trunc_threshold, deriv=deriv)
-        val = adaptive_gauss_legendre(
-            lambda t: integrand(t, s, alpha), 0.0, T,
-            tol=0.45 * cfg.abs_tol, max_refinements=cfg.quad_max_refinements,
-            n_nodes=cfg.quad_nodes())
-    except AccuracyError as exc:
-        raise _renamed(exc, s, alpha, "hermite") from exc
-    return _require_finite(2.0 * val, "hermite_h_deriv" if deriv else "hermite_h",
-                           s, alpha, "hermite")
+@lru_cache(maxsize=64)
+def _h_panels(alpha: float, n_panels: int):
+    """Node factors of the graded rule: (arctan(t/a), ln(a^2+t^2)/2, weights).
+
+    The breakpoints alpha/2, alpha, 2 alpha, ... below 0.5 resolve the
+    integrand's scale alpha near t = 0; ``n_panels`` panels of width 0.5
+    follow, up to 0.5 n_panels (for alpha = 1 only those).  The weights
+    carry the factor 2 of h and 1/(e^{2 pi t} - 1), so the rule multiplies
+    by s-independent real factors.  The arrays are read-only.
+    """
+    edges = [0.0]
+    b = alpha / 2.0
+    while b < _H_PANEL_WIDTH:
+        edges.append(b)
+        b *= 2.0
+    edges = np.array(edges + [_H_PANEL_WIDTH * k for k in range(1, n_panels + 1)])
+    x0, w0 = np.polynomial.legendre.leggauss(_H_PANEL_NODES)
+    lo = edges[:-1, None]
+    half = 0.5 * (edges[1:, None] - lo)
+    t = (lo + half * (x0 + 1.0)).ravel()
+    factors = (np.arctan(t / alpha), 0.5 * np.log(alpha * alpha + t * t),
+               (half * w0).ravel() * (2.0 / np.expm1(_TWO_PI * t)))
+    for arr in factors:
+        arr.setflags(write=False)
+    return factors
+
+
+def _h_rule(s: np.ndarray, alpha: float, tol: float, deriv: bool):
+    """h (or h') at the 1-d points ``s``, with per-point error estimates.
+
+    h(s, a) = 2 int_0^inf sin(s arctan(t/a)) / ((a^2+t^2)^(s/2) (e^{2 pi t} - 1)) dt.
+    The panels run to the truncation point of the batch envelope at
+    _H_TAIL_SHARE * tol.  Each estimate is that tail level plus the float64
+    floor of the panel sums, _QUAD_FLOOR times the integral of |integrand|
+    on the same nodes: the integrand carries cosh(Im(s) arctan(t/a)) and,
+    for small a, (a^2+t^2)^(-Re(s)/2), so that integral can lie many orders
+    above |h|.
+    """
+    tail = _H_TAIL_SHARE * tol
+    worst = complex(float(np.max(np.abs(s.real))), float(np.max(np.abs(s.imag))))
+    n_panels = math.ceil(_truncation_point(worst, alpha, tail, deriv) / _H_PANEL_WIDTH)
+    angle, half_log, weights = _h_panels(alpha, n_panels)
+    col = s[:, None]
+    phase = col * angle
+    num = np.sin(phase)
+    if deriv:
+        num = angle * np.cos(phase) - half_log * num
+    vals = num * np.exp(-col * half_log)
+    return vals @ weights, tail + _QUAD_FLOOR * (np.abs(vals) @ weights)
+
+
+def _hermite_point(s, alpha: float, cfg: EvalConfig, deriv: bool) -> complex:
+    alpha = _check_alpha(alpha)
+    s = complex(s)
+    h, est = _h_rule(np.array([s]), alpha, cfg.split_tol, deriv)
+    value, est = complex(h[0]), float(est[0])
+    if not est <= cfg.abs_tol:
+        raise PrecisionFloorError(
+            f"float64 floor of the h-rule: estimate {est:.1e} exceeds abs_tol "
+            f"{cfg.abs_tol:.1e} {_at(s, alpha, 'hermite')}", estimate=value, residual=est)
+    return value
 
 
 def hermite_h(s, alpha: float, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
     """Integral part h of the three-term split, to within cfg.abs_tol.
 
-    Raises PrecisionFloorError where float64 cannot certify the integral to
-    that tolerance (see adaptive_gauss_legendre).
+    Raises PrecisionFloorError, naming s, alpha and the route, where the
+    rule's estimate (tail level plus float64 floor) exceeds cfg.abs_tol.
     """
-    alpha = _check_alpha(alpha)
-    s = complex(s)
-    if s == 0:
-        return 0.0 + 0.0j
-    return _hermite_integral(s, alpha, cfg, deriv=False)
+    return _hermite_point(s, alpha, cfg, deriv=False)
 
 
 def hermite_h_deriv(s, alpha: float, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
-    """d/ds of hermite_h, same truncation/refinement policy."""
-    alpha = _check_alpha(alpha)
-    return _hermite_integral(complex(s), alpha, cfg, deriv=True)
+    """d/ds of hermite_h, by the same rule and with the same check."""
+    return _hermite_point(s, alpha, cfg, deriv=True)
 
 
 # ---------------------------------------------------------------------------
 # Euler-Maclaurin route (also the analytic continuation for large |Im s|).
 # ---------------------------------------------------------------------------
-
-def _em_start_terms(s: np.ndarray) -> int:
-    # Re s < 0 only: boundary terms grow like (N+a)^(1-Re s), so N is kept
-    # small to limit cancellation against the partial sum
-    return int(6 + 0.45 * float(np.max(np.abs(s.imag)))) + 2
-
 
 def _em_plan(s: np.ndarray, alpha: float, tol: float, want_deriv: bool):
     """Term count N, correction count K and error bound for a group with Re s >= 0.
@@ -475,16 +373,63 @@ def _em_plan(s: np.ndarray, alpha: float, tol: float, want_deriv: bool):
     return best[1:]
 
 
-def _em_tail_estimate(s: np.ndarray, big_a: float, n_corr: int) -> float:
-    """Largest per-point bound of the remainder after ``n_corr`` corrections.
+def _em_negative_plan(s: np.ndarray, alpha: float, tol: float, want_deriv: bool):
+    """Term count N and error estimate for a group with some Re s < 0.
 
-    The first omitted correction C_{K+1} (s)_{2K+1} (N+a)^(-s-2K-1), inflated
-    by the standard remainder factor |s+2K+1| / (Re s+2K+1).
+    With K = 12 corrections the remainder at a point is at most
+    A (N+a)^(-p), p = Re s + 2K + 1: the first omitted correction
+    |C_{K+1} (s)_{2K+1}| (N+a)^(-p) times the remainder factor
+    |s+2K+1| / max(p, 1); for the derivative |(s)_{2K+1}| becomes
+    |d/ds (s)_{2K+1}| + |(s)_{2K+1}| ln(N+a).  N is the least count meeting
+    ``tol`` for the value at every point, because the partial-sum terms
+    grow like (n+a)^(-Re s) here and a larger N only adds cancellation
+    against the boundary term (N+a)^(1-s)/(s-1).  The estimate adds the
+    float64 rounding of those terms: each carries a relative error of about
+    eps (3 + |s| ln(N+a)) from the rounded logarithm and the complex
+    exponential, the sum a further eps log2(N) of its absolute sum, and the
+    derivative's weights ln(n+a) scale that by up to 1 + ln(N+a).
+    Returns (N, estimate).
     """
-    rising = np.abs(np.prod(s + np.arange(2 * n_corr + 1)[:, None], axis=0))
-    term = abs(_EM_COEF[n_corr]) * rising * np.exp(-(s.real + 2 * n_corr + 1) * math.log(big_a))
-    safety = np.abs(s + 2 * n_corr + 1) / np.maximum(s.real + 2 * n_corr + 1, 1.0)
-    return float(np.max(term * safety))
+    k = _EM_MAX_CORRECTIONS
+    power = s.real + 2 * k + 1
+    factors = np.abs(s + np.arange(2 * k + 1)[:, None])
+    rising = np.prod(factors, axis=0)
+    drising = 0.0
+    if want_deriv:
+        # |d/ds (s)_{2K+1}| <= sum_i prod_{j != i} |s+j|, from prefix and
+        # suffix products so that a zero factor stays exact
+        ones = np.ones((1, s.size))
+        prefix = np.cumprod(np.vstack([ones, factors[:-1]]), axis=0)
+        suffix = np.cumprod(np.vstack([ones, factors[:0:-1]]), axis=0)[::-1]
+        drising = (prefix * suffix).sum(axis=0)
+    scale = abs(_EM_COEF[k]) * np.abs(s + 2 * k + 1) / np.maximum(power, 1.0)
+
+    def amplitude(x):
+        return scale * (rising * (math.log(x) if want_deriv else 1.0) + drising)
+
+    # remainder amplitude(N+a) (N+a)^(-power) = tol; the ln(N+a) weight of
+    # the derivative grows slowly, so a few fixed-point rounds from below.
+    # Near Re s = -2K-1 no moderate N meets tol and a larger one only adds
+    # cancellation, so N stops at 10 + max|s|; the estimate then says so.
+    cap = 10.0 + float(np.max(np.abs(s)))
+    x = 1.0 + alpha
+    for _ in range(3 if want_deriv else 1):
+        reach = (amplitude(max(x, math.e)) / tol) ** (1.0 / np.maximum(power, 1.0))
+        x = min(cap, max(x, float(np.max(reach))))
+    n_terms = math.ceil(x - alpha)
+    big_a = n_terms + alpha
+    la = math.log(big_a)
+    remainder = amplitude(big_a) * np.exp(-power * la)
+    # sum over n < N of |(n+a)^(-s)|: the integral bound where the terms
+    # grow (Re s <= 0), else at most a^(-Re s) + N
+    re = s.real
+    terms = np.where(re <= 0.0, np.exp((1.0 - re) * la) / (1.0 - re), alpha ** -re + n_terms)
+    boundary = np.exp((1.0 - re) * la) / np.abs(s - 1.0)
+    rounding = _EPS * ((3.0 + np.abs(s) * la + math.log2(n_terms + 1)) * terms
+                       + (3.0 + np.abs(s - 1.0) * la) * boundary)
+    if want_deriv:
+        rounding = rounding * (1.0 + la)
+    return n_terms, float(np.max(remainder + rounding))
 
 
 def _em_split(s: np.ndarray, alpha: float, n_terms: int, n_corr: int, want_deriv: bool):
@@ -539,18 +484,17 @@ def _em_split(s: np.ndarray, alpha: float, n_terms: int, n_corr: int, want_deriv
 
 
 def euler_maclaurin_split(s, alpha: float, tol: float = 1e-12,
-                          want_deriv: bool = False, strict: bool = False):
+                          want_deriv: bool = False):
     """Euler-Maclaurin split evaluation (vectorized).
 
     Returns (regular, d_regular or None, error_estimate).  With Re s >= 0 on
     every point, N and K come from the remainder majorant of _em_plan, in
     one pass, and the estimate is that majorant (<= ``tol``); with
-    ``want_deriv`` it bounds the derivative's remainder too.  Otherwise N
-    starts small and grows (at most 5 rounds) until the largest per-point
-    remainder bound of 12 corrections falls below ``tol``.  Neither
-    estimate counts float64 rounding.  With ``strict``
-    an AccuracyError is raised if the estimate cannot be brought below
-    ``tol``; otherwise the best result is returned with its estimate.
+    ``want_deriv`` it bounds the derivative's remainder too; it does not
+    count float64 rounding.  Otherwise N is the least count whose remainder
+    bound after 12 corrections meets ``tol`` at every point, and the
+    estimate adds the float64 rounding of the growing partial-sum terms
+    (see _em_negative_plan).
     """
     alpha = _check_alpha(alpha)
     s = np.asarray(s, dtype=complex)
@@ -559,56 +503,99 @@ def euler_maclaurin_split(s, alpha: float, tol: float = 1e-12,
     if float(np.min(s.real)) >= 0.0:
         n_terms, n_corr, est = _em_plan(s.ravel(), alpha, tol, want_deriv)
         return (*_em_split(s, alpha, n_terms, n_corr, want_deriv), est)
-    n_terms = _em_start_terms(s)
-    for _ in range(5):
-        reg, dreg = _em_split(s, alpha, n_terms, _EM_MAX_CORRECTIONS, want_deriv)
-        est = _em_tail_estimate(s.ravel(), n_terms + alpha, _EM_MAX_CORRECTIONS)
-        if est < tol:
-            return reg, dreg, est
-        n_terms = int(n_terms * 1.7) + 8
-    if strict:
-        raise AccuracyError("Euler-Maclaurin tail did not reach the requested tolerance",
-                            estimate=reg, residual=est)
-    return reg, dreg, est
+    n_terms, est = _em_negative_plan(s.ravel(), alpha, tol, want_deriv)
+    return (*_em_split(s, alpha, n_terms, _EM_MAX_CORRECTIONS, want_deriv), est)
 
 
 # ---------------------------------------------------------------------------
-# Assembled Hurwitz / Riemann zeta.
+# The Hurwitz router and the assembled Hurwitz / Riemann zeta.
 # ---------------------------------------------------------------------------
 
-def _route(s: complex, cfg: EvalConfig) -> str:
-    """The route the scalar split tries first.
+# Left of Re s = -3 the Euler-Maclaurin boundary terms grow like
+# (N+a)^(1-Re s) and their float64 cancellation against the partial sum
+# costs about eps times that; the h-integrand is benign there while its
+# envelope factor cosh(|Im s| pi/2) stays moderate, which it does up to
+# |Im s| = 15 (cosh(15 pi/2) ~ 6e9).  A size-1 call pays numpy's per-call
+# overhead on every Horner step of Euler-Maclaurin, so there the h-rule is
+# also the cheaper route (about 2.5x at alpha = 1, s = 2) and the more
+# accurate one, and it serves the strip up to Re s = 8, where the series
+# needs few terms.  Batches keep Euler-Maclaurin right of Re s = -3: its
+# cost per point falls below 1 us.
+_H_RULE_RE_LIMIT = -3.0
+_SINGLE_H_RULE_RE_LIMIT = 8.0
+HERMITE_IM_LIMIT = 15.0
 
-    "series-em" for Re s >= series_cutoff_sigma and for |Im s| >
-    HERMITE_IM_LIMIT.  Elsewhere "hermite", which the split keeps only while
-    the integral's float64 floor stays below the tolerance; past it the
-    quadrature raises PrecisionFloorError and the split falls back to
-    "series-em".
+
+def _on_h_rule(s: np.ndarray) -> np.ndarray:
+    """The route predicate: where the router tries the h-rule.
+
+    |Im s| <= 15 and Re s < -3; for a size-1 call, Re s < 8.
     """
-    if s.real >= cfg.series_cutoff_sigma or abs(s.imag) > HERMITE_IM_LIMIT:
-        return "series-em"
-    return "hermite"
+    re_limit = _SINGLE_H_RULE_RE_LIMIT if s.size == 1 else _H_RULE_RE_LIMIT
+    return (s.real < re_limit) & (np.abs(s.imag) <= HERMITE_IM_LIMIT)
 
 
-def _regular_split(s, alpha: float, cfg: EvalConfig, deriv: bool):
+def _split_many(s, alpha: float, tol: float, deriv: bool):
+    """The Hurwitz router: regular parts, per-point error estimates, routes.
+
+    Where _on_h_rule holds a point takes d (or d') plus the graded h-rule;
+    right of Re s = -3 it moves on to Euler-Maclaurin when the h-rule's
+    estimate exceeds ``tol`` (its float64 floor).  Euler-Maclaurin takes
+    the rest, grouped by the sign of Re s so a large-|Im| point cannot force
+    a term count that degrades the cancellation-sensitive negative-Re group.
+    Returns (values, estimates, h-rule mask), all shaped like ``s``.
+    """
     alpha = _check_alpha(alpha)
+    s = np.asarray(s, dtype=complex)
+    flat = s.ravel()
+    out = np.empty_like(flat)
+    est = np.empty(flat.shape)
+    on_h = _on_h_rule(flat)
+    if on_h.any():
+        sf = flat[on_h]
+        h, est_h = _h_rule(sf, alpha, tol, deriv)
+        keep = (est_h <= tol) | (sf.real < _H_RULE_RE_LIMIT)
+        on_h[on_h] = keep
+        sf = sf[keep]
+        entire = hermite_d_deriv_many(sf, alpha) if deriv else hermite_d_many(sf, alpha)
+        out[on_h] = entire + h[keep]
+        est[on_h] = est_h[keep]
+    rest, negative = ~on_h, flat.real < 0.0
+    for group in (rest & negative, rest & ~negative):
+        if group.any():
+            reg, dreg, est[group] = euler_maclaurin_split(flat[group], alpha, tol=tol,
+                                                          want_deriv=deriv)
+            out[group] = dreg if deriv else reg
+    return out.reshape(s.shape), est.reshape(s.shape), on_h.reshape(s.shape)
+
+
+def hurwitz_split_many(s, alpha: float, tol: float = 1e-12):
+    """Vectorized regular part R with zeta = R + 1/(s-1).
+
+    Returns (R, est), est holding each point's error estimate.
+    """
+    return _split_many(s, alpha, tol, deriv=False)[:2]
+
+
+def hurwitz_deriv_split_many(s, alpha: float, tol: float = 1e-12):
+    """Vectorized regular part R' with zeta' = R' - 1/(s-1)^2. Returns (R', est)."""
+    return _split_many(s, alpha, tol, deriv=True)[:2]
+
+
+def _split_point(s, alpha: float, cfg: EvalConfig, deriv: bool):
+    """One point through the router: (value, estimate, route).
+
+    Raises AccuracyError, naming s, alpha and the route, when the value is
+    not finite or its estimate exceeds cfg.abs_tol.
+    """
     s = complex(s)
-    if _route(s, cfg) == "hermite":
-        try:
-            if deriv:
-                h = hermite_h_deriv(s, alpha, cfg)
-                return hermite_d_deriv(s, alpha) + h, cfg.abs_tol, "hermite"
-            h = hermite_h(s, alpha, cfg)
-            return hermite_d(s, alpha) + h, cfg.abs_tol, "hermite"
-        except PrecisionFloorError:
-            pass  # float64 cannot certify the integral here; Euler-Maclaurin can
-    try:
-        reg, dreg, est = euler_maclaurin_split(
-            np.array([s]), alpha, tol=min(1e-12, cfg.abs_tol / 10.0),
-            want_deriv=deriv, strict=True)
-    except AccuracyError as exc:
-        raise _renamed(exc, s, alpha, "series-em") from exc
-    return complex((dreg if deriv else reg)[0]), est, "series-em"
+    reg, est, on_h = _split_many(np.array([s]), alpha, cfg.split_tol, deriv)
+    value, est = complex(reg[0]), float(est[0])
+    route = "hermite" if on_h[0] else "series-em"
+    if not (est <= cfg.abs_tol and np.isfinite(value)):
+        raise AccuracyError(f"estimate {est:.1e} exceeds abs_tol {cfg.abs_tol:.1e} "
+                            + _at(s, alpha, route), estimate=value, residual=est)
+    return value, est, route
 
 
 def hurwitz_regular_split(s, alpha: float, cfg: EvalConfig = DEFAULT_CONFIG):
@@ -617,7 +604,7 @@ def hurwitz_regular_split(s, alpha: float, cfg: EvalConfig = DEFAULT_CONFIG):
     Returns (value, error_estimate, route); valid at s = 1 as well, where R
     is the finite part of the Laurent expansion.
     """
-    return _regular_split(s, alpha, cfg, deriv=False)
+    return _split_point(s, alpha, cfg, deriv=False)
 
 
 def hurwitz_regular_split_deriv(s, alpha: float, cfg: EvalConfig = DEFAULT_CONFIG):
@@ -625,26 +612,31 @@ def hurwitz_regular_split_deriv(s, alpha: float, cfg: EvalConfig = DEFAULT_CONFI
 
     Returns (value, error_estimate, route).
     """
-    return _regular_split(s, alpha, cfg, deriv=True)
+    return _split_point(s, alpha, cfg, deriv=True)
+
+
+def _check_pole(s: complex) -> complex:
+    if s == 1:
+        raise PoleError("zeta(s, alpha) has its pole at s = 1")
+    return s
+
+
+def eval_diagnostics(s, alpha: float, cfg: EvalConfig = DEFAULT_CONFIG):
+    """(value, error_estimate, route) for one zeta(s, alpha) evaluation."""
+    s = _check_pole(complex(s))
+    reg, est, route = hurwitz_regular_split(s, alpha, cfg)
+    return reg + 1.0 / (s - 1.0), est, route
 
 
 def hurwitz_zeta(s, alpha: float, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
     """Hurwitz zeta(s, alpha) for s != 1, alpha in (0, 1]."""
-    s = complex(s)
-    if s == 1:
-        raise PoleError("zeta(s, alpha) has its pole at s = 1")
-    reg, _, route = hurwitz_regular_split(s, alpha, cfg)
-    return _require_finite(reg + 1.0 / (s - 1.0), "hurwitz_zeta", s, alpha, route)
+    return eval_diagnostics(s, alpha, cfg)[0]
 
 
 def hurwitz_zeta_deriv(s, alpha: float, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
-    """d/ds of hurwitz zeta: -1/(s-1)^2 + d'(s, alpha) + h'(s, alpha)."""
-    s = complex(s)
-    if s == 1:
-        raise PoleError("zeta(s, alpha) has its pole at s = 1")
-    dreg, _, route = hurwitz_regular_split_deriv(s, alpha, cfg)
-    return _require_finite(dreg - 1.0 / (s - 1.0) ** 2, "hurwitz_zeta_deriv",
-                           s, alpha, route)
+    """d/ds of hurwitz zeta: R'(s, alpha) - 1/(s-1)^2."""
+    s = _check_pole(complex(s))
+    return hurwitz_regular_split_deriv(s, alpha, cfg)[0] - 1.0 / (s - 1.0) ** 2
 
 
 def riemann_zeta(s, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
@@ -655,83 +647,6 @@ def riemann_zeta(s, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
 def riemann_zeta_deriv(s, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
     """zeta'(s) = d/ds zeta(s, 1)."""
     return hurwitz_zeta_deriv(s, 1.0, cfg)
-
-
-def eval_diagnostics(s, alpha: float, cfg: EvalConfig = DEFAULT_CONFIG):
-    """(value, error_estimate, route) for one zeta(s, alpha) evaluation."""
-    s = complex(s)
-    if s == 1:
-        raise PoleError("zeta(s, alpha) has its pole at s = 1")
-    reg, est, route = hurwitz_regular_split(s, alpha, cfg)
-    return reg + 1.0 / (s - 1.0), est, route
-
-
-# Fast vectorized route for flow fields.  Euler-Maclaurin covers most of the
-# plane, but its boundary terms grow like (N+a)^(1+|Re s|) for Re s < 0 and
-# the float64 cancellation against the partial sum costs ~1e-16 x that; left
-# of Re s = -3 (trivial-zero territory) a fixed-panel Gauss-Legendre
-# evaluation of the h-integral is used instead, which is benign there.  The
-# scalar operations above remain the certified reference; agreement between
-# the routes is covered by the test suite.
-
-_FIXED_RULE_RE_LIMIT = -3.0
-_FIXED_RULE_THRESHOLD = 1e-13
-_FIXED_PANEL_WIDTH = 0.5
-_FIXED_PANEL_NODES = 16
-
-
-def _fixed_hermite_h_many(s_flat: np.ndarray, alpha: float, deriv: bool) -> np.ndarray:
-    worst = complex(float(np.max(np.abs(s_flat.real))),
-                    float(np.max(np.abs(s_flat.imag))))
-    T = _truncation_point(worst, alpha, _FIXED_RULE_THRESHOLD, deriv=deriv)
-    n_panels = int(math.ceil(T / _FIXED_PANEL_WIDTH))
-    x0, w0 = _leggauss(_FIXED_PANEL_NODES)
-    lo = np.arange(n_panels) * _FIXED_PANEL_WIDTH
-    nodes = (lo[:, None] + 0.5 * _FIXED_PANEL_WIDTH * (x0[None, :] + 1.0)).ravel()
-    weights = np.tile(0.5 * _FIXED_PANEL_WIDTH * w0, n_panels)
-    integrand = _hp_integrand if deriv else _h_integrand
-    vals = integrand(nodes[None, :], s_flat[:, None], alpha)
-    return 2.0 * (vals @ weights)
-
-
-def _split_many(s, alpha: float, tol: float, deriv: bool):
-    """Shared routing for the vectorized split evaluation.
-
-    Points with Re s < -3 and moderate |Im s| go through the fixed-panel
-    integral rule; the rest through Euler-Maclaurin, grouped by the sign of
-    Re s so a large-|Im| point cannot force a term count that degrades the
-    cancellation-sensitive negative-Re group.
-    """
-    alpha = _check_alpha(alpha)
-    s = np.asarray(s, dtype=complex)
-    flat = s.ravel()
-    out = np.empty_like(flat)
-    est = 0.0
-    fixed = (flat.real < _FIXED_RULE_RE_LIMIT) & (np.abs(flat.imag) <= HERMITE_IM_LIMIT)
-    if fixed.any():
-        sf = flat[fixed]
-        entire = hermite_d_deriv_many(sf, alpha) if deriv else hermite_d_many(sf, alpha)
-        out[fixed] = entire + _fixed_hermite_h_many(sf, alpha, deriv)
-        est = _FIXED_RULE_THRESHOLD
-    rest = ~fixed
-    for group in (rest & (flat.real < 0.0), rest & (flat.real >= 0.0)):
-        if not group.any():
-            continue
-        reg, dreg, est_em = euler_maclaurin_split(flat[group], alpha, tol=tol,
-                                                  want_deriv=deriv)
-        out[group] = dreg if deriv else reg
-        est = max(est, est_em)
-    return out.reshape(s.shape), est
-
-
-def hurwitz_split_many(s, alpha: float, tol: float = 1e-12):
-    """Vectorized regular part R with zeta = R + 1/(s-1). Returns (R, est)."""
-    return _split_many(s, alpha, tol, deriv=False)
-
-
-def hurwitz_deriv_split_many(s, alpha: float, tol: float = 1e-12):
-    """Vectorized regular part R' with zeta' = R' - 1/(s-1)^2. Returns (R', est)."""
-    return _split_many(s, alpha, tol, deriv=True)
 
 
 # ---------------------------------------------------------------------------

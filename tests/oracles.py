@@ -1,8 +1,9 @@
-"""Independent oracles: brute-force series, finite differences, reflection.
+"""Independent oracles: brute-force series, finite differences, reflection, mpmath.
 
 Everything here is deliberately naive and separate from the package's
 evaluation routes, so expected values are derived by a different path than
-the code under test.
+the code under test.  The mpmath helpers take the module as an argument, so
+tests obtain it through ``pytest.importorskip``.
 """
 
 from __future__ import annotations
@@ -92,3 +93,27 @@ def trivial_zero_deriv(n: int, zeta_fn) -> float:
     """(-1)^n n (2n-1)! / (2 pi)^(2n) * zeta(2n+1), evaluated independently."""
     z = zeta_fn(2 * n + 1).real
     return (-1.0) ** n * n * math.factorial(2 * n - 1) / (2.0 * math.pi) ** (2 * n) * z
+
+
+def mp_zeta(mpmath, s: complex, alpha: float, deriv: int = 0) -> complex:
+    """d^deriv/ds^deriv zeta(s, alpha) by mpmath at 30 digits."""
+    with mpmath.workdps(30):
+        return complex(mpmath.zeta(mpmath.mpc(s.real, s.imag), alpha, deriv))
+
+
+def mp_l(mpmath, values, s: complex) -> complex:
+    """m^-s sum_r chi(r) zeta(s, r/m) by mpmath Hurwitz sums at 30 digits.
+
+    At s = 1 (non-principal characters only, where sum_r chi(r) = 0) the
+    pole terms cancel and zeta(s, a) - 1/(s-1) -> -digamma(a) leaves
+    -sum_r chi(r) digamma(r/m) / m.
+    """
+    m = len(values)
+    with mpmath.workdps(30):
+        z = mpmath.mpc(s.real, s.imag)
+        terms = [(complex(chi), mpmath.mpf(r) / m) for r, chi in enumerate(values, 1) if chi]
+        if z == 1:
+            total = -sum(chi * mpmath.digamma(a) for chi, a in terms)
+        else:
+            total = sum(chi * mpmath.zeta(z, a) for chi, a in terms)
+        return complex(mpmath.power(m, -z) * total)

@@ -207,7 +207,7 @@ def test_criterion_10_picard_vs_etd(zeta_cfg):
 
 
 def test_criterion_11_bound_suite():
-    cheap = zf.EvalConfig(abs_tol=1e-8, trunc_threshold=1e-9)
+    cheap = zf.EvalConfig(abs_tol=1e-8)
     grid = np.linspace(-2.0, 2.0, 41)
     sup_ok = True
     details = []
