@@ -20,7 +20,7 @@ from .special import (BoundConstants, DEFAULT_CONFIG, EvalConfig,
                       hurwitz_zeta, hurwitz_zeta_deriv, riemann_zeta,
                       riemann_zeta_deriv)
 from .dirichlet import (CharacterTable, LFunctionHandle, ReBoundsReport,
-                        ScanGrid, Sigma0Result, character_from_json,
+                        Sigma0Result, character_from_json,
                         character_to_json, dirichlet_series,
                         euler_product_principal, l_eval, l_function,
                         prime_character_group, principal_character,

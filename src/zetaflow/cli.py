@@ -11,6 +11,7 @@ use the shortest exact round-trip form.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -144,8 +145,8 @@ def cmd_eval(args) -> int:
         label = f"zeta({args.s}, {args.alpha:g})"
     elif args.function == "l":
         handle = _nonlinearity_from_spec(_l_spec(args), cfg)
-        value = dirichlet.l_eval(handle, s)
-        est, path = cfg.abs_tol, "hurwitz-sum"
+        value, est = dirichlet.l_eval_with_estimate(handle, s)
+        path = "hurwitz-sum"
         label = f"L[m={handle.period}]({args.s})"
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigurationError(f"unknown function {args.function!r}")
@@ -191,10 +192,8 @@ def cmd_zeros(args) -> int:
 
 def _flow_config(args, handle) -> ode.FlowConfig:
     return ode.FlowConfig(
-        nonlinearity=handle, lam=_parse_lambda(args.lam), rtol=args.rtol,
-        atol=args.atol, dt_init=args.dt, dt_min=1e-12,
-        dt_max=max(args.dt, 5.0), t_end=args.tend,
-        pole_guard_eps=args.pole_guard)
+        nonlinearity=handle, lam=_parse_lambda(args.lam), dt_init=args.dt,
+        t_end=args.tend, pole_guard_eps=args.pole_guard)
 
 
 def cmd_flow(args) -> int:
@@ -210,8 +209,9 @@ def cmd_flow(args) -> int:
            "lambda": _parse_lambda(args.lam), "tend": args.tend, "dt": args.dt,
            "grid": args.grid, "dims": args.dims, "length": args.length,
            "seed": args.seed, "nonlinearity": args.nonlinearity,
-           "check": args.check, "abs_tol": args.abs_tol,
-           "pole_guard": args.pole_guard, "schema": SCHEMA_VERSION}
+           "check": args.check, "rtol": args.rtol, "atol": args.atol,
+           "abs_tol": args.abs_tol, "pole_guard": args.pole_guard,
+           "picard_iters": args.picard_iters, "schema": SCHEMA_VERSION}
     summary = {"schema": SCHEMA_VERSION, "command": "flow", "config": doc,
                "config_hash": _config_hash(doc), "artifacts": [], "flags": []}
 
@@ -245,7 +245,8 @@ def _run_flow(args, handle, datum, cfg, out_dir, summary, t0) -> int:
     if args.mode == "ode":
         if not args.datum.startswith("const:"):
             raise ConfigurationError("ode mode needs a constant datum")
-        result = ode.integrate_flow(cfg, datum.values.flat[0])
+        result = ode.integrate_flow(cfg, datum.values.flat[0],
+                                    rtol=args.rtol, atol=args.atol)
         traj = out_dir / "trajectory.csv"
         traj.write_text("\n".join(ode.trajectory_csv_lines(result)) + "\n")
         summary["termination"] = result.termination
@@ -257,10 +258,8 @@ def _run_flow(args, handle, datum, cfg, out_dir, summary, t0) -> int:
         summary["artifacts"].append("trajectory.csv")
     elif args.mode == "picard":
         consts = pde.constants_for_datum(datum, handle.period)
-        picard_cfg = ode.FlowConfig(
-            nonlinearity=handle, lam=_parse_lambda(args.lam),
-            dt_init=consts.t_local / 16.0, dt_min=1e-30,
-            t_end=consts.t_local, pole_guard_eps=args.pole_guard)
+        picard_cfg = dataclasses.replace(cfg, dt_init=consts.t_local / 16.0,
+                                         t_end=consts.t_local)
         result = pde.picard_local_solve(datum, consts, args.picard_iters, picard_cfg)
         etd_run = pde.integrate_pde(datum, picard_cfg)
         dev = float(np.max(np.abs(result.final.values - etd_run.final.values)))
@@ -512,6 +511,8 @@ def _merge_config_document(argv: list[str]) -> list[str]:
             continue
         if key == "function":
             positional.append(str(value))
+            continue
+        if value is None:  # an unset flag, as a summary's config records it
             continue
         flag = "--" + key.replace("_", "-")
         if isinstance(value, bool):

@@ -170,15 +170,15 @@ def character_to_json(table: CharacterTable) -> dict:
 
 @dataclass(frozen=True)
 class LFunctionHandle:
-    """An evaluatable Dirichlet L-function; ``has_pole`` iff principal."""
+    """An evaluatable Dirichlet L-function of a character."""
 
     character: CharacterTable
     eval_cfg: EvalConfig = DEFAULT_CONFIG
-    has_pole: bool = True
 
-    def __post_init__(self):
-        if self.has_pole != self.character.is_principal:
-            raise DomainError("has_pole must equal character.is_principal")
+    @property
+    def has_pole(self) -> bool:
+        """True iff the character is principal: only then is s = 1 a pole."""
+        return self.character.is_principal
 
     @property
     def period(self) -> int:
@@ -227,8 +227,7 @@ class LFunctionHandle:
 
 def l_function(character: CharacterTable,
                cfg: EvalConfig = DEFAULT_CONFIG) -> LFunctionHandle:
-    return LFunctionHandle(character=character, eval_cfg=cfg,
-                           has_pole=character.is_principal)
+    return LFunctionHandle(character=character, eval_cfg=cfg)
 
 
 def zeta_function(cfg: EvalConfig = DEFAULT_CONFIG) -> LFunctionHandle:
@@ -245,6 +244,11 @@ def l_eval(handle: LFunctionHandle, s) -> complex:
     naming s, the period and the route, where the error estimate exceeds
     eval_cfg.abs_tol.
     """
+    return l_eval_with_estimate(handle, s)[0]
+
+
+def l_eval_with_estimate(handle: LFunctionHandle, s) -> tuple[complex, float]:
+    """(L_m(s), its error estimate) at one point; raises as ``l_eval`` does."""
     s = complex(s)
     if s == 1 and handle.has_pole:
         raise PoleError("principal L-functions have a pole at s = 1")
@@ -254,7 +258,7 @@ def l_eval(handle: LFunctionHandle, s) -> complex:
         raise AccuracyError(
             f"estimate {est:.1e} exceeds abs_tol {handle.eval_cfg.abs_tol:.1e} at s={s!r}, "
             f"m={handle.period} (route hurwitz-sum)", estimate=value, residual=est)
-    return value
+    return value, est
 
 
 def dirichlet_series(handle: LFunctionHandle, s, n_terms: int = 1 << 17):
@@ -317,13 +321,10 @@ def sigma1_root(cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class ScanGrid:
-    """Resolution of the sigma_0 window scan."""
-
-    sigma_step: float = 0.005
-    t_step: float = 0.2
-    bisect_tol: float = 1e-4
+# Resolution of the sigma_0 window scan.
+_SIGMA_STEP = 0.005
+_T_STEP = 0.2
+_BISECT_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -334,9 +335,12 @@ class Sigma0Result:
 
 
 def sigma0_estimate(handle: LFunctionHandle, sigma_lo: float, sigma_hi: float,
-                    t_max: float, grid: ScanGrid = ScanGrid()) -> Sigma0Result:
+                    t_max: float) -> Sigma0Result:
     """Largest sigma in [sigma_lo, sigma_hi] where Re L_m(sigma + it) changes
     sign for some |t| <= t_max, refined by bisection in sigma.
+
+    The scan steps sigma down by 0.005 on a t-grid of step 0.2 and bisects
+    the first hit to 1e-4.
 
     A lower estimate of the true abscissa, truncated to the t-window; when no
     sign change exists anywhere in the window the result carries
@@ -346,7 +350,7 @@ def sigma0_estimate(handle: LFunctionHandle, sigma_lo: float, sigma_hi: float,
         raise DomainError("need sigma_lo < sigma_hi")
     if t_max < 0:
         raise DomainError("t_max must be nonnegative")
-    ts = np.arange(0.0, t_max + grid.t_step * 0.5, grid.t_step)
+    ts = np.arange(0.0, t_max + _T_STEP * 0.5, _T_STEP)
     if ts.size == 0:
         return Sigma0Result(sigma=sigma_lo, attained=False, t_hit=None)
     if not handle.character.is_real:
@@ -356,12 +360,12 @@ def sigma0_estimate(handle: LFunctionHandle, sigma_lo: float, sigma_hi: float,
         s = sigma + 1j * ts
         if handle.has_pole:
             # dodge exact pole evaluation at (1, 0)
-            s = np.where(np.abs(s - 1.0) < 1e-12, sigma + 1j * (ts + grid.t_step / 7.0), s)
+            s = np.where(np.abs(s - 1.0) < 1e-12, sigma + 1j * (ts + _T_STEP / 7.0), s)
         row = handle.eval_many(s).real
         idx = np.where(np.diff(np.sign(row)) != 0)[0]
         return float(ts[idx[0]]) if idx.size else None
 
-    sigmas = np.arange(sigma_hi, sigma_lo - grid.sigma_step * 0.5, -grid.sigma_step)
+    sigmas = np.arange(sigma_hi, sigma_lo - _SIGMA_STEP * 0.5, -_SIGMA_STEP)
     hit_sigma = None
     hit_t = None
     for sg in sigmas:
@@ -373,8 +377,8 @@ def sigma0_estimate(handle: LFunctionHandle, sigma_lo: float, sigma_hi: float,
         return Sigma0Result(sigma=sigma_lo, attained=False, t_hit=None)
     # bisect upward: largest sigma with a sign change
     lo = hit_sigma
-    hi = min(hit_sigma + grid.sigma_step, sigma_hi)
-    while hi - lo > grid.bisect_tol:
+    hi = min(hit_sigma + _SIGMA_STEP, sigma_hi)
+    while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
         t_hit = first_change(mid)
         if t_hit is None:

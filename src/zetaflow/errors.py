@@ -44,7 +44,10 @@ class ConfigurationError(ZetaflowError, ValueError):
 
 
 class StiffnessError(ZetaflowError):
-    """Adaptive step size underflowed dt_min; carries the last accepted state."""
+    """The adaptive ODE step fell below its 1e-12 floor (``ode.DT_MIN``).
+
+    Carries the last accepted time and state.
+    """
 
     def __init__(self, message: str, last_t: float, last_state: complex):
         super().__init__(message)

@@ -26,6 +26,8 @@ from .dirichlet import LFunctionHandle
 
 NORM_ESCAPE_LIMIT = 1.0e6
 CONVERGED_STREAK = 10
+DT_MIN = 1e-12  # the ODE step floor; a rejected step below it raises StiffnessError
+DT_MAX = 5.0    # the ODE step cap, raised to dt_init where that is larger
 ZERO_SCAN_T_CAP = 320.0  # keeps the census at desk scale; first sinks near t ~ 282 stay reachable
 _SCAN_STEP = 0.05
 _SEED_LEVEL = 0.5
@@ -41,16 +43,14 @@ class FlowConfig:
     """Settings shared by the ODE and PDE marches.
 
     ``lam`` is the sign of the nonlinearity (+1 defocusing, -1 focusing).
-    For the PDE march ``dt_init`` doubles as the fixed step size.
+    ``dt_init`` is the first step of the adaptive ODE stepper and the fixed
+    step of the PDE march; the ODE step control takes its tolerances as
+    arguments of ``integrate_flow``.
     """
 
     nonlinearity: LFunctionHandle
     lam: int = 1
-    rtol: float = 1e-9
-    atol: float = 1e-9
     dt_init: float = 1e-3
-    dt_min: float = 1e-12
-    dt_max: float = 5.0
     t_end: float = 50.0
     pole_guard_eps: float = 1e-3
 
@@ -59,10 +59,8 @@ class FlowConfig:
             raise DomainError("lam must be -1 or +1")
         if not self.pole_guard_eps > 0:
             raise DomainError("pole_guard_eps must be positive")
-        if not (self.dt_min <= self.dt_init <= self.dt_max):
-            raise DomainError("need dt_min <= dt_init <= dt_max")
-        if self.rtol <= 0 or self.atol <= 0:
-            raise DomainError("rtol and atol must be positive")
+        if not self.dt_init > 0:
+            raise DomainError("dt_init must be positive")
         if self.t_end < 0:
             raise DomainError("t_end must be nonnegative")
 
@@ -113,16 +111,19 @@ _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
-def integrate_flow(cfg: FlowConfig, s0: complex,
-                   record_at=None) -> FlowResult:
+def integrate_flow(cfg: FlowConfig, s0: complex, record_at=None,
+                   rtol: float = 1e-9, atol: float = 1e-9) -> FlowResult:
     """Integrate s' = lam L(s) from s0 with adaptive RK4(5).
 
-    ``record_at`` lists times the stepper must land on exactly (they appear
-    in ``checkpoint_states``).  Terminates early on pole proximity
-    (P < pole_guard_eps), norm escape (|s| > 1e6), or convergence
-    (|F(s)| < atol on 10 consecutive accepted steps); otherwise runs to
-    t_end.
+    The local error of a step is held below atol + rtol |s|; steps lie
+    between DT_MIN and max(cfg.dt_init, DT_MAX).  ``record_at`` lists times
+    the stepper must land on exactly (they appear in ``checkpoint_states``).
+    Terminates early on pole proximity (P < pole_guard_eps), norm escape
+    (|s| > 1e6), or convergence (|F(s)| < atol on 10 consecutive accepted
+    steps); otherwise runs to t_end.
     """
+    if not (rtol > 0 and atol > 0):
+        raise DomainError("rtol and atol must be positive")
     s0 = complex(s0)
     handle = cfg.nonlinearity
     if handle.has_pole and pole_distance(s0) <= cfg.pole_guard_eps:
@@ -143,6 +144,7 @@ def integrate_flow(cfg: FlowConfig, s0: complex,
     if cfg.t_end == 0.0:
         return FlowResult(times, states, termination, None, checkpoint_states)
 
+    dt_max = max(cfg.dt_init, DT_MAX)
     dt_nat = cfg.dt_init  # controller's preferred step, before checkpoint clamping
     err_prev = 1.0
     streak = 0
@@ -150,7 +152,7 @@ def integrate_flow(cfg: FlowConfig, s0: complex,
     pending = list(checkpoints)
     while t < cfg.t_end - 1e-14:
         target = pending[0] if pending else cfg.t_end
-        dt = min(dt_nat, cfg.dt_max, max(target - t, cfg.dt_min))
+        dt = min(dt_nat, dt_max, max(target - t, DT_MIN))
         hit_target = t + dt >= target - 1e-14
         if hit_target:
             dt = target - t
@@ -169,14 +171,14 @@ def integrate_flow(cfg: FlowConfig, s0: complex,
         if not bad:
             y_new = y + dt * sum(b * kk for b, kk in zip(_DP_B5, k))
             err = dt * sum(e * kk for e, kk in zip(_DP_ERR, k))
-            scale = cfg.atol + cfg.rtol * max(abs(y), abs(y_new))
+            scale = atol + rtol * max(abs(y), abs(y_new))
             err_norm = abs(err) / scale
             bad = not (math.isfinite(y_new.real) and math.isfinite(y_new.imag)
                        and math.isfinite(err_norm))
         if bad or err_norm > 1.0:
             fac = 0.2 if bad else max(0.2, 0.9 * err_norm ** -0.2)
             dt_nat = dt * fac
-            if dt_nat < cfg.dt_min:
+            if dt_nat < DT_MIN:
                 raise StiffnessError("step size underflowed dt_min", t, y)
             continue
 
@@ -195,7 +197,7 @@ def integrate_flow(cfg: FlowConfig, s0: complex,
         if abs(y) > NORM_ESCAPE_LIMIT:
             termination = "norm_escape"
             break
-        if abs(k1) < cfg.atol:
+        if abs(k1) < atol:
             streak += 1
             if streak >= CONVERGED_STREAK:
                 termination = "converged"
@@ -207,7 +209,7 @@ def integrate_flow(cfg: FlowConfig, s0: complex,
         en = max(err_norm, 1e-12)
         grow = min(6.0, max(0.2, 0.9 * en ** -0.14 * err_prev ** 0.08))
         base = dt_nat if hit_target else dt  # clamped steps do not shrink the controller
-        dt_nat = min(max(base * grow, cfg.dt_min), cfg.dt_max)
+        dt_nat = min(max(base * grow, DT_MIN), dt_max)
         err_prev = en
 
     return FlowResult(times, states, termination, converged_to, checkpoint_states)
@@ -331,14 +333,14 @@ def find_critical_zeros(t_max: float, cfg: EvalConfig = DEFAULT_CONFIG) -> ZeroS
     return ZeroScan(records, skipped)
 
 
-def count_zeros_box(re_lo: float, re_hi: float, im_lo: float, im_hi: float,
-                    cfg: EvalConfig = DEFAULT_CONFIG) -> int:
+def count_zeros_box(re_lo: float, re_hi: float, im_lo: float, im_hi: float) -> int:
     """Argument-principle zero count for zeta on a rectangle.
 
     Integrates zeta'/zeta + 1/(s-1) (the log-derivative of (s-1) zeta, regular
-    at the pole) around the box with trapezoid sums, doubling the sampling
-    until the winding stabilizes on an integer.  The box must not contain
-    s = 1, and its boundary must avoid zeros; nudge edges by ~1e-3.
+    at the pole) around the box with trapezoid sums of Euler-Maclaurin values
+    at tol 1e-11, doubling the sampling until the winding stabilizes on an
+    integer.  The box must not contain s = 1, and its boundary must avoid
+    zeros; nudge edges by ~1e-3.
     """
     if not (re_lo < re_hi and im_lo < im_hi):
         raise DomainError("degenerate box")

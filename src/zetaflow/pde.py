@@ -310,6 +310,7 @@ def integrate_pde(g: GridField, cfg: FlowConfig,
 # ---------------------------------------------------------------------------
 
 _REAL_DATUM_TOL = 1e-12
+_FINAL_TOL = 1e-3  # thm1.7iii: slack of the final bounds -4 n1 + 2 <= u <= -4 n2 + 2
 
 
 @dataclass(frozen=True)
@@ -421,8 +422,7 @@ def validate_envelope_hypotheses(spec: EnvelopeSpec, theorem: str,
                 "I and S must each lie strictly inside a cell (-4n, -4n+4)")
 
 
-def envelope_check(run: RunRecord, spec: EnvelopeSpec, theorem: str,
-                   final_tol: float = 1e-3) -> EnvelopeReport:
+def envelope_check(run: RunRecord, spec: EnvelopeSpec, theorem: str) -> EnvelopeReport:
     """Verify the affine-in-t (or constant) bounds on every stored snapshot.
 
     The hypotheses are those of validate_envelope_hypotheses.  Margins are
@@ -473,8 +473,8 @@ def envelope_check(run: RunRecord, spec: EnvelopeSpec, theorem: str,
     else:  # thm1.7iii
         lo = -4.0 * spec.n1 + 2.0
         hi = -4.0 * spec.n2 + 2.0
-        record("final_lower", [float(np.min(re_parts[-1])) - lo + final_tol])
-        record("final_upper", [hi + final_tol - float(np.max(re_parts[-1]))])
+        record("final_lower", [float(np.min(re_parts[-1])) - lo + _FINAL_TOL])
+        record("final_upper", [hi + _FINAL_TOL - float(np.max(re_parts[-1]))])
 
     worst = min(bounds.values())
     return EnvelopeReport(theorem=theorem, passed=bool(worst >= -slack),

@@ -99,9 +99,9 @@ def test_criterion_04_trivial_alternation():
 def test_criterion_05_pde_ode_reduction(zeta_cfg):
     pde_cfg = zf.FlowConfig(nonlinearity=zeta_cfg, lam=1, t_end=1.0, dt_init=2.5e-4)
     run = zf.integrate_pde(zf.constant_field(2.0, shape=(32,)), pde_cfg)
-    ode_cfg = zf.FlowConfig(nonlinearity=zeta_cfg, lam=1, t_end=1.0,
+    ode_cfg = zf.FlowConfig(nonlinearity=zeta_cfg, lam=1, t_end=1.0)
+    res = zf.integrate_flow(ode_cfg, 2.0, record_at=run.snapshot_times,
                             rtol=1e-11, atol=1e-12)
-    res = zf.integrate_flow(ode_cfg, 2.0, record_at=run.snapshot_times)
     worst = max(float(np.max(np.abs(snap - res.checkpoint_states[t])))
                 for t, snap in zip(run.snapshot_times, run.snapshots) if t > 0)
     ok = worst < 1e-6
@@ -195,7 +195,7 @@ def test_criterion_10_picard_vs_etd(zeta_cfg):
     g = zf.constant_field(3.0, shape=(32,))
     consts = zf.constants_for_datum(g, 1)
     cfg = zf.FlowConfig(nonlinearity=zeta_cfg, lam=1, t_end=consts.t_local,
-                        dt_init=consts.t_local / 16.0, dt_min=1e-30)
+                        dt_init=consts.t_local / 16.0)
     res = zf.picard_local_solve(g, consts, 6, cfg)
     etd = zf.integrate_pde(g, cfg)
     dev = float(np.max(np.abs(res.final.values - etd.final.values)))

@@ -27,6 +27,13 @@ class TestEval:
         out = capsys.readouterr().out
         assert "1.2337005501361697" in out  # pi^2/8
 
+    def test_l_prints_reported_estimate(self, capsys):
+        # the router's estimate at pi^2/8 is far below the 1e-10 tolerance
+        assert run(["l", "--principal", "2", "--s", "2"]) == 0
+        line = [l for l in capsys.readouterr().out.splitlines()
+                if l.startswith("abs error estimate:")][0]
+        assert float(line.split(":")[1]) <= 1e-12
+
     def test_eval_l_form(self, capsys):
         assert run(["eval", "l", "--principal", "2", "--s", "2"]) == 0
         assert "1.23370055" in capsys.readouterr().out
@@ -89,6 +96,19 @@ class TestFlow:
         assert float(last[0]) == pytest.approx(50.0)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["termination"] == "completed"
+
+    def test_tolerances_enter_config_hash(self, tmp_path):
+        # rtol changes the trajectory, so it must change the run's identity
+        outs = []
+        for rtol in ("1e-6", "1e-12"):
+            out = tmp_path / f"rtol{rtol}"
+            assert run(["flow", "--mode", "ode", "--datum", "const:-3", "--tend", "20",
+                        "--rtol", rtol, "--out", str(out)]) == 0
+            outs.append(out)
+        trajectories = [(o / "trajectory.csv").read_text() for o in outs]
+        assert trajectories[0] != trajectories[1]
+        hashes = [json.loads((o / "summary.json").read_text())["config_hash"] for o in outs]
+        assert hashes[0] != hashes[1]
 
     def test_ode_needs_constant_datum(self, tmp_path):
         assert run(["flow", "--mode", "ode", "--datum", "range:-3,-2", "--seed", "1",
@@ -227,6 +247,20 @@ class TestConfigDocument:
         assert run(["flow", "--config", str(path), "--tend", "0.2"]) == 0
         summary = json.loads((tmp_path / "c2" / "summary.json").read_text())
         assert summary["config"]["tend"] == 0.2
+
+    def test_summary_config_replays(self, tmp_path):
+        out1 = tmp_path / "r1"
+        assert run(["flow", "--mode", "pde", "--datum", "disc:-2:0.05", "--seed", "5",
+                    "--tend", "0.2", "--dt", "0.01", "--grid", "16",
+                    "--out", str(out1)]) == 0
+        first = json.loads((out1 / "summary.json").read_text())
+        out2 = tmp_path / "r2"
+        path = tmp_path / "replay.json"
+        path.write_text(json.dumps(dict(first["config"], out=str(out2))))
+        assert run(["--config", str(path)]) == 0
+        second = json.loads((out2 / "summary.json").read_text())
+        assert second["config_hash"] == first["config_hash"]
+        assert (out2 / "run.json").read_bytes() == (out1 / "run.json").read_bytes()
 
     def test_bad_schema(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -116,8 +116,11 @@ class TestLEval:
         assert np.isfinite(zf.l_eval(zf.l_function(chi4), 1.0).real)
 
     def test_handle_flag_consistency(self, chi4):
-        with pytest.raises(zf.DomainError):
-            zf.LFunctionHandle(character=chi4, has_pole=True)
+        # the pole flag follows the character, so a bare handle builds
+        handle = zf.LFunctionHandle(character=chi4)
+        assert handle.has_pole is False
+        for s in (2.0, 1.0, 0.5 + 3j):
+            assert zf.l_eval(handle, s) == zf.l_eval(zf.l_function(chi4), s)
 
     def test_eval_many_matches_scalar(self, chi4):
         # l_eval is a size-1 call of eval_many, so the reference is mpmath

@@ -20,8 +20,14 @@ class TestFlowConfig:
             zf.FlowConfig(nonlinearity=zeta_handle, lam=2)
 
     def test_step_bounds(self, zeta_handle):
+        for dt in (0.0, -1e-3):
+            with pytest.raises(zf.DomainError):
+                zf.FlowConfig(nonlinearity=zeta_handle, dt_init=dt)
+        cfg = zf.FlowConfig(nonlinearity=zeta_handle, t_end=1.0)
         with pytest.raises(zf.DomainError):
-            zf.FlowConfig(nonlinearity=zeta_handle, dt_init=1e-3, dt_min=1e-2)
+            zf.integrate_flow(cfg, 2.0, rtol=0.0)
+        with pytest.raises(zf.DomainError):
+            zf.integrate_flow(cfg, 2.0, atol=-1e-9)
 
     def test_guard_positive(self, zeta_handle):
         with pytest.raises(zf.DomainError):
@@ -55,7 +61,7 @@ class TestIntegrateFlow:
 
     def test_focusing_converges_to_even_zero(self, zeta_handle):
         # lam = -1 from (-6, -2): decreasing toward -4
-        cfg = flow_cfg(zeta_handle, lam=-1, t_end=1500.0, dt_max=10.0)
+        cfg = flow_cfg(zeta_handle, lam=-1, t_end=1500.0)
         res = zf.integrate_flow(cfg, -3.0)
         assert abs(res.final_state + 4.0) < 1e-3
         xs = np.array([z.real for z in res.states])
@@ -86,16 +92,15 @@ class TestIntegrateFlow:
         assert abs(res.final_state) > 3.0
 
     def test_converged_termination_reports_zero(self, zeta_handle):
-        cfg = flow_cfg(zeta_handle, lam=1, t_end=600.0, atol=1e-6)
-        res = zf.integrate_flow(cfg, -2.5)
+        cfg = flow_cfg(zeta_handle, lam=1, t_end=600.0)
+        res = zf.integrate_flow(cfg, -2.5, atol=1e-6)
         assert res.termination == "converged"
         assert res.converged_to is not None
         assert res.converged_to.kind == "trivial_sink"
         assert abs(res.converged_to.location + 2.0) < 1e-8
 
     def test_stiffness_error(self, zeta_handle):
-        cfg = flow_cfg(zeta_handle, lam=-1, t_end=10.0,
-                       pole_guard_eps=1e-13, dt_min=1e-7)
+        cfg = flow_cfg(zeta_handle, lam=-1, t_end=10.0, pole_guard_eps=1e-13)
         with pytest.raises(zf.StiffnessError) as err:
             zf.integrate_flow(cfg, 1.5)
         assert err.value.last_state.real > 1.0

@@ -145,8 +145,9 @@ class TestIntegratePde:
     def test_constant_datum_matches_ode(self, zeta_handle):
         pde_cfg = flow_cfg(zeta_handle, lam=1, t_end=1.0, dt_init=2.5e-4)
         run = zf.integrate_pde(zf.constant_field(2.0, shape=(32,)), pde_cfg)
-        ode_cfg = flow_cfg(zeta_handle, lam=1, t_end=1.0, rtol=1e-11, atol=1e-12)
-        res = zf.integrate_flow(ode_cfg, 2.0, record_at=run.snapshot_times)
+        ode_cfg = flow_cfg(zeta_handle, lam=1, t_end=1.0)
+        res = zf.integrate_flow(ode_cfg, 2.0, record_at=run.snapshot_times,
+                                rtol=1e-11, atol=1e-12)
         worst = max(np.max(np.abs(snap - res.checkpoint_states[t]))
                     for t, snap in zip(run.snapshot_times, run.snapshots) if t > 0)
         assert worst < 1e-6
@@ -382,7 +383,7 @@ class TestPicard:
         g = zf.constant_field(-2.0, shape=(32,))
         consts = zf.constants_for_datum(g, 1)
         cfg = flow_cfg(zeta_handle, lam=1, t_end=consts.t_local,
-                       dt_init=consts.t_local / 8, dt_min=1e-30)
+                       dt_init=consts.t_local / 8)
         res = zf.picard_local_solve(g, consts, 4, cfg)
         assert np.max(np.abs(res.final.values + 2.0)) < 1e-14
         assert all(d < 1e-14 for d in res.distances)
@@ -391,7 +392,7 @@ class TestPicard:
         g = zf.constant_field(3.0, shape=(32,))
         consts = zf.constants_for_datum(g, 1)
         cfg = flow_cfg(zeta_handle, lam=1, t_end=consts.t_local,
-                       dt_init=consts.t_local / 16, dt_min=1e-30)
+                       dt_init=consts.t_local / 16)
         res = zf.picard_local_solve(g, consts, 6, cfg)
         assert res.ratios and all(r <= 0.5 for r in res.ratios)
         etd = zf.integrate_pde(g, cfg)
@@ -401,7 +402,7 @@ class TestPicard:
         small = zf.constants_for_datum(zf.constant_field(1.5, shape=(16,)), 1)
         big = zf.constant_field(4.0, shape=(16,))
         cfg = flow_cfg(zeta_handle, lam=1, t_end=small.t_local,
-                       dt_init=small.t_local / 4, dt_min=1e-30)
+                       dt_init=small.t_local / 4)
         with pytest.raises(zf.ConfigurationError):
             zf.picard_local_solve(big, small, 3, cfg)
 
