@@ -211,7 +211,8 @@ def cmd_flow(args) -> int:
            "seed": args.seed, "nonlinearity": args.nonlinearity,
            "check": args.check, "rtol": args.rtol, "atol": args.atol,
            "abs_tol": args.abs_tol, "pole_guard": args.pole_guard,
-           "picard_iters": args.picard_iters, "schema": SCHEMA_VERSION}
+           "picard_iters": args.picard_iters, "dump_fields": args.dump_fields,
+           "schema": SCHEMA_VERSION}
     summary = {"schema": SCHEMA_VERSION, "command": "flow", "config": doc,
                "config_hash": _config_hash(doc), "artifacts": [], "flags": []}
 

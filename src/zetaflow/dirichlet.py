@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -184,6 +185,14 @@ class LFunctionHandle:
     def period(self) -> int:
         return self.character.period
 
+    @cached_property
+    def _residues(self):
+        """chi(r), r/m and sum |chi(r)| over the residues with chi(r) != 0."""
+        pairs = [(chi, r / self.period)
+                 for r, chi in enumerate(self.character.values, start=1) if chi != 0]
+        return (tuple(chi for chi, _ in pairs), tuple(a for _, a in pairs),
+                sum(abs(chi) for chi, _ in pairs))
+
     def pole_weight(self) -> int:
         """chi-weighted sum of the per-residue 1/(s-1) coefficients."""
         return self.character.coprime_count() if self.has_pole else 0
@@ -191,23 +200,21 @@ class LFunctionHandle:
     def eval_with_estimate(self, s):
         """(values, per-point error estimates) on an array of points.
 
-        The estimate is m^(-Re s) sum_r |chi(r)| est_r, so each Hurwitz
-        term goes through the router at eval_cfg.split_tol scaled by
-        m^(min Re s) / sum_r |chi(r)| where that is below 1.  Principal
-        characters need s != 1.
+        The estimate is m^(-Re s) sum_r |chi(r)| est_r, so the Hurwitz terms
+        go through the router at eval_cfg.split_tol scaled by
+        m^(min Re s) / sum_r |chi(r)| where that is below 1.  They go in one
+        call, so that a batch left of Re s = -3 takes the reflection once
+        for all residues.  Principal characters need s != 1.
         """
         s = np.asarray(s, dtype=complex)
         m = self.period
-        weight = sum(abs(chi) for chi in self.character.values)
+        chis, alphas, weight = self._residues
         lowest = float(np.min(s.real, initial=np.inf))
         tol = self.eval_cfg.split_tol * min(1.0, m ** lowest / weight)
+        regs, ests = special.hurwitz_split_many(s, alphas, tol=tol, period=m)
         total = np.zeros_like(s)
         est = np.zeros(s.shape)
-        for r in range(1, m + 1):
-            chi = self.character.values[r - 1]
-            if chi == 0:
-                continue
-            reg, est_r = special.hurwitz_split_many(s, r / m, tol=tol)
+        for chi, reg, est_r in zip(chis, regs, ests):
             total = total + chi * reg
             est = est + abs(chi) * est_r
         pw = self.pole_weight()
@@ -241,8 +248,8 @@ def l_eval(handle: LFunctionHandle, s) -> complex:
     Raises PoleError iff the character is principal and s = 1; non-principal
     L-functions are finite there because the chi-weighted residue sum
     vanishes identically and is dropped symbolically.  Raises AccuracyError,
-    naming s, the period and the route, where the error estimate exceeds
-    eval_cfg.abs_tol.
+    naming s, the period and the route, unless eval_cfg.accepts the value
+    and its error estimate.
     """
     return l_eval_with_estimate(handle, s)[0]
 
@@ -254,7 +261,7 @@ def l_eval_with_estimate(handle: LFunctionHandle, s) -> tuple[complex, float]:
         raise PoleError("principal L-functions have a pole at s = 1")
     vals, est = handle.eval_with_estimate(np.array([s]))
     value, est = complex(vals[0]), float(est[0])
-    if not (est <= handle.eval_cfg.abs_tol and np.isfinite(value)):
+    if not handle.eval_cfg.accepts(value, est):
         raise AccuracyError(
             f"estimate {est:.1e} exceeds abs_tol {handle.eval_cfg.abs_tol:.1e} at s={s!r}, "
             f"m={handle.period} (route hurwitz-sum)", estimate=value, residual=est)

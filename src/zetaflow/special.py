@@ -3,36 +3,50 @@
 One router, ``_split_many``, evaluates the regular part of zeta(s, a) (the
 1/(s-1) pole term kept symbolic) with a per-point error estimate, for
 batches and, as size-1 calls, for every scalar entry point.  One predicate,
-``_on_h_rule``, picks the route of each point:
+``_on_h_rule``, marks the points that leave Euler-Maclaurin: |Im s| <= 15
+and Re s < -3, or Re s < 8 for a size-1 call.  The routes, as the router
+names them:
 
-* "hermite" for |Im s| <= 15 and Re s < -3 (for a size-1 call, Re s < 8):
-  the three-term split ``zeta(s, a) = 1/(s-1) + d(s, a) + h(s, a)`` where
-  ``d`` is entire (closed form, with a power series across its removable
-  singularity at s = 1) and ``h`` is a rapidly decaying integral over
-  [0, inf), computed by one fixed-panel Gauss-Legendre rule vectorized over
-  s.  Its panels are graded toward t = 0 on the scale a and run to a
-  certified truncation point.  The integrand carries
-  cosh(Im(s) arctan(t/a)) and, for small a, (a^2 + t^2)^(-Re(s)/2), so its
-  absolute integral can lie many orders above ``|h|``; the estimate is the
-  tail level plus the float64 floor of the panel sums, 16 eps times that
-  integral, measured on the same nodes.  Right of Re s = -3 a point whose
-  estimate exceeds the tolerance moves on to Euler-Maclaurin.
+* "reflect" for a batch left of Re s = -3 (|Im s| <= 15) when a = 1 or a
+  is a residue r/m of a given period m, as LFunctionHandle passes them:
+  Hurwitz's formula (Apostol, Introduction to Analytic Number Theory,
+  Thm 12.6) read at u = 1 - s,
+  zeta(s, r/m) = 2 Gamma(u) (2 pi m)^(-u) sum_k cos(pi u/2 - 2 pi k r/m) zeta(u, k/m),
+  turns the batch into m Euler-Maclaurin evaluations at Re u > 4, shared
+  by every residue r.  ln Gamma and psi come from Stirling's series after
+  an upward shift, with explicit remainders.  The estimate adds the
+  Euler-Maclaurin estimates and the float64 rounding of every factor, in
+  absolute terms, so it holds at the trivial zeros too.
+* "hermite" for the other points the predicate marks: a size-1 call, and
+  a batch whose a is not a residue of a given period.  It is the three-term
+  split ``zeta(s, a) = 1/(s-1) + d(s, a) + h(s, a)`` where ``d`` is entire
+  (closed form, with a power series across its removable singularity at
+  s = 1) and ``h`` is a rapidly decaying integral over [0, inf), computed
+  by one fixed-panel Gauss-Legendre rule vectorized over s.  Its panels are
+  graded toward t = 0 on the scale a and run to a certified truncation
+  point.  The integrand carries cosh(Im(s) arctan(t/a)) and, for small a,
+  (a^2 + t^2)^(-Re(s)/2), so its absolute integral can lie many orders
+  above ``|h|``; the estimate is the tail level plus the float64 floor of
+  the panel sums, 16 eps times that integral, measured on the same nodes.
+  Right of Re s = -3 a point whose estimate exceeds the tolerance moves on
+  to Euler-Maclaurin.
 * "series-em" everywhere else: the defining series accelerated with an
   Euler-Maclaurin tail, which also provides the analytic continuation.  For
   a batch with Re s >= 0 the partial-sum length N and the number K <= 12 of
   Bernoulli corrections are planned in one pass from a remainder majorant
   over the batch (max|s| and min Re s in place of |s| and Re s), choosing
-  the pair with the least work; the corrections are summed by Horner's rule
-  and the majorant is the error estimate.  For Re s < 0 the partial-sum
-  terms grow like (n+a)^(-Re s) and cancel against the boundary term, so N
-  is the least count whose remainder after 12 corrections meets the
-  tolerance, and the estimate adds the float64 rounding of those terms.
+  the pair with the least work; the corrections are summed by Horner's
+  rule.  For Re s < 0 the partial-sum terms grow like (n+a)^(-Re s) and
+  cancel against the boundary term, so N is the least count whose
+  remainder after 12 corrections meets the tolerance.  Either estimate is
+  the remainder bound plus the float64 rounding of the kernel.
 
 The scalar functions raise AccuracyError, naming s, a and the route, where
-the estimate exceeds ``EvalConfig.abs_tol``; ``hermite_h`` raises
-PrecisionFloorError where the rule's floor does.  The split form lets
-consumers summing several Hurwitz zetas (Dirichlet L-functions) cancel pole
-contributions exactly instead of numerically.
+the estimate exceeds both ``EvalConfig.abs_tol`` and the float64 floor of
+the value (``EvalConfig.accepts``); ``hermite_h`` raises
+PrecisionFloorError where the rule's floor exceeds abs_tol.  The split form
+lets consumers summing several Hurwitz zetas (Dirichlet L-functions) cancel
+pole contributions exactly instead of numerically.
 
 The module also evaluates the closed-form constants bounding |h|, |h'|, |d'|
 and sup|f'| on boxes [-beta, beta]^2, consumed by the local-existence time
@@ -90,7 +104,8 @@ class EvalConfig:
     """Tolerance for zeta evaluations.
 
     abs_tol   target absolute error of a scalar evaluation; the scalar entry
-              points raise AccuracyError where the router's estimate exceeds it
+              points raise AccuracyError where the router's estimate exceeds
+              it and the float64 floor of the value itself (see ``accepts``)
     """
 
     abs_tol: float = 1e-10
@@ -98,6 +113,15 @@ class EvalConfig:
     def __post_init__(self):
         if not self.abs_tol > 0:
             raise DomainError("abs_tol must be positive")
+
+    def accepts(self, value: complex, est: float) -> bool:
+        """True iff ``value`` is finite and ``est`` <= max(abs_tol, 16 eps |value|).
+
+        A float64 value is held only to half an ulp, and the rounding that
+        the estimates count grows with it, so far above abs_tol / eps in
+        size (|value| > 3e4 at the default) only a few ulps can be asked for.
+        """
+        return bool(np.isfinite(value)) and est <= max(self.abs_tol, _QUAD_FLOOR * abs(value))
 
     @property
     def split_tol(self) -> float:
@@ -275,7 +299,7 @@ def _h_rule(s: np.ndarray, alpha: float, tol: float, deriv: bool):
     above |h|.
     """
     tail = _H_TAIL_SHARE * tol
-    worst = complex(float(np.max(np.abs(s.real))), float(np.max(np.abs(s.imag))))
+    worst = complex(float(np.abs(s.real).max()), float(np.abs(s.imag).max()))
     n_panels = math.ceil(_truncation_point(worst, alpha, tail, deriv) / _H_PANEL_WIDTH)
     angle, half_log, weights = _h_panels(alpha, n_panels)
     col = s[:, None]
@@ -317,8 +341,89 @@ def hermite_h_deriv(s, alpha: float, cfg: EvalConfig = DEFAULT_CONFIG) -> comple
 # Euler-Maclaurin route (also the analytic continuation for large |Im s|).
 # ---------------------------------------------------------------------------
 
-def _em_plan(s: np.ndarray, alpha: float, tol: float, want_deriv: bool):
-    """Term count N, correction count K and error bound for a group with Re s >= 0.
+def _em_tail_majorant(big_s: float, big_a: float, n_corr: int) -> float:
+    """Bound on |1/2 + sum_{j<=K} C_j (s)_{2j-1} (N+a)^(1-2j)| over |s| <= big_s."""
+    total, rising, power = 0.5, big_s, 1.0 / big_a
+    for j in range(1, n_corr + 1):
+        total += abs(_EM_COEF[j - 1]) * rising * power
+        rising *= (big_s + 2 * j - 1) * (big_s + 2 * j)
+        power /= big_a * big_a
+    return total
+
+
+@lru_cache(maxsize=32)
+def _em_logs(alpha: float, n_terms: int):
+    """ln(n+a) for n = 0..N, and the rounding weight columns of _em_rounding.
+
+    The columns are (w, w |ln(n+a)|) with w = 1 for the value and with
+    w = max(1, |ln(n+a)|) for the derivative.  The arrays are read-only.
+    """
+    logs = np.log(np.arange(n_terms + 1) + alpha)
+    abs_logs = np.abs(logs)
+    deriv_w = np.maximum(1.0, abs_logs)
+    cols = (np.stack([np.ones_like(logs), abs_logs], axis=1),
+            np.stack([deriv_w, deriv_w * abs_logs], axis=1))
+    for arr in (logs, *cols):
+        arr.setflags(write=False)
+    return logs, cols
+
+
+@lru_cache(maxsize=64)
+def _em_weighted_sums(alpha: float, n_terms: int, ends: tuple, want_deriv: bool):
+    """Sums over n = 1..N-1 of (n+a)^(-r) times the weight columns of _em_logs, per r in ``ends``.
+
+    Cached, as a census or a scan row repeats its real part.
+    """
+    logs, cols = _em_logs(alpha, n_terms)
+    sums = np.exp(np.multiply.outer(ends, -logs[1:-1])) @ cols[want_deriv][1:-1]
+    return tuple(map(tuple, sums.tolist()))
+
+
+def _em_rounding(re: np.ndarray, re_min: float, re_max: float, big_s: float, alpha: float,
+                 n_terms: int, n_corr: int, exact_lead: bool, want_deriv: bool):
+    """Float64 rounding of _em_split at points with real parts ``re`` and |s| <= big_s.
+
+    Each partial-sum term (n+a)^(-s) = exp(-s ln(n+a)) carries a relative
+    error of about eps (3 + |s| |ln(n+a)|), from the rounded logarithm and
+    the product that forms the phase, and the sum adds eps log2 N; the
+    derivative's terms ln(n+a) (n+a)^(-s) carry |ln(n+a)| times that.  The
+    Horner tail (N+a)^(-s) (1/2 + ...) adds 2K+2 roundings of at most
+    _em_tail_majorant (N+a)^(-Re s).  The boundary term -ln(N+a) f(w),
+    w = (1-s) ln(N+a), f(w) = (e^w - 1)/w, is off by
+    eps ln(N+a) ((|w|+3) |e^w| + 2) / max(|w|, 1/2), where
+    |w| >= |Re s - 1| ln(N+a).  The first term, a^(-s), is taken at each
+    point, as it dominates for small a; with ``exact_lead`` _leading_power
+    forms it to a few eps.  The rest is one number for the group, summed
+    exactly over n at ``re_min`` and ``re_max``: it is a positive sum of
+    exponentials in Re s, so convex, and the larger end bounds the interval.
+    Returns a number for a = 1, else an array like ``re``.
+    """
+    logs = _em_logs(alpha, n_terms)[0]
+    la = float(logs[-1])
+    ends = (re_min,) if re_min == re_max else (re_min, re_max)
+    sums = _em_weighted_sums(alpha, n_terms, ends, want_deriv)
+    scale = 1.0 + la if want_deriv else 1.0
+    w_floor = max(0.5, max(1.0 - re_max, re_min - 1.0, 0.0) * la)
+    step = 3.0 + math.log2(n_terms + 1)
+    tail = _em_tail_majorant(big_s, n_terms + alpha, n_corr)
+    boundary = ((3.0 + big_s * la + 2 * n_corr + 2) * tail
+                + la * (1.0 + 3.0 / w_floor) * (n_terms + alpha))
+    rest = max(step * plain + big_s * logged + scale * math.exp(-r * la) * boundary
+               for r, (plain, logged) in zip(ends, sums))
+    rest += scale * la * 2.0 / w_floor
+    if alpha == 1.0:
+        return _EPS * (step + rest)        # the first term is 1
+    if exact_lead:
+        # exp, the correction and the final sum, about 4 eps, and the
+        # derivative's term ln(a) a^(-s), 6 eps |ln a|; with margin
+        lead = max(6.0, 8.0 * abs(logs[0])) if want_deriv else 6.0
+    else:
+        lead = (step + big_s * abs(logs[0])) * (max(1.0, abs(logs[0])) if want_deriv else 1.0)
+    return _EPS * (lead * np.exp(-logs[0] * re) + rest)
+
+
+def _em_plan(s: np.ndarray, alpha: float, tol: float, want_deriv: bool, re_min: float):
+    """Term count N, correction count K and error bounds for a group with Re s >= 0.
 
     After K corrections the remainder is R = int_N^inf P(x) (s)_{2K+2}
     (x+a)^(-s-2K-2) dx, where P = (B_{2K+2}({x}) - B_{2K+2})/(2K+2)! keeps
@@ -337,16 +442,19 @@ def _em_plan(s: np.ndarray, alpha: float, tol: float, want_deriv: bool):
     ``want_deriv`` for the derivative as well).  The pair with the least
     work wins: one complex power per point and term, and per correction one
     Horner step costing _EM_STEP_COST_PER_POINT terms per point plus
-    _EM_STEP_OVERHEAD per call.  Returns (N, K, bound at that pair).
+    _EM_STEP_OVERHEAD per call.  Returns (N, K, remainder bound at that
+    pair, S).
     """
-    big_s = max(float(np.max(np.abs(s))), 1e-300)  # s = 0 zeroes every correction
-    re_min = float(np.min(s.real))
+    big_s = max(float(np.abs(s).max()), 1e-300)  # s = 0 zeroes every correction
     log_tol = math.log(tol)
     # log Pi and sum 1/(S+i) over i = 0..2K+1, grown with K
     log_rising = math.log(big_s) + math.log(big_s + 1.0)
     harmonic = 1.0 / big_s + 1.0 / (big_s + 1.0)
     best = None
+    step_cost = _EM_STEP_COST_PER_POINT * s.size + _EM_STEP_OVERHEAD
     for k in range(1, _EM_MAX_CORRECTIONS + 1):
+        if best is not None and k * step_cost >= best[0]:
+            break  # the corrections alone cost more than the best pair
         for i in (2 * k, 2 * k + 1):
             log_rising += math.log(big_s + i)
             harmonic += 1.0 / (big_s + i)
@@ -365,12 +473,14 @@ def _em_plan(s: np.ndarray, alpha: float, tol: float, want_deriv: bool):
         for _ in range(3 if want_deriv else 1):
             x = max(1.0 + alpha, math.exp((log_amp + math.log(factor(x)) - log_tol) / power))
         n_terms = math.ceil(x - alpha)  # >= 1, as x >= 1+a
-        while bound(n_terms + alpha) > tol:
+        remainder = bound(n_terms + alpha)
+        while remainder > tol:
             n_terms += 1
-        work = s.size * n_terms + k * (_EM_STEP_COST_PER_POINT * s.size + _EM_STEP_OVERHEAD)
+            remainder = bound(n_terms + alpha)
+        work = s.size * n_terms + k * step_cost
         if best is None or work < best[0]:
-            best = (work, n_terms, k, bound(n_terms + alpha))
-    return best[1:]
+            best = (work, n_terms, k, remainder)
+    return (*best[1:], big_s)
 
 
 def _em_negative_plan(s: np.ndarray, alpha: float, tol: float, want_deriv: bool):
@@ -383,12 +493,8 @@ def _em_negative_plan(s: np.ndarray, alpha: float, tol: float, want_deriv: bool)
     |d/ds (s)_{2K+1}| + |(s)_{2K+1}| ln(N+a).  N is the least count meeting
     ``tol`` for the value at every point, because the partial-sum terms
     grow like (n+a)^(-Re s) here and a larger N only adds cancellation
-    against the boundary term (N+a)^(1-s)/(s-1).  The estimate adds the
-    float64 rounding of those terms: each carries a relative error of about
-    eps (3 + |s| ln(N+a)) from the rounded logarithm and the complex
-    exponential, the sum a further eps log2(N) of its absolute sum, and the
-    derivative's weights ln(n+a) scale that by up to 1 + ln(N+a).
-    Returns (N, estimate).
+    against the boundary term (N+a)^(1-s)/(s-1).  Returns (N, remainder
+    bound per point, max|s|).
     """
     k = _EM_MAX_CORRECTIONS
     power = s.real + 2 * k + 1
@@ -411,7 +517,8 @@ def _em_negative_plan(s: np.ndarray, alpha: float, tol: float, want_deriv: bool)
     # the derivative grows slowly, so a few fixed-point rounds from below.
     # Near Re s = -2K-1 no moderate N meets tol and a larger one only adds
     # cancellation, so N stops at 10 + max|s|; the estimate then says so.
-    cap = 10.0 + float(np.max(np.abs(s)))
+    big_s = float(factors[0].max())                     # |s + 0|
+    cap = 10.0 + big_s
     x = 1.0 + alpha
     for _ in range(3 if want_deriv else 1):
         reach = (amplitude(max(x, math.e)) / tol) ** (1.0 / np.maximum(power, 1.0))
@@ -419,31 +526,60 @@ def _em_negative_plan(s: np.ndarray, alpha: float, tol: float, want_deriv: bool)
     n_terms = math.ceil(x - alpha)
     big_a = n_terms + alpha
     la = math.log(big_a)
-    remainder = amplitude(big_a) * np.exp(-power * la)
-    # sum over n < N of |(n+a)^(-s)|: the integral bound where the terms
-    # grow (Re s <= 0), else at most a^(-Re s) + N
-    re = s.real
-    terms = np.where(re <= 0.0, np.exp((1.0 - re) * la) / (1.0 - re), alpha ** -re + n_terms)
-    boundary = np.exp((1.0 - re) * la) / np.abs(s - 1.0)
-    rounding = _EPS * ((3.0 + np.abs(s) * la + math.log2(n_terms + 1)) * terms
-                       + (3.0 + np.abs(s - 1.0) * la) * boundary)
-    if want_deriv:
-        rounding = rounding * (1.0 + la)
-    return n_terms, float(np.max(remainder + rounding))
+    return n_terms, amplitude(big_a) * np.exp(-power * la), big_s
 
 
-def _em_split(s: np.ndarray, alpha: float, n_terms: int, n_corr: int, want_deriv: bool):
+# Veltkamp's splitter 2^27 + 1: c = K x, x_hi = c - (c - x) keeps the upper 26
+# bits of x, so products of halves are exact (Dekker's two-product)
+_SPLITTER = 134217729.0
+
+
+@lru_cache(maxsize=64)
+def _log_parts(alpha: float):
+    """ln(alpha) = hi + lo, hi = fl(ln alpha) and lo its residual, and hi split in halves."""
+    import decimal  # only Hurwitz calls with alpha < 1 need it
+
+    hi = math.log(alpha)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        lo = float(decimal.Decimal(alpha).ln() - decimal.Decimal(hi))
+    c = _SPLITTER * hi
+    hi_hi = c - (c - hi)
+    return hi, lo, hi_hi, hi - hi_hi
+
+
+def _leading_power(s: np.ndarray, alpha: float) -> np.ndarray:
+    """alpha^(-s) with a relative error of a few eps.
+
+    exp(-s fl(ln a)) alone is off by eps |s| |ln a| from the rounded
+    logarithm and product.  Here -s ln(a) = w + delta, w = -fl(s hi) and
+    delta = -(s lo + the exact residual of s hi, by Dekker's two-product,
+    componentwise), and a^(-s) = e^w (1 + delta) to second order in |delta|
+    ~ eps |s ln a|.
+    """
+    hi, lo, hi_hi, hi_lo = _log_parts(alpha)
+    prod = s * hi
+    c = _SPLITTER * s
+    s_hi = c - (c - s)
+    s_lo = s - s_hi
+    residual = ((s_hi * hi_hi - prod) + s_hi * hi_lo + s_lo * hi_hi) + s_lo * hi_lo
+    return np.exp(-prod) * (1.0 - (residual + s * lo))
+
+
+def _em_split(s: np.ndarray, alpha: float, n_terms: int, n_corr: int, exact_lead: bool,
+              want_deriv: bool):
     """Euler-Maclaurin evaluation with the 1/(s-1) pole kept symbolic.
 
     Returns (regular, d_regular or None) with
     zeta(s, alpha) = regular + 1/(s-1) and
     zeta'(s, alpha) = d_regular - 1/(s-1)^2, for ``n_terms`` partial-sum
-    terms and ``n_corr`` corrections.
+    terms and ``n_corr`` corrections; with ``exact_lead`` the n = 0 term
+    comes from _leading_power.
     """
     s = np.asarray(s, dtype=complex)
     flat = s.ravel()
-    n = np.arange(n_terms, dtype=float)
-    logb = np.log(n + alpha)
+    first = 1 if exact_lead else 0
+    logb = _em_logs(alpha, n_terms)[0][first:n_terms]
 
     # partial sum of the defining series (chunked to bound memory)
     partial = np.zeros_like(flat)
@@ -455,6 +591,12 @@ def _em_split(s: np.ndarray, alpha: float, n_terms: int, n_corr: int, want_deriv
         partial[i:i + chunk] = mat.sum(axis=1)
         if want_deriv:
             dpartial[i:i + chunk] = -(mat * logb[None, :]).sum(axis=1)
+    if exact_lead:
+        lead = _leading_power(flat, alpha)
+        partial += lead
+        if want_deriv:
+            hi, lo = _log_parts(alpha)[:2]
+            dpartial -= (hi + lo) * lead
 
     big_a = n_terms + alpha
     la = math.log(big_a)
@@ -487,24 +629,220 @@ def euler_maclaurin_split(s, alpha: float, tol: float = 1e-12,
                           want_deriv: bool = False):
     """Euler-Maclaurin split evaluation (vectorized).
 
-    Returns (regular, d_regular or None, error_estimate).  With Re s >= 0 on
-    every point, N and K come from the remainder majorant of _em_plan, in
-    one pass, and the estimate is that majorant (<= ``tol``); with
-    ``want_deriv`` it bounds the derivative's remainder too; it does not
-    count float64 rounding.  Otherwise N is the least count whose remainder
-    bound after 12 corrections meets ``tol`` at every point, and the
-    estimate adds the float64 rounding of the growing partial-sum terms
-    (see _em_negative_plan).
+    Returns (regular, d_regular or None, error_estimate), all shaped like
+    ``s``.  With Re s >= 0 on every point, N and K come from the remainder
+    majorant of _em_plan, in one pass, and the estimate is that majorant
+    (<= ``tol``; with ``want_deriv`` it bounds the derivative's remainder
+    too) plus the float64 rounding of the kernel, so it can exceed ``tol``
+    where rounding alone does, as at large |Im s|.  Otherwise N is the least
+    count whose remainder bound after 12 corrections meets ``tol`` at every
+    point, and the estimate adds the rounding of the growing partial-sum
+    terms (see _em_negative_plan).
     """
     alpha = _check_alpha(alpha)
     s = np.asarray(s, dtype=complex)
     if s.size == 0:
-        return s.copy(), (s.copy() if want_deriv else None), 0.0
-    if float(np.min(s.real)) >= 0.0:
-        n_terms, n_corr, est = _em_plan(s.ravel(), alpha, tol, want_deriv)
-        return (*_em_split(s, alpha, n_terms, n_corr, want_deriv), est)
-    n_terms, est = _em_negative_plan(s.ravel(), alpha, tol, want_deriv)
-    return (*_em_split(s, alpha, n_terms, _EM_MAX_CORRECTIONS, want_deriv), est)
+        return s.copy(), (s.copy() if want_deriv else None), np.zeros(s.shape)
+    flat = s.ravel()
+    re_min, re_max = float(flat.real.min()), float(flat.real.max())
+    if re_min >= 0.0:
+        n_terms, n_corr, remainder, big_s = _em_plan(flat, alpha, tol, want_deriv, re_min)
+    else:
+        n_corr = _EM_MAX_CORRECTIONS
+        n_terms, remainder, big_s = _em_negative_plan(flat, alpha, tol, want_deriv)
+    # the leading term a^(-s) is formed to a few eps where its plain
+    # rounding, eps |s| |ln a| a^(-Re s), could reach a tenth of tol
+    exact_lead = alpha < 1.0 and _EPS * big_s * -math.log(alpha) * alpha ** -re_max > 0.1 * tol
+    est = remainder + _em_rounding(flat.real, re_min, re_max, big_s, alpha, n_terms, n_corr,
+                                   exact_lead, want_deriv)
+    est = (np.zeros(s.size) + est).reshape(s.shape)
+    return (*_em_split(s, alpha, n_terms, n_corr, exact_lead, want_deriv), est)
+
+
+# ---------------------------------------------------------------------------
+# ln Gamma and psi by Stirling's series, for the reflection route.
+# ---------------------------------------------------------------------------
+
+# Stirling's series is summed to J terms after an upward shift to Re z >= 10.
+# The reflection meets |Im z| <= 15 there, so |arg z| <= arctan(1.5) and the
+# remainders below stay under 2e-17.
+_STIRLING_TERMS = 8
+_STIRLING_RE = 10.0
+# B_2j / (2j (2j-1)) and B_2j / (2j) for j = 1..J+1; the last bounds the remainder
+_LOG_GAMMA_COEF = tuple(b / ((2 * j + 2) * (2 * j + 1))
+                        for j, b in enumerate(_BERNOULLI[:_STIRLING_TERMS + 1]))
+_DIGAMMA_COEF = tuple(b / (2 * j + 2) for j, b in enumerate(_BERNOULLI[:_STIRLING_TERMS + 1]))
+_STIRLING_POWERS = np.arange(1, _STIRLING_TERMS + 1)[:, None]
+_LOG_GAMMA_COEF_COL = np.array(_LOG_GAMMA_COEF[:_STIRLING_TERMS])[:, None]
+_DIGAMMA_COEF_COL = np.array(_DIGAMMA_COEF[:_STIRLING_TERMS])[:, None]
+_HALF_LOG_TWO_PI = 0.5 * math.log(_TWO_PI)
+
+
+def _log_gamma(w: np.ndarray, want_digamma: bool):
+    """ln Gamma(w), principal branch, for Re w > 0, with an error bound per point.
+
+    With z = w + n, n the least shift putting the point at Re z >= 10,
+
+        ln Gamma(w) = (z - 1/2) ln z - z + ln(2 pi)/2
+                      + sum_{j=1..J} B_2j / (2j (2j-1) z^(2j-1)) - sum_{i<n} ln(w+i),
+        psi(w)      = ln z - 1/(2z) - sum_{j=1..J} B_2j / (2j z^2j) - sum_{i<n} 1/(w+i).
+
+    The remainder of the first is at most the first omitted term times
+    sec^(2J+2)(arg z / 2) (DLMF 5.11.ii).  That of the second is at most the
+    first omitted term |B_2J+2| / ((2J+2) |z|^(2J+2)) divided by
+    min over t >= 0 of |t^2 + z^2| / |z|^2, which is 1 for |arg z| <= pi/4
+    and |sin(2 arg z)| beyond (expand t/(t^2+z^2) in Binet's
+    psi(z) = ln z - 1/(2z) - 2 int_0^inf t dt / ((t^2+z^2)(e^(2 pi t)-1))).
+    Each bound adds the float64 rounding of the terms above, about eps times
+    each of them.
+    Returns (ln Gamma, bound) or, with ``want_digamma``, (ln Gamma, bound, psi, bound).
+    """
+    shift = np.maximum(0.0, np.ceil(_STIRLING_RE - w.real))
+    z = w + shift
+    x, abs_z = z.real, np.abs(z)
+    log_z = np.log(z)
+    inv = 1.0 / z
+    powers = (inv * inv) ** _STIRLING_POWERS                 # z^-2j, j = 1..J
+    series = z * (_LOG_GAMMA_COEF_COL * powers).sum(axis=0)
+    lg = (z - 0.5) * log_z - z + _HALF_LOG_TWO_PI + series
+    # sec^2(arg z / 2) = 2|z| / (|z| + Re z)
+    sec2 = 2.0 * abs_z / (abs_z + x)
+    lg_err = (abs(_LOG_GAMMA_COEF[_STIRLING_TERMS]) * abs_z ** -(2 * _STIRLING_TERMS + 1)
+              * sec2 ** (_STIRLING_TERMS + 1))
+    # rounding: the shifted point and (z - 1/2) ln z, about eps |z| |ln z|
+    # each, then the sums, about eps of each summand
+    rounding = 2.0 * abs_z * (np.abs(log_z) + 1.0) + 4.0
+    most = int(shift.max())
+    if most:
+        # ln(w+i) for i < shift at each point, 0 past it
+        i = np.arange(most)[:, None]
+        steps = np.where(i < shift, w + i, 1.0)
+        logs = np.log(steps)
+        lg = lg - logs.sum(axis=0)
+        rounding = rounding + 2.0 * np.abs(logs).sum(axis=0)
+    lg_err = lg_err + _EPS * rounding
+    if not want_digamma:
+        return lg, lg_err
+    psi = log_z - 0.5 * inv - (_DIGAMMA_COEF_COL * powers).sum(axis=0)
+    abs_y = np.abs(z.imag)
+    angle = np.where(x >= abs_y, 1.0, 2.0 * x * abs_y / (abs_z * abs_z))
+    psi_err = abs(_DIGAMMA_COEF[_STIRLING_TERMS]) * abs_z ** -(2 * _STIRLING_TERMS + 2) / angle
+    rounding = 2.0 * np.abs(log_z) + 3.0
+    if most:
+        recips = np.where(i < shift, 1.0 / steps, 0.0)
+        psi = psi - recips.sum(axis=0)
+        rounding = rounding + 2.0 * np.abs(recips).sum(axis=0)
+    return lg, lg_err, psi, psi_err + _EPS * rounding
+
+
+# ---------------------------------------------------------------------------
+# The reflection route: Hurwitz's formula for a = r/m (Apostol, Introduction
+# to Analytic Number Theory, Thm 12.6), read at u = 1 - s,
+#
+#     zeta(s, r/m) = 2 Gamma(u) (2 pi m)^(-u) sum_{k=1..m} cos(pi u/2 - 2 pi k r/m) zeta(u, k/m).
+#
+# Left of Re s = -3 it turns a batch into m Euler-Maclaurin evaluations at
+# Re u > 4, where the series is cheap and well conditioned, and every residue
+# r of the period shares them.
+# ---------------------------------------------------------------------------
+
+# sum_{n>=1} ln(n+1)^j n^-4 for j = 1, 2 (0.79 and 0.60), rounded up: with the
+# n = 0 term |ln a|^j a^-Re u they bound |zeta^(j)(u, a)| for Re u >= 4
+_ZETA_D1_TAIL = 0.8
+_ZETA_D2_TAIL = 0.7
+
+
+def _reflect(s: np.ndarray, period: int, alphas, tol: float, deriv: bool):
+    """Regular parts of zeta(s, r/m) (or of zeta') for each a = r/m in ``alphas``.
+
+    Returns (values, estimates) of shape (len(alphas), s.size).  Writing
+    G = 2 Gamma(u) (2 pi m)^(-u), C_k, S_k = cos, sin(pi u/2 - 2 pi k r/m)
+    and Z_k = zeta(u, k/m), the value is G sum_k C_k Z_k, and its
+    s-derivative is -G ((psi(u) - ln(2 pi m)) sum_k C_k Z_k
+    - (pi/2) sum_k S_k Z_k + sum_k C_k Z_k').  Euler-Maclaurin runs at
+    _H_TAIL_SHARE ``tol`` over the largest weight |G| sum_k |C_k| (with the
+    weights of the derivative), so its share of each estimate stays below
+    that.  The estimate adds the float64 rounding of every factor: relative
+    errors of G and of the products times |G| sum_k |C_k| |Z_k|, the error
+    of the phase times |G| sum_k |S_k| |Z_k| (absolute near the trivial
+    zeros, where C_k vanishes and the value is small), and u = 1 - s itself,
+    off by eps |Re u| / 2, times a bound on the u-derivative.
+    """
+    m = period
+    u = 1.0 - s
+    abs_u = np.abs(u)
+    big_l = math.log(_TWO_PI * m)
+    gamma = _log_gamma(u, deriv)
+    lg, lg_err = gamma[:2]
+    g = 2.0 * np.exp(lg - u * big_l)
+    abs_g = np.abs(g)
+    k = np.arange(1, m + 1)
+    residues = np.array([round(a * m) for a in alphas])
+    q = (2 * np.multiply.outer(residues, k) % (2 * m)) / m          # 2kr/m mod 2
+    half = np.remainder(0.5 * u.real, 2.0) + 0.5j * u.imag          # u/2 mod 2
+    phase = math.pi * (half - q[:, :, None])                         # (R, m, n)
+    cos, sin = np.cos(phase), np.sin(phase)
+    abs_c, abs_s = np.abs(cos), np.abs(sin)
+    if deriv:
+        dlog = gamma[2] - big_l
+        abs_dlog = np.abs(dlog)
+        weight = abs_c * (abs_dlog + 1.0) + (0.5 * math.pi) * abs_s
+    else:
+        weight = abs_c
+    tol_em = _H_TAIL_SHARE * tol / max(1.0, float(np.max(abs_g * weight.sum(axis=1))))
+    pole = 1.0 / (u - 1.0)
+    zs = np.empty((m, u.size), dtype=complex)
+    dzs = np.empty_like(zs) if deriv else None
+    em_est = np.empty((m, u.size))
+    for i in range(m):
+        reg, dreg, em_est[i] = euler_maclaurin_split(u, (i + 1) / m, tol=tol_em,
+                                                     want_deriv=deriv)
+        zs[i] = reg + pole
+        if deriv:
+            dzs[i] = dreg - pole * pole
+    sums = (cos * zs).sum(axis=1)
+    abs_z = np.abs(zs)
+    # relative rounding of G (ln Gamma, u ln(2 pi m), exp) and of each term
+    # (the products, the sum over k and a = k/m); absolute error of the phase
+    rel_g = lg_err + _EPS * (np.abs(lg) + 2.0 * abs_u * big_l + 2.0)
+    rel = rel_g + _EPS * (m + 6 + 0.5 * abs_u)
+    dphase = _EPS * (4.0 * math.pi + 1.5 * np.abs(u.imag))
+    # u = 1 - s is off by eps |Re u| / 2; |zeta'(u, a)| and |zeta''(u, a)|
+    # are at most |ln a|^j a^-Re u plus the tails of _ZETA_D1_TAIL, _ZETA_D2_TAIL
+    inexact_u = 0.5 * _EPS * np.abs(u.real)
+    log_a = np.log(k / m)[:, None]
+    a_pow = np.exp(-log_a * u.real)
+    s_pole = 1.0 / (s - 1.0)
+    if not deriv:
+        # |dV/du| <= |G| sum_k ((|psi(u) - ln(2 pi m)| |C_k| + (pi/2) |S_k|) |Z_k|
+        # + |C_k| |Z_k'|), and |psi(u) - ln u| < 0.2 for |u| >= 4
+        dlog_bound = np.abs(np.log(u) - big_l) + 0.2
+        d1 = np.abs(log_a) * a_pow + _ZETA_D1_TAIL
+        est = (abs_g * (abs_c * (em_est + (rel + inexact_u * dlog_bound) * abs_z
+                                 + inexact_u * d1)
+                        + abs_s * (dphase + inexact_u * 0.5 * math.pi) * abs_z).sum(axis=1)
+               + _EPS * np.abs(s_pole))
+        return g * sums - s_pole, est
+    dsums = (cos * dzs).sum(axis=1)
+    ssums = (sin * zs).sum(axis=1)
+    dvalue = -g * (dlog * sums - (0.5 * math.pi) * ssums + dsums)
+    abs_dz = np.abs(dzs)
+    # the terms of the bracket, and a bound on the u-derivative of V',
+    # with |psi'(u)| < 0.3 for |u| >= 4
+    c_part = abs_dlog * abs_z + abs_dz
+    s_part = (0.5 * math.pi) * abs_z
+    d2 = log_a * log_a * a_pow + _ZETA_D2_TAIL
+    second = (abs_c * ((abs_dlog * abs_dlog + 0.3 + 0.25 * math.pi ** 2) * abs_z
+                       + 2.0 * abs_dlog * abs_dz + d2)
+              + abs_s * math.pi * (abs_dlog * abs_z + abs_dz))
+    psi_err = gamma[3] + _EPS * (np.abs(gamma[2]) + big_l)
+    est = (abs_g * (weight * em_est
+                    + abs_c * (rel * c_part + psi_err * abs_z)
+                    + abs_s * (rel * s_part + dphase * c_part)
+                    + abs_c * dphase * s_part
+                    + inexact_u * second).sum(axis=1)
+           + _EPS * np.abs(s_pole) ** 2)
+    return dvalue + s_pole * s_pole, est
 
 
 # ---------------------------------------------------------------------------
@@ -513,68 +851,109 @@ def euler_maclaurin_split(s, alpha: float, tol: float = 1e-12,
 
 # Left of Re s = -3 the Euler-Maclaurin boundary terms grow like
 # (N+a)^(1-Re s) and their float64 cancellation against the partial sum
-# costs about eps times that; the h-integrand is benign there while its
-# envelope factor cosh(|Im s| pi/2) stays moderate, which it does up to
-# |Im s| = 15 (cosh(15 pi/2) ~ 6e9).  A size-1 call pays numpy's per-call
-# overhead on every Horner step of Euler-Maclaurin, so there the h-rule is
-# also the cheaper route (about 2.5x at alpha = 1, s = 2) and the more
-# accurate one, and it serves the strip up to Re s = 8, where the series
-# needs few terms.  Batches keep Euler-Maclaurin right of Re s = -3: its
-# cost per point falls below 1 us.
+# costs about eps times that.  There a batch takes the reflection when a is
+# 1 or a residue r/m of a given period, and the h-rule otherwise: the
+# h-integrand is benign while its envelope factor cosh(|Im s| pi/2) stays
+# moderate, which it does up to |Im s| = 15 (cosh(15 pi/2) ~ 6e9).  A
+# size-1 call pays numpy's per-call overhead on every Horner step of
+# Euler-Maclaurin and on every factor of the reflection, so there the
+# h-rule is the cheaper route (about 2.5x against Euler-Maclaurin at
+# alpha = 1, s = 2, and 115 against 299 us against the reflection at
+# s = -5) and the more accurate one, and it serves the strip up to
+# Re s = 8, where the series needs few terms.  Batches keep Euler-Maclaurin
+# right of Re s = -3: its cost per point falls below 1 us.
 _H_RULE_RE_LIMIT = -3.0
 _SINGLE_H_RULE_RE_LIMIT = 8.0
 HERMITE_IM_LIMIT = 15.0
 
 
-def _on_h_rule(s: np.ndarray) -> np.ndarray:
-    """The route predicate: where the router tries the h-rule.
+# Route codes of _split_many, indexing ROUTES
+SERIES_EM, HERMITE, REFLECT = 0, 1, 2
+ROUTES = ("series-em", "hermite", "reflect")
 
-    |Im s| <= 15 and Re s < -3; for a size-1 call, Re s < 8.
+
+def _on_h_rule(s: np.ndarray) -> np.ndarray:
+    """The route predicate: where the router leaves Euler-Maclaurin.
+
+    |Im s| <= 15 and Re s < -3 (the reflection or the h-rule); for a size-1
+    call, Re s < 8 (the h-rule).
     """
     re_limit = _SINGLE_H_RULE_RE_LIMIT if s.size == 1 else _H_RULE_RE_LIMIT
     return (s.real < re_limit) & (np.abs(s.imag) <= HERMITE_IM_LIMIT)
 
 
-def _split_many(s, alpha: float, tol: float, deriv: bool):
+def _split_many(s, alpha, tol: float, deriv: bool, period: int | None = None):
     """The Hurwitz router: regular parts, per-point error estimates, routes.
 
-    Where _on_h_rule holds a point takes d (or d') plus the graded h-rule;
-    right of Re s = -3 it moves on to Euler-Maclaurin when the h-rule's
-    estimate exceeds ``tol`` (its float64 floor).  Euler-Maclaurin takes
-    the rest, grouped by the sign of Re s so a large-|Im| point cannot force
-    a term count that degrades the cancellation-sensitive negative-Re group.
-    Returns (values, estimates, h-rule mask), all shaped like ``s``.
+    ``alpha`` is one a in (0, 1] or a sequence of them; with ``period`` m
+    every a must be a residue r/m, and a = 1 alone implies m = 1.  Where
+    _on_h_rule holds, a batch with a period takes the reflection, one call
+    for all residues; every other point there takes d (or d') plus the
+    graded h-rule, and a size-1 call right of Re s = -3 moves on to
+    Euler-Maclaurin where the h-rule's estimate exceeds ``tol`` (its float64
+    floor).  Euler-Maclaurin takes the rest, grouped by the sign of Re s so a
+    large-|Im| point cannot force a term count that degrades the
+    cancellation-sensitive negative-Re group.  Returns (values, estimates,
+    routes), routes holding a code per point (SERIES_EM, HERMITE or REFLECT,
+    which index ROUTES); each is shaped like ``s``, with a leading axis over
+    a sequence ``alpha``.
     """
-    alpha = _check_alpha(alpha)
+    single_alpha = np.isscalar(alpha)
+    alphas = (_check_alpha(alpha),) if single_alpha else tuple(map(_check_alpha, alpha))
+    if period is None:
+        period = 1 if alphas == (1.0,) else None
+    elif any(abs(a * period - round(a * period)) > 1e-9 for a in alphas):
+        raise DomainError(f"alpha {alpha!r} is not a residue r/{period}")
     s = np.asarray(s, dtype=complex)
     flat = s.ravel()
-    out = np.empty_like(flat)
-    est = np.empty(flat.shape)
+    out = np.empty((len(alphas), flat.size), dtype=complex)
+    est = np.empty(out.shape)
+    routes = np.zeros(out.shape, dtype=np.int8)           # SERIES_EM
     on_h = _on_h_rule(flat)
-    if on_h.any():
-        sf = flat[on_h]
-        h, est_h = _h_rule(sf, alpha, tol, deriv)
-        keep = (est_h <= tol) | (sf.real < _H_RULE_RE_LIMIT)
-        on_h[on_h] = keep
-        sf = sf[keep]
-        entire = hermite_d_deriv_many(sf, alpha) if deriv else hermite_d_many(sf, alpha)
-        out[on_h] = entire + h[keep]
-        est[on_h] = est_h[keep]
-    rest, negative = ~on_h, flat.real < 0.0
-    for group in (rest & negative, rest & ~negative):
-        if group.any():
-            reg, dreg, est[group] = euler_maclaurin_split(flat[group], alpha, tol=tol,
-                                                          want_deriv=deriv)
-            out[group] = dreg if deriv else reg
-    return out.reshape(s.shape), est.reshape(s.shape), on_h.reshape(s.shape)
+    left = bool(on_h.any())
+    reflect = left and period is not None and flat.size > 1
+    if reflect:
+        out[:, on_h], est[:, on_h] = _reflect(flat[on_h], period, alphas, tol, deriv)
+        routes[:, on_h] = REFLECT
+    for a, out_a, est_a, routes_a in zip(alphas, out, est, routes):
+        em = ~on_h
+        if left and not reflect:
+            sf = flat[on_h]
+            h, est_h = _h_rule(sf, a, tol, deriv)
+            # h-rule points right of Re s = -3 come from size-1 calls; they
+            # move on where the rule's floor exceeds tol
+            stay = (est_h <= tol) | (sf.real < _H_RULE_RE_LIMIT)
+            hermite = on_h
+            if not stay.all():
+                hermite = on_h.copy()
+                hermite[on_h] = stay
+                sf, h, est_h = sf[stay], h[stay], est_h[stay]
+                em = ~hermite
+            entire = hermite_d_deriv_many(sf, a) if deriv else hermite_d_many(sf, a)
+            out_a[hermite] = entire + h
+            est_a[hermite] = est_h
+            routes_a[hermite] = HERMITE
+        if not em.any():
+            continue
+        negative = flat.real < 0.0
+        for group in (em & negative, em & ~negative):
+            if group.any():
+                reg, dreg, est_a[group] = euler_maclaurin_split(flat[group], a, tol=tol,
+                                                                want_deriv=deriv)
+                out_a[group] = dreg if deriv else reg
+    shape = s.shape if single_alpha else (len(alphas),) + s.shape
+    return out.reshape(shape), est.reshape(shape), routes.reshape(shape)
 
 
-def hurwitz_split_many(s, alpha: float, tol: float = 1e-12):
+def hurwitz_split_many(s, alpha, tol: float = 1e-12, period: int | None = None):
     """Vectorized regular part R with zeta = R + 1/(s-1).
 
-    Returns (R, est), est holding each point's error estimate.
+    Returns (R, est), est holding each point's error estimate.  ``alpha``
+    may be a sequence of residues r/``period``: R and est then gain a
+    leading axis over them, and a batch left of Re s = -3 takes the
+    reflection once for all of them.
     """
-    return _split_many(s, alpha, tol, deriv=False)[:2]
+    return _split_many(s, alpha, tol, False, period)[:2]
 
 
 def hurwitz_deriv_split_many(s, alpha: float, tol: float = 1e-12):
@@ -585,14 +964,13 @@ def hurwitz_deriv_split_many(s, alpha: float, tol: float = 1e-12):
 def _split_point(s, alpha: float, cfg: EvalConfig, deriv: bool):
     """One point through the router: (value, estimate, route).
 
-    Raises AccuracyError, naming s, alpha and the route, when the value is
-    not finite or its estimate exceeds cfg.abs_tol.
+    Raises AccuracyError, naming s, alpha and the route, unless
+    cfg.accepts the value and its estimate.
     """
     s = complex(s)
-    reg, est, on_h = _split_many(np.array([s]), alpha, cfg.split_tol, deriv)
-    value, est = complex(reg[0]), float(est[0])
-    route = "hermite" if on_h[0] else "series-em"
-    if not (est <= cfg.abs_tol and np.isfinite(value)):
+    reg, est, route = _split_many(np.array([s]), alpha, cfg.split_tol, deriv)
+    value, est, route = complex(reg[0]), float(est[0]), ROUTES[route[0]]
+    if not cfg.accepts(value, est):
         raise AccuracyError(f"estimate {est:.1e} exceeds abs_tol {cfg.abs_tol:.1e} "
                             + _at(s, alpha, route), estimate=value, residual=est)
     return value, est, route

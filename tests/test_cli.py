@@ -262,6 +262,33 @@ class TestConfigDocument:
         assert second["config_hash"] == first["config_hash"]
         assert (out2 / "run.json").read_bytes() == (out1 / "run.json").read_bytes()
 
+    def test_dump_fields_enters_config_hash(self, tmp_path):
+        # --dump-fields adds fields.csv, so it must change the run's identity
+        argv = ["flow", "--mode", "pde", "--datum", "const:2", "--tend", "0.05",
+                "--dt", "0.01", "--grid", "16"]
+        plain, dumped = tmp_path / "plain", tmp_path / "dumped"
+        assert run(argv + ["--out", str(plain)]) == 0
+        assert run(argv + ["--dump-fields", "--out", str(dumped)]) == 0
+        assert not (plain / "fields.csv").exists() and (dumped / "fields.csv").exists()
+        hashes = [json.loads((o / "summary.json").read_text())["config_hash"]
+                  for o in (plain, dumped)]
+        assert hashes[0] != hashes[1]
+
+    def test_summary_config_replays_fields(self, tmp_path):
+        out1 = tmp_path / "f1"
+        assert run(["flow", "--mode", "pde", "--datum", "disc:-2:0.05", "--seed", "3",
+                    "--tend", "0.05", "--dt", "0.01", "--grid", "16", "--dump-fields",
+                    "--out", str(out1)]) == 0
+        first = json.loads((out1 / "summary.json").read_text())
+        assert first["config"]["dump_fields"] is True
+        out2 = tmp_path / "f2"
+        path = tmp_path / "replay.json"
+        path.write_text(json.dumps(dict(first["config"], out=str(out2))))
+        assert run(["--config", str(path)]) == 0
+        second = json.loads((out2 / "summary.json").read_text())
+        assert second["config_hash"] == first["config_hash"]
+        assert (out2 / "fields.csv").read_bytes() == (out1 / "fields.csv").read_bytes()
+
     def test_bad_schema(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"schema": 99, "command": "flow"}))

@@ -266,18 +266,6 @@ class TestVectorizedFieldRoute:
         assert abs(vals[1]) < 1e-12
 
 
-EPS = 2.0 ** -52
-
-
-def _em_rounding(s, alpha):
-    """Float64 rounding of the Euler-Maclaurin kernel, which its estimate leaves out.
-
-    About |s| terms of modulus at most alpha^(-Re s) are summed, and each
-    carries the rounding of its phase Im(s) ln(n+alpha), eps |s| ln(2+|s|).
-    """
-    return 4 * EPS * (alpha ** -s.real + 2 + abs(s)) * (1 + abs(s) * math.log(2 + abs(s)))
-
-
 class TestPlannedEulerMaclaurin:
     """Re s >= 0: N and K from the remainder majorant, corrections by Horner."""
 
@@ -293,16 +281,16 @@ class TestPlannedEulerMaclaurin:
 
     def _check(self, mpmath, pts, alpha, tol, want_deriv):
         reg, dreg, est = sp.euler_maclaurin_split(pts, alpha, tol=tol, want_deriv=want_deriv)
-        assert est <= tol
+        # the planned remainder meets tol; the estimate adds float64 rounding
+        assert sp._em_plan(pts, alpha, tol, want_deriv, float(pts.real.min()))[2] <= tol
         assert (dreg is None) != want_deriv
         for i, s in enumerate(pts):
             s = complex(s)
-            slack = est + _em_rounding(s, alpha)
-            assert abs(reg[i] + 1.0 / (s - 1.0) - oracles.mp_zeta(mpmath, s, alpha, 0)) <= slack, \
-                (s, alpha)
+            ref = oracles.mp_zeta(mpmath, s, alpha, 0)
+            assert abs(reg[i] + 1.0 / (s - 1.0) - ref) <= est[i], (s, alpha)
             if want_deriv:
                 assert abs(dreg[i] - 1.0 / (s - 1.0) ** 2
-                           - oracles.mp_zeta(mpmath, s, alpha, 1)) <= slack, (s, alpha)
+                           - oracles.mp_zeta(mpmath, s, alpha, 1)) <= est[i], (s, alpha)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_single_points_within_estimate(self, alpha):
@@ -317,6 +305,15 @@ class TestPlannedEulerMaclaurin:
         for tol in (1e-12, 1e-8):
             for want_deriv in (False, True):
                 self._check(mpmath, pts, alpha, tol, want_deriv)
+
+    def test_rounding_counted_at_large_imaginary_part(self):
+        # at tol 1e-14 the remainder is negligible, and the float64 rounding
+        # of the phases Im(s) ln(n+a) carries the error: 1.6e-12 at
+        # 0.04-300i, alpha = 1/2, and 1.6e-12 for zeta'(0.5+280i)
+        mpmath = pytest.importorskip("mpmath")
+        for s in (0.04 - 300.0j, 0.3 - 250.0j, 0.5 + 280.0j):
+            for alpha in (0.5, 0.75, 1.0):
+                self._check(mpmath, np.array([s]), alpha, 1e-14, want_deriv=True)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_negative_real_part_holds_its_accuracy(self, alpha):
@@ -337,11 +334,11 @@ class TestPlannedEulerMaclaurin:
 class TestRouteBoundary:
     """Both sides of the router's switches against mpmath (dps 30).
 
-    Batches leave the h-rule for Euler-Maclaurin at Re s = -3 and at
-    |Im s| = 15 (left of Re s = -3); size-1 calls at |Im s| = 15 and where
-    the h-rule's floor exceeds the tolerance.  On each side the reported
-    estimate, plus the rounding allowance of the Euler-Maclaurin kernel,
-    must cover the error.
+    Left of Re s = -3 and up to |Im s| = 15, batches take the reflection
+    for a = 1 and for residues r/m of a period, and the h-rule for other a;
+    Euler-Maclaurin takes the rest.  Size-1 calls switch at |Im s| = 15 and
+    where the h-rule's floor exceeds the tolerance.  On each side the
+    reported estimate alone must cover the error.
     """
 
     ALPHAS = (0.05, 0.1, 0.25, 0.5, 1.0)
@@ -366,8 +363,70 @@ class TestRouteBoundary:
                 s = complex(s)
                 pole = -1.0 / (s - 1.0) ** 2 if deriv else 1.0 / (s - 1.0)
                 for reg, est in ((batch[0][i], batch[1][i]), (single[i][0][0], single[i][1][0])):
-                    slack = est + _em_rounding(s, alpha)
-                    assert abs(reg + pole - ref[i]) <= slack, (s, alpha, deriv, est)
+                    assert abs(reg + pole - ref[i]) <= est, (s, alpha, deriv, est)
+
+    # (period, residues): a = 1, 1/2, and 1/4 with 3/4
+    RESIDUES = ((1, (1,)), (2, (1,)), (4, (1, 3)))
+
+    @staticmethod
+    def _reflection_points(seed):
+        rng = np.random.default_rng(seed)
+        near_re = -3.0 + rng.uniform(-0.05, 0.05, 8) + 1j * rng.uniform(-15.0, 15.0, 8)
+        near_im = rng.uniform(-6.0, -3.0, 6) + 1j * (rng.choice([-1.0, 1.0], 6)
+                                                     * rng.uniform(14.95, 15.05, 6))
+        trivial = np.array([-4.0, -6.0], dtype=complex)
+        return np.concatenate([near_re, near_im, trivial])
+
+    @pytest.mark.parametrize("period, residues", RESIDUES)
+    def test_reflection_switch_covers_error(self, period, residues):
+        mpmath = pytest.importorskip("mpmath")
+        pts = self._reflection_points(period)
+        left = (pts.real < -3.0) & (np.abs(pts.imag) <= 15.0)
+        alphas = [r / period for r in residues]
+        for deriv in (0, 1):
+            vals, est, routes = sp._split_many(pts, alphas, 1e-12, bool(deriv), period=period)
+            assert (routes == np.where(left, sp.REFLECT, sp.SERIES_EM)).all()
+            for j, alpha in enumerate(alphas):
+                for i, s in enumerate(pts):
+                    s = complex(s)
+                    pole = -1.0 / (s - 1.0) ** 2 if deriv else 1.0 / (s - 1.0)
+                    err = abs(vals[j, i] + pole - oracles.mp_zeta(mpmath, s, alpha, deriv))
+                    # absolute at the trivial zeros, where the value vanishes
+                    assert 0.0 < est[j, i] and err <= est[j, i], (s, alpha, deriv)
+                    if left[i]:
+                        h_est = sp._h_rule(np.array([s]), alpha, 1e-12, bool(deriv))[1][0]
+                        assert est[j, i] <= 10.0 * h_est, (s, alpha, deriv)
+
+    def test_chi4_reflection_covers_error(self, chi4):
+        mpmath = pytest.importorskip("mpmath")
+        pts = self._reflection_points(44)
+        vals, est = zf.l_function(chi4).eval_with_estimate(pts)
+        for i, s in enumerate(pts):
+            assert abs(vals[i] - oracles.mp_l(mpmath, chi4.values, complex(s))) <= est[i], s
+
+    def test_chi4_batch_shares_four_em_evaluations(self, chi4, monkeypatch):
+        # both residues 1/4 and 3/4 read zeta(1-s, k/4), k = 1..4, once
+        calls = []
+        em = sp.euler_maclaurin_split
+
+        def counting(s, alpha, *args, **kwargs):
+            calls.append((float(np.min(np.real(s))), alpha))
+            return em(s, alpha, *args, **kwargs)
+
+        monkeypatch.setattr(sp, "euler_maclaurin_split", counting)
+        zf.l_function(chi4).eval_with_estimate(np.array([-5.0 + 1.0j, -4.2 - 3.0j, -7.1]))
+        assert sorted(alpha for _, alpha in calls) == [0.25, 0.5, 0.75, 1.0]
+        assert all(re > 4.0 for re, _ in calls)
+
+    def test_size_one_calls_keep_the_h_rule(self):
+        assert sp.hurwitz_regular_split(-5.0 + 1.0j, 1.0)[2] == "hermite"
+        assert sp._split_many(np.array([-5.0 + 1.0j] * 2), 1.0, 1e-12, False)[2][0] == sp.REFLECT
+        # a not 1 and no period: the h-rule
+        assert sp._split_many(np.array([-5.0 + 1.0j] * 2), 0.5, 1e-12, False)[2][0] == sp.HERMITE
+
+    def test_residue_must_match_period(self):
+        with pytest.raises(zf.DomainError):
+            sp.hurwitz_split_many(np.array([-5.0, -6.0]), [0.3], period=4)
 
     def test_ill_conditioned_batch_point_reports_its_error(self):
         # the fixed-panel rule returned this point 3.1e-2 off with est 1e-13
@@ -386,6 +445,22 @@ class TestRouteBoundary:
         msg = str(err.value)
         assert repr(s) in msg and "alpha=0.1" in msg and "route hermite" in msg
         assert err.value.residual > CFG.abs_tol
+
+
+class TestLogGamma:
+    def test_against_mpmath_within_stated_bound(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(12)
+        w = np.concatenate([rng.uniform(0.1, 20.0, 40) + 1j * rng.uniform(-15.0, 15.0, 40),
+                            [4.0, 10.0, 4.0 + 15.0j, 4.0 - 15.0j, 0.5]])
+        lg, lg_err, psi, psi_err = sp._log_gamma(w, True)
+        assert (sp._log_gamma(w, False)[0] == lg).all()
+        for i, x in enumerate(w):
+            with mpmath.workdps(30):
+                z = mpmath.mpc(x.real, x.imag)
+                ref_lg, ref_psi = complex(mpmath.loggamma(z)), complex(mpmath.digamma(z))
+            assert abs(lg[i] - ref_lg) <= lg_err[i] < 1e-12, x
+            assert abs(psi[i] - ref_psi) <= psi_err[i] < 1e-13, x
 
 
 class TestBoundConstants:
