@@ -774,8 +774,13 @@ def _reflect(s: np.ndarray, period: int, alphas, tol: float, deriv: bool):
     big_l = math.log(_TWO_PI * m)
     gamma = _log_gamma(u, deriv)
     lg, lg_err = gamma[:2]
-    g = 2.0 * np.exp(lg - u * big_l)
+    with np.errstate(over="ignore", invalid="ignore"):      # checked below
+        g = 2.0 * np.exp(lg - u * big_l)
     abs_g = np.abs(g)
+    if not np.isfinite(abs_g).all():
+        s_bad = complex(s[~np.isfinite(abs_g)][0])
+        raise AccuracyError("2 Gamma(1-s) (2 pi m)^(s-1) overflows "
+                            + _at(s_bad, alphas[0] if len(alphas) == 1 else alphas, "reflect"))
     k = np.arange(1, m + 1)
     residues = np.array([round(a * m) for a in alphas])
     q = (2 * np.multiply.outer(residues, k) % (2 * m)) / m          # 2kr/m mod 2

@@ -424,6 +424,12 @@ class TestRouteBoundary:
         # a not 1 and no period: the h-rule
         assert sp._split_many(np.array([-5.0 + 1.0j] * 2), 0.5, 1e-12, False)[2][0] == sp.HERMITE
 
+    def test_reflection_overflow_raises_with_point_and_route(self):
+        with pytest.raises(zf.AccuracyError) as err:
+            sp.hurwitz_split_many(np.array([-5.0, -300.0]), 1.0)
+        msg = str(err.value)
+        assert "s=(-300+0j)" in msg and "route reflect" in msg
+
     def test_residue_must_match_period(self):
         with pytest.raises(zf.DomainError):
             sp.hurwitz_split_many(np.array([-5.0, -6.0]), [0.3], period=4)
