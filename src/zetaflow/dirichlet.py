@@ -208,10 +208,8 @@ class LFunctionHandle:
         """
         s = np.asarray(s, dtype=complex)
         m = self.period
-        chis, alphas, weight = self._residues
-        lowest = float(np.min(s.real, initial=np.inf))
-        tol = self.eval_cfg.split_tol * min(1.0, m ** lowest / weight)
-        regs, ests = special.hurwitz_split_many(s, alphas, tol=tol, period=m)
+        chis, alphas, _ = self._residues
+        regs, ests = special.hurwitz_split_many(s, alphas, tol=self._hurwitz_tol(s), period=m)
         total = np.zeros_like(s)
         est = np.zeros(s.shape)
         for chi, reg, est_r in zip(chis, regs, ests):
@@ -223,6 +221,44 @@ class LFunctionHandle:
         if m == 1:
             return total, est
         return np.exp(-s * math.log(m)) * total, np.exp(-s.real * math.log(m)) * est
+
+    def _hurwitz_tol(self, s) -> float:
+        """eval_cfg.split_tol times m^(min Re s) / sum_r |chi(r)| where that is below 1."""
+        lowest = float(np.min(s.real, initial=np.inf))
+        return self.eval_cfg.split_tol * min(1.0, self.period ** lowest / self._residues[2])
+
+    def eval_with_derivative(self, s):
+        """(L, L', estimates, routes) on a 1-d array of points, from one router call.
+
+        L'(s) = m^(-s) [sum_r chi(r) R'_r(s) - ln m sum_r chi(r) R_r(s)]; for a
+        principal character phi(m)/(s-1) joins the sum over chi(r) R_r, and
+        its derivative the sum over chi(r) R'_r.  Each Hurwitz estimate
+        bounds the error of R_r and of R'_r, so m^(-Re s) (1 + ln m)
+        sum_r |chi(r)| est_r bounds the error of L and of L'.  ``routes``
+        holds the router's route code per residue (leading axis) and point.
+        """
+        s = np.asarray(s, dtype=complex)
+        m = self.period
+        chis, alphas, _ = self._residues
+        (regs, dregs), ests, routes = special._split_many(s, alphas, self._hurwitz_tol(s),
+                                                          special.PAIR, m)
+        total = np.zeros_like(s)
+        dtotal = np.zeros_like(s)
+        est = np.zeros(s.shape)
+        for chi, reg, dreg, est_r in zip(chis, regs, dregs, ests):
+            total = total + chi * reg
+            dtotal = dtotal + chi * dreg
+            est = est + abs(chi) * est_r
+        pw = self.pole_weight()
+        if pw:
+            total = total + pw / (s - 1.0)
+            dtotal = dtotal - pw / (s - 1.0) ** 2
+        if m == 1:
+            return total, dtotal, est, routes
+        log_m = math.log(m)
+        scale = np.exp(-s * log_m)
+        return (scale * total, scale * (dtotal - log_m * total),
+                np.exp(-s.real * log_m) * (1.0 + log_m) * est, routes)
 
     def eval_many(self, s) -> np.ndarray:
         """Vectorized evaluation on an array of points away from s = 1."""

@@ -4,11 +4,16 @@ An embedded Dormand-Prince 4(5) pair with PI step-size control integrates
 trajectories; accepted steps are monitored for pole proximity (the distance
 surrogate P(s) = |Re s - 1| + |Im s|), norm escape, and convergence onto a
 zero.  Zeros of the Riemann zeta on the critical line are located by a
-grid scan of |zeta(1/2 + it)| followed by Newton refinement, classified by
-the sign of Re zeta'(z0), and independently counted with an
+grid scan of |zeta(1/2 + it)| whose minima seed one lockstep Newton
+iteration over all seeds (one router call per iteration returns F, F' and
+the error estimate of every point still active), classified by the sign of
+Re F'(z0) from the last of those calls, and independently counted with an
 argument-principle contour integral (the pole at s = 1 is cancelled by
 counting zeros of (s - 1) zeta(s) instead, which has the same zeros when the
-box excludes s = 1).
+box excludes s = 1).  A seed that fails is reported with a reason naming
+the point, and the others go on.  The same Newton, on a size-1 batch,
+classifies a single zero (``classify_zero``) and the zero a flow converged
+onto, with the flow's own L-function.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 
 from .errors import (AccuracyError, DegenerateZeroError, DomainError,
                      StiffnessError)
-from . import special
+from . import dirichlet, special
 from .special import DEFAULT_CONFIG, EvalConfig
 from .dirichlet import LFunctionHandle
 
@@ -201,7 +206,7 @@ def integrate_flow(cfg: FlowConfig, s0: complex, record_at=None,
             streak += 1
             if streak >= CONVERGED_STREAK:
                 termination = "converged"
-                converged_to = _nearest_zero(y)
+                converged_to = _nearest_zero(y, handle)
                 break
         else:
             streak = 0
@@ -215,9 +220,9 @@ def integrate_flow(cfg: FlowConfig, s0: complex, record_at=None,
     return FlowResult(times, states, termination, converged_to, checkpoint_states)
 
 
-def _nearest_zero(y: complex) -> ZeroRecord | None:
+def _nearest_zero(y: complex, handle: LFunctionHandle) -> ZeroRecord | None:
     try:
-        record = classify_zero(y)
+        record = _classify(handle, y)
     except (DomainError, DegenerateZeroError, AccuracyError):
         return None
     return record if abs(record.location - y) < 0.1 else None
@@ -227,44 +232,112 @@ def _nearest_zero(y: complex) -> ZeroRecord | None:
 # Zero classification and census.
 # ---------------------------------------------------------------------------
 
+_NEWTON_EVALS = 40     # evaluations a census seed gets to reach _NEWTON_TOL
+_NEWTON_TOL = 1e-10
+_STEP_LIMIT = 2.0      # a longer or non-finite Newton step abandons the seed
+_REFINE_STEPS = 2      # steps taken before classification while |F| >= _REFINE_TOL
+_REFINE_TOL = 1e-12
 _CLASSIFY_SEED_TOL = 1e-4  # admits seeds quoted to ~4 decimals; Newton tightens them
 _RESIDUAL_TOL = 1e-8
 _DEGENERATE_TOL = 1e-10
 
 
-def classify_zero(z0: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> ZeroRecord:
-    """Classify a zeta zero as sink/source from the sign of Re zeta'(z0).
+def _lockstep_newton(handle: LFunctionHandle, z0, evals: int, tol: float):
+    """Newton on F = L (the handle's L-function) from every point of ``z0`` at once.
 
-    The seed must already satisfy |zeta(z0)| < 1e-4; it is tightened by up
-    to two Newton steps before classification.  Zeros on the negative real
-    axis within 1e-6 of an even integer are tagged trivial.
+    A point first iterates z <- z - F(z)/F'(z) until |F(z)| < ``tol``, for at
+    most ``evals`` evaluations, and is abandoned after a non-finite step or
+    one longer than 2.  It then takes up to 2 more steps while
+    |F| >= 1e-12, and its last evaluation classifies it by the sign of
+    Re F'(z) (trivial zeros of zeta, near negative even integers, tagged
+    so).  Every iteration is one router call, on the points still active,
+    that returns F, F' and the estimate; a point whose estimate its
+    eval_cfg does not accept stops there.  Returns (found, outcomes):
+    found[i] is where |F| < tol first held (nan if never), and outcomes[i]
+    the ZeroRecord or the exception (DomainError, AccuracyError,
+    DegenerateZeroError) that stopped the point, naming it.
     """
-    z = complex(z0)
-    f = special.riemann_zeta(z, cfg)
-    if abs(f) >= _CLASSIFY_SEED_TOL:
-        raise DomainError(f"|zeta(z0)| = {abs(f):.3e} too large to classify")
-    for _ in range(2):
-        if abs(f) < 1e-12:
-            break
-        df = special.riemann_zeta_deriv(z, cfg)
-        z = z - f / df
-        f = special.riemann_zeta(z, cfg)
-    d = special.riemann_zeta_deriv(z, cfg)
+    start = np.array(z0, dtype=complex).ravel()
+    z = start.copy()
+    cfg = handle.eval_cfg
+    found = np.full(z.size, complex(math.nan, math.nan))
+    used = np.zeros(z.size, dtype=int)      # evaluations until |F| < tol
+    refined = np.zeros(z.size, dtype=int)   # steps taken after that
+    outcomes: list = [None] * z.size
+    active = np.arange(z.size)
+    while active.size:
+        za = z[active]
+        f, df, est, routes = handle.eval_with_derivative(za)
+        ok = cfg.accepts(f, est) & cfg.accepts(df, est)
+        size = np.abs(f)
+        seeking = ok & np.isnan(found[active])
+        used[active[seeking]] += 1
+        hit = seeking & (size < tol)
+        found[active[hit]] = za[hit]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = f / df
+        lost = seeking & ~hit & ((used[active] >= evals) | ~(np.abs(step) <= _STEP_LIMIT))
+        refining = ok & ~seeking | hit
+        done = refining & ((size < _REFINE_TOL) | (refined[active] >= _REFINE_STEPS))
+        for j in np.flatnonzero(~ok | lost | done):
+            i, s = active[j], complex(za[j])
+            if not ok[j]:
+                names = "/".join(dict.fromkeys(special.ROUTES[c] for c in routes[:, j]))
+                outcomes[i] = AccuracyError(
+                    f"estimate {est[j]:.1e} exceeds abs_tol {cfg.abs_tol:.1e} at s={s!r}, "
+                    f"m={handle.period} (route {names})", estimate=complex(f[j]),
+                    residual=float(est[j]))
+            elif lost[j]:
+                why = (f"|F| = {size[j]:.3e} not below {tol:g} after {used[i]} evaluations"
+                       if used[i] >= evals else f"Newton step {complex(step[j])!r} rejected")
+                outcomes[i] = DomainError(f"{why} at s={s!r} (seed {complex(start[i])!r})")
+            else:
+                outcomes[i] = _zero_record(handle, s, complex(f[j]), complex(df[j]))
+        move = ok & ~lost & ~done
+        z[active[move]] = za[move] - step[move]
+        refined[active[move & refining]] += 1
+        active = active[move]
+    return found, outcomes
+
+
+def _zero_record(handle: LFunctionHandle, z: complex, f: complex, d: complex):
+    """The ZeroRecord of a refined zero z with F(z) = f and F'(z) = d, or the error."""
     residual = abs(f)
     if residual >= _RESIDUAL_TOL:
-        raise AccuracyError("Newton refinement left a residual above 1e-8",
-                            estimate=z, residual=residual)
+        return AccuracyError(f"Newton refinement left a residual above 1e-8 at s={z!r}",
+                             estimate=z, residual=residual)
     if abs(d.real) < _DEGENERATE_TOL:
-        raise DegenerateZeroError(
-            f"|Re zeta'| = {abs(d.real):.2e} at {z!r}: sink/source undecidable")
-    trivial = abs(z.imag) < 1e-8 and abs(z.real / 2.0 - round(z.real / 2.0)) < 5e-7 \
-        and round(-z.real / 2.0) >= 1
+        return DegenerateZeroError(
+            f"|Re F'| = {abs(d.real):.2e} at {z!r}: sink/source undecidable")
+    trivial = handle.period == 1 and abs(z.imag) < 1e-8 \
+        and abs(z.real / 2.0 - round(z.real / 2.0)) < 5e-7 and round(-z.real / 2.0) >= 1
     if d.real < 0:
         kind = "trivial_sink" if trivial else "sink"
     else:
         kind = "trivial_source" if trivial else "source"
     return ZeroRecord(location=z, deriv_re=d.real, deriv_im=d.imag,
                       kind=kind, residual=residual)
+
+
+def _classify(handle: LFunctionHandle, z0: complex) -> ZeroRecord:
+    outcome = _lockstep_newton(handle, [complex(z0)], 1, _CLASSIFY_SEED_TOL)[1][0]
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def classify_zero(z0: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> ZeroRecord:
+    """Classify a zeta zero as sink/source from the sign of Re zeta'(z0).
+
+    A size-1 call of the census Newton: the seed must already satisfy
+    |zeta(z0)| < 1e-4 (DomainError otherwise); it is tightened by up to two
+    Newton steps while |zeta| >= 1e-12, and the last evaluation gives the
+    residual (AccuracyError at 1e-8 or above) and zeta'(z) (DegenerateZeroError
+    where |Re zeta'| < 1e-10).  Zeros on the negative real axis within 1e-6
+    of an even integer are tagged trivial.  An estimate that ``cfg`` does not
+    accept raises AccuracyError naming the point and the route.
+    """
+    return _classify(dirichlet.zeta_function(cfg), z0)
 
 
 @dataclass
@@ -282,11 +355,15 @@ class ZeroScan:
 def find_critical_zeros(t_max: float, cfg: EvalConfig = DEFAULT_CONFIG) -> ZeroScan:
     """Locate the critical-line zeros with 0 < Im z <= t_max.
 
-    |zeta(1/2 + it)| is scanned on a grid of step 0.05; local minima below
-    0.5 seed complex Newton iterations driven by the zeta derivative, the
-    refined zeros are deduplicated (distance 1e-4), classified, and sorted
-    by imaginary part.  Seeds whose Newton iteration fails are reported in
-    ``skipped``.
+    |zeta(1/2 + it)| is scanned on a grid of step 0.05, and its local minima
+    below 0.5 seed Newton in lockstep (``_lockstep_newton``: one router call
+    per iteration for all seeds still active).  A seed reaches |zeta| < 1e-10
+    within 40 evaluations or is skipped; the zeros are deduplicated at
+    distance 1e-4 in seed order, kept where 0 < Im z <= t_max, refined and
+    classified as ``classify_zero`` does, and sorted by imaginary part.  A
+    seed that fails (no convergence, a rejected step, an estimate ``cfg``
+    does not accept, a residual or degenerate classification) is reported in
+    ``skipped`` with a reason that names the point; the others go on.
     """
     if t_max < 0 or t_max > ZERO_SCAN_T_CAP:
         raise DomainError(f"t_max must lie in [0, {ZERO_SCAN_T_CAP:g}]")
@@ -301,34 +378,24 @@ def find_critical_zeros(t_max: float, cfg: EvalConfig = DEFAULT_CONFIG) -> ZeroS
     interior = ((mag[1:-1] < mag[:-2]) & (mag[1:-1] < mag[2:])
                 & (mag[1:-1] < _SEED_LEVEL))
     seeds = ts[1:-1][interior]
+    return _census(0.5 + 1j * seeds, t_max, cfg)
 
+
+def _census(seeds: np.ndarray, t_max: float, cfg: EvalConfig) -> ZeroScan:
+    """Lockstep Newton from ``seeds``, then dedup, the t-window and classification."""
+    found, outcomes = _lockstep_newton(dirichlet.zeta_function(cfg), seeds,
+                                       _NEWTON_EVALS, _NEWTON_TOL)
     records: list[ZeroRecord] = []
     skipped: list[SkippedSeed] = []
-    for t_seed in seeds:
-        z = 0.5 + 1j * float(t_seed)
-        ok = False
-        for _ in range(40):
-            f = special.riemann_zeta(z, cfg)
-            if abs(f) < 1e-10:
-                ok = True
-                break
-            df = special.riemann_zeta_deriv(z, cfg)
-            step = f / df
-            if not (math.isfinite(step.real) and math.isfinite(step.imag)) \
-                    or abs(step) > 2.0:
-                break
-            z = z - step
-        if not ok:
-            skipped.append(SkippedSeed(float(t_seed), "newton did not converge"))
-            continue
-        if any(abs(z - r.location) < 1e-4 for r in records):
-            continue
-        if not 0.0 < z.imag <= t_max:
-            continue
-        try:
-            records.append(classify_zero(z, cfg))
-        except (DegenerateZeroError, AccuracyError) as exc:
-            skipped.append(SkippedSeed(float(t_seed), str(exc)))
+    for seed, z, outcome in zip(seeds, found, outcomes):
+        if not np.isnan(z):
+            if any(abs(z - r.location) < 1e-4 for r in records) \
+                    or not 0.0 < z.imag <= t_max:
+                continue
+        if isinstance(outcome, ZeroRecord):
+            records.append(outcome)
+        else:
+            skipped.append(SkippedSeed(float(seed.imag), str(outcome)))
     records.sort(key=lambda r: r.location.imag)
     return ZeroScan(records, skipped)
 
@@ -338,9 +405,11 @@ def count_zeros_box(re_lo: float, re_hi: float, im_lo: float, im_hi: float) -> i
 
     Integrates zeta'/zeta + 1/(s-1) (the log-derivative of (s-1) zeta, regular
     at the pole) around the box with trapezoid sums of Euler-Maclaurin values
-    at tol 1e-11, doubling the sampling until the winding stabilizes on an
-    integer.  The box must not contain s = 1, and its boundary must avoid
-    zeros; nudge edges by ~1e-3.
+    at tol 1e-11, halving the spacing until the winding stabilizes on an
+    integer.  An edge of length L starts with max(96, 16 L) intervals; the
+    grids are nested, so each halving evaluates only the new midpoints, of
+    all four edges in one call.  The box must not contain s = 1, and its
+    boundary must avoid zeros; nudge edges by ~1e-3.
     """
     if not (re_lo < re_hi and im_lo < im_hi):
         raise DomainError("degenerate box")
@@ -350,30 +419,30 @@ def count_zeros_box(re_lo: float, re_hi: float, im_lo: float, im_hi: float) -> i
     corners = [complex(re_lo, im_lo), complex(re_hi, im_lo),
                complex(re_hi, im_hi), complex(re_lo, im_hi),
                complex(re_lo, im_lo)]
+    edges = [(a, b - a) for a, b in zip(corners[:-1], corners[1:])]
 
-    def winding(points_per_unit: float) -> complex:
-        total = 0.0 + 0.0j
-        for a, b in zip(corners[:-1], corners[1:]):
-            n = max(96, int(abs(b - a) * points_per_unit))
-            u = np.linspace(0.0, 1.0, n + 1)
-            s = a + (b - a) * u
-            reg, dreg, _ = special.euler_maclaurin_split(s, 1.0, tol=1e-11,
-                                                         want_deriv=True)
-            fs = reg + 1.0 / (s - 1.0)
-            dfs = dreg - 1.0 / (s - 1.0) ** 2
-            g = dfs / fs + 1.0 / (s - 1.0)
-            total += np.trapezoid(g, s)
-        return total / (2j * math.pi)
+    def integrand(fractions):
+        """The integrand at a + (b - a) u for each edge's array u, in one call."""
+        s = np.concatenate([a + d * u for (a, d), u in zip(edges, fractions)])
+        reg, dreg, _ = special.euler_maclaurin_split(s, 1.0, tol=1e-11, want_deriv=True)
+        pole = 1.0 / (s - 1.0)
+        g = (dreg - pole * pole) / (reg + pole) + pole
+        return np.split(g, np.cumsum([u.size for u in fractions])[:-1])
 
+    n = [max(96, int(abs(d) * 16.0)) for _, d in edges]
+    nodes = integrand([np.linspace(0.0, 1.0, k + 1) for k in n])
+    trap = [d / k * (g.sum() - 0.5 * (g[0] + g[-1])) for (_, d), k, g in zip(edges, n, nodes)]
     prev = None
-    ppu = 16.0
-    for _ in range(8):
-        w = winding(ppu)
+    for level in range(8):
+        if level:
+            mids = integrand([(np.arange(k) + 0.5) / k for k in n])
+            n = [2 * k for k in n]
+            trap = [0.5 * t + d / k * g.sum() for t, (_, d), k, g in zip(trap, edges, n, mids)]
+        w = sum(trap) / (2j * math.pi)
         count = round(w.real)
-        if (abs(w - count) < 0.05 and prev == count):
+        if abs(w - count) < 0.05 and prev == count:
             return int(count)
         prev = count
-        ppu *= 2.0
     raise AccuracyError("zero-count winding did not stabilize", estimate=prev)
 
 

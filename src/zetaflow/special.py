@@ -1,8 +1,9 @@
 """Hurwitz/Riemann zeta evaluation and the explicit sup-norm bound constants.
 
 One router, ``_split_many``, evaluates the regular part of zeta(s, a) (the
-1/(s-1) pole term kept symbolic) with a per-point error estimate, for
-batches and, as size-1 calls, for every scalar entry point.  One predicate,
+1/(s-1) pole term kept symbolic), its derivative, or both from one call,
+with a per-point error estimate, for batches and, as size-1 calls, for
+every scalar entry point.  One predicate,
 ``_on_h_rule``, marks the points that leave Euler-Maclaurin: |Im s| <= 15
 and Re s < -3, or Re s < 8 for a size-1 call.  The routes, as the router
 names them:
@@ -57,7 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -114,14 +115,16 @@ class EvalConfig:
         if not self.abs_tol > 0:
             raise DomainError("abs_tol must be positive")
 
-    def accepts(self, value: complex, est: float) -> bool:
+    def accepts(self, value, est):
         """True iff ``value`` is finite and ``est`` <= max(abs_tol, 16 eps |value|).
 
         A float64 value is held only to half an ulp, and the rounding that
         the estimates count grows with it, so far above abs_tol / eps in
         size (|value| > 3e4 at the default) only a few ulps can be asked for.
+        Elementwise on arrays, returning a boolean array.
         """
-        return bool(np.isfinite(value)) and est <= max(self.abs_tol, _QUAD_FLOOR * abs(value))
+        ok = np.isfinite(value) & (est <= np.maximum(self.abs_tol, _QUAD_FLOOR * np.abs(value)))
+        return bool(ok) if np.ndim(ok) == 0 else ok
 
     @property
     def split_tol(self) -> float:
@@ -875,6 +878,8 @@ HERMITE_IM_LIMIT = 15.0
 # Route codes of _split_many, indexing ROUTES
 SERIES_EM, HERMITE, REFLECT = 0, 1, 2
 ROUTES = ("series-em", "hermite", "reflect")
+# _split_many's ``deriv`` for R and R' together (False gives R, True R')
+PAIR = 2
 
 
 def _on_h_rule(s: np.ndarray) -> np.ndarray:
@@ -887,7 +892,7 @@ def _on_h_rule(s: np.ndarray) -> np.ndarray:
     return (s.real < re_limit) & (np.abs(s.imag) <= HERMITE_IM_LIMIT)
 
 
-def _split_many(s, alpha, tol: float, deriv: bool, period: int | None = None):
+def _split_many(s, alpha, tol: float, deriv, period: int | None = None):
     """The Hurwitz router: regular parts, per-point error estimates, routes.
 
     ``alpha`` is one a in (0, 1] or a sequence of them; with ``period`` m
@@ -898,10 +903,12 @@ def _split_many(s, alpha, tol: float, deriv: bool, period: int | None = None):
     Euler-Maclaurin where the h-rule's estimate exceeds ``tol`` (its float64
     floor).  Euler-Maclaurin takes the rest, grouped by the sign of Re s so a
     large-|Im| point cannot force a term count that degrades the
-    cancellation-sensitive negative-Re group.  Returns (values, estimates,
-    routes), routes holding a code per point (SERIES_EM, HERMITE or REFLECT,
-    which index ROUTES); each is shaped like ``s``, with a leading axis over
-    a sequence ``alpha``.
+    cancellation-sensitive negative-Re group.  ``deriv`` False gives R, True
+    gives R', and PAIR both, stacked on a new leading axis (R first); a PAIR
+    estimate bounds the error of each, and Euler-Maclaurin forms the two in
+    one pass.  Returns (values, estimates, routes), routes holding a code per
+    point (SERIES_EM, HERMITE or REFLECT, which index ROUTES); each is shaped
+    like ``s``, with a leading axis over a sequence ``alpha``.
     """
     single_alpha = np.isscalar(alpha)
     alphas = (_check_alpha(alpha),) if single_alpha else tuple(map(_check_alpha, alpha))
@@ -909,22 +916,28 @@ def _split_many(s, alpha, tol: float, deriv: bool, period: int | None = None):
         period = 1 if alphas == (1.0,) else None
     elif any(abs(a * period - round(a * period)) > 1e-9 for a in alphas):
         raise DomainError(f"alpha {alpha!r} is not a residue r/{period}")
+    orders = (False, True) if deriv == PAIR else (bool(deriv),)
     s = np.asarray(s, dtype=complex)
     flat = s.ravel()
-    out = np.empty((len(alphas), flat.size), dtype=complex)
-    est = np.empty(out.shape)
-    routes = np.zeros(out.shape, dtype=np.int8)           # SERIES_EM
+    out = np.empty((len(orders), len(alphas), flat.size), dtype=complex)
+    est = np.empty(out.shape[1:])
+    routes = np.zeros(est.shape, dtype=np.int8)           # SERIES_EM
     on_h = _on_h_rule(flat)
     left = bool(on_h.any())
     reflect = left and period is not None and flat.size > 1
     if reflect:
-        out[:, on_h], est[:, on_h] = _reflect(flat[on_h], period, alphas, tol, deriv)
+        parts = [_reflect(flat[on_h], period, alphas, tol, order) for order in orders]
+        for out_k, (values, _) in zip(out, parts):
+            out_k[:, on_h] = values
+        est[:, on_h] = reduce(np.maximum, (e for _, e in parts))
         routes[:, on_h] = REFLECT
-    for a, out_a, est_a, routes_a in zip(alphas, out, est, routes):
+    for i, a in enumerate(alphas):
+        out_a, est_a, routes_a = out[:, i], est[i], routes[i]
         em = ~on_h
         if left and not reflect:
             sf = flat[on_h]
-            h, est_h = _h_rule(sf, a, tol, deriv)
+            parts = [_h_rule(sf, a, tol, order) for order in orders]
+            est_h = reduce(np.maximum, (e for _, e in parts))
             # h-rule points right of Re s = -3 come from size-1 calls; they
             # move on where the rule's floor exceeds tol
             stay = (est_h <= tol) | (sf.real < _H_RULE_RE_LIMIT)
@@ -932,10 +945,12 @@ def _split_many(s, alpha, tol: float, deriv: bool, period: int | None = None):
             if not stay.all():
                 hermite = on_h.copy()
                 hermite[on_h] = stay
-                sf, h, est_h = sf[stay], h[stay], est_h[stay]
+                sf, est_h = sf[stay], est_h[stay]
+                parts = [(h[stay], e) for h, e in parts]
                 em = ~hermite
-            entire = hermite_d_deriv_many(sf, a) if deriv else hermite_d_many(sf, a)
-            out_a[hermite] = entire + h
+            for out_k, order, (h, _) in zip(out_a, orders, parts):
+                entire = hermite_d_deriv_many(sf, a) if order else hermite_d_many(sf, a)
+                out_k[hermite] = entire + h
             est_a[hermite] = est_h
             routes_a[hermite] = HERMITE
         if not em.any():
@@ -944,10 +959,12 @@ def _split_many(s, alpha, tol: float, deriv: bool, period: int | None = None):
         for group in (em & negative, em & ~negative):
             if group.any():
                 reg, dreg, est_a[group] = euler_maclaurin_split(flat[group], a, tol=tol,
-                                                                want_deriv=deriv)
-                out_a[group] = dreg if deriv else reg
+                                                                want_deriv=orders[-1])
+                for out_k, order in zip(out_a, orders):
+                    out_k[group] = dreg if order else reg
     shape = s.shape if single_alpha else (len(alphas),) + s.shape
-    return out.reshape(shape), est.reshape(shape), routes.reshape(shape)
+    values = out.reshape((len(orders),) + shape)
+    return (values if deriv == PAIR else values[0]), est.reshape(shape), routes.reshape(shape)
 
 
 def hurwitz_split_many(s, alpha, tol: float = 1e-12, period: int | None = None):

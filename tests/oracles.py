@@ -101,19 +101,24 @@ def mp_zeta(mpmath, s: complex, alpha: float, deriv: int = 0) -> complex:
         return complex(mpmath.zeta(mpmath.mpc(s.real, s.imag), alpha, deriv))
 
 
-def mp_l(mpmath, values, s: complex) -> complex:
+def mp_l(mpmath, values, s: complex, deriv: int = 0) -> complex:
     """m^-s sum_r chi(r) zeta(s, r/m) by mpmath Hurwitz sums at 30 digits.
 
     At s = 1 (non-principal characters only, where sum_r chi(r) = 0) the
     pole terms cancel and zeta(s, a) - 1/(s-1) -> -digamma(a) leaves
-    -sum_r chi(r) digamma(r/m) / m.
+    -sum_r chi(r) digamma(r/m) / m.  With ``deriv`` = 1 (s != 1) it returns
+    L'(s) = m^-s sum_r chi(r) (zeta'(s, r/m) - ln(m) zeta(s, r/m)).
     """
     m = len(values)
     with mpmath.workdps(30):
         z = mpmath.mpc(s.real, s.imag)
         terms = [(complex(chi), mpmath.mpf(r) / m) for r, chi in enumerate(values, 1) if chi]
         if z == 1:
+            if deriv:
+                raise ValueError("the derivative oracle needs s != 1")
             total = -sum(chi * mpmath.digamma(a) for chi, a in terms)
         else:
             total = sum(chi * mpmath.zeta(z, a) for chi, a in terms)
+        if deriv:
+            total = sum(chi * mpmath.zeta(z, a, 1) for chi, a in terms) - mpmath.log(m) * total
         return complex(mpmath.power(m, -z) * total)

@@ -131,6 +131,22 @@ class TestLEval:
         for s, v in zip(pts, many):
             assert abs(v - oracles.mp_l(mpmath, chi4.values, complex(s))) < 5e-10, s
 
+    @pytest.mark.parametrize("values", [(1, 0, -1, 0), (1, 1, 0), (1,)])
+    def test_eval_with_derivative_within_estimate(self, values):
+        # chi4, the principal character mod 3 (its pole term and ln 3) and zeta,
+        # on a batch and on size-1 calls on both sides of Re s = -3
+        mpmath = pytest.importorskip("mpmath")
+        handle = zf.l_function(zf.validate_character(values))
+        for pts in (np.array([0.5 + 6.0j, 2.0 - 3.0j, -1.5 + 2.0j, 0.5 + 250.0j]),
+                    np.array([0.5 + 6.0j]), np.array([-5.0 + 1.0j]),
+                    np.array([-5.0 + 1.0j, -4.2 - 3.0j])):
+            vals, derivs, est, routes = handle.eval_with_derivative(pts)
+            assert routes.shape == (sum(1 for v in values if v), pts.size)
+            for s, v, d, e in zip(pts, vals, derivs, est):
+                s = complex(s)
+                assert abs(v - oracles.mp_l(mpmath, values, s)) <= e, s
+                assert abs(d - oracles.mp_l(mpmath, values, s, deriv=1)) <= e, s
+
 
 def _builtin_handles(chi4):
     handles = [zf.zeta_function(),

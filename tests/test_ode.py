@@ -91,6 +91,24 @@ class TestIntegrateFlow:
         assert res.termination == "norm_escape"
         assert abs(res.final_state) > 3.0
 
+    def test_chi4_convergence_classified_with_its_own_l(self, chi4):
+        # the flow's zero is one of L(s, chi4), where |zeta| = 0.91, so it
+        # must be located and classified with the flow's nonlinearity
+        mpmath = pytest.importorskip("mpmath")
+        cfg = zf.FlowConfig(nonlinearity=zf.l_function(chi4), lam=-1, t_end=400.0)
+        res = zf.integrate_flow(cfg, 0.5 + 6.020948904697597j + 0.03, atol=1e-6)
+        assert res.termination == "converged"
+        rec = res.converged_to
+        assert rec is not None
+        with mpmath.workdps(30):
+            root = complex(mpmath.findroot(
+                lambda z: mpmath.zeta(z, 0.25) - mpmath.zeta(z, 0.75),
+                mpmath.mpc(rec.location.real, rec.location.imag)))
+        deriv = oracles.mp_l(mpmath, chi4.values, root, deriv=1)
+        assert abs(rec.location - root) < 1e-6
+        assert rec.kind == ("sink" if deriv.real < 0 else "source")
+        assert abs(rec.deriv_re - deriv.real) < 1e-8
+
     def test_converged_termination_reports_zero(self, zeta_handle):
         cfg = flow_cfg(zeta_handle, lam=1, t_end=600.0)
         res = zf.integrate_flow(cfg, -2.5, atol=1e-6)
@@ -151,6 +169,11 @@ class TestClassifyZero:
             assert abs(mirror.deriv_re - rec.deriv_re) < 1e-9
 
 
+@pytest.fixture(scope="module")
+def census_290():
+    return zf.find_critical_zeros(290.0)
+
+
 class TestZeroCensus:
     def test_window_to_15(self):
         scan = zf.find_critical_zeros(15.0)
@@ -183,6 +206,67 @@ class TestZeroCensus:
         assert all(abs(r.location.real - 0.5) < 1e-9 for r in records)
         assert all(r.residual < 1e-8 for r in records)
 
+    def test_census_to_290_matches_mpmath(self, census_290):
+        # mpmath counts 132 zeros with 0 < t <= 290 (nzeros), and each census
+        # zero lies within 1e-9 of one by the Newton correction zeta/zeta' at
+        # 30 digits; so the census holds zetazero(1..132), in order
+        mpmath = pytest.importorskip("mpmath")
+        records = census_290.records
+        assert not census_290.skipped
+        assert len(records) == mpmath.nzeros(290) == 132
+        ims = [r.location.imag for r in records]
+        assert all(b - a > 1e-3 for a, b in zip(ims, ims[1:]))
+        for rec in records:
+            value = oracles.mp_zeta(mpmath, rec.location, 1.0)
+            deriv = oracles.mp_zeta(mpmath, rec.location, 1.0, deriv=1)
+            assert abs(value / deriv) < 1e-9
+            assert rec.kind == ("sink" if deriv.real < 0 else "source")
+
+    def test_classify_zero_agrees_with_census(self, census_290):
+        for rec in census_290.records:
+            alone = zf.classify_zero(rec.location)
+            assert abs(alone.location - rec.location) < 1e-12
+            assert abs(alone.deriv_re - rec.deriv_re) < 1e-9
+            assert alone.kind == rec.kind
+
+    def test_failing_seeds_leave_the_others_unchanged(self):
+        # at 3 and 4+1i the Newton step zeta/zeta' is longer than 2
+        good = [0.5 + 14.15j, 0.5 + 21.0j, 0.5 + 25.0j, 0.5 + 30.45j, 0.5 + 32.95j]
+        bad = [3.0 + 0.0j, 4.0 + 1.0j]
+        alone = om._census(np.array(good), 40.0, zf.EvalConfig())
+        mixed = om._census(np.array(good[:2] + bad[:1] + good[2:] + bad[1:]), 40.0,
+                           zf.EvalConfig())
+        assert not alone.skipped and len(alone.records) == len(good)
+        assert [s.t_seed for s in mixed.skipped] == [0.0, 1.0]
+        assert all("rejected at s=" in s.reason for s in mixed.skipped)
+        for a, b in zip(alone.records, mixed.records, strict=True):
+            assert abs(a.location - b.location) < 1e-12
+            assert a.kind == b.kind
+
+    def test_rejected_estimate_skips_the_seed(self):
+        # at abs_tol 1e-14 no estimate on the line is accepted: each seed is
+        # skipped, naming its point and route, and the census still returns
+        scan = zf.find_critical_zeros(40.0, zf.EvalConfig(abs_tol=1e-14))
+        assert scan.records == []
+        assert len(scan.skipped) == len(zf.find_critical_zeros(40.0).records) == 6
+        first = scan.skipped[0]
+        assert abs(first.t_seed - 14.15) < 1e-9
+        assert "exceeds abs_tol 1.0e-14 at s=(0.5+14.15" in first.reason
+        assert all("(route " in s.reason for s in scan.skipped)
+
+    def test_one_router_call_per_iteration(self, monkeypatch):
+        calls = []
+        router = om.special._split_many
+
+        def counted(s, *args, **kwargs):
+            calls.append(np.size(s))
+            return router(s, *args, **kwargs)
+
+        monkeypatch.setattr(om.special, "_split_many", counted)
+        scan = zf.find_critical_zeros(290.0)
+        assert len(scan.records) == 132
+        assert 0 < len(calls) <= 12
+
     def test_box_count_matches_census(self, zeros_to_100):
         count = zf.count_zeros_box(-1e-3, 1.0 + 1e-3, 1e-3, 100.0 + 1e-3)
         assert count == len(zeros_to_100.records) == 29
@@ -190,6 +274,19 @@ class TestZeroCensus:
     def test_box_count_small_windows(self):
         assert zf.count_zeros_box(-1e-3, 1.001, 1e-3, 15.001) == 1
         assert zf.count_zeros_box(-1e-3, 1.001, 1e-3, 30.001) == 3
+
+    def test_box_count_evaluates_each_level_once(self, monkeypatch):
+        # nested grids: the first level and each halving are one call each
+        calls = []
+        em = om.special.euler_maclaurin_split
+
+        def counted(s, *args, **kwargs):
+            calls.append(np.size(s))
+            return em(s, *args, **kwargs)
+
+        monkeypatch.setattr(om.special, "euler_maclaurin_split", counted)
+        assert zf.count_zeros_box(-1e-3, 1.001, 1e-3, 30.001) == 3
+        assert calls == [2 * 97 + 2 * 481, 2 * 96 + 2 * 480]
 
     def test_box_must_exclude_pole(self):
         with pytest.raises(zf.DomainError):

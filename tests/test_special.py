@@ -397,6 +397,28 @@ class TestRouteBoundary:
                         h_est = sp._h_rule(np.array([s]), alpha, 1e-12, bool(deriv))[1][0]
                         assert est[j, i] <= 10.0 * h_est, (s, alpha, deriv)
 
+    @pytest.mark.parametrize("pts, route", [
+        (np.array([-5.0 + 1.0j, -4.2 - 3.0j, -4.0 + 0.0j]), sp.REFLECT),
+        (np.array([-2.0 + 0.5j]), sp.HERMITE),
+        (np.array([0.5 + 14.0j, 2.0 - 3.0j, 0.5 + 280.0j]), sp.SERIES_EM)])
+    def test_pair_covers_value_and_derivative(self, pts, route):
+        # one call gives R and R'; off Euler-Maclaurin they are those of two calls
+        mpmath = pytest.importorskip("mpmath")
+        alphas = [0.25, 0.75]
+        (vals, dvals), est, routes = sp._split_many(pts, alphas, 1e-12, sp.PAIR, period=4)
+        assert (routes == route).all()
+        if route != sp.SERIES_EM:
+            for deriv, got in ((False, vals), (True, dvals)):
+                alone, alone_est, _ = sp._split_many(pts, alphas, 1e-12, deriv, period=4)
+                assert np.array_equal(got, alone) and (alone_est <= est).all()
+        for j, alpha in enumerate(alphas):
+            for i, s in enumerate(pts):
+                s = complex(s)
+                ref = oracles.mp_zeta(mpmath, s, alpha) - 1.0 / (s - 1.0)
+                dref = oracles.mp_zeta(mpmath, s, alpha, 1) + 1.0 / (s - 1.0) ** 2
+                assert abs(vals[j, i] - ref) <= est[j, i], (s, alpha)
+                assert abs(dvals[j, i] - dref) <= est[j, i], (s, alpha)
+
     def test_chi4_reflection_covers_error(self, chi4):
         mpmath = pytest.importorskip("mpmath")
         pts = self._reflection_points(44)
