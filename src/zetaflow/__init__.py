@@ -16,13 +16,11 @@ from .errors import (AccuracyError, CharacterValidationError,
 from .special import (BoundConstants, DEFAULT_CONFIG, EvalConfig,
                       bound_constants, d_sup_bound, expm1_over,
                       expm1_over_deriv, f_prime_sup_bound, hermite_d,
-                      hermite_d_deriv, hermite_h, hermite_h_deriv,
-                      hurwitz_zeta, hurwitz_zeta_deriv, riemann_zeta,
-                      riemann_zeta_deriv)
+                      hermite_h, hurwitz_zeta, hurwitz_zeta_deriv,
+                      riemann_zeta, riemann_zeta_deriv)
 from .dirichlet import (CharacterTable, LFunctionHandle, ReBoundsReport,
                         Sigma0Result, character_from_json,
-                        character_to_json, dirichlet_series,
-                        euler_product_principal, l_eval, l_function,
+                        character_to_json, l_eval, l_function,
                         prime_character_group, principal_character,
                         re_bounds_check, sigma0_estimate, sigma1_root,
                         validate_character, zeta_function)

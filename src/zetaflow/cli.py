@@ -37,10 +37,10 @@ def _fmt(x: float) -> str:
 
 def _parse_complex(text: str) -> complex:
     text = text.strip()
-    if "," in text:
-        re_s, im_s = text.split(",", 1)
-        return complex(float(re_s), float(im_s))
     try:
+        if "," in text:
+            re_s, im_s = text.split(",", 1)
+            return complex(float(re_s), float(im_s))
         return complex(text.replace("i", "j").replace(" ", ""))
     except ValueError as exc:
         raise ConfigurationError(f"cannot parse complex number {text!r}") from exc
@@ -59,7 +59,10 @@ def _nonlinearity_from_spec(spec: str, cfg: EvalConfig) -> dirichlet.LFunctionHa
     if spec == "zeta":
         return dirichlet.zeta_function(cfg)
     if spec.startswith("principal:"):
-        m = int(spec.split(":", 1)[1])
+        try:
+            m = int(spec.split(":", 1)[1])
+        except ValueError as exc:
+            raise ConfigurationError(f"malformed nonlinearity spec {spec!r}") from exc
         return dirichlet.l_function(dirichlet.principal_character(m), cfg)
     if spec.startswith("file:"):
         path = Path(spec.split(":", 1)[1])
@@ -80,27 +83,32 @@ def _l_spec(args) -> str:
 def _datum_from_spec(spec: str, seed, shape, length) -> pde.GridField:
     parts = spec.split(":")
     kind = parts[0]
-    if kind == "const" and len(parts) == 2:
-        return pde.constant_field(_parse_complex(parts[1]), shape, length)
-    if kind == "disc" and len(parts) == 3:
-        if seed is None:
-            raise ConfigurationError("a seed is mandatory for randomized data")
-        return pde.disc_random_field(_parse_complex(parts[1]), float(parts[2]),
-                                     int(seed), shape, length)
-    if kind == "range" and len(parts) == 2:
-        if seed is None:
-            raise ConfigurationError("a seed is mandatory for randomized data")
-        vmin, vmax = (float(x) for x in parts[1].split(","))
-        return pde.smooth_real_field(vmin, vmax, int(seed), shape, length)
-    if kind == "fourier" and len(parts) >= 2:
-        if len(shape) != 1:
-            raise ConfigurationError("the fourier datum spec is one-dimensional")
-        mean = _parse_complex(parts[1])
-        modes = []
-        for chunk in parts[2:]:
-            k_s, re_s, im_s = chunk.split(",")
-            modes.append((int(k_s), complex(float(re_s), float(im_s))))
-        return pde.fourier_field(mean, modes, shape, length)
+    try:
+        if kind == "const" and len(parts) == 2:
+            return pde.constant_field(_parse_complex(parts[1]), shape, length)
+        if kind == "disc" and len(parts) == 3:
+            if seed is None:
+                raise ConfigurationError("a seed is mandatory for randomized data")
+            return pde.disc_random_field(_parse_complex(parts[1]), float(parts[2]),
+                                         int(seed), shape, length)
+        if kind == "range" and len(parts) == 2:
+            if seed is None:
+                raise ConfigurationError("a seed is mandatory for randomized data")
+            vmin, vmax = (float(x) for x in parts[1].split(","))
+            return pde.smooth_real_field(vmin, vmax, int(seed), shape, length)
+        if kind == "fourier" and len(parts) >= 2:
+            if len(shape) != 1:
+                raise ConfigurationError("the fourier datum spec is one-dimensional")
+            mean = _parse_complex(parts[1])
+            modes = []
+            for chunk in parts[2:]:
+                k_s, re_s, im_s = chunk.split(",")
+                modes.append((int(k_s), complex(float(re_s), float(im_s))))
+            return pde.fourier_field(mean, modes, shape, length)
+    except DomainError:
+        raise
+    except ValueError as exc:  # a malformed number or field count, or one of the above
+        raise ConfigurationError(f"datum spec {spec!r}: {exc}") from exc
     raise ConfigurationError(f"unknown datum spec {spec!r}")
 
 
@@ -178,6 +186,7 @@ def cmd_zeros(args) -> int:
         "termination": "completed",
         "zero_count": len(scan.records),
         "skipped_seeds": len(scan.skipped),
+        "skipped": [dataclasses.asdict(s) for s in scan.skipped],
         "artifacts": ["zeros.json", "pn.csv"],
         "wall_time_s": round(time.perf_counter() - t0, 3),
     }
@@ -499,7 +508,10 @@ def _merge_config_document(argv: list[str]) -> list[str]:
         raise ConfigurationError("--config needs a path") from exc
     if not path.exists():
         raise ConfigurationError(f"config document not found: {path}")
-    doc = json.loads(path.read_text())
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ConfigurationError(f"config document {str(path)!r} is not JSON: {exc}") from exc
     if doc.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise ConfigurationError(f"unsupported config schema {doc.get('schema')!r}")
     command = argv[0] if argv and not argv[0].startswith("-") else doc.get("command")

@@ -8,6 +8,9 @@ associated L-function is evaluated through
 with the 1/(s-1) residues of the Hurwitz terms combined symbolically: their
 chi-weighted sum is phi(m) for the principal character and exactly 0
 otherwise, so non-principal L-functions evaluate cleanly through s = 1.
+One evaluator, ``LFunctionHandle.evaluate``, makes one Hurwitz router call
+for all residues and returns L (and L') with an error estimate and the
+routes; ``eval_many``, ``eval_point``, ``l_eval`` and the zero census call it.
 
 Also here: the real root sigma_1 of zeta(sigma) = 2, a window-truncated scan
 estimate of the abscissa sigma_0 below which Re L_m can vanish, and the
@@ -24,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AccuracyError, CharacterValidationError, DomainError, PoleError
+from .errors import CharacterValidationError, DomainError, PoleError
 from . import special
 from .special import DEFAULT_CONFIG, EvalConfig
 
@@ -50,10 +53,6 @@ class CharacterTable:
     def value(self, n: int) -> complex:
         """chi(n) for any n >= 1, by periodicity."""
         return self.values[(n - 1) % self.period]
-
-    def coprime_count(self) -> int:
-        return sum(1 for r in range(1, self.period + 1)
-                   if math.gcd(r, self.period) == 1)
 
 
 def validate_character(values: Sequence[complex]) -> CharacterTable:
@@ -187,82 +186,60 @@ class LFunctionHandle:
 
     @cached_property
     def _residues(self):
-        """chi(r), r/m and sum |chi(r)| over the residues with chi(r) != 0."""
-        pairs = [(chi, r / self.period)
-                 for r, chi in enumerate(self.character.values, start=1) if chi != 0]
+        """chi(r), r/m and sum |chi(r)| over the residues r coprime to m."""
+        pairs = [(chi, r / self.period) for r, chi in enumerate(self.character.values, start=1)
+                 if math.gcd(r, self.period) == 1]
         return (tuple(chi for chi, _ in pairs), tuple(a for _, a in pairs),
                 sum(abs(chi) for chi, _ in pairs))
 
-    def pole_weight(self) -> int:
-        """chi-weighted sum of the per-residue 1/(s-1) coefficients."""
-        return self.character.coprime_count() if self.has_pole else 0
+    def evaluate(self, s, deriv: bool = False):
+        """(values, estimates, routes) of L on an array of points, from one router call.
 
-    def eval_with_estimate(self, s):
-        """(values, per-point error estimates) on an array of points.
-
-        The estimate is m^(-Re s) sum_r |chi(r)| est_r, so the Hurwitz terms
-        go through the router at eval_cfg.split_tol scaled by
-        m^(min Re s) / sum_r |chi(r)| where that is below 1.  They go in one
-        call, so that a batch left of Re s = -3 takes the reflection once
-        for all residues.  Principal characters need s != 1.
+        values is L, or with ``deriv`` the pair (L, L'), where
+        L' = m^(-s) [sum_r chi(r) R'_r - ln m sum_r chi(r) R_r] for the
+        regular parts R_r of zeta(s, r/m); for a principal character
+        phi(m)/(s-1) joins the sum over chi(r) R_r (so s != 1), and its
+        derivative the sum over chi(r) R'_r.  Each Hurwitz estimate bounds
+        the error of R_r and R'_r, so m^(-Re s) sum_r |chi(r)| est_r, times
+        (1 + ln m) with ``deriv``, bounds that of L and L'; the router runs at
+        eval_cfg.split_tol times m^(min Re s) / sum_r |chi(r)| where that is
+        below 1, for all residues at once (a batch left of Re s = -3 takes
+        the reflection once).  ``routes`` holds its route code per residue
+        (leading axis) and point.
         """
         s = np.asarray(s, dtype=complex)
         m = self.period
-        chis, alphas, _ = self._residues
-        regs, ests = special.hurwitz_split_many(s, alphas, tol=self._hurwitz_tol(s), period=m)
-        total = np.zeros_like(s)
-        est = np.zeros(s.shape)
-        for chi, reg, est_r in zip(chis, regs, ests):
-            total = total + chi * reg
-            est = est + abs(chi) * est_r
-        pw = self.pole_weight()
-        if pw:
-            total = total + pw / (s - 1.0)
-        if m == 1:
-            return total, est
-        return np.exp(-s * math.log(m)) * total, np.exp(-s.real * math.log(m)) * est
-
-    def _hurwitz_tol(self, s) -> float:
-        """eval_cfg.split_tol times m^(min Re s) / sum_r |chi(r)| where that is below 1."""
+        chis, alphas, weight = self._residues
         lowest = float(np.min(s.real, initial=np.inf))
-        return self.eval_cfg.split_tol * min(1.0, self.period ** lowest / self._residues[2])
-
-    def eval_with_derivative(self, s):
-        """(L, L', estimates, routes) on a 1-d array of points, from one router call.
-
-        L'(s) = m^(-s) [sum_r chi(r) R'_r(s) - ln m sum_r chi(r) R_r(s)]; for a
-        principal character phi(m)/(s-1) joins the sum over chi(r) R_r, and
-        its derivative the sum over chi(r) R'_r.  Each Hurwitz estimate
-        bounds the error of R_r and of R'_r, so m^(-Re s) (1 + ln m)
-        sum_r |chi(r)| est_r bounds the error of L and of L'.  ``routes``
-        holds the router's route code per residue (leading axis) and point.
-        """
-        s = np.asarray(s, dtype=complex)
-        m = self.period
-        chis, alphas, _ = self._residues
-        (regs, dregs), ests, routes = special._split_many(s, alphas, self._hurwitz_tol(s),
-                                                          special.PAIR, m)
-        total = np.zeros_like(s)
-        dtotal = np.zeros_like(s)
+        tol = self.eval_cfg.split_tol * min(1.0, m ** lowest / weight)
+        values, ests, routes = special.hurwitz_split_many(
+            s, alphas, tol, special.PAIR if deriv else False, m)
+        totals = []
+        for regs in (values if deriv else (values,)):
+            total = np.zeros_like(s)
+            for chi, reg in zip(chis, regs):
+                total = total + chi * reg
+            totals.append(total)
         est = np.zeros(s.shape)
-        for chi, reg, dreg, est_r in zip(chis, regs, dregs, ests):
-            total = total + chi * reg
-            dtotal = dtotal + chi * dreg
+        for chi, est_r in zip(chis, ests):
             est = est + abs(chi) * est_r
-        pw = self.pole_weight()
-        if pw:
-            total = total + pw / (s - 1.0)
-            dtotal = dtotal - pw / (s - 1.0) ** 2
-        if m == 1:
-            return total, dtotal, est, routes
-        log_m = math.log(m)
-        scale = np.exp(-s * log_m)
-        return (scale * total, scale * (dtotal - log_m * total),
-                np.exp(-s.real * log_m) * (1.0 + log_m) * est, routes)
+        if self.has_pole:
+            totals[0] = totals[0] + len(chis) / (s - 1.0)
+            if deriv:
+                totals[1] = totals[1] - len(chis) / (s - 1.0) ** 2
+        if m > 1:
+            log_m = math.log(m)
+            if deriv:
+                totals[1] = totals[1] - log_m * totals[0]
+            scale = np.exp(-s * log_m)
+            totals = [scale * total for total in totals]
+            est_scale = np.exp(-s.real * log_m)
+            est = (est_scale * (1.0 + log_m) if deriv else est_scale) * est
+        return (tuple(totals) if deriv else totals[0]), est, routes
 
     def eval_many(self, s) -> np.ndarray:
         """Vectorized evaluation on an array of points away from s = 1."""
-        return self.eval_with_estimate(s)[0]
+        return self.evaluate(s)[0]
 
     def eval_point(self, s: complex) -> complex:
         return complex(self.eval_many(np.array([complex(s)]))[0])
@@ -295,50 +272,12 @@ def l_eval_with_estimate(handle: LFunctionHandle, s) -> tuple[complex, float]:
     s = complex(s)
     if s == 1 and handle.has_pole:
         raise PoleError("principal L-functions have a pole at s = 1")
-    vals, est = handle.eval_with_estimate(np.array([s]))
+    vals, est, _ = handle.evaluate(np.array([s]))
     value, est = complex(vals[0]), float(est[0])
     if not handle.eval_cfg.accepts(value, est):
-        raise AccuracyError(
-            f"estimate {est:.1e} exceeds abs_tol {handle.eval_cfg.abs_tol:.1e} at s={s!r}, "
-            f"m={handle.period} (route hurwitz-sum)", estimate=value, residual=est)
+        raise handle.eval_cfg.rejection(value, est,
+                                        f"at s={s!r}, m={handle.period} (route hurwitz-sum)")
     return value, est
-
-
-def dirichlet_series(handle: LFunctionHandle, s, n_terms: int = 1 << 17):
-    """Truncated defining series with a zeta-majorant tail bound.
-
-    Returns (partial_sum, tail_bound); requires Re s > 1 for the bound to be
-    finite.  This is the direct-series oracle, independent of the Hurwitz
-    route.
-    """
-    s = complex(s)
-    if s.real <= 1.0:
-        raise DomainError("the series oracle needs Re s > 1")
-    n = np.arange(1, n_terms + 1, dtype=float)
-    chi = np.array([handle.character.value(k) for k in range(1, handle.period + 1)])
-    coeff = np.tile(chi, n_terms // handle.period + 1)[:n_terms]
-    partial = complex(np.sum(coeff * np.exp(-s * np.log(n))))
-    sigma = s.real
-    tail = n_terms ** (1.0 - sigma) / (sigma - 1.0) + n_terms ** (-sigma)
-    return partial, float(tail)
-
-
-def euler_product_principal(handle: LFunctionHandle, s) -> complex:
-    """zeta(s) x prod_{p | m} (1 - p^{-s}) for a principal character."""
-    if not handle.has_pole:
-        raise DomainError("the Euler-factor identity applies to principal characters")
-    s = complex(s)
-    m = handle.period
-    val = special.riemann_zeta(s, handle.eval_cfg)
-    p = 2
-    mm = m
-    while mm > 1:
-        if mm % p == 0:
-            val *= 1.0 - p ** (-s)
-            while mm % p == 0:
-                mm //= p
-        p += 1
-    return complex(val)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,13 @@ trajectories; accepted steps are monitored for pole proximity (the distance
 surrogate P(s) = |Re s - 1| + |Im s|), norm escape, and convergence onto a
 zero.  Zeros of the Riemann zeta on the critical line are located by a
 grid scan of |zeta(1/2 + it)| whose minima seed one lockstep Newton
-iteration over all seeds (one router call per iteration returns F, F' and
-the error estimate of every point still active), classified by the sign of
-Re F'(z0) from the last of those calls, and independently counted with an
-argument-principle contour integral (the pole at s = 1 is cancelled by
-counting zeros of (s - 1) zeta(s) instead, which has the same zeros when the
-box excludes s = 1).  A seed that fails is reported with a reason naming
+iteration over all seeds (one ``LFunctionHandle.evaluate`` call per iteration
+returns F, F' and the error estimate of every point still active, from one
+router call), classified by the sign of Re F'(z0) from the last of those
+calls, and independently counted with an argument-principle contour
+integral (the pole at s = 1 is cancelled by counting zeros of
+(s - 1) zeta(s) instead, which has the same zeros when the box excludes
+s = 1).  A seed that fails is reported with a reason naming
 the point, and the others go on.  The same Newton, on a size-1 batch,
 classifies a single zero (``classify_zero``) and the zero a flow converged
 onto, with the flow's own L-function.
@@ -38,8 +39,8 @@ _SCAN_STEP = 0.05
 _SEED_LEVEL = 0.5
 
 
-def pole_distance(s: complex) -> float:
-    """P(s) = |Re s - 1| + |Im s|, the distance surrogate to the pole."""
+def pole_distance(s):
+    """P(s) = |Re s - 1| + |Im s|, the distance surrogate to the pole; elementwise on arrays."""
     return abs(s.real - 1.0) + abs(s.imag)
 
 
@@ -267,7 +268,7 @@ def _lockstep_newton(handle: LFunctionHandle, z0, evals: int, tol: float):
     active = np.arange(z.size)
     while active.size:
         za = z[active]
-        f, df, est, routes = handle.eval_with_derivative(za)
+        (f, df), est, routes = handle.evaluate(za, deriv=True)
         ok = cfg.accepts(f, est) & cfg.accepts(df, est)
         size = np.abs(f)
         seeking = ok & np.isnan(found[active])
@@ -283,10 +284,8 @@ def _lockstep_newton(handle: LFunctionHandle, z0, evals: int, tol: float):
             i, s = active[j], complex(za[j])
             if not ok[j]:
                 names = "/".join(dict.fromkeys(special.ROUTES[c] for c in routes[:, j]))
-                outcomes[i] = AccuracyError(
-                    f"estimate {est[j]:.1e} exceeds abs_tol {cfg.abs_tol:.1e} at s={s!r}, "
-                    f"m={handle.period} (route {names})", estimate=complex(f[j]),
-                    residual=float(est[j]))
+                outcomes[i] = cfg.rejection(complex(f[j]), float(est[j]),
+                                            f"at s={s!r}, m={handle.period} (route {names})")
             elif lost[j]:
                 why = (f"|F| = {size[j]:.3e} not below {tol:g} after {used[i]} evaluations"
                        if used[i] >= evals else f"Newton step {complex(step[j])!r} rejected")

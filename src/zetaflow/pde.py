@@ -26,7 +26,7 @@ from .errors import (ConfigurationError, CounterexampleError, DomainError,
                      ContractionError, NumericalFailureError, QuenchSignal)
 from . import special
 from .dirichlet import sigma1_root
-from .ode import FlowConfig, ZeroRecord
+from .ode import FlowConfig, ZeroRecord, pole_distance
 
 ESCAPE_LIMIT = 1.0e6
 _PHI_SERIES_CUT = 1e-4
@@ -39,12 +39,6 @@ def y_norm(values: np.ndarray) -> float:
     values = np.asarray(values)
     return max(float(np.max(np.abs(values.real))),
                float(np.max(np.abs(values.imag))))
-
-
-def pole_distance_field(values: np.ndarray) -> np.ndarray:
-    """P(u) = |Re u - 1| + |Im u| pointwise."""
-    values = np.asarray(values)
-    return np.abs(values.real - 1.0) + np.abs(values.imag)
 
 
 @dataclass
@@ -118,7 +112,7 @@ def _phi2(z: np.ndarray) -> np.ndarray:
 def _nonlinearity(cfg: FlowConfig, values: np.ndarray) -> np.ndarray:
     handle = cfg.nonlinearity
     if handle.has_pole:
-        p = pole_distance_field(values)
+        p = pole_distance(values)
         idx = np.unravel_index(int(np.argmin(p)), p.shape)
         min_p = float(p[idx])
         if min_p < cfg.pole_guard_eps:
@@ -209,7 +203,7 @@ def _advance(field: GridField, dt: float, cfg: FlowConfig, depth: int = 0) -> Gr
                                     last_time=field.time, last_state=field)
     limit = _OVERSHOOT_JUMP
     if cfg.nonlinearity.has_pole:
-        limit = min(limit, 0.5 * float(np.min(pole_distance_field(field.values))))
+        limit = min(limit, 0.5 * float(np.min(pole_distance(field.values))))
     nxt = etd_step(field, dt, cfg)
     finite = np.all(np.isfinite(nxt.values.real)) and np.all(np.isfinite(nxt.values.imag))
     if finite and float(np.max(np.abs(nxt.values - field.values))) <= limit:
@@ -232,7 +226,7 @@ def integrate_pde(g: GridField, cfg: FlowConfig,
     """
     handle = cfg.nonlinearity
     if handle.has_pole:
-        if float(np.min(pole_distance_field(g.values))) <= cfg.pole_guard_eps:
+        if float(np.min(pole_distance(g.values))) <= cfg.pole_guard_eps:
             raise DomainError("initial datum violates the pole guard")
 
     n_steps = max(1, round(cfg.t_end / cfg.dt_init))
@@ -247,7 +241,7 @@ def integrate_pde(g: GridField, cfg: FlowConfig,
     def sample(fld: GridField):
         v = fld.values
         times.append(fld.time)
-        mins_p.append(float(np.min(pole_distance_field(v))))
+        mins_p.append(float(np.min(pole_distance(v))))
         re_mins.append(float(np.min(v.real)))
         re_maxs.append(float(np.max(v.real)))
         im_mins.append(float(np.min(v.imag)))
@@ -683,7 +677,7 @@ def local_constants(beta: float, eps: float, m: int) -> SolverConstants:
 def constants_for_datum(g: GridField, m: int) -> SolverConstants:
     """Constants at beta = 2 ||g||_Y and eps = inf P(g) / 3."""
     beta = 2.0 * y_norm(g.values)
-    eps = float(np.min(pole_distance_field(g.values))) / 3.0
+    eps = float(np.min(pole_distance(g.values))) / 3.0
     return local_constants(beta, eps, m)
 
 
@@ -726,7 +720,7 @@ def picard_local_solve(g: GridField, consts: SolverConstants, n_iter: int,
     """
     if 2.0 * y_norm(g.values) > consts.beta + 1e-12:
         raise ConfigurationError("datum violates 2 ||g||_Y <= beta")
-    if float(np.min(pole_distance_field(g.values))) < 3.0 * consts.eps - 1e-12:
+    if float(np.min(pole_distance(g.values))) < 3.0 * consts.eps - 1e-12:
         raise ConfigurationError("datum violates inf P(g) >= 3 eps")
     if n_iter < 1:
         raise DomainError("n_iter must be >= 1")

@@ -1,12 +1,12 @@
 """Hurwitz/Riemann zeta evaluation and the explicit sup-norm bound constants.
 
-One router, ``_split_many``, evaluates the regular part of zeta(s, a) (the
-1/(s-1) pole term kept symbolic), its derivative, or both from one call,
-with a per-point error estimate, for batches and, as size-1 calls, for
-every scalar entry point.  One predicate,
-``_on_h_rule``, marks the points that leave Euler-Maclaurin: |Im s| <= 15
-and Re s < -3, or Re s < 8 for a size-1 call.  The routes, as the router
-names them:
+One router, ``hurwitz_split_many``, evaluates the regular part of zeta(s, a)
+(the 1/(s-1) pole term kept symbolic), its derivative, or both from one
+call, with a per-point error estimate and route, for batches, for all
+residues of an L-function at once and, as size-1 calls, for every scalar
+entry point.  One predicate, ``_on_h_rule``, marks the points that leave
+Euler-Maclaurin: |Im s| <= 15 and Re s < -3, or Re s < 8 for a size-1 call.
+The routes, as the router names them:
 
 * "reflect" for a batch left of Re s = -3 (|Im s| <= 15) when a = 1 or a
   is a residue r/m of a given period m, as LFunctionHandle passes them:
@@ -44,7 +44,8 @@ names them:
 
 The scalar functions raise AccuracyError, naming s, a and the route, where
 the estimate exceeds both ``EvalConfig.abs_tol`` and the float64 floor of
-the value (``EvalConfig.accepts``); ``hermite_h`` raises
+the value (``EvalConfig.accepts``, with the text of ``EvalConfig.rejection``,
+which the L-function and the zero census share); ``hermite_h`` raises
 PrecisionFloorError where the rule's floor exceeds abs_tol.  The split form
 lets consumers summing several Hurwitz zetas (Dirichlet L-functions) cancel
 pole contributions exactly instead of numerically.
@@ -125,6 +126,14 @@ class EvalConfig:
         """
         ok = np.isfinite(value) & (est <= np.maximum(self.abs_tol, _QUAD_FLOOR * np.abs(value)))
         return bool(ok) if np.ndim(ok) == 0 else ok
+
+    def rejection(self, value, est, where: str) -> AccuracyError:
+        """The AccuracyError for an estimate ``accepts`` refuses.
+
+        ``where`` names the point and route: "at s=..., ... (route ...)".
+        """
+        return AccuracyError(f"estimate {est:.1e} exceeds abs_tol {self.abs_tol:.1e} {where}",
+                             estimate=value, residual=est)
 
     @property
     def split_tol(self) -> float:
@@ -219,11 +228,6 @@ def hermite_d_deriv_many(s, alpha: float) -> np.ndarray:
             + 0.5 * ell * np.exp(-s * math.log(alpha)))
 
 
-def hermite_d_deriv(s, alpha: float) -> complex:
-    """d/ds of hermite_d: (ln a)^2 f'(-ln(a)(s-1)) - ln(a)/(2 a^s)."""
-    return complex(hermite_d_deriv_many(np.array([complex(s)]), alpha)[0])
-
-
 # ---------------------------------------------------------------------------
 # The integral part h(s, alpha) and its s-derivative: one graded fixed-panel
 # Gauss-Legendre rule, vectorized over s.
@@ -314,30 +318,21 @@ def _h_rule(s: np.ndarray, alpha: float, tol: float, deriv: bool):
     return vals @ weights, tail + _QUAD_FLOOR * (np.abs(vals) @ weights)
 
 
-def _hermite_point(s, alpha: float, cfg: EvalConfig, deriv: bool) -> complex:
-    alpha = _check_alpha(alpha)
-    s = complex(s)
-    h, est = _h_rule(np.array([s]), alpha, cfg.split_tol, deriv)
-    value, est = complex(h[0]), float(est[0])
-    if not est <= cfg.abs_tol:
-        raise PrecisionFloorError(
-            f"float64 floor of the h-rule: estimate {est:.1e} exceeds abs_tol "
-            f"{cfg.abs_tol:.1e} {_at(s, alpha, 'hermite')}", estimate=value, residual=est)
-    return value
-
-
 def hermite_h(s, alpha: float, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
     """Integral part h of the three-term split, to within cfg.abs_tol.
 
     Raises PrecisionFloorError, naming s, alpha and the route, where the
     rule's estimate (tail level plus float64 floor) exceeds cfg.abs_tol.
     """
-    return _hermite_point(s, alpha, cfg, deriv=False)
-
-
-def hermite_h_deriv(s, alpha: float, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
-    """d/ds of hermite_h, by the same rule and with the same check."""
-    return _hermite_point(s, alpha, cfg, deriv=True)
+    alpha = _check_alpha(alpha)
+    s = complex(s)
+    h, est = _h_rule(np.array([s]), alpha, cfg.split_tol, False)
+    value, est = complex(h[0]), float(est[0])
+    if not est <= cfg.abs_tol:
+        raise PrecisionFloorError(
+            f"float64 floor of the h-rule: estimate {est:.1e} exceeds abs_tol "
+            f"{cfg.abs_tol:.1e} {_at(s, alpha, 'hermite')}", estimate=value, residual=est)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -875,10 +870,10 @@ _SINGLE_H_RULE_RE_LIMIT = 8.0
 HERMITE_IM_LIMIT = 15.0
 
 
-# Route codes of _split_many, indexing ROUTES
+# Route codes of hurwitz_split_many, indexing ROUTES
 SERIES_EM, HERMITE, REFLECT = 0, 1, 2
 ROUTES = ("series-em", "hermite", "reflect")
-# _split_many's ``deriv`` for R and R' together (False gives R, True R')
+# hurwitz_split_many's ``deriv`` for R and R' together (False gives R, True R')
 PAIR = 2
 
 
@@ -892,22 +887,23 @@ def _on_h_rule(s: np.ndarray) -> np.ndarray:
     return (s.real < re_limit) & (np.abs(s.imag) <= HERMITE_IM_LIMIT)
 
 
-def _split_many(s, alpha, tol: float, deriv, period: int | None = None):
+def hurwitz_split_many(s, alpha, tol: float = 1e-12, deriv=False, period: int | None = None):
     """The Hurwitz router: regular parts, per-point error estimates, routes.
 
-    ``alpha`` is one a in (0, 1] or a sequence of them; with ``period`` m
-    every a must be a residue r/m, and a = 1 alone implies m = 1.  Where
-    _on_h_rule holds, a batch with a period takes the reflection, one call
-    for all residues; every other point there takes d (or d') plus the
-    graded h-rule, and a size-1 call right of Re s = -3 moves on to
-    Euler-Maclaurin where the h-rule's estimate exceeds ``tol`` (its float64
-    floor).  Euler-Maclaurin takes the rest, grouped by the sign of Re s so a
-    large-|Im| point cannot force a term count that degrades the
-    cancellation-sensitive negative-Re group.  ``deriv`` False gives R, True
-    gives R', and PAIR both, stacked on a new leading axis (R first); a PAIR
-    estimate bounds the error of each, and Euler-Maclaurin forms the two in
-    one pass.  Returns (values, estimates, routes), routes holding a code per
-    point (SERIES_EM, HERMITE or REFLECT, which index ROUTES); each is shaped
+    The regular parts are R with zeta(s, a) = R + 1/(s-1) and R' with
+    zeta'(s, a) = R' - 1/(s-1)^2.  ``alpha`` is one a in (0, 1] or a
+    sequence of them; with ``period`` m every a must be a residue r/m, and
+    a = 1 alone implies m = 1.  Where _on_h_rule holds, a batch with a
+    period takes the reflection, one call for all residues; every other
+    point there takes d (or d') plus the graded h-rule, and a size-1 call
+    right of Re s = -3 moves on to Euler-Maclaurin where the h-rule's
+    estimate exceeds ``tol`` (its float64 floor).  Euler-Maclaurin takes
+    the rest, grouped by the sign of Re s so a large-|Im| point cannot
+    force a term count that degrades the cancellation-sensitive negative-Re
+    group.  ``deriv`` False gives R, True gives R', and PAIR both, stacked
+    on a new leading axis (R first); a PAIR estimate bounds the error of
+    each, and Euler-Maclaurin forms the two in one pass.  Returns (values,
+    estimates, routes), routes holding a code per point (SERIES_EM, HERMITE or REFLECT, which index ROUTES); each is shaped
     like ``s``, with a leading axis over a sequence ``alpha``.
     """
     single_alpha = np.isscalar(alpha)
@@ -967,22 +963,6 @@ def _split_many(s, alpha, tol: float, deriv, period: int | None = None):
     return (values if deriv == PAIR else values[0]), est.reshape(shape), routes.reshape(shape)
 
 
-def hurwitz_split_many(s, alpha, tol: float = 1e-12, period: int | None = None):
-    """Vectorized regular part R with zeta = R + 1/(s-1).
-
-    Returns (R, est), est holding each point's error estimate.  ``alpha``
-    may be a sequence of residues r/``period``: R and est then gain a
-    leading axis over them, and a batch left of Re s = -3 takes the
-    reflection once for all of them.
-    """
-    return _split_many(s, alpha, tol, False, period)[:2]
-
-
-def hurwitz_deriv_split_many(s, alpha: float, tol: float = 1e-12):
-    """Vectorized regular part R' with zeta' = R' - 1/(s-1)^2. Returns (R', est)."""
-    return _split_many(s, alpha, tol, deriv=True)[:2]
-
-
 def _split_point(s, alpha: float, cfg: EvalConfig, deriv: bool):
     """One point through the router: (value, estimate, route).
 
@@ -990,11 +970,10 @@ def _split_point(s, alpha: float, cfg: EvalConfig, deriv: bool):
     cfg.accepts the value and its estimate.
     """
     s = complex(s)
-    reg, est, route = _split_many(np.array([s]), alpha, cfg.split_tol, deriv)
+    reg, est, route = hurwitz_split_many(np.array([s]), alpha, cfg.split_tol, deriv)
     value, est, route = complex(reg[0]), float(est[0]), ROUTES[route[0]]
     if not cfg.accepts(value, est):
-        raise AccuracyError(f"estimate {est:.1e} exceeds abs_tol {cfg.abs_tol:.1e} "
-                            + _at(s, alpha, route), estimate=value, residual=est)
+        raise cfg.rejection(value, est, _at(s, alpha, route))
     return value, est, route
 
 
@@ -1005,14 +984,6 @@ def hurwitz_regular_split(s, alpha: float, cfg: EvalConfig = DEFAULT_CONFIG):
     is the finite part of the Laurent expansion.
     """
     return _split_point(s, alpha, cfg, deriv=False)
-
-
-def hurwitz_regular_split_deriv(s, alpha: float, cfg: EvalConfig = DEFAULT_CONFIG):
-    """Regular part R' with zeta'(s, alpha) = R' - 1/(s-1)^2.
-
-    Returns (value, error_estimate, route).
-    """
-    return _split_point(s, alpha, cfg, deriv=True)
 
 
 def _check_pole(s: complex) -> complex:
@@ -1036,7 +1007,7 @@ def hurwitz_zeta(s, alpha: float, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
 def hurwitz_zeta_deriv(s, alpha: float, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
     """d/ds of hurwitz zeta: R'(s, alpha) - 1/(s-1)^2."""
     s = _check_pole(complex(s))
-    return hurwitz_regular_split_deriv(s, alpha, cfg)[0] - 1.0 / (s - 1.0) ** 2
+    return _split_point(s, alpha, cfg, deriv=True)[0] - 1.0 / (s - 1.0) ** 2
 
 
 def riemann_zeta(s, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:

@@ -48,6 +48,23 @@ def dirichlet_series_brute(values, s: complex, n_terms: int = 200_000):
     return partial, float(tail)
 
 
+def euler_product_principal(zeta_fn, m: int, s: complex) -> complex:
+    """zeta(s) prod_{p | m} (1 - p^-s), the principal L-function mod m.
+
+    ``zeta_fn`` supplies zeta(s).
+    """
+    s = complex(s)
+    val = complex(zeta_fn(s))
+    p = 2
+    while m > 1:
+        if m % p == 0:
+            val *= 1.0 - p ** (-s)
+            while m % p == 0:
+                m //= p
+        p += 1
+    return val
+
+
 def leibniz_pi_over_4(n_terms: int = 2_000_000):
     """Alternating series 1 - 1/3 + 1/5 - ... with its next-term bound."""
     k = np.arange(n_terms, dtype=float)

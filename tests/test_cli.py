@@ -84,6 +84,18 @@ class TestZeros:
     def test_cap_is_config_error(self, tmp_path):
         assert run(["zeros", "--tmax", "500", "--out", str(tmp_path / "zz")]) == 2
 
+    def test_summary_names_skipped_seeds(self, tmp_path):
+        # at abs_tol 1e-14 every seed's estimate is refused; each is reported
+        out = tmp_path / "skip"
+        assert run(["zeros", "--tmax", "40", "--abs-tol", "1e-14", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["zero_count"] == 0
+        assert summary["skipped_seeds"] == len(summary["skipped"]) == 6
+        for entry in summary["skipped"]:
+            assert set(entry) == {"t_seed", "reason"}
+            assert "s=" in entry["reason"] and "(route " in entry["reason"]
+        assert abs(summary["skipped"][0]["t_seed"] - 14.15) < 1e-9
+
 
 class TestFlow:
     def test_ode_trajectory(self, tmp_path):
@@ -296,6 +308,24 @@ class TestConfigDocument:
 
     def test_missing_file(self):
         assert run(["--config", "/nonexistent/cfg.json"]) == 2
+
+
+@pytest.mark.parametrize("argv, spec", [
+    (["flow", "--datum", "range:1", "--seed", "1"], "range:1"),
+    (["flow", "--datum", "fourier:3:1,2"], "fourier:3:1,2"),
+    (["flow", "--datum", "const:1,x"], "const:1,x"),
+    (["flow", "--datum", "const:2", "--nonlinearity", "principal:x"], "principal:x"),
+    (["eval", "zeta", "--s", "2,x"], "2,x"),
+    (["--config", "{dir}/bad.json", "eval"], "bad.json"),
+])
+def test_malformed_input_is_config_error(tmp_path, capsys, argv, spec):
+    (tmp_path / "bad.json").write_text("{not json")
+    argv = [a.format(dir=tmp_path) for a in argv]
+    if argv[0] == "flow":
+        argv += ["--out", str(tmp_path / "out")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and spec in err
 
 
 class TestBoundsAndSigma:

@@ -256,13 +256,13 @@ class TestZeroCensus:
 
     def test_one_router_call_per_iteration(self, monkeypatch):
         calls = []
-        router = om.special._split_many
+        router = om.special.hurwitz_split_many
 
         def counted(s, *args, **kwargs):
             calls.append(np.size(s))
             return router(s, *args, **kwargs)
 
-        monkeypatch.setattr(om.special, "_split_many", counted)
+        monkeypatch.setattr(om.special, "hurwitz_split_many", counted)
         scan = zf.find_critical_zeros(290.0)
         assert len(scan.records) == 132
         assert 0 < len(calls) <= 12

@@ -139,7 +139,7 @@ class TestHurwitzZeta:
         assert "alpha=0.25" in str(err.value) and "route hermite" in str(err.value)
         assert err.value.estimate is not None and err.value.residual > 0
         assert sp.hurwitz_regular_split(s, 0.25, CFG)[2] == "series-em"
-        assert sp.hurwitz_regular_split_deriv(s, 0.25, CFG)[2] == "series-em"
+        assert sp._split_point(s, 0.25, CFG, deriv=True)[2] == "series-em"
 
     def test_ill_conditioned_integral_point_against_series(self):
         # the integral route returned this point 3.3e-10 off while reporting
@@ -245,7 +245,7 @@ class TestVectorizedFieldRoute:
                 pts.append(s)
         pts += [0.5 + 40.0j, 0.5 + 150.0j, 2.0 - 25.0j]
         arr = np.array(pts)
-        reg, _ = sp.hurwitz_split_many(arr, 1.0)
+        reg, _, _ = sp.hurwitz_split_many(arr, 1.0)
         fast = reg + 1.0 / (arr - 1.0)
         for s, v in zip(pts, fast):
             assert abs(v - oracles.mp_zeta(mpmath, s, 1.0)) < 5e-10, s
@@ -253,14 +253,14 @@ class TestVectorizedFieldRoute:
     def test_deriv_matches_scalar_reference(self):
         mpmath = pytest.importorskip("mpmath")
         arr = np.array([-6.5 + 0.2j, -2.0 + 0.0j, 0.5 + 30.0j, 2.5 + 1.0j])
-        dreg, _ = sp.hurwitz_deriv_split_many(arr, 1.0)
+        dreg, _, _ = sp.hurwitz_split_many(arr, 1.0, deriv=True)
         fast = dreg - 1.0 / (arr - 1.0) ** 2
         for s, v in zip(arr, fast):
             assert abs(v - oracles.mp_zeta(mpmath, complex(s), 1.0, 1)) < 5e-10, s
 
     def test_deep_negative_accuracy(self):
         arr = np.array([complex(-12.0), complex(-8.0), complex(-11.3)])
-        reg, _ = sp.hurwitz_split_many(arr, 1.0)
+        reg, _, _ = sp.hurwitz_split_many(arr, 1.0)
         vals = reg + 1.0 / (arr - 1.0)
         assert abs(vals[0]) < 1e-12
         assert abs(vals[1]) < 1e-12
@@ -355,10 +355,11 @@ class TestRouteBoundary:
     def test_estimate_covers_error_on_both_sides(self, alpha):
         mpmath = pytest.importorskip("mpmath")
         pts = self._points(int(alpha * 1000))
-        for deriv, split in ((0, sp.hurwitz_split_many), (1, sp.hurwitz_deriv_split_many)):
+        for deriv in (0, 1):
             ref = [oracles.mp_zeta(mpmath, complex(s), alpha, deriv) for s in pts]
-            batch = split(pts, alpha)
-            single = [split(pts[i:i + 1], alpha) for i in range(pts.size)]
+            batch = sp.hurwitz_split_many(pts, alpha, deriv=bool(deriv))
+            single = [sp.hurwitz_split_many(pts[i:i + 1], alpha, deriv=bool(deriv))
+                      for i in range(pts.size)]
             for i, s in enumerate(pts):
                 s = complex(s)
                 pole = -1.0 / (s - 1.0) ** 2 if deriv else 1.0 / (s - 1.0)
@@ -384,7 +385,7 @@ class TestRouteBoundary:
         left = (pts.real < -3.0) & (np.abs(pts.imag) <= 15.0)
         alphas = [r / period for r in residues]
         for deriv in (0, 1):
-            vals, est, routes = sp._split_many(pts, alphas, 1e-12, bool(deriv), period=period)
+            vals, est, routes = sp.hurwitz_split_many(pts, alphas, deriv=bool(deriv), period=period)
             assert (routes == np.where(left, sp.REFLECT, sp.SERIES_EM)).all()
             for j, alpha in enumerate(alphas):
                 for i, s in enumerate(pts):
@@ -405,11 +406,11 @@ class TestRouteBoundary:
         # one call gives R and R'; off Euler-Maclaurin they are those of two calls
         mpmath = pytest.importorskip("mpmath")
         alphas = [0.25, 0.75]
-        (vals, dvals), est, routes = sp._split_many(pts, alphas, 1e-12, sp.PAIR, period=4)
+        (vals, dvals), est, routes = sp.hurwitz_split_many(pts, alphas, deriv=sp.PAIR, period=4)
         assert (routes == route).all()
         if route != sp.SERIES_EM:
             for deriv, got in ((False, vals), (True, dvals)):
-                alone, alone_est, _ = sp._split_many(pts, alphas, 1e-12, deriv, period=4)
+                alone, alone_est, _ = sp.hurwitz_split_many(pts, alphas, deriv=deriv, period=4)
                 assert np.array_equal(got, alone) and (alone_est <= est).all()
         for j, alpha in enumerate(alphas):
             for i, s in enumerate(pts):
@@ -422,7 +423,7 @@ class TestRouteBoundary:
     def test_chi4_reflection_covers_error(self, chi4):
         mpmath = pytest.importorskip("mpmath")
         pts = self._reflection_points(44)
-        vals, est = zf.l_function(chi4).eval_with_estimate(pts)
+        vals, est, _ = zf.l_function(chi4).evaluate(pts)
         for i, s in enumerate(pts):
             assert abs(vals[i] - oracles.mp_l(mpmath, chi4.values, complex(s))) <= est[i], s
 
@@ -436,15 +437,15 @@ class TestRouteBoundary:
             return em(s, alpha, *args, **kwargs)
 
         monkeypatch.setattr(sp, "euler_maclaurin_split", counting)
-        zf.l_function(chi4).eval_with_estimate(np.array([-5.0 + 1.0j, -4.2 - 3.0j, -7.1]))
+        zf.l_function(chi4).evaluate(np.array([-5.0 + 1.0j, -4.2 - 3.0j, -7.1]))
         assert sorted(alpha for _, alpha in calls) == [0.25, 0.5, 0.75, 1.0]
         assert all(re > 4.0 for re, _ in calls)
 
     def test_size_one_calls_keep_the_h_rule(self):
         assert sp.hurwitz_regular_split(-5.0 + 1.0j, 1.0)[2] == "hermite"
-        assert sp._split_many(np.array([-5.0 + 1.0j] * 2), 1.0, 1e-12, False)[2][0] == sp.REFLECT
+        assert sp.hurwitz_split_many(np.array([-5.0 + 1.0j] * 2), 1.0)[2][0] == sp.REFLECT
         # a not 1 and no period: the h-rule
-        assert sp._split_many(np.array([-5.0 + 1.0j] * 2), 0.5, 1e-12, False)[2][0] == sp.HERMITE
+        assert sp.hurwitz_split_many(np.array([-5.0 + 1.0j] * 2), 0.5)[2][0] == sp.HERMITE
 
     def test_reflection_overflow_raises_with_point_and_route(self):
         with pytest.raises(zf.AccuracyError) as err:
@@ -460,7 +461,7 @@ class TestRouteBoundary:
         # the fixed-panel rule returned this point 3.1e-2 off with est 1e-13
         mpmath = pytest.importorskip("mpmath")
         s = -3.265210533608892 + 13.657991793781747j
-        reg, est = sp.hurwitz_split_many(np.array([s, -4.0 + 1.0j]), 0.1)
+        reg, est, _ = sp.hurwitz_split_many(np.array([s, -4.0 + 1.0j]), 0.1)
         err = abs(reg[0] + 1.0 / (s - 1.0) - oracles.mp_zeta(mpmath, s, 0.1))
         assert est[0] >= err
 
