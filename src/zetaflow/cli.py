@@ -153,8 +153,7 @@ def cmd_eval(args) -> int:
         label = f"zeta({args.s}, {args.alpha:g})"
     elif args.function == "l":
         handle = _nonlinearity_from_spec(_l_spec(args), cfg)
-        value, est = dirichlet.l_eval_with_estimate(handle, s)
-        path = "hurwitz-sum"
+        value, est, path = dirichlet.l_eval_with_estimate(handle, s)
         label = f"L[m={handle.period}]({args.s})"
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigurationError(f"unknown function {args.function!r}")
@@ -167,9 +166,9 @@ def cmd_eval(args) -> int:
 def cmd_zeros(args) -> int:
     t0 = time.perf_counter()
     cfg = EvalConfig(abs_tol=args.abs_tol)
+    scan = ode.find_critical_zeros(args.tmax, cfg)      # validates t_max first
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    scan = ode.find_critical_zeros(args.tmax, cfg)
     records = [ode.zero_record_to_dict(r) for r in scan.records]
     (out_dir / "zeros.json").write_text(json.dumps(records, sort_keys=True, indent=1) + "\n")
     lines = ["n,p_n"]
@@ -209,11 +208,13 @@ def cmd_flow(args) -> int:
     t0 = time.perf_counter()
     eval_cfg = EvalConfig(abs_tol=args.abs_tol)
     handle = _nonlinearity_from_spec(args.nonlinearity, eval_cfg)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     shape = (args.grid,) if args.dims == 1 else (args.grid, args.grid)
     datum = _datum_from_spec(args.datum, args.seed, shape, args.length)
     cfg = _flow_config(args, handle)
+    # created once the configuration is valid, so a configuration error
+    # leaves no directory behind
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     doc = {"command": "flow", "mode": args.mode, "datum": args.datum,
            "lambda": _parse_lambda(args.lam), "tend": args.tend, "dt": args.dt,
            "grid": args.grid, "dims": args.dims, "length": args.length,

@@ -267,17 +267,21 @@ def l_eval(handle: LFunctionHandle, s) -> complex:
     return l_eval_with_estimate(handle, s)[0]
 
 
-def l_eval_with_estimate(handle: LFunctionHandle, s) -> tuple[complex, float]:
-    """(L_m(s), its error estimate) at one point; raises as ``l_eval`` does."""
+def l_eval_with_estimate(handle: LFunctionHandle, s) -> tuple[complex, float, str]:
+    """(L_m(s), its error estimate, its routes) at one point; raises as ``l_eval`` does.
+
+    The routes are the distinct router routes over the residues, as
+    ``special.route_names`` joins them.
+    """
     s = complex(s)
     if s == 1 and handle.has_pole:
         raise PoleError("principal L-functions have a pole at s = 1")
-    vals, est, _ = handle.evaluate(np.array([s]))
-    value, est = complex(vals[0]), float(est[0])
+    vals, est, routes = handle.evaluate(np.array([s]))
+    value, est, route = complex(vals[0]), float(est[0]), special.route_names(routes)
     if not handle.eval_cfg.accepts(value, est):
         raise handle.eval_cfg.rejection(value, est,
-                                        f"at s={s!r}, m={handle.period} (route hurwitz-sum)")
-    return value, est
+                                        f"at s={s!r}, m={handle.period} (route {route})")
+    return value, est, route
 
 
 # ---------------------------------------------------------------------------

@@ -283,9 +283,9 @@ def _lockstep_newton(handle: LFunctionHandle, z0, evals: int, tol: float):
         for j in np.flatnonzero(~ok | lost | done):
             i, s = active[j], complex(za[j])
             if not ok[j]:
-                names = "/".join(dict.fromkeys(special.ROUTES[c] for c in routes[:, j]))
-                outcomes[i] = cfg.rejection(complex(f[j]), float(est[j]),
-                                            f"at s={s!r}, m={handle.period} (route {names})")
+                outcomes[i] = cfg.rejection(
+                    complex(f[j]), float(est[j]),
+                    f"at s={s!r}, m={handle.period} (route {special.route_names(routes[:, j])})")
             elif lost[j]:
                 why = (f"|F| = {size[j]:.3e} not below {tol:g} after {used[i]} evaluations"
                        if used[i] >= evals else f"Newton step {complex(step[j])!r} rejected")

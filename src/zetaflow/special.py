@@ -40,7 +40,14 @@ The routes, as the router names them:
   rule.  For Re s < 0 the partial-sum terms grow like (n+a)^(-Re s) and
   cancel against the boundary term, so N is the least count whose
   remainder after 12 corrections meets the tolerance.  Either estimate is
-  the remainder bound plus the float64 rounding of the kernel.
+  the remainder bound plus the float64 rounding of the kernel.  For a = 1 a
+  wide batch takes the terms n^(-s), n = 1..N+1, from a sieved table
+  (_sieved_sums): only the prime rows take a complex exp, every other row
+  is the product of two earlier rows, and the rows are summed by pairwise
+  halving.  It runs where the exps it saves pay for its passes
+  (_sieve_pays); smaller batches, size-1 calls among them, keep one exp per
+  term, bit for bit.  Where it runs the rounding counted per term grows
+  from eps (3 + |s| ln n) to eps (4 Omega(n) + |s| ln n).
 
 The scalar functions raise AccuracyError, naming s, a and the route, where
 the estimate exceeds both ``EvalConfig.abs_tol`` and the float64 floor of
@@ -99,6 +106,17 @@ _EM_MAX_CORRECTIONS = 12
 # 16384: about 0.08 per point and 180 per call, rounded here.
 _EM_STEP_COST_PER_POINT = 0.1
 _EM_STEP_OVERHEAD = 150.0
+# Cost of one pass of the sieved power table (a = 1), in the same units: a
+# pass fills a set of rows, and its overhead is numpy's dispatch per call.
+# The table runs where the complex powers it saves pay for its passes.
+# Timed at 32 points, it breaks even near N = 30, and at 64 points near
+# N = 13, where it saves about 1.6 times this cost per pass.
+_SIEVE_PASS_OVERHEAD = 150.0
+# Complex elements per block of the partial-sum kernels.  A 256 kB block
+# stays in a core's L2 cache through the table's passes: blocks of 2^13 to
+# 2^15 timed alike, and 2^18 1.6 to 2 times slower on the 1501-point sigma0
+# row and the 5800-point census row (x86-64, 2 MB L2 per core).
+_EM_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -366,27 +384,125 @@ def _em_logs(alpha: float, n_terms: int):
     return logs, cols
 
 
+@lru_cache(maxsize=32)
+def _sieve_plan(n_rows: int):
+    """The plan of the sieved power table n^(-s), n = 1..``n_rows``, n in row n-1.
+
+    n^(-s) is completely multiplicative, so only the prime rows need an
+    exp; every other row is the product of the rows of its smallest prime
+    factor and of its cofactor.  Returns (prime rows, their -ln p as a
+    column, passes, Omega): the passes fill the composite rows grouped by
+    Omega(n), the number of prime factors of n with multiplicity, in
+    increasing order, each a (rows, factor rows, cofactor rows) triple whose
+    factors an earlier pass or the primes filled, so there are
+    floor(log2 n_rows) - 1 of them.  Omega(n), indexed by n, sizes the
+    rounding.  The arrays are read-only.
+    """
+    spf = list(range(n_rows + 1))          # smallest prime factor
+    for p in range(2, math.isqrt(n_rows) + 1):
+        if spf[p] == p:
+            for q in range(p * p, n_rows + 1, p):
+                if spf[q] == q:
+                    spf[q] = p
+    omega = [0, 0]
+    for n in range(2, n_rows + 1):
+        omega.append(omega[n // spf[n]] + 1)
+    omega = np.array(omega)
+    primes = np.flatnonzero(omega == 1)
+    passes = []
+    for k in range(2, int(omega.max()) + 1):
+        n = np.flatnonzero(omega == k)
+        factor = np.array([spf[i] for i in n])
+        passes.append((n - 1, factor - 1, n // factor - 1))
+    prime_rows, neg_logs = primes - 1, -np.log(primes.astype(float))[:, None]
+    for arr in (prime_rows, neg_logs, omega, *(a for step in passes for a in step)):
+        arr.setflags(write=False)
+    return prime_rows, neg_logs, tuple(passes), omega
+
+
+def _sieve_pays(points: int, n_terms: int) -> bool:
+    """The selection rule of the sieved table: where its saved exps pay for its passes.
+
+    It saves points (N+1 - pi(N+1)) complex powers and costs
+    _SIEVE_PASS_OVERHEAD per pass, the prime exp and the product passes,
+    floor(log2(N+1)) in all.  The plan is built only where the rule can hold.
+    """
+    n_rows = n_terms + 1
+    cost = _SIEVE_PASS_OVERHEAD * (n_rows.bit_length() - 1)
+    return points * n_rows >= cost and points * (n_rows - len(_sieve_plan(n_rows)[0])) >= cost
+
+
+def _halving_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis by pairwise halving, in place: depth ceil(log2 n)."""
+    n = rows.shape[0]
+    while n > 1:
+        half = n // 2
+        rows[:half] += rows[n - half:n]
+        n -= half
+    return rows[0]
+
+
+def _sieved_sums(flat: np.ndarray, n_terms: int, want_deriv: bool):
+    """Sums of n^(-s) and -ln n n^(-s) over n = 1..N, and (N+1)^(-s), from the sieved table.
+
+    The table holds n^(-s), n = 1..N+1, as rows with the points along the
+    contiguous axis, blocked over points to _EM_BLOCK elements; rows are
+    summed by pairwise halving.  Returns (partial, dpartial or None, decay).
+    """
+    rows = n_terms + 1
+    primes, neg_logs, passes, _ = _sieve_plan(rows)
+    logs = _em_logs(1.0, n_terms)[0][:n_terms, None]         # ln n, n = 1..N
+    partial = np.empty_like(flat)
+    dpartial = np.empty_like(flat) if want_deriv else None
+    decay = np.empty_like(flat)
+    block = max(1, _EM_BLOCK // rows)
+    for i in range(0, flat.size, block):
+        sl = flat[i:i + block]
+        table = np.empty((rows, sl.size), dtype=complex)
+        table[0] = 1.0
+        table[primes] = np.exp(neg_logs * sl)
+        for dst, factor, cofactor in passes:
+            table[dst] = table[factor] * table[cofactor]
+        decay[i:i + block] = table[n_terms]
+        if want_deriv:
+            dpartial[i:i + block] = -_halving_sum(logs * table[:n_terms])
+        partial[i:i + block] = _halving_sum(table[:n_terms])
+    return partial, dpartial, decay
+
+
 @lru_cache(maxsize=64)
-def _em_weighted_sums(alpha: float, n_terms: int, ends: tuple, want_deriv: bool):
+def _em_weighted_sums(alpha: float, n_terms: int, ends: tuple, want_deriv: bool,
+                      sieved: bool):
     """Sums over n = 1..N-1 of (n+a)^(-r) times the weight columns of _em_logs, per r in ``ends``.
 
-    Cached, as a census or a scan row repeats its real part.
+    ``sieved`` (a = 1) appends the sum weighted by the first column times
+    Omega(n+1).  Cached, as a census or a scan row repeats its real part.
     """
     logs, cols = _em_logs(alpha, n_terms)
-    sums = np.exp(np.multiply.outer(ends, -logs[1:-1])) @ cols[want_deriv][1:-1]
+    powers = np.exp(np.multiply.outer(ends, -logs[1:-1]))
+    cols = cols[want_deriv][1:-1]
+    sums = powers @ cols
+    if sieved:
+        omega = _sieve_plan(n_terms + 1)[3][2:-1]
+        sums = np.column_stack([sums, powers @ (cols[:, 0] * omega)])
     return tuple(map(tuple, sums.tolist()))
 
 
 def _em_rounding(re: np.ndarray, re_min: float, re_max: float, big_s: float, alpha: float,
-                 n_terms: int, n_corr: int, exact_lead: bool, want_deriv: bool):
+                 n_terms: int, n_corr: int, exact_lead: bool, want_deriv: bool,
+                 sieved: bool):
     """Float64 rounding of _em_split at points with real parts ``re`` and |s| <= big_s.
 
     Each partial-sum term (n+a)^(-s) = exp(-s ln(n+a)) carries a relative
     error of about eps (3 + |s| |ln(n+a)|), from the rounded logarithm and
     the product that forms the phase, and the sum adds eps log2 N; the
-    derivative's terms ln(n+a) (n+a)^(-s) carry |ln(n+a)| times that.  The
-    Horner tail (N+a)^(-s) (1/2 + ...) adds 2K+2 roundings of at most
-    _em_tail_majorant (N+a)^(-Re s).  The boundary term -ln(N+a) f(w),
+    derivative's terms ln(n+a) (n+a)^(-s) carry |ln(n+a)| times that.  With
+    ``sieved`` (a = 1, the table of _sieved_sums ran) a term n^(-s) is a
+    product of Omega(n) such powers, one per prime factor, and Omega(n) - 1
+    complex products, so it carries eps (4 Omega(n) + |s| ln n); the
+    halving sum adds eps log2 N.  The Horner tail (N+a)^(-s) (1/2 + ...)
+    adds 2K+2 roundings of at most _em_tail_majorant (N+a)^(-Re s), beyond
+    those of the power.  The boundary term -ln(N+a) f(w),
     w = (1-s) ln(N+a), f(w) = (e^w - 1)/w, is off by
     eps ln(N+a) ((|w|+3) |e^w| + 2) / max(|w|, 1/2), where
     |w| >= |Re s - 1| ln(N+a).  The first term, a^(-s), is taken at each
@@ -399,15 +515,22 @@ def _em_rounding(re: np.ndarray, re_min: float, re_max: float, big_s: float, alp
     logs = _em_logs(alpha, n_terms)[0]
     la = float(logs[-1])
     ends = (re_min,) if re_min == re_max else (re_min, re_max)
-    sums = _em_weighted_sums(alpha, n_terms, ends, want_deriv)
+    sums = _em_weighted_sums(alpha, n_terms, ends, want_deriv, sieved)
     scale = 1.0 + la if want_deriv else 1.0
     w_floor = max(0.5, max(1.0 - re_max, re_min - 1.0, 0.0) * la)
-    step = 3.0 + math.log2(n_terms + 1)
+    step = math.log2(n_terms + 1)
+    if sieved:
+        power = 4.0 * float(_sieve_plan(n_terms + 1)[3][-1])
+    else:
+        step += 3.0
+        power = 3.0
     tail = _em_tail_majorant(big_s, n_terms + alpha, n_corr)
-    boundary = ((3.0 + big_s * la + 2 * n_corr + 2) * tail
+    boundary = ((power + big_s * la + 2 * n_corr + 2) * tail
                 + la * (1.0 + 3.0 / w_floor) * (n_terms + alpha))
     rest = max(step * plain + big_s * logged + scale * math.exp(-r * la) * boundary
-               for r, (plain, logged) in zip(ends, sums))
+               for r, (plain, logged, *_) in zip(ends, sums))
+    if sieved:
+        rest += 4.0 * max(omega for _, _, omega in sums)
     rest += scale * la * 2.0 / w_floor
     if alpha == 1.0:
         return _EPS * (step + rest)        # the first term is 1
@@ -565,39 +688,44 @@ def _leading_power(s: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _em_split(s: np.ndarray, alpha: float, n_terms: int, n_corr: int, exact_lead: bool,
-              want_deriv: bool):
+              want_deriv: bool, sieved: bool):
     """Euler-Maclaurin evaluation with the 1/(s-1) pole kept symbolic.
 
     Returns (regular, d_regular or None) with
     zeta(s, alpha) = regular + 1/(s-1) and
     zeta'(s, alpha) = d_regular - 1/(s-1)^2, for ``n_terms`` partial-sum
     terms and ``n_corr`` corrections; with ``exact_lead`` the n = 0 term
-    comes from _leading_power.
+    comes from _leading_power.  With ``sieved`` (a = 1) the partial sums and
+    (N+1)^(-s) come from the sieved table of _sieved_sums; otherwise every
+    term is one complex exp.
     """
     s = np.asarray(s, dtype=complex)
     flat = s.ravel()
-    first = 1 if exact_lead else 0
-    logb = _em_logs(alpha, n_terms)[0][first:n_terms]
-
-    # partial sum of the defining series (chunked to bound memory)
-    partial = np.zeros_like(flat)
-    dpartial = np.zeros_like(flat) if want_deriv else None
-    chunk = max(1, int(4e6) // max(n_terms, 1))
-    for i in range(0, flat.size, chunk):
-        sl = flat[i:i + chunk, None]
-        mat = np.exp(-sl * logb[None, :])
-        partial[i:i + chunk] = mat.sum(axis=1)
-        if want_deriv:
-            dpartial[i:i + chunk] = -(mat * logb[None, :]).sum(axis=1)
-    if exact_lead:
-        lead = _leading_power(flat, alpha)
-        partial += lead
-        if want_deriv:
-            hi, lo = _log_parts(alpha)[:2]
-            dpartial -= (hi + lo) * lead
-
     big_a = n_terms + alpha
     la = math.log(big_a)
+    if sieved:
+        partial, dpartial, decay = _sieved_sums(flat, n_terms, want_deriv)
+    else:
+        first = 1 if exact_lead else 0
+        logb = _em_logs(alpha, n_terms)[0][first:n_terms]
+        # partial sum of the defining series (blocked to bound memory)
+        partial = np.zeros_like(flat)
+        dpartial = np.zeros_like(flat) if want_deriv else None
+        block = max(1, _EM_BLOCK // max(n_terms, 1))
+        for i in range(0, flat.size, block):
+            sl = flat[i:i + block, None]
+            mat = np.exp(-sl * logb[None, :])
+            partial[i:i + block] = mat.sum(axis=1)
+            if want_deriv:
+                dpartial[i:i + block] = -(mat * logb[None, :]).sum(axis=1)
+        if exact_lead:
+            lead = _leading_power(flat, alpha)
+            partial += lead
+            if want_deriv:
+                hi, lo = _log_parts(alpha)[:2]
+                dpartial -= (hi + lo) * lead
+        decay = np.exp(-flat * la)          # (N+a)^{-s}
+
     w = -(flat - 1.0) * la
     # (N+a)^(1-s)/(s-1) = -ln(N+a) f(-(s-1) ln(N+a)) + 1/(s-1)
     reg_int = -la * expm1_over(w)
@@ -613,7 +741,6 @@ def _em_split(s: np.ndarray, alpha: float, n_terms: int, n_corr: int, exact_lead
         if want_deriv:
             dacc = dacc * v + acc * (2.0 * flat + (4 * j - 1))
         acc = acc * v + _EM_COEF[j - 1] * inv_a2 ** (j - 1)
-    decay = np.exp(-flat * la)          # (N+a)^{-s}
     tail = 0.5 + flat * acc / big_a
     regular = (partial + reg_int + decay * tail).reshape(s.shape)
     if not want_deriv:
@@ -635,7 +762,8 @@ def euler_maclaurin_split(s, alpha: float, tol: float = 1e-12,
     where rounding alone does, as at large |Im s|.  Otherwise N is the least
     count whose remainder bound after 12 corrections meets ``tol`` at every
     point, and the estimate adds the rounding of the growing partial-sum
-    terms (see _em_negative_plan).
+    terms (see _em_negative_plan).  For a = 1 the kernel takes the sieved
+    table where _sieve_pays, and the rounding counted is that table's.
     """
     alpha = _check_alpha(alpha)
     s = np.asarray(s, dtype=complex)
@@ -651,10 +779,11 @@ def euler_maclaurin_split(s, alpha: float, tol: float = 1e-12,
     # the leading term a^(-s) is formed to a few eps where its plain
     # rounding, eps |s| |ln a| a^(-Re s), could reach a tenth of tol
     exact_lead = alpha < 1.0 and _EPS * big_s * -math.log(alpha) * alpha ** -re_max > 0.1 * tol
+    sieved = alpha == 1.0 and _sieve_pays(flat.size, n_terms)
     est = remainder + _em_rounding(flat.real, re_min, re_max, big_s, alpha, n_terms, n_corr,
-                                   exact_lead, want_deriv)
+                                   exact_lead, want_deriv, sieved)
     est = (np.zeros(s.size) + est).reshape(s.shape)
-    return (*_em_split(s, alpha, n_terms, n_corr, exact_lead, want_deriv), est)
+    return (*_em_split(s, alpha, n_terms, n_corr, exact_lead, want_deriv, sieved), est)
 
 
 # ---------------------------------------------------------------------------
@@ -875,6 +1004,11 @@ SERIES_EM, HERMITE, REFLECT = 0, 1, 2
 ROUTES = ("series-em", "hermite", "reflect")
 # hurwitz_split_many's ``deriv`` for R and R' together (False gives R, True R')
 PAIR = 2
+
+
+def route_names(codes) -> str:
+    """The distinct ROUTES names of route ``codes``, in order of appearance, joined by '/'."""
+    return "/".join(dict.fromkeys(ROUTES[c] for c in np.ravel(codes)))
 
 
 def _on_h_rule(s: np.ndarray) -> np.ndarray:

@@ -38,6 +38,12 @@ class TestEval:
         assert run(["eval", "l", "--principal", "2", "--s", "2"]) == 0
         assert "1.23370055" in capsys.readouterr().out
 
+    def test_l_path_names_the_router_route(self, capsys):
+        assert run(["eval", "l", "--principal", "2", "--s", "2"]) == 0
+        assert "path: hermite" in capsys.readouterr().out
+        assert run(["l", "--principal", "3", "--s", "0.5+40i"]) == 0
+        assert "path: series-em" in capsys.readouterr().out
+
     def test_pole_is_config_error(self):
         assert run(["eval", "zeta", "--s", "1"]) == 2
 
@@ -326,6 +332,19 @@ def test_malformed_input_is_config_error(tmp_path, capsys, argv, spec):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and spec in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["flow", "--datum", "range:1", "--seed", "1"],
+    ["flow", "--datum", "const:2", "--nonlinearity", "principal:x"],
+    ["flow", "--datum", "const:2", "--lambda", "2"],
+    ["flow", "--datum", "const:2", "--dt", "-1"],
+    ["zeros", "--tmax", "400"],
+])
+def test_config_error_leaves_no_out_directory(tmp_path, argv):
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
 
 
 class TestBoundsAndSigma:

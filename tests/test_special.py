@@ -475,6 +475,84 @@ class TestRouteBoundary:
         assert repr(s) in msg and "alpha=0.1" in msg and "route hermite" in msg
         assert err.value.residual > CFG.abs_tol
 
+    # a = 1 batches on both sides of the sieved table's rule: (points, deriv,
+    # the table runs, N+1 prime or None for either).  The plan fixes N; the
+    # last table row (N+1)^(-s) is the boundary factor.
+    _RNG = np.random.default_rng(11)
+    TABLE_CASES = [
+        pytest.param(0.5 + 1j * np.linspace(250.0, 310.0, 128), False, True, True,
+                     id="critical-line-to-310"),
+        pytest.param(0.5 + 1j * np.linspace(280.0, 320.0, 128), sp.PAIR, True, False,
+                     id="critical-line-to-320-pair"),
+        pytest.param(0.5 + 1j * np.linspace(300.0, 320.0, 8), False, False, None,
+                     id="direct-to-320"),
+        pytest.param(_RNG.uniform(-2.9, -0.1, 256) + 1j * _RNG.uniform(15.0, 40.0, 256),
+                     False, True, False, id="negative-re"),
+        pytest.param(_RNG.uniform(-2.9, -0.1, 256) + 1j * _RNG.uniform(-30.0, 30.0, 256),
+                     sp.PAIR, True, True, id="negative-re-pair"),
+        pytest.param(_RNG.uniform(-9.0, -3.1, 1024) + 1j * _RNG.uniform(-15.0, 15.0, 1024),
+                     sp.PAIR, True, None, id="reflection-1024-pair"),
+    ]
+
+    @staticmethod
+    def _recording_kernel(monkeypatch):
+        """Record (N, K, sieved) of every _em_split call."""
+        kernels = []
+        em_split = sp._em_split
+
+        def recording(s, alpha, n_terms, n_corr, *rest):
+            kernels.append((n_terms, n_corr, rest[-1]))
+            return em_split(s, alpha, n_terms, n_corr, *rest)
+
+        monkeypatch.setattr(sp, "_em_split", recording)
+        return kernels, em_split
+
+    @pytest.mark.parametrize("pts, deriv, table, prime_row", TABLE_CASES)
+    def test_sieved_table_switch_covers_error(self, pts, deriv, table, prime_row, monkeypatch):
+        mpmath = pytest.importorskip("mpmath")
+        kernels, _ = self._recording_kernel(monkeypatch)
+        got, est, routes = sp.hurwitz_split_many(pts, 1.0, deriv=deriv)
+        left = (pts.real < -3.0) & (np.abs(pts.imag) <= 15.0)
+        assert (routes == np.where(left, sp.REFLECT, sp.SERIES_EM)).all()
+        assert kernels and all(sieved == table for _, _, sieved in kernels), kernels
+        if prime_row is not None:
+            # the plan moved if this fails: choose a row with the other N+1
+            assert all(all((n + 1) % p for p in range(2, math.isqrt(n + 1) + 1)) == prime_row
+                       for n, _, _ in kernels), kernels
+        orders = enumerate(got) if deriv == sp.PAIR else ((0, got),)
+        for order, vals in orders:
+            for i in range(0, pts.size, max(1, pts.size // 16)):
+                s = complex(pts[i])
+                pole = -1.0 / (s - 1.0) ** 2 if order else 1.0 / (s - 1.0)
+                err = abs(vals[i] + pole - oracles.mp_zeta(mpmath, s, 1.0, order))
+                assert err <= est[i], (s, order, est[i])
+
+    def test_batch_below_the_rule_matches_its_singletons(self, monkeypatch):
+        # 32 points at N = 25 keep the direct kernel, whose value at a point
+        # does not depend on the rest of the batch
+        kernels, em_split = self._recording_kernel(monkeypatch)
+        pts = 0.5 + 1j * np.linspace(14.0, 20.0, 32)
+        reg, dreg, _ = sp.euler_maclaurin_split(pts, 1.0, want_deriv=True)
+        (n_terms, n_corr, sieved), = kernels
+        assert not sieved and not sp._sieve_pays(pts.size, n_terms)
+        for i in range(pts.size):
+            one, done = em_split(pts[i:i + 1], 1.0, n_terms, n_corr, False, True, False)
+            assert one[0] == reg[i] and done[0] == dreg[i], pts[i]
+
+    @pytest.mark.parametrize("deriv", [False, True])
+    def test_table_kernel_agrees_with_direct_kernel(self, deriv):
+        # every N to 64 and beyond, N+1 prime and composite: the two kernels
+        # differ by at most the sum of their counted rounding
+        rng = np.random.default_rng(12)
+        pts = rng.uniform(0.0, 1.0, 48) + 1j * rng.uniform(-40.0, 40.0, 48)
+        lo, hi, big_s = float(pts.real.min()), float(pts.real.max()), float(np.abs(pts).max())
+        for n_terms in (*range(1, 65), 126, 127, 148, 163):
+            rounding = [sp._em_rounding(pts.real, lo, hi, big_s, 1.0, n_terms, 6, False, deriv,
+                                        sieved) for sieved in (False, True)]
+            direct, table = (sp._em_split(pts, 1.0, n_terms, 6, False, deriv, sieved)[deriv]
+                             for sieved in (False, True))
+            assert np.all(np.abs(table - direct) <= sum(rounding)), n_terms
+
 
 class TestLogGamma:
     def test_against_mpmath_within_stated_bound(self):
