@@ -14,10 +14,9 @@ from .errors import (AccuracyError, CharacterValidationError,
                      PrecisionFloorError, QuenchSignal, StiffnessError,
                      ZetaflowError)
 from .special import (BoundConstants, DEFAULT_CONFIG, EvalConfig,
-                      bound_constants, d_sup_bound, expm1_over,
-                      expm1_over_deriv, f_prime_sup_bound, hermite_d,
-                      hermite_h, hurwitz_zeta, hurwitz_zeta_deriv,
-                      riemann_zeta, riemann_zeta_deriv)
+                      bound_constants, expm1_over, expm1_over_deriv,
+                      f_prime_sup_bound, hermite_h, hurwitz_zeta,
+                      hurwitz_zeta_deriv, riemann_zeta, riemann_zeta_deriv)
 from .dirichlet import (CharacterTable, LFunctionHandle, ReBoundsReport,
                         Sigma0Result, character_from_json,
                         character_to_json, l_eval, l_function,
@@ -33,6 +32,6 @@ from .pde import (EnvelopeReport, EnvelopeSpec, GridField, PicardResult,
                   envelope_check, etd_step, fourier_field, heat_semigroup,
                   integrate_pde, local_constants, picard_local_solve,
                   smooth_real_field, stability_experiment,
-                  validate_envelope_hypotheses, y_norm)
+                  validate_envelope_hypotheses)
 
 __version__ = "0.1.0"

@@ -203,9 +203,10 @@ class LFunctionHandle:
         the error of R_r and R'_r, so m^(-Re s) sum_r |chi(r)| est_r, times
         (1 + ln m) with ``deriv``, bounds that of L and L'; the router runs at
         eval_cfg.split_tol times m^(min Re s) / sum_r |chi(r)| where that is
-        below 1, for all residues at once (a batch left of Re s = -3 takes
-        the reflection once).  ``routes`` holds its route code per residue
-        (leading axis) and point.
+        below 1, for all residues at once: left of Re s = -3 the points take
+        the reflection once, at every |Im s|, except that a size-1 call
+        keeps the h-rule up to |Im s| = 15.  ``routes`` holds its route code
+        per residue (leading axis) and point.
         """
         s = np.asarray(s, dtype=complex)
         m = self.period

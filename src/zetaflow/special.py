@@ -4,62 +4,43 @@ One router, ``hurwitz_split_many``, evaluates the regular part of zeta(s, a)
 (the 1/(s-1) pole term kept symbolic), its derivative, or both from one
 call, with a per-point error estimate and route, for batches, for all
 residues of an L-function at once and, as size-1 calls, for every scalar
-entry point.  One predicate, ``_on_h_rule``, marks the points that leave
-Euler-Maclaurin: |Im s| <= 15 and Re s < -3, or Re s < 8 for a size-1 call.
-The routes, as the router names them:
+entry point.  One predicate, ``_route_masks``, sends points off
+Euler-Maclaurin.  The routes, as the router names them:
 
-* "reflect" for a batch left of Re s = -3 (|Im s| <= 15) when a = 1 or a
-  is a residue r/m of a given period m, as LFunctionHandle passes them:
-  Hurwitz's formula (Apostol, Introduction to Analytic Number Theory,
-  Thm 12.6) read at u = 1 - s,
+* "reflect" left of Re s = -3, at every |Im s|, when a = 1 or a is a
+  residue r/m of a given period m (size-1 calls keep "hermite" up to
+  |Im s| = 15).  Hurwitz's formula (Apostol, Introduction to Analytic
+  Number Theory, Thm 12.6) read at u = 1 - s,
   zeta(s, r/m) = 2 Gamma(u) (2 pi m)^(-u) sum_k cos(pi u/2 - 2 pi k r/m) zeta(u, k/m),
   turns the batch into m Euler-Maclaurin evaluations at Re u > 4, shared
-  by every residue r.  ln Gamma and psi come from Stirling's series after
-  an upward shift, with explicit remainders.  The estimate adds the
-  Euler-Maclaurin estimates and the float64 rounding of every factor, in
-  absolute terms, so it holds at the trivial zeros too.
-* "hermite" for the other points the predicate marks: a size-1 call, and
-  a batch whose a is not a residue of a given period.  It is the three-term
-  split ``zeta(s, a) = 1/(s-1) + d(s, a) + h(s, a)`` where ``d`` is entire
-  (closed form, with a power series across its removable singularity at
-  s = 1) and ``h`` is a rapidly decaying integral over [0, inf), computed
-  by one fixed-panel Gauss-Legendre rule vectorized over s.  Its panels are
-  graded toward t = 0 on the scale a and run to a certified truncation
-  point.  The integrand carries cosh(Im(s) arctan(t/a)) and, for small a,
-  (a^2 + t^2)^(-Re(s)/2), so its absolute integral can lie many orders
-  above ``|h|``; the estimate is the tail level plus the float64 floor of
-  the panel sums, 16 eps times that integral, measured on the same nodes.
-  Right of Re s = -3 a point whose estimate exceeds the tolerance moves on
-  to Euler-Maclaurin.
-* "series-em" everywhere else: the defining series accelerated with an
-  Euler-Maclaurin tail, which also provides the analytic continuation.  For
-  a batch with Re s >= 0 the partial-sum length N and the number K <= 12 of
-  Bernoulli corrections are planned in one pass from a remainder majorant
-  over the batch (max|s| and min Re s in place of |s| and Re s), choosing
-  the pair with the least work; the corrections are summed by Horner's
-  rule.  For Re s < 0 the partial-sum terms grow like (n+a)^(-Re s) and
-  cancel against the boundary term, so N is the least count whose
-  remainder after 12 corrections meets the tolerance.  Either estimate is
-  the remainder bound plus the float64 rounding of the kernel.  For a = 1 a
-  wide batch takes the terms n^(-s), n = 1..N+1, from a sieved table
-  (_sieved_sums): only the prime rows take a complex exp, every other row
-  is the product of two earlier rows, and the rows are summed by pairwise
-  halving.  It runs where the exps it saves pay for its passes
-  (_sieve_pays); smaller batches, size-1 calls among them, keep one exp per
-  term, bit for bit.  Where it runs the rounding counted per term grows
-  from eps (3 + |s| ln n) to eps (4 Omega(n) + |s| ln n).
+  by every residue.  ln Gamma and psi come from Stirling's series with
+  explicit remainders.  The estimate adds the float64 rounding of every
+  factor in absolute terms, so it holds at the trivial zeros too; where a
+  factor leaves the float64 range it raises AccuracyError.
+* "hermite" where |Im s| <= 15, for a size-1 call with Re s < 8 and for a
+  batch without a period left of Re s = -3: zeta(s, a) = 1/(s-1) + d + h,
+  d entire and h an integral by one graded fixed-panel Gauss-Legendre
+  rule, whose estimate is its tail level plus 16 eps times the integral of
+  |integrand|.  Right of Re s = -3 a point whose estimate exceeds the
+  tolerance moves on to Euler-Maclaurin.
+* "series-em" everywhere else: the defining series with an Euler-Maclaurin
+  tail, which also provides the analytic continuation.  One planner,
+  _em_plan, picks the term count N and the K <= 12 corrections (summed by
+  Horner's rule) for either sign of Re s, trading work against counted
+  rounding; the router groups the points by that sign.  The estimate is
+  the remainder bound plus the float64 rounding of the kernel.  At
+  Re s <= -25, where no K <= 12 bounds the remainder, it raises
+  AccuracyError.  For a = 1 a wide batch takes the terms n^(-s) from a
+  sieved table (_sieved_sums): only the prime rows take a complex exp, and
+  every other row is the product of two earlier rows.
 
 The scalar functions raise AccuracyError, naming s, a and the route, where
 the estimate exceeds both ``EvalConfig.abs_tol`` and the float64 floor of
-the value (``EvalConfig.accepts``, with the text of ``EvalConfig.rejection``,
-which the L-function and the zero census share); ``hermite_h`` raises
-PrecisionFloorError where the rule's floor exceeds abs_tol.  The split form
-lets consumers summing several Hurwitz zetas (Dirichlet L-functions) cancel
-pole contributions exactly instead of numerically.
-
-The module also evaluates the closed-form constants bounding |h|, |h'|, |d'|
-and sup|f'| on boxes [-beta, beta]^2, consumed by the local-existence time
-estimate of the PDE solver.
+the value (``EvalConfig.accepts``; ``EvalConfig.rejection`` writes the
+error for the L-function and the zero census too); ``hermite_h`` raises
+PrecisionFloorError where the rule's floor exceeds abs_tol.  The module
+also evaluates the closed-form constants bounding |h|, |h'|, |d'| and
+sup|f'| on boxes [-beta, beta]^2, for the PDE solver's local existence time.
 """
 
 from __future__ import annotations
@@ -96,21 +77,28 @@ _BERNOULLI = (
     8553103.0 / 6.0,
     -23749461029.0 / 870.0,
 )
-# B_{2j} / (2j)!  for j = 1..14
+# B_{2j} / (2j)!  for j = 1..14, and their logarithms' absolute values
 _EM_COEF = tuple(b / math.factorial(2 * (j + 1)) for j, b in enumerate(_BERNOULLI))
+_EM_LOG_COEF = tuple(math.log(abs(c)) for c in _EM_COEF)
 # Most corrections summed; the next coefficient bounds the remainder.
 _EM_MAX_CORRECTIONS = 12
+# ln of the most partial-sum terms a plan may take (2^31)
+_EM_LOG_MAX_TERMS = 31.0 * math.log(2.0)
+# An Euler-Maclaurin pair's counted rounding may reach this factor of the
+# target (or of the rounding at K = 12): at tol 1e-12 the strip benchmark's
+# size-1 calls (|Im s| <= 88) keep their least-work pairs, at up to 2.44
+# tol, and zeta(0.04+300i) moves from K = 6 (rounding 1.3e-10, 3.6 times
+# that at K = 12) to K = 7, N = 344 (9.2e-11).
+_EM_ROUNDING_SLACK = 3.0
 # Cost of one Horner step of the corrections, in units of one partial-sum
 # term (a complex power): per point, and per call for numpy's dispatch on a
 # short array.  Timed with numpy 2.4 on one x86-64 core at batch sizes 1 to
 # 16384: about 0.08 per point and 180 per call, rounded here.
 _EM_STEP_COST_PER_POINT = 0.1
 _EM_STEP_OVERHEAD = 150.0
-# Cost of one pass of the sieved power table (a = 1), in the same units: a
-# pass fills a set of rows, and its overhead is numpy's dispatch per call.
-# The table runs where the complex powers it saves pay for its passes.
-# Timed at 32 points, it breaks even near N = 30, and at 64 points near
-# N = 13, where it saves about 1.6 times this cost per pass.
+# Cost of one pass of the sieved power table (a = 1), in the same units:
+# numpy's dispatch per call.  Timed at 32 points, the table breaks even near
+# N = 30, and at 64 points near N = 13.
 _SIEVE_PASS_OVERHEAD = 150.0
 # Complex elements per block of the partial-sum kernels.  A 256 kB block
 # stays in a core's L2 cache through the table's passes: blocks of 2^13 to
@@ -146,10 +134,7 @@ class EvalConfig:
         return bool(ok) if np.ndim(ok) == 0 else ok
 
     def rejection(self, value, est, where: str) -> AccuracyError:
-        """The AccuracyError for an estimate ``accepts`` refuses.
-
-        ``where`` names the point and route: "at s=..., ... (route ...)".
-        """
+        """The AccuracyError for an estimate ``accepts`` refuses, ``where`` naming the point."""
         return AccuracyError(f"estimate {est:.1e} exceeds abs_tol {self.abs_tol:.1e} {where}",
                              estimate=value, residual=est)
 
@@ -289,11 +274,9 @@ def _truncation_point(s: complex, alpha: float, threshold: float, deriv: bool) -
 def _h_panels(alpha: float, n_panels: int):
     """Node factors of the graded rule: (arctan(t/a), ln(a^2+t^2)/2, weights).
 
-    The breakpoints alpha/2, alpha, 2 alpha, ... below 0.5 resolve the
-    integrand's scale alpha near t = 0; ``n_panels`` panels of width 0.5
-    follow, up to 0.5 n_panels (for alpha = 1 only those).  The weights
-    carry the factor 2 of h and 1/(e^{2 pi t} - 1), so the rule multiplies
-    by s-independent real factors.  The arrays are read-only.
+    Breakpoints alpha/2, alpha, 2 alpha, ... below 0.5, then ``n_panels``
+    panels of width 0.5.  The weights carry the factor 2 of h and
+    1/(e^{2 pi t} - 1).  The arrays are read-only.
     """
     edges = [0.0]
     b = alpha / 2.0
@@ -316,12 +299,10 @@ def _h_rule(s: np.ndarray, alpha: float, tol: float, deriv: bool):
     """h (or h') at the 1-d points ``s``, with per-point error estimates.
 
     h(s, a) = 2 int_0^inf sin(s arctan(t/a)) / ((a^2+t^2)^(s/2) (e^{2 pi t} - 1)) dt.
-    The panels run to the truncation point of the batch envelope at
+    The panels run to the batch envelope's truncation point at
     _H_TAIL_SHARE * tol.  Each estimate is that tail level plus the float64
     floor of the panel sums, _QUAD_FLOOR times the integral of |integrand|
-    on the same nodes: the integrand carries cosh(Im(s) arctan(t/a)) and,
-    for small a, (a^2+t^2)^(-Re(s)/2), so that integral can lie many orders
-    above |h|.
+    on the same nodes.
     """
     tail = _H_TAIL_SHARE * tol
     worst = complex(float(np.abs(s.real).max()), float(np.abs(s.imag).max()))
@@ -337,11 +318,7 @@ def _h_rule(s: np.ndarray, alpha: float, tol: float, deriv: bool):
 
 
 def hermite_h(s, alpha: float, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
-    """Integral part h of the three-term split, to within cfg.abs_tol.
-
-    Raises PrecisionFloorError, naming s, alpha and the route, where the
-    rule's estimate (tail level plus float64 floor) exceeds cfg.abs_tol.
-    """
+    """Integral part h of the split; PrecisionFloorError, naming s, past abs_tol."""
     alpha = _check_alpha(alpha)
     s = complex(s)
     h, est = _h_rule(np.array([s]), alpha, cfg.split_tol, False)
@@ -369,10 +346,9 @@ def _em_tail_majorant(big_s: float, big_a: float, n_corr: int) -> float:
 
 @lru_cache(maxsize=32)
 def _em_logs(alpha: float, n_terms: int):
-    """ln(n+a) for n = 0..N, and the rounding weight columns of _em_rounding.
+    """ln(n+a), n = 0..N, and rounding weight columns (w, w |ln(n+a)|), read-only.
 
-    The columns are (w, w |ln(n+a)|) with w = 1 for the value and with
-    w = max(1, |ln(n+a)|) for the derivative.  The arrays are read-only.
+    w = 1 for the value and max(1, |ln(n+a)|) for the derivative.
     """
     logs = np.log(np.arange(n_terms + 1) + alpha)
     abs_logs = np.abs(logs)
@@ -391,12 +367,10 @@ def _sieve_plan(n_rows: int):
     n^(-s) is completely multiplicative, so only the prime rows need an
     exp; every other row is the product of the rows of its smallest prime
     factor and of its cofactor.  Returns (prime rows, their -ln p as a
-    column, passes, Omega): the passes fill the composite rows grouped by
-    Omega(n), the number of prime factors of n with multiplicity, in
-    increasing order, each a (rows, factor rows, cofactor rows) triple whose
-    factors an earlier pass or the primes filled, so there are
-    floor(log2 n_rows) - 1 of them.  Omega(n), indexed by n, sizes the
-    rounding.  The arrays are read-only.
+    column, passes, Omega): the floor(log2 n_rows) - 1 passes fill the
+    composite rows by increasing Omega(n), the number of prime factors of n
+    with multiplicity, each a (rows, factor rows, cofactor rows) triple.
+    Omega is indexed by n.  The arrays are read-only.
     """
     spf = list(range(n_rows + 1))          # smallest prime factor
     for p in range(2, math.isqrt(n_rows) + 1):
@@ -421,11 +395,9 @@ def _sieve_plan(n_rows: int):
 
 
 def _sieve_pays(points: int, n_terms: int) -> bool:
-    """The selection rule of the sieved table: where its saved exps pay for its passes.
+    """Where the sieved table's points (N+1 - pi(N+1)) saved exps pay for its passes.
 
-    It saves points (N+1 - pi(N+1)) complex powers and costs
-    _SIEVE_PASS_OVERHEAD per pass, the prime exp and the product passes,
-    floor(log2(N+1)) in all.  The plan is built only where the rule can hold.
+    Each of its floor(log2(N+1)) passes costs _SIEVE_PASS_OVERHEAD.
     """
     n_rows = n_terms + 1
     cost = _SIEVE_PASS_OVERHEAD * (n_rows.bit_length() - 1)
@@ -445,9 +417,8 @@ def _halving_sum(rows: np.ndarray) -> np.ndarray:
 def _sieved_sums(flat: np.ndarray, n_terms: int, want_deriv: bool):
     """Sums of n^(-s) and -ln n n^(-s) over n = 1..N, and (N+1)^(-s), from the sieved table.
 
-    The table holds n^(-s), n = 1..N+1, as rows with the points along the
-    contiguous axis, blocked over points to _EM_BLOCK elements; rows are
-    summed by pairwise halving.  Returns (partial, dpartial or None, decay).
+    Rows n = 1..N+1, points along the contiguous axis, blocked to _EM_BLOCK
+    elements, summed by pairwise halving.  Returns (partial, dpartial or None, decay).
     """
     rows = n_terms + 1
     primes, neg_logs, passes, _ = _sieve_plan(rows)
@@ -470,22 +441,54 @@ def _sieved_sums(flat: np.ndarray, n_terms: int, want_deriv: bool):
     return partial, dpartial, decay
 
 
-@lru_cache(maxsize=64)
-def _em_weighted_sums(alpha: float, n_terms: int, ends: tuple, want_deriv: bool,
-                      sieved: bool):
-    """Sums over n = 1..N-1 of (n+a)^(-r) times the weight columns of _em_logs, per r in ``ends``.
+@lru_cache(maxsize=32)
+def _term_rounding(n_rows: int, sieved: bool) -> np.ndarray:
+    """c_n, n = 0..N: the term (n+a)^(-s) is off by eps (c_n + |s| ln(n+a)).
 
-    ``sieved`` (a = 1) appends the sum weighted by the first column times
-    Omega(n+1).  Cached, as a census or a scan row repeats its real part.
+    One complex exp(-s ln(n+a)) carries c = 3: the rounded logarithm, the
+    product that forms the phase, and the exp.  A row (n+1)^(-s) of the
+    sieved table (a = 1) is the product of Omega(n+1) such powers and
+    Omega(n+1) - 1 complex products, so c = 4 Omega(n+1).  Read-only.
+    """
+    own = 4.0 * _sieve_plan(n_rows)[3][1:] if sieved else np.full(n_rows, 3.0)
+    own.setflags(write=False)
+    return own
+
+
+@lru_cache(maxsize=64)
+def _em_weighted_sums(alpha: float, n_terms: int, re: float, want_deriv: bool,
+                      sieved: bool):
+    """(sum w, sum w |ln(n+a)|, sum w c_n) of (n+a)^(-re) over n = 1..N-1, and c_N.
+
+    w is the first weight column of _em_logs, c_n the term's own rounding
+    (_term_rounding).  Cached, as a census or a scan row repeats its Re s.
     """
     logs, cols = _em_logs(alpha, n_terms)
-    powers = np.exp(np.multiply.outer(ends, -logs[1:-1]))
+    own = _term_rounding(n_terms + 1, sieved)
+    powers = np.exp(-re * logs[1:-1])
     cols = cols[want_deriv][1:-1]
-    sums = powers @ cols
-    if sieved:
-        omega = _sieve_plan(n_terms + 1)[3][2:-1]
-        sums = np.column_stack([sums, powers @ (cols[:, 0] * omega)])
-    return tuple(map(tuple, sums.tolist()))
+    plain, logged = (powers @ cols).tolist()
+    own_sum = float(powers @ (cols[:, 0] * own[1:-1])) if sieved else float(own[0]) * plain
+    return plain, logged, own_sum, float(own[-1])
+
+
+@lru_cache(maxsize=16)
+def _em_group_rounding(re_min: float, re_max: float, big_s: float, alpha: float,
+                       n_terms: int, n_corr: int, want_deriv: bool, sums: tuple) -> float:
+    """_em_rounding less the first term, one number for the group (cached for _em_plan).
+
+    ``sums`` are those of _em_weighted_sums, or the bounds of _em_sums_bound.
+    """
+    la = math.log(n_terms + alpha)
+    plain, logged, own, power = sums
+    scale = 1.0 + la if want_deriv else 1.0
+    w_floor = max(0.5, max(1.0 - re_max, re_min - 1.0, 0.0) * la)
+    tail = _em_tail_majorant(big_s, n_terms + alpha, n_corr)
+    boundary = ((power + big_s * la + 2 * n_corr + 2) * tail
+                + la * (1.0 + 3.0 / w_floor) * (n_terms + alpha))
+    rest = (math.log2(n_terms + 1) * plain + big_s * logged + own
+            + scale * math.exp(-re_min * la) * boundary)
+    return _EPS * (rest + scale * la * 2.0 / w_floor)
 
 
 def _em_rounding(re: np.ndarray, re_min: float, re_max: float, big_s: float, alpha: float,
@@ -493,161 +496,180 @@ def _em_rounding(re: np.ndarray, re_min: float, re_max: float, big_s: float, alp
                  sieved: bool):
     """Float64 rounding of _em_split at points with real parts ``re`` and |s| <= big_s.
 
-    Each partial-sum term (n+a)^(-s) = exp(-s ln(n+a)) carries a relative
-    error of about eps (3 + |s| |ln(n+a)|), from the rounded logarithm and
-    the product that forms the phase, and the sum adds eps log2 N; the
-    derivative's terms ln(n+a) (n+a)^(-s) carry |ln(n+a)| times that.  With
-    ``sieved`` (a = 1, the table of _sieved_sums ran) a term n^(-s) is a
-    product of Omega(n) such powers, one per prime factor, and Omega(n) - 1
-    complex products, so it carries eps (4 Omega(n) + |s| ln n); the
-    halving sum adds eps log2 N.  The Horner tail (N+a)^(-s) (1/2 + ...)
-    adds 2K+2 roundings of at most _em_tail_majorant (N+a)^(-Re s), beyond
-    those of the power.  The boundary term -ln(N+a) f(w),
-    w = (1-s) ln(N+a), f(w) = (e^w - 1)/w, is off by
-    eps ln(N+a) ((|w|+3) |e^w| + 2) / max(|w|, 1/2), where
-    |w| >= |Re s - 1| ln(N+a).  The first term, a^(-s), is taken at each
-    point, as it dominates for small a; with ``exact_lead`` _leading_power
-    forms it to a few eps.  The rest is one number for the group, summed
-    exactly over n at ``re_min`` and ``re_max``: it is a positive sum of
-    exponentials in Re s, so convex, and the larger end bounds the interval.
-    Returns a number for a = 1, else an array like ``re``.
+    A term (n+a)^(-s) is off by eps (c_n + |s| |ln(n+a)|) (_term_rounding),
+    the sum adds eps log2 N, and the derivative's terms carry |ln(n+a)|
+    times that.  The Horner tail (N+a)^(-s) (1/2 + ...) adds 2K+2 roundings
+    of at most _em_tail_majorant (N+a)^(-Re s); the boundary term
+    -ln(N+a) f(w), w = (1-s) ln(N+a), f(w) = (e^w - 1)/w, is off by
+    eps ln(N+a) ((|w|+3) |e^w| + 2) / max(|w|, 1/2), |w| >= |Re s - 1| ln(N+a).
+    All but the first term is one number for the group, at ``re_min``, as
+    each falls with Re s.  The first, a^(-s), is taken per point; with
+    ``exact_lead`` _leading_power forms it to a few eps.  Returns a number
+    for a = 1, else an array like ``re``.
     """
-    logs = _em_logs(alpha, n_terms)[0]
-    la = float(logs[-1])
-    ends = (re_min,) if re_min == re_max else (re_min, re_max)
-    sums = _em_weighted_sums(alpha, n_terms, ends, want_deriv, sieved)
-    scale = 1.0 + la if want_deriv else 1.0
-    w_floor = max(0.5, max(1.0 - re_max, re_min - 1.0, 0.0) * la)
-    step = math.log2(n_terms + 1)
-    if sieved:
-        power = 4.0 * float(_sieve_plan(n_terms + 1)[3][-1])
-    else:
-        step += 3.0
-        power = 3.0
-    tail = _em_tail_majorant(big_s, n_terms + alpha, n_corr)
-    boundary = ((power + big_s * la + 2 * n_corr + 2) * tail
-                + la * (1.0 + 3.0 / w_floor) * (n_terms + alpha))
-    rest = max(step * plain + big_s * logged + scale * math.exp(-r * la) * boundary
-               for r, (plain, logged, *_) in zip(ends, sums))
-    if sieved:
-        rest += 4.0 * max(omega for _, _, omega in sums)
-    rest += scale * la * 2.0 / w_floor
+    rest = _em_group_rounding(re_min, re_max, big_s, alpha, n_terms, n_corr, want_deriv,
+                              _em_weighted_sums(alpha, n_terms, re_min, want_deriv, sieved))
+    step = math.log2(n_terms + 1) + (0.0 if sieved else 3.0)     # with c_0
     if alpha == 1.0:
-        return _EPS * (step + rest)        # the first term is 1
+        return _EPS * step + rest        # the first term is 1
+    log_a = math.log(alpha)
     if exact_lead:
         # exp, the correction and the final sum, about 4 eps, and the
         # derivative's term ln(a) a^(-s), 6 eps |ln a|; with margin
-        lead = max(6.0, 8.0 * abs(logs[0])) if want_deriv else 6.0
+        lead = max(6.0, 8.0 * abs(log_a)) if want_deriv else 6.0
     else:
-        lead = (step + big_s * abs(logs[0])) * (max(1.0, abs(logs[0])) if want_deriv else 1.0)
-    return _EPS * (lead * np.exp(-logs[0] * re) + rest)
+        lead = (step + big_s * abs(log_a)) * (max(1.0, abs(log_a)) if want_deriv else 1.0)
+    return _EPS * lead * np.exp(-log_a * re) + rest
+
+
+def _em_sums_bound(points: int, re_min: float, alpha: float, want_deriv: bool,
+                   n_terms: int) -> tuple:
+    """Closed-form bounds on _em_weighted_sums, without its O(N) sums.
+
+    sum_{n=1}^{N-1} (n+a)^(-r) <= (1+a)^(-r) + int_1^N (x+a)^(-r) dx, with
+    |ln(n+a)| <= ln(N+a), and Omega(n) <= log2 n wherever the sieved table
+    may run.
+    """
+    la, l1 = math.log(n_terms + alpha), math.log(1.0 + alpha)
+    u = (1.0 - re_min) * (la - l1)
+    growth = math.expm1(u) / u if u else 1.0
+    plain = (1.0 + alpha) ** -re_min * (1.0 + (la - l1) * (1.0 + alpha) * growth)
+    if want_deriv:
+        plain *= max(1.0, la)
+    n_rows = n_terms + 1
+    sieve = alpha == 1.0 and points * n_rows >= _SIEVE_PASS_OVERHEAD * (n_rows.bit_length() - 1)
+    own = 4.0 * math.log2(n_rows) if sieve else 3.0
+    return plain, la * plain, own * plain, own
+
+
+# The factors s + i, i = 0..2K+1, of (s)_(2K+2) for K <= 12, and the least
+# |s + i| counted: it keeps the logarithm finite at the trivial zeros, and
+# raising a factor only raises the bound
+_POCHHAMMER_OFFSETS = np.arange(2.0 * _EM_MAX_CORRECTIONS + 2.0)[:, None]
+_POCHHAMMER_FLOOR = 2.0 ** -6
+
+
+def _batch_pochhammer(s: np.ndarray, want_deriv: bool) -> list:
+    """(ln Pi, H), K = 0..12: Pi = max |(s)_(2K+2)|, H Pi >= max |(s)_(2K+2)| sum_i 1/|s+i|."""
+    factors = np.maximum(np.abs(s + _POCHHAMMER_OFFSETS), _POCHHAMMER_FLOOR)
+    logs = np.log(factors).cumsum(axis=0)[1::2]
+    top = logs.max(axis=1)
+    if not want_deriv:
+        return [(t, 0.0) for t in top.tolist()]
+    harmonic = (np.exp(logs - top[:, None]) * (1.0 / factors).cumsum(axis=0)[1::2]).max(axis=1)
+    return list(zip(top.tolist(), harmonic.tolist()))
 
 
 def _em_plan(s: np.ndarray, alpha: float, tol: float, want_deriv: bool, re_min: float):
-    """Term count N, correction count K and error bounds for a group with Re s >= 0.
+    """Term count N, correction count K and error bounds for an Euler-Maclaurin group.
 
     After K corrections the remainder is R = int_N^inf P(x) (s)_{2K+2}
     (x+a)^(-s-2K-2) dx, where P = (B_{2K+2}({x}) - B_{2K+2})/(2K+2)! keeps
     one sign and averages -C_{K+1} over each period, so against decreasing
     convex weights it counts as |C_{K+1}| (Edwards, Riemann's Zeta Function,
-    6.4).  Over the whole group, with S = max|s|, r = min Re s >= 0,
-    p = r+2K+1 and |(s)_{2K+2}| <= Pi = prod_{i=0}^{2K+1} (S+i), the
-    majorant
+    6.4).  With r = min Re s, p = r+2K+1 > 0 and |(s)_{2K+2}| <= Pi,
 
         |R|  <= M(N+a),   M(x) = |C_{K+1}| Pi x^(-p) / p,
-        |R'| <= M(N+a) (sum_{i=0}^{2K+1} 1/(S+i) + ln(N+a) + 1/p)
+        |R'| <= M(N+a) (H + ln(N+a) + 1/p)
 
-    holds at every point; the first is also at least the usual estimate
-    |first omitted correction| |s+2K+1|/(Re s+2K+1).  For each K it is
-    solved for the least N meeting ``tol`` (for the value, and with
-    ``want_deriv`` for the derivative as well).  The pair with the least
-    work wins: one complex power per point and term, and per correction one
-    Horner step costing _EM_STEP_COST_PER_POINT terms per point plus
-    _EM_STEP_OVERHEAD per call.  Returns (N, K, remainder bound at that
-    pair, S).
+    at every point, Pi = prod_{i=0}^{2K+1} (S+i), S = max|s|, H = sum
+    1/(S+i); for r < 0 the batch maxima of _batch_pochhammer, which see the
+    trivial zeros.  K runs from the least count with p > 0 to 12 (none at
+    Re s <= -25: AccuracyError naming the point and route "series-em"); per
+    K, N is the least count whose majorant meets the target.  Work is one
+    complex power per point and term, and per correction a Horner step of
+    _EM_STEP_COST_PER_POINT terms per point plus _EM_STEP_OVERHEAD.  The
+    least-work pair wins where its counted rounding (_em_group_rounding) is
+    within _EM_ROUNDING_SLACK of the target.  Elsewhere rounding limits the
+    result: the least K past it whose rounding (_em_sums_bound) is
+    within that slack of max(target, the rounding at K = 12, the fewest
+    terms) wins.  The target is ``tol``; for r < 0, where the terms grow, it
+    is raised to the rounding at the K = 12 balance point, the least N with
+    M(N) below the rounding, so a tighter ``tol`` does not raise the
+    estimate there.  Returns (N, K, remainder bound, S).
     """
     big_s = max(float(np.abs(s).max()), 1e-300)  # s = 0 zeroes every correction
-    log_tol = math.log(tol)
-    # log Pi and sum 1/(S+i) over i = 0..2K+1, grown with K
-    log_rising = math.log(big_s) + math.log(big_s + 1.0)
-    harmonic = 1.0 / big_s + 1.0 / (big_s + 1.0)
-    best = None
+    k_min = max(1, math.floor(-(re_min + 1.0) / 2.0) + 1)
+    if k_min > _EM_MAX_CORRECTIONS:
+        raise AccuracyError(f"no remainder bound with K <= {_EM_MAX_CORRECTIONS} corrections "
+                            + _at(complex(s[np.argmin(s.real)]), alpha, "series-em"))
+    re_max = float(s.real.max()) if s.size > 1 else re_min
     step_cost = _EM_STEP_COST_PER_POINT * s.size + _EM_STEP_OVERHEAD
-    for k in range(1, _EM_MAX_CORRECTIONS + 1):
-        if best is not None and k * step_cost >= best[0]:
-            break  # the corrections alone cost more than the best pair
-        for i in (2 * k, 2 * k + 1):
-            log_rising += math.log(big_s + i)
-            harmonic += 1.0 / (big_s + i)
+
+    def rounding(n_terms, k):
+        """_em_group_rounding at (N, K) from _em_sums_bound: the ranking of the pairs."""
+        sums = _em_sums_bound(s.size, re_min, alpha, want_deriv, n_terms)
+        return _em_group_rounding(re_min, re_max, big_s, alpha, n_terms, k, want_deriv, sums)
+
+    risings = [(math.log(big_s) + math.log(big_s + 1.0), 1.0 / big_s + 1.0 / (big_s + 1.0))]
+
+    def plan(k, target):
+        """(work, N, K, remainder): the least N whose majorant meets ``target``; None past 2^31."""
+        while len(risings) <= k:       # the group product, grown with K
+            log_rising, harmonic = risings[-1]
+            for i in (2 * len(risings), 2 * len(risings) + 1):
+                log_rising += math.log(big_s + i)
+                harmonic += 1.0 / (big_s + i)
+            risings.append((log_rising, harmonic))
+        log_rising, harmonic = risings[k]
         power = re_min + 2 * k + 1
-        log_amp = math.log(abs(_EM_COEF[k])) + log_rising - math.log(power)
-
-        def factor(x):
-            return max(1.0, harmonic + math.log(x) + 1.0 / power) if want_deriv else 1.0
-
-        def bound(x):
-            return math.exp(log_amp - power * math.log(x)) * factor(x)
-
-        # M(x) factor(x) = tol; factor grows like ln x, so a few fixed-point
+        log_amp = _EM_LOG_COEF[k] + log_rising - math.log(power)
+        log_target = math.log(target)
+        # M(x) factor(x) = target; factor grows like ln x, so a few fixed-point
         # rounds from below leave at most a step or two to the loop
         x = 1.0 + alpha
         for _ in range(3 if want_deriv else 1):
-            x = max(1.0 + alpha, math.exp((log_amp + math.log(factor(x)) - log_tol) / power))
+            factor = max(1.0, harmonic + math.log(x) + 1.0 / power) if want_deriv else 1.0
+            log_x = (log_amp + math.log(factor) - log_target) / power
+            if log_x > _EM_LOG_MAX_TERMS:
+                return None
+            x = max(1.0 + alpha, math.exp(log_x))
         n_terms = math.ceil(x - alpha)  # >= 1, as x >= 1+a
-        remainder = bound(n_terms + alpha)
-        while remainder > tol:
+        while True:
+            x = n_terms + alpha
+            remainder = math.exp(log_amp - power * math.log(x))
+            if want_deriv:
+                remainder *= max(1.0, harmonic + math.log(x) + 1.0 / power)
+            if remainder <= target:
+                return s.size * n_terms + k * step_cost, n_terms, k, remainder
             n_terms += 1
-            remainder = bound(n_terms + alpha)
-        work = s.size * n_terms + k * step_cost
-        if best is None or work < best[0]:
-            best = (work, n_terms, k, remainder)
-    return (*best[1:], big_s)
 
-
-def _em_negative_plan(s: np.ndarray, alpha: float, tol: float, want_deriv: bool):
-    """Term count N and error estimate for a group with some Re s < 0.
-
-    With K = 12 corrections the remainder at a point is at most
-    A (N+a)^(-p), p = Re s + 2K + 1: the first omitted correction
-    |C_{K+1} (s)_{2K+1}| (N+a)^(-p) times the remainder factor
-    |s+2K+1| / max(p, 1); for the derivative |(s)_{2K+1}| becomes
-    |d/ds (s)_{2K+1}| + |(s)_{2K+1}| ln(N+a).  N is the least count meeting
-    ``tol`` for the value at every point, because the partial-sum terms
-    grow like (n+a)^(-Re s) here and a larger N only adds cancellation
-    against the boundary term (N+a)^(1-s)/(s-1).  Returns (N, remainder
-    bound per point, max|s|).
-    """
-    k = _EM_MAX_CORRECTIONS
-    power = s.real + 2 * k + 1
-    factors = np.abs(s + np.arange(2 * k + 1)[:, None])
-    rising = np.prod(factors, axis=0)
-    drising = 0.0
-    if want_deriv:
-        # |d/ds (s)_{2K+1}| <= sum_i prod_{j != i} |s+j|, from prefix and
-        # suffix products so that a zero factor stays exact
-        ones = np.ones((1, s.size))
-        prefix = np.cumprod(np.vstack([ones, factors[:-1]]), axis=0)
-        suffix = np.cumprod(np.vstack([ones, factors[:0:-1]]), axis=0)[::-1]
-        drising = (prefix * suffix).sum(axis=0)
-    scale = abs(_EM_COEF[k]) * np.abs(s + 2 * k + 1) / np.maximum(power, 1.0)
-
-    def amplitude(x):
-        return scale * (rising * (math.log(x) if want_deriv else 1.0) + drising)
-
-    # remainder amplitude(N+a) (N+a)^(-power) = tol; the ln(N+a) weight of
-    # the derivative grows slowly, so a few fixed-point rounds from below.
-    # Near Re s = -2K-1 no moderate N meets tol and a larger one only adds
-    # cancellation, so N stops at 10 + max|s|; the estimate then says so.
-    big_s = float(factors[0].max())                     # |s + 0|
-    cap = 10.0 + big_s
-    x = 1.0 + alpha
-    for _ in range(3 if want_deriv else 1):
-        reach = (amplitude(max(x, math.e)) / tol) ** (1.0 / np.maximum(power, 1.0))
-        x = min(cap, max(x, float(np.max(reach))))
-    n_terms = math.ceil(x - alpha)
-    big_a = n_terms + alpha
-    la = math.log(big_a)
-    return n_terms, amplitude(big_a) * np.exp(-power * la), big_s
+    target = tol
+    if re_min < 0.0:
+        risings = _batch_pochhammer(s, want_deriv)
+        # bisect for the balance point, the least N with M(N) <= rounding(N)
+        # (the least N meeting rounding(N) is then at most N), below an N
+        # with M(N) <= eps, which every rounding exceeds
+        last = _EM_MAX_CORRECTIONS
+        lo, hi = 1, (plan(last, _EPS) or (0, 2 ** 31))[1]
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if (plan(last, rounding(mid, last)) or (0, 2 ** 31))[1] <= mid:
+                hi = mid
+            else:
+                lo = mid + 1
+        target = max(tol, rounding(lo, last))
+    best = None
+    for k in range(k_min, _EM_MAX_CORRECTIONS + 1):
+        if best is not None and k * step_cost >= best[0]:
+            break  # the corrections alone cost more than the best pair
+        if (candidate := plan(k, target)) and (best is None or candidate[0] < best[0]):
+            best = candidate
+    if best is None:
+        raise AccuracyError("no remainder bound with N <= 2^31 terms "
+                            + _at(complex(s[np.argmax(np.abs(s))]), alpha, "series-em"))
+    work, n_terms, k, remainder = best
+    sieved = alpha == 1.0 and _sieve_pays(s.size, n_terms)
+    sums = _em_weighted_sums(alpha, n_terms, re_min, want_deriv, sieved)
+    if (_em_group_rounding(re_min, re_max, big_s, alpha, n_terms, k, want_deriv, sums)
+            > _EM_ROUNDING_SLACK * target):
+        # past the least-work K the work grows with K and the rounding falls
+        last = plan(_EM_MAX_CORRECTIONS, target) or best
+        limit = _EM_ROUNDING_SLACK * max(target, rounding(last[1], last[2]))
+        work, n_terms, k, remainder = next(
+            candidate for candidate in (plan(j, target) for j in range(k, _EM_MAX_CORRECTIONS + 1))
+            if candidate and rounding(candidate[1], candidate[2]) <= limit)
+    return n_terms, k, remainder, big_s
 
 
 # Veltkamp's splitter 2^27 + 1: c = K x, x_hi = c - (c - x) keeps the upper 26
@@ -670,13 +692,10 @@ def _log_parts(alpha: float):
 
 
 def _leading_power(s: np.ndarray, alpha: float) -> np.ndarray:
-    """alpha^(-s) with a relative error of a few eps.
+    """alpha^(-s) with a relative error of a few eps, where exp(-s fl(ln a)) is off by eps |s ln a|.
 
-    exp(-s fl(ln a)) alone is off by eps |s| |ln a| from the rounded
-    logarithm and product.  Here -s ln(a) = w + delta, w = -fl(s hi) and
-    delta = -(s lo + the exact residual of s hi, by Dekker's two-product,
-    componentwise), and a^(-s) = e^w (1 + delta) to second order in |delta|
-    ~ eps |s ln a|.
+    -s ln(a) = w + delta, w = -fl(s hi) and delta = -(s lo + the exact
+    residual of s hi by Dekker's two-product), and a^(-s) = e^w (1 + delta).
     """
     hi, lo, hi_hi, hi_lo = _log_parts(alpha)
     prod = s * hi
@@ -691,13 +710,11 @@ def _em_split(s: np.ndarray, alpha: float, n_terms: int, n_corr: int, exact_lead
               want_deriv: bool, sieved: bool):
     """Euler-Maclaurin evaluation with the 1/(s-1) pole kept symbolic.
 
-    Returns (regular, d_regular or None) with
-    zeta(s, alpha) = regular + 1/(s-1) and
-    zeta'(s, alpha) = d_regular - 1/(s-1)^2, for ``n_terms`` partial-sum
+    Returns (regular, d_regular or None) with zeta(s, alpha) = regular +
+    1/(s-1) and zeta'(s, alpha) = d_regular - 1/(s-1)^2, for ``n_terms``
     terms and ``n_corr`` corrections; with ``exact_lead`` the n = 0 term
-    comes from _leading_power.  With ``sieved`` (a = 1) the partial sums and
-    (N+1)^(-s) come from the sieved table of _sieved_sums; otherwise every
-    term is one complex exp.
+    comes from _leading_power, and with ``sieved`` (a = 1) the terms come
+    from _sieved_sums.
     """
     s = np.asarray(s, dtype=complex)
     flat = s.ravel()
@@ -755,15 +772,11 @@ def euler_maclaurin_split(s, alpha: float, tol: float = 1e-12,
     """Euler-Maclaurin split evaluation (vectorized).
 
     Returns (regular, d_regular or None, error_estimate), all shaped like
-    ``s``.  With Re s >= 0 on every point, N and K come from the remainder
-    majorant of _em_plan, in one pass, and the estimate is that majorant
-    (<= ``tol``; with ``want_deriv`` it bounds the derivative's remainder
-    too) plus the float64 rounding of the kernel, so it can exceed ``tol``
-    where rounding alone does, as at large |Im s|.  Otherwise N is the least
-    count whose remainder bound after 12 corrections meets ``tol`` at every
-    point, and the estimate adds the rounding of the growing partial-sum
-    terms (see _em_negative_plan).  For a = 1 the kernel takes the sieved
-    table where _sieve_pays, and the rounding counted is that table's.
+    ``s``.  N and K come from _em_plan; the estimate is its remainder bound
+    (the derivative's too with ``want_deriv``) plus the float64 rounding of
+    the kernel (_em_rounding), so rounding alone can take it past ``tol``:
+    at large |Im s|, and left of Re s = 0.  For a = 1 the kernel takes the
+    sieved table where _sieve_pays.  Raises AccuracyError at Re s <= -25.
     """
     alpha = _check_alpha(alpha)
     s = np.asarray(s, dtype=complex)
@@ -771,11 +784,7 @@ def euler_maclaurin_split(s, alpha: float, tol: float = 1e-12,
         return s.copy(), (s.copy() if want_deriv else None), np.zeros(s.shape)
     flat = s.ravel()
     re_min, re_max = float(flat.real.min()), float(flat.real.max())
-    if re_min >= 0.0:
-        n_terms, n_corr, remainder, big_s = _em_plan(flat, alpha, tol, want_deriv, re_min)
-    else:
-        n_corr = _EM_MAX_CORRECTIONS
-        n_terms, remainder, big_s = _em_negative_plan(flat, alpha, tol, want_deriv)
+    n_terms, n_corr, remainder, big_s = _em_plan(flat, alpha, tol, want_deriv, re_min)
     # the leading term a^(-s) is formed to a few eps where its plain
     # rounding, eps |s| |ln a| a^(-Re s), could reach a tenth of tol
     exact_lead = alpha < 1.0 and _EPS * big_s * -math.log(alpha) * alpha ** -re_max > 0.1 * tol
@@ -791,8 +800,8 @@ def euler_maclaurin_split(s, alpha: float, tol: float = 1e-12,
 # ---------------------------------------------------------------------------
 
 # Stirling's series is summed to J terms after an upward shift to Re z >= 10.
-# The reflection meets |Im z| <= 15 there, so |arg z| <= arctan(1.5) and the
-# remainders below stay under 2e-17.
+# The remainder bounds below are taken per point and hold at every |Im z|;
+# there they stay under 2e-17.
 _STIRLING_TERMS = 8
 _STIRLING_RE = 10.0
 # B_2j / (2j (2j-1)) and B_2j / (2j) for j = 1..J+1; the last bounds the remainder
@@ -815,14 +824,11 @@ def _log_gamma(w: np.ndarray, want_digamma: bool):
         psi(w)      = ln z - 1/(2z) - sum_{j=1..J} B_2j / (2j z^2j) - sum_{i<n} 1/(w+i).
 
     The remainder of the first is at most the first omitted term times
-    sec^(2J+2)(arg z / 2) (DLMF 5.11.ii).  That of the second is at most the
-    first omitted term |B_2J+2| / ((2J+2) |z|^(2J+2)) divided by
-    min over t >= 0 of |t^2 + z^2| / |z|^2, which is 1 for |arg z| <= pi/4
-    and |sin(2 arg z)| beyond (expand t/(t^2+z^2) in Binet's
-    psi(z) = ln z - 1/(2z) - 2 int_0^inf t dt / ((t^2+z^2)(e^(2 pi t)-1))).
-    Each bound adds the float64 rounding of the terms above, about eps times
-    each of them.
-    Returns (ln Gamma, bound) or, with ``want_digamma``, (ln Gamma, bound, psi, bound).
+    sec^(2J+2)(arg z / 2) (DLMF 5.11.ii); that of the second the first
+    omitted term over min_{t >= 0} |t^2 + z^2| / |z|^2, 1 for |arg z| <= pi/4
+    and |sin(2 arg z)| beyond (Binet's integral for psi).  Each bound adds
+    about eps times each term above.  Returns (ln Gamma, bound) or, with
+    ``want_digamma``, (ln Gamma, bound, psi, bound).
     """
     shift = np.maximum(0.0, np.ceil(_STIRLING_RE - w.real))
     z = w + shift
@@ -863,14 +869,9 @@ def _log_gamma(w: np.ndarray, want_digamma: bool):
 
 
 # ---------------------------------------------------------------------------
-# The reflection route: Hurwitz's formula for a = r/m (Apostol, Introduction
-# to Analytic Number Theory, Thm 12.6), read at u = 1 - s,
-#
-#     zeta(s, r/m) = 2 Gamma(u) (2 pi m)^(-u) sum_{k=1..m} cos(pi u/2 - 2 pi k r/m) zeta(u, k/m).
-#
-# Left of Re s = -3 it turns a batch into m Euler-Maclaurin evaluations at
-# Re u > 4, where the series is cheap and well conditioned, and every residue
-# r of the period shares them.
+# The reflection route: Hurwitz's formula for a = r/m at u = 1 - s (see the
+# module docstring), m Euler-Maclaurin evaluations at Re u > 4 shared by
+# every residue r of the period.
 # ---------------------------------------------------------------------------
 
 # sum_{n>=1} ln(n+1)^j n^-4 for j = 1, 2 (0.79 and 0.60), rounded up: with the
@@ -882,39 +883,43 @@ _ZETA_D2_TAIL = 0.7
 def _reflect(s: np.ndarray, period: int, alphas, tol: float, deriv: bool):
     """Regular parts of zeta(s, r/m) (or of zeta') for each a = r/m in ``alphas``.
 
-    Returns (values, estimates) of shape (len(alphas), s.size).  Writing
+    Returns (values, estimates) of shape (len(alphas), s.size).  With
     G = 2 Gamma(u) (2 pi m)^(-u), C_k, S_k = cos, sin(pi u/2 - 2 pi k r/m)
-    and Z_k = zeta(u, k/m), the value is G sum_k C_k Z_k, and its
-    s-derivative is -G ((psi(u) - ln(2 pi m)) sum_k C_k Z_k
-    - (pi/2) sum_k S_k Z_k + sum_k C_k Z_k').  Euler-Maclaurin runs at
-    _H_TAIL_SHARE ``tol`` over the largest weight |G| sum_k |C_k| (with the
-    weights of the derivative), so its share of each estimate stays below
-    that.  The estimate adds the float64 rounding of every factor: relative
-    errors of G and of the products times |G| sum_k |C_k| |Z_k|, the error
-    of the phase times |G| sum_k |S_k| |Z_k| (absolute near the trivial
-    zeros, where C_k vanishes and the value is small), and u = 1 - s itself,
-    off by eps |Re u| / 2, times a bound on the u-derivative.
+    and Z_k = zeta(u, k/m), the value is G sum_k C_k Z_k and its
+    s-derivative -G ((psi(u) - ln(2 pi m)) sum_k C_k Z_k - (pi/2) sum_k S_k
+    Z_k + sum_k C_k Z_k').  Euler-Maclaurin runs at _H_TAIL_SHARE ``tol``
+    over the largest weight |G| sum_k |C_k|.  The estimate adds the rounding
+    of every factor: of G and the products times |G| sum_k |C_k| |Z_k|, of
+    the phase times |G| sum_k |S_k| |Z_k| (absolute near the trivial zeros),
+    and of u = 1 - s, eps |Re u| / 2, times a bound on the u-derivative.
+    Raises AccuracyError where a factor leaves the float64 range.
     """
     m = period
     u = 1.0 - s
+
+    def overflow(finite, what):
+        if not finite.all():
+            s_bad = complex(s[~finite][0])
+            raise AccuracyError(f"{what} overflows "
+                                + _at(s_bad, alphas[0] if len(alphas) == 1 else alphas, "reflect"))
+
     abs_u = np.abs(u)
     big_l = math.log(_TWO_PI * m)
     gamma = _log_gamma(u, deriv)
     lg, lg_err = gamma[:2]
-    with np.errstate(over="ignore", invalid="ignore"):      # checked below
-        g = 2.0 * np.exp(lg - u * big_l)
-    abs_g = np.abs(g)
-    if not np.isfinite(abs_g).all():
-        s_bad = complex(s[~np.isfinite(abs_g)][0])
-        raise AccuracyError("2 Gamma(1-s) (2 pi m)^(s-1) overflows "
-                            + _at(s_bad, alphas[0] if len(alphas) == 1 else alphas, "reflect"))
     k = np.arange(1, m + 1)
     residues = np.array([round(a * m) for a in alphas])
     q = (2 * np.multiply.outer(residues, k) % (2 * m)) / m          # 2kr/m mod 2
     half = np.remainder(0.5 * u.real, 2.0) + 0.5j * u.imag          # u/2 mod 2
     phase = math.pi * (half - q[:, :, None])                         # (R, m, n)
-    cos, sin = np.cos(phase), np.sin(phase)
-    abs_c, abs_s = np.abs(cos), np.abs(sin)
+    with np.errstate(over="ignore", invalid="ignore"):      # checked below
+        g = 2.0 * np.exp(lg - u * big_l)
+        cos, sin = np.cos(phase), np.sin(phase)
+        abs_g, abs_c, abs_s = np.abs(g), np.abs(cos), np.abs(sin)
+        overflow(np.isfinite(abs_g), "2 Gamma(1-s) (2 pi m)^(s-1)")
+        # cosh(pi |Im s| / 2) passes the float64 range near |Im s| = 452
+        overflow(np.isfinite(abs_g * (abs_c + abs_s).sum(axis=(0, 1))),
+                 "2 Gamma(1-s) (2 pi m)^(s-1) cos(pi (1-s)/2 - 2 pi k r/m)")
     if deriv:
         dlog = gamma[2] - big_l
         abs_dlog = np.abs(dlog)
@@ -982,18 +987,13 @@ def _reflect(s: np.ndarray, period: int, alphas, tol: float, deriv: bool):
 # ---------------------------------------------------------------------------
 
 # Left of Re s = -3 the Euler-Maclaurin boundary terms grow like
-# (N+a)^(1-Re s) and their float64 cancellation against the partial sum
-# costs about eps times that.  There a batch takes the reflection when a is
-# 1 or a residue r/m of a given period, and the h-rule otherwise: the
-# h-integrand is benign while its envelope factor cosh(|Im s| pi/2) stays
-# moderate, which it does up to |Im s| = 15 (cosh(15 pi/2) ~ 6e9).  A
-# size-1 call pays numpy's per-call overhead on every Horner step of
-# Euler-Maclaurin and on every factor of the reflection, so there the
-# h-rule is the cheaper route (about 2.5x against Euler-Maclaurin at
-# alpha = 1, s = 2, and 115 against 299 us against the reflection at
-# s = -5) and the more accurate one, and it serves the strip up to
-# Re s = 8, where the series needs few terms.  Batches keep Euler-Maclaurin
-# right of Re s = -3: its cost per point falls below 1 us.
+# (N+a)^(1-Re s), and float64 cancellation against the partial sum costs eps
+# times that.  There a point with a period takes the reflection; other a
+# take the h-rule while its envelope factor cosh(|Im s| pi/2) stays
+# moderate, up to |Im s| = 15 (cosh(15 pi/2) ~ 6e9).  numpy's per-call
+# overhead makes the h-rule the cheaper route for a size-1 call up to
+# |Im s| = 15 (2.5x against Euler-Maclaurin at s = 2, 115 against 299 us
+# against the reflection at s = -5), so there it serves Re s < 8 as well.
 _H_RULE_RE_LIMIT = -3.0
 _SINGLE_H_RULE_RE_LIMIT = 8.0
 HERMITE_IM_LIMIT = 15.0
@@ -1011,14 +1011,21 @@ def route_names(codes) -> str:
     return "/".join(dict.fromkeys(ROUTES[c] for c in np.ravel(codes)))
 
 
-def _on_h_rule(s: np.ndarray) -> np.ndarray:
-    """The route predicate: where the router leaves Euler-Maclaurin.
+def _route_masks(s: np.ndarray, has_period: bool):
+    """(reflect, hermite) masks of the points that leave Euler-Maclaurin.
 
-    |Im s| <= 15 and Re s < -3 (the reflection or the h-rule); for a size-1
-    call, Re s < 8 (the h-rule).
+    The h-rule takes |Im s| <= 15 with Re s < -3 (Re s < 8 for a size-1
+    call); given a period, every point left of Re s = -3 reflects instead,
+    except a size-1 call on the h-rule.
     """
     re_limit = _SINGLE_H_RULE_RE_LIMIT if s.size == 1 else _H_RULE_RE_LIMIT
-    return (s.real < re_limit) & (np.abs(s.imag) <= HERMITE_IM_LIMIT)
+    hermite = (s.real < re_limit) & (np.abs(s.imag) <= HERMITE_IM_LIMIT)
+    if not has_period:
+        return np.zeros_like(hermite), hermite
+    reflect = s.real < _H_RULE_RE_LIMIT
+    if s.size == 1:
+        return reflect & ~hermite, hermite
+    return reflect, np.zeros_like(hermite)
 
 
 def hurwitz_split_many(s, alpha, tol: float = 1e-12, deriv=False, period: int | None = None):
@@ -1027,18 +1034,16 @@ def hurwitz_split_many(s, alpha, tol: float = 1e-12, deriv=False, period: int | 
     The regular parts are R with zeta(s, a) = R + 1/(s-1) and R' with
     zeta'(s, a) = R' - 1/(s-1)^2.  ``alpha`` is one a in (0, 1] or a
     sequence of them; with ``period`` m every a must be a residue r/m, and
-    a = 1 alone implies m = 1.  Where _on_h_rule holds, a batch with a
-    period takes the reflection, one call for all residues; every other
-    point there takes d (or d') plus the graded h-rule, and a size-1 call
-    right of Re s = -3 moves on to Euler-Maclaurin where the h-rule's
-    estimate exceeds ``tol`` (its float64 floor).  Euler-Maclaurin takes
-    the rest, grouped by the sign of Re s so a large-|Im| point cannot
-    force a term count that degrades the cancellation-sensitive negative-Re
-    group.  ``deriv`` False gives R, True gives R', and PAIR both, stacked
-    on a new leading axis (R first); a PAIR estimate bounds the error of
-    each, and Euler-Maclaurin forms the two in one pass.  Returns (values,
-    estimates, routes), routes holding a code per point (SERIES_EM, HERMITE or REFLECT, which index ROUTES); each is shaped
-    like ``s``, with a leading axis over a sequence ``alpha``.
+    a = 1 alone implies m = 1.  The points _route_masks marks take the
+    reflection, one call for all residues, or d (or d') plus the h-rule; a
+    size-1 call right of Re s = -3 moves on where the h-rule's estimate
+    exceeds ``tol``.  Euler-Maclaurin takes the rest in one group per sign
+    of Re s: as one group, {-2.9, 0.5+300i} takes N = 176 and the -2.9 point
+    comes out 3e-7 off, against 8e-13 alone.  ``deriv`` False gives R, True
+    R', and PAIR both on a new leading axis (R first), with one estimate
+    bounding each.  Returns (values, estimates, routes), routes holding a
+    code per point (SERIES_EM, HERMITE or REFLECT, indexing ROUTES), each
+    shaped like ``s`` with a leading axis over a sequence ``alpha``.
     """
     single_alpha = np.isscalar(alpha)
     alphas = (_check_alpha(alpha),) if single_alpha else tuple(map(_check_alpha, alpha))
@@ -1052,19 +1057,18 @@ def hurwitz_split_many(s, alpha, tol: float = 1e-12, deriv=False, period: int | 
     out = np.empty((len(orders), len(alphas), flat.size), dtype=complex)
     est = np.empty(out.shape[1:])
     routes = np.zeros(est.shape, dtype=np.int8)           # SERIES_EM
-    on_h = _on_h_rule(flat)
-    left = bool(on_h.any())
-    reflect = left and period is not None and flat.size > 1
-    if reflect:
-        parts = [_reflect(flat[on_h], period, alphas, tol, order) for order in orders]
+    reflect, on_h = _route_masks(flat, period is not None)
+    if reflect.any():
+        parts = [_reflect(flat[reflect], period, alphas, tol, order) for order in orders]
         for out_k, (values, _) in zip(out, parts):
-            out_k[:, on_h] = values
-        est[:, on_h] = reduce(np.maximum, (e for _, e in parts))
-        routes[:, on_h] = REFLECT
+            out_k[:, reflect] = values
+        est[:, reflect] = reduce(np.maximum, (e for _, e in parts))
+        routes[:, reflect] = REFLECT
+    series, any_h = ~(reflect | on_h), bool(on_h.any())
     for i, a in enumerate(alphas):
         out_a, est_a, routes_a = out[:, i], est[i], routes[i]
-        em = ~on_h
-        if left and not reflect:
+        em = series
+        if any_h:
             sf = flat[on_h]
             parts = [_h_rule(sf, a, tol, order) for order in orders]
             est_h = reduce(np.maximum, (e for _, e in parts))
@@ -1077,7 +1081,7 @@ def hurwitz_split_many(s, alpha, tol: float = 1e-12, deriv=False, period: int | 
                 hermite[on_h] = stay
                 sf, est_h = sf[stay], est_h[stay]
                 parts = [(h[stay], e) for h, e in parts]
-                em = ~hermite
+                em = ~(reflect | hermite)
             for out_k, order, (h, _) in zip(out_a, orders, parts):
                 entire = hermite_d_deriv_many(sf, a) if order else hermite_d_many(sf, a)
                 out_k[hermite] = entire + h
@@ -1098,11 +1102,7 @@ def hurwitz_split_many(s, alpha, tol: float = 1e-12, deriv=False, period: int | 
 
 
 def _split_point(s, alpha: float, cfg: EvalConfig, deriv: bool):
-    """One point through the router: (value, estimate, route).
-
-    Raises AccuracyError, naming s, alpha and the route, unless
-    cfg.accepts the value and its estimate.
-    """
+    """One point through the router: (value, estimate, route); AccuracyError unless accepted."""
     s = complex(s)
     reg, est, route = hurwitz_split_many(np.array([s]), alpha, cfg.split_tol, deriv)
     value, est, route = complex(reg[0]), float(est[0]), ROUTES[route[0]]
@@ -1229,11 +1229,7 @@ def bound_constants(alpha: float, beta: float) -> BoundConstants:
 
 
 def d_sup_bound(alpha: float, beta: float, grid: int = 101) -> float:
-    """Numerical stand-in for the |d| bound: 1.1 x sampled sup on a grid.
-
-    No closed form is available for sup |d|; the constant only feeds the
-    local-existence time estimate, where a safe sampled sup suffices.
-    """
+    """1.1 x the sampled sup of |d| on a grid (no closed form; feeds the existence time)."""
     alpha = _check_alpha(alpha)
     if beta <= 0:
         raise DomainError("beta must be positive")

@@ -330,15 +330,43 @@ class TestPlannedEulerMaclaurin:
                 ref = oracles.mp_zeta(mpmath, s, alpha, deriv)
                 assert abs(got - ref) <= 3e-12 * max(1.0, abs(ref)), (s, alpha, deriv)
 
+    @pytest.mark.parametrize("alpha", (0.25, 0.75))
+    def test_negative_real_part_estimate_does_not_grow_as_tol_tightens(self, alpha):
+        # left of 0 the terms grow, and N stops where the remainder falls
+        # below the counted rounding; the least N meeting tol read 4.1e-11
+        # at tol 1e-12 and 7.9e-11 at tol 9e-15 for alpha = 1/4
+        mpmath = pytest.importorskip("mpmath")
+        s = -2.9 + 14.0j
+        ref = oracles.mp_zeta(mpmath, s, alpha)
+        ests = []
+        for tol in (1e-12, 1e-13, 9e-15):
+            reg, _, est = sp.euler_maclaurin_split(np.array([s]), alpha, tol=tol)
+            assert abs(reg[0] + 1.0 / (s - 1.0) - ref) <= est[0], (alpha, tol)
+            ests.append(est[0])
+        assert ests[0] >= ests[1] >= ests[2], ests
+
+    def test_rounding_limited_point_trades_work_for_rounding(self):
+        # the least-work pair, K = 6 and N = 468, counted 1.3e-10 of
+        # rounding, past abs_tol; zeta' counts at least 1.7e-10 at every K
+        mpmath = pytest.importorskip("mpmath")
+        s = 0.04 + 300.0j
+        value, est, route = sp.eval_diagnostics(s, 1.0, CFG)
+        assert route == "series-em"
+        assert abs(value - oracles.mp_zeta(mpmath, s, 1.0)) <= est <= CFG.abs_tol
+        with pytest.raises(zf.AccuracyError) as err:
+            sp.riemann_zeta_deriv(s, CFG)
+        assert repr(s) in str(err.value) and "route series-em" in str(err.value)
+
 
 class TestRouteBoundary:
     """Both sides of the router's switches against mpmath (dps 30).
 
-    Left of Re s = -3 and up to |Im s| = 15, batches take the reflection
-    for a = 1 and for residues r/m of a period, and the h-rule for other a;
-    Euler-Maclaurin takes the rest.  Size-1 calls switch at |Im s| = 15 and
-    where the h-rule's floor exceeds the tolerance.  On each side the
-    reported estimate alone must cover the error.
+    Left of Re s = -3, points with a = 1 or a residue r/m of a period take
+    the reflection at every |Im s|, except size-1 calls up to |Im s| = 15,
+    which take the h-rule, as batches of other a do up to |Im s| = 15;
+    Euler-Maclaurin takes the rest.  Size-1 calls also leave the h-rule
+    where its floor exceeds the tolerance.  On each side the reported
+    estimate alone must cover the error.
     """
 
     ALPHAS = (0.05, 0.1, 0.25, 0.5, 1.0)
@@ -382,7 +410,7 @@ class TestRouteBoundary:
     def test_reflection_switch_covers_error(self, period, residues):
         mpmath = pytest.importorskip("mpmath")
         pts = self._reflection_points(period)
-        left = (pts.real < -3.0) & (np.abs(pts.imag) <= 15.0)
+        left = pts.real < -3.0
         alphas = [r / period for r in residues]
         for deriv in (0, 1):
             vals, est, routes = sp.hurwitz_split_many(pts, alphas, deriv=bool(deriv), period=period)
@@ -440,6 +468,87 @@ class TestRouteBoundary:
         zf.l_function(chi4).evaluate(np.array([-5.0 + 1.0j, -4.2 - 3.0j, -7.1]))
         assert sorted(alpha for _, alpha in calls) == [0.25, 0.5, 0.75, 1.0]
         assert all(re > 4.0 for re, _ in calls)
+
+    FAR_LEFT = (-5.96 + 26.9j, -8.0 + 60.0j, -5.0 + 100.0j, -5.0 + 300.0j)
+
+    @staticmethod
+    def _check_pair(mpmath, pts, alphas, got, routes_expected):
+        (vals, dvals), est, routes = got
+        assert (routes == routes_expected).all(), routes
+        for j, alpha in enumerate(alphas):
+            for i, s in enumerate(pts):
+                s = complex(s)
+                ref = oracles.mp_zeta(mpmath, s, alpha) - 1.0 / (s - 1.0)
+                dref = oracles.mp_zeta(mpmath, s, alpha, 1) + 1.0 / (s - 1.0) ** 2
+                assert abs(vals[j, i] - ref) <= est[j, i], (s, alpha, est[j, i])
+                assert abs(dvals[j, i] - dref) <= est[j, i], (s, alpha, est[j, i])
+
+    @pytest.mark.parametrize("period, residues", ((1, (1,)), (4, (1, 3))))
+    def test_reflection_at_every_imaginary_part(self, period, residues):
+        # Euler-Maclaurin read zeta(-8+60i) 54 off with an estimate of 3.5e2
+        mpmath = pytest.importorskip("mpmath")
+        pts = np.array(self.FAR_LEFT)
+        alphas = [r / period for r in residues]
+        for group in [pts] + [pts[i:i + 1] for i in range(pts.size)]:
+            got = sp.hurwitz_split_many(group, alphas, deriv=sp.PAIR, period=period)
+            self._check_pair(mpmath, group, alphas, got, sp.REFLECT)
+
+    def test_chi4_reflection_at_every_imaginary_part(self, chi4):
+        mpmath = pytest.importorskip("mpmath")
+        handle = zf.l_function(chi4)
+        pts = np.array(self.FAR_LEFT)
+        batch = handle.evaluate(pts)
+        for i, s in enumerate(self.FAR_LEFT):
+            ref = oracles.mp_l(mpmath, chi4.values, s)
+            for (vals, est, routes), k in ((batch, i), (handle.evaluate(pts[i:i + 1]), 0)):
+                assert (routes[:, k] == sp.REFLECT).all(), s
+                assert abs(vals[k] - ref) <= est[k], s
+
+    # (period, residues); None: a without a period
+    LEFT_ALPHAS = ((1, (1.0,)), (2, (0.5,)), (4, (0.25, 0.75)), (None, (0.3,)))
+
+    @pytest.mark.parametrize("period, alphas", LEFT_ALPHAS)
+    def test_left_half_plane_covers_error(self, period, alphas):
+        # both sides of Re s = -3 at 15 < |Im s| <= 100, and within 1e-3 of
+        # s = 0 on both sides of Re s = 0; as a batch and one point a call
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(31)
+        near = (-3.0 + rng.uniform(-0.05, 0.05, 8)
+                + 1j * rng.choice([-1.0, 1.0], 8) * rng.uniform(15.5, 100.0, 8))
+        origin = 1e-3 * rng.uniform(0.05, 1.0, 6) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 6))
+        left = np.where(near.real < -3.0, sp.REFLECT, sp.SERIES_EM) if period else sp.SERIES_EM
+        for pts, batch_route, single_route in ((near, left, left),
+                                               (origin, sp.SERIES_EM, sp.HERMITE)):
+            self._check_pair(mpmath, pts, alphas,
+                             sp.hurwitz_split_many(pts, list(alphas), deriv=sp.PAIR, period=period),
+                             batch_route)
+            for i in range(pts.size):
+                route = single_route[i] if np.ndim(single_route) else single_route
+                self._check_pair(mpmath, pts[i:i + 1], alphas,
+                                 sp.hurwitz_split_many(pts[i:i + 1], list(alphas), deriv=sp.PAIR,
+                                                       period=period), route)
+
+    def test_non_residue_past_the_last_correction_raises(self):
+        # at Re s <= -25 no K <= 12 bounds the Euler-Maclaurin remainder
+        s = -30.0 + 20.0j
+        for call in (lambda: sp.hurwitz_split_many(np.array([s, s + 1.0j]), 0.3),
+                     lambda: sp.hurwitz_zeta(s, 0.3, CFG)):
+            with pytest.raises(zf.AccuracyError) as err:
+                call()
+            msg = str(err.value)
+            assert repr(s) in msg and "alpha=0.3" in msg and "route series-em" in msg
+
+    def test_reflection_phase_overflow_raises_with_point_and_route(self):
+        # cosh(pi Im(s) / 2) passes the float64 range near |Im s| = 452
+        s = -5.0 + 460.0j
+        for call in (lambda: sp.hurwitz_split_many(np.array([s, -5.0 + 1.0j]), [0.25, 0.75],
+                                                   period=4),
+                     lambda: sp.hurwitz_split_many(np.array([s]), 1.0),
+                     lambda: sp.riemann_zeta(s, CFG)):
+            with pytest.raises(zf.AccuracyError) as err:
+                call()
+            msg = str(err.value)
+            assert repr(s) in msg and "route reflect" in msg
 
     def test_size_one_calls_keep_the_h_rule(self):
         assert sp.hurwitz_regular_split(-5.0 + 1.0j, 1.0)[2] == "hermite"
@@ -552,6 +661,26 @@ class TestRouteBoundary:
             direct, table = (sp._em_split(pts, 1.0, n_terms, 6, False, deriv, sieved)[deriv]
                              for sieved in (False, True))
             assert np.all(np.abs(table - direct) <= sum(rounding)), n_terms
+
+    def test_table_rows_within_their_counted_rounding(self):
+        # every row n^(-s), n <= 160, of the sieved table, read as the
+        # boundary row (N+1)^(-s) with N = n - 1.  At small |s| the count's
+        # own term c_n = 4 Omega(n) (_term_rounding) must carry each row's
+        # rounding, as the boundary factor and summed over the rows
+        mpmath = pytest.importorskip("mpmath")
+        n_max = 160
+        for s in (0.01 + 0.02j, -0.03 + 0.01j, 0.02 - 0.04j):
+            need = 0.0
+            for n in range(2, n_max + 1):
+                row = sp._sieved_sums(np.array([s]), n - 1, False)[2][0]
+                with mpmath.workdps(30):
+                    ref = complex(mpmath.power(n, -mpmath.mpc(s.real, s.imag)))
+                excess = abs(row - ref) / (sp._EPS * abs(ref)) - abs(s) * math.log(n)
+                own = sp._em_weighted_sums(1.0, n - 1, s.real, False, True)[3]
+                assert excess <= own, (s, n, excess, own)
+                if n < n_max:
+                    need += max(excess, 0.0) * n ** -s.real
+            assert sp._em_weighted_sums(1.0, n_max - 1, s.real, False, True)[2] >= need, s
 
 
 class TestLogGamma:
