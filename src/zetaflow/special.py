@@ -5,7 +5,9 @@ One router, ``hurwitz_split_many``, evaluates the regular part of zeta(s, a)
 call, with a per-point error estimate and route, for batches, for all
 residues of an L-function at once and, as size-1 calls, for every scalar
 entry point.  One predicate, ``_route_masks``, sends points off
-Euler-Maclaurin.  The routes, as the router names them:
+Euler-Maclaurin, and for a size-1 call right of Re s = -3 one bound,
+``_h_rule_fits``, decides per residue whether the h-rule runs.  The routes,
+as the router names them:
 
 * "reflect" left of Re s = -3, at every |Im s|, when a = 1 or a is a
   residue r/m of a given period m (size-1 calls keep "hermite" up to
@@ -21,18 +23,27 @@ Euler-Maclaurin.  The routes, as the router names them:
   batch without a period left of Re s = -3: zeta(s, a) = 1/(s-1) + d + h,
   d entire and h an integral by one graded fixed-panel Gauss-Legendre
   rule, whose estimate is its tail level plus 16 eps times the integral of
-  |integrand|.  Right of Re s = -3 a point whose estimate exceeds the
-  tolerance moves on to Euler-Maclaurin.
+  |integrand|.  Right of Re s = -3 a residue takes the rule only where a
+  bound on that estimate, from (s, a, tol) alone, meets the tolerance, and
+  Euler-Maclaurin elsewhere: one route per residue, whatever came before.
 * "series-em" everywhere else: the defining series with an Euler-Maclaurin
   tail, which also provides the analytic continuation.  One planner,
   _em_plan, picks the term count N and the K <= 12 corrections (summed by
   Horner's rule) for either sign of Re s, trading work against counted
-  rounding; the router groups the points by that sign.  The estimate is
-  the remainder bound plus the float64 rounding of the kernel.  At
-  Re s <= -25, where no K <= 12 bounds the remainder, it raises
-  AccuracyError.  For a = 1 a wide batch takes the terms n^(-s) from a
-  sieved table (_sieved_sums): only the prime rows take a complex exp, and
-  every other row is the product of two earlier rows.
+  rounding; the router groups the points by that sign.  It plans a group
+  for its cell: max|s|, the Re s hull and, left of Re s = 0, max|Im s|
+  rounded outward on fixed ladders, the tolerance rounded down and the
+  group size rounded up to a power of 2 (_CELL_LADDER).  A plan is a pure
+  function of its cell, kept in a bounded cache (_cell_plan), so the small
+  calls of the flows and marches, whose points move little from call to
+  call, plan once per cell, and a value depends only on its group and
+  tolerance, never on what was evaluated before.  The estimate is the
+  cell's remainder bound plus the float64 rounding of the kernel at the
+  group's own hull.  At Re s <= -25, where no K <= 12 bounds the
+  remainder, it raises AccuracyError.  For a = 1 a wide batch takes the
+  terms n^(-s) from a sieved table (_sieved_sums): only the prime rows
+  take a complex exp, and every other row is the product of two earlier
+  rows.
 
 The scalar functions raise AccuracyError, naming s, a and the route, where
 the estimate exceeds both ``EvalConfig.abs_tol`` and the float64 floor of
@@ -295,6 +306,16 @@ def _h_panels(alpha: float, n_panels: int):
     return factors
 
 
+@lru_cache(maxsize=16)
+def _h_nodes(worst: complex, alpha: float, tol: float, deriv: bool):
+    """_h_panels to the truncation point of the envelope at ``worst``, max|Re s| + i max|Im s|.
+
+    Cached, as a size-1 call reads it in _h_rule_fits and again in _h_rule.
+    """
+    tail = _truncation_point(worst, alpha, _H_TAIL_SHARE * tol, deriv)
+    return _h_panels(alpha, math.ceil(tail / _H_PANEL_WIDTH))
+
+
 def _h_rule(s: np.ndarray, alpha: float, tol: float, deriv: bool):
     """h (or h') at the 1-d points ``s``, with per-point error estimates.
 
@@ -304,17 +325,37 @@ def _h_rule(s: np.ndarray, alpha: float, tol: float, deriv: bool):
     floor of the panel sums, _QUAD_FLOOR times the integral of |integrand|
     on the same nodes.
     """
-    tail = _H_TAIL_SHARE * tol
     worst = complex(float(np.abs(s.real).max()), float(np.abs(s.imag).max()))
-    n_panels = math.ceil(_truncation_point(worst, alpha, tail, deriv) / _H_PANEL_WIDTH)
-    angle, half_log, weights = _h_panels(alpha, n_panels)
+    angle, half_log, weights = _h_nodes(worst, alpha, tol, deriv)
     col = s[:, None]
     phase = col * angle
     num = np.sin(phase)
     if deriv:
         num = angle * np.cos(phase) - half_log * num
     vals = num * np.exp(-col * half_log)
-    return vals @ weights, tail + _QUAD_FLOOR * (np.abs(vals) @ weights)
+    return vals @ weights, _H_TAIL_SHARE * tol + _QUAD_FLOOR * (np.abs(vals) @ weights)
+
+
+def _h_rule_fits(s: complex, alpha: float, tol: float, orders) -> bool:
+    """Whether _h_rule's estimate at the point ``s`` meets ``tol`` in each of ``orders``.
+
+    Decided before the rule runs, from (s, alpha, tol) alone: |sin(s theta)|
+    and |cos(s theta)| are at most cosh(Im s theta), so on each node
+    |integrand| is at most cosh(|Im s| theta) e^(-Re s ln(a^2+t^2)/2), times
+    theta + |ln(a^2+t^2)|/2 for h'.  That bounds the integral of |integrand|
+    in the rule's floor, and it is tight where the floor matters, at
+    cosh(|Im s| theta) >> 1.
+    """
+    worst = complex(abs(s.real), abs(s.imag))
+    for deriv in orders:
+        angle, half_log, weights = _h_nodes(worst, alpha, tol, deriv)
+        bound = np.cosh(worst.imag * angle)
+        bound *= np.exp(-s.real * half_log)
+        if deriv:
+            bound *= angle + np.abs(half_log)
+        if _H_TAIL_SHARE * tol + _QUAD_FLOOR * float(bound @ weights) > tol:
+            return False
+    return True
 
 
 def hermite_h(s, alpha: float, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
@@ -461,7 +502,8 @@ def _em_weighted_sums(alpha: float, n_terms: int, re: float, want_deriv: bool,
     """(sum w, sum w |ln(n+a)|, sum w c_n) of (n+a)^(-re) over n = 1..N-1, and c_N.
 
     w is the first weight column of _em_logs, c_n the term's own rounding
-    (_term_rounding).  Cached, as a census or a scan row repeats its Re s.
+    (_term_rounding).  Cached: _em_rounding reads it at min Re s floored to
+    the 1/_SUMS_RE_GRID grid, and _em_plan at its cell's Re s floor.
     """
     logs, cols = _em_logs(alpha, n_terms)
     own = _term_rounding(n_terms + 1, sieved)
@@ -472,10 +514,9 @@ def _em_weighted_sums(alpha: float, n_terms: int, re: float, want_deriv: bool,
     return plain, logged, own_sum, float(own[-1])
 
 
-@lru_cache(maxsize=16)
 def _em_group_rounding(re_min: float, re_max: float, big_s: float, alpha: float,
                        n_terms: int, n_corr: int, want_deriv: bool, sums: tuple) -> float:
-    """_em_rounding less the first term, one number for the group (cached for _em_plan).
+    """_em_rounding less the first term, one number for the group.
 
     ``sums`` are those of _em_weighted_sums, or the bounds of _em_sums_bound.
     """
@@ -503,12 +544,15 @@ def _em_rounding(re: np.ndarray, re_min: float, re_max: float, big_s: float, alp
     -ln(N+a) f(w), w = (1-s) ln(N+a), f(w) = (e^w - 1)/w, is off by
     eps ln(N+a) ((|w|+3) |e^w| + 2) / max(|w|, 1/2), |w| >= |Re s - 1| ln(N+a).
     All but the first term is one number for the group, at ``re_min``, as
-    each falls with Re s.  The first, a^(-s), is taken per point; with
+    each falls with Re s; its O(N) sums are read at ``re_min`` floored to
+    the 1/_SUMS_RE_GRID grid, which over-counts them by at most
+    (N+a)^(1/_SUMS_RE_GRID).  The first, a^(-s), is taken per point; with
     ``exact_lead`` _leading_power forms it to a few eps.  Returns a number
     for a = 1, else an array like ``re``.
     """
-    rest = _em_group_rounding(re_min, re_max, big_s, alpha, n_terms, n_corr, want_deriv,
-                              _em_weighted_sums(alpha, n_terms, re_min, want_deriv, sieved))
+    sums = _em_weighted_sums(alpha, n_terms, math.floor(re_min * _SUMS_RE_GRID) / _SUMS_RE_GRID,
+                             want_deriv, sieved)
+    rest = _em_group_rounding(re_min, re_max, big_s, alpha, n_terms, n_corr, want_deriv, sums)
     step = math.log2(n_terms + 1) + (0.0 if sieved else 3.0)     # with c_0
     if alpha == 1.0:
         return _EPS * step + rest        # the first term is 1
@@ -545,72 +589,140 @@ def _em_sums_bound(points: int, re_min: float, alpha: float, want_deriv: bool,
 # The factors s + i, i = 0..2K+1, of (s)_(2K+2) for K <= 12, and the least
 # |s + i| counted: it keeps the logarithm finite at the trivial zeros, and
 # raising a factor only raises the bound
-_POCHHAMMER_OFFSETS = np.arange(2.0 * _EM_MAX_CORRECTIONS + 2.0)[:, None]
+_POCHHAMMER_FACTORS = 2 * _EM_MAX_CORRECTIONS + 2
 _POCHHAMMER_FLOOR = 2.0 ** -6
 
+# The plan cell of an Euler-Maclaurin group (_em_plan): max|s| rounded up to
+# a power of 2^(1/_CELL_LADDER); the Re s hull floored and ceiled to the
+# 1/_CELL_RE_GRID grid; left of Re s = 0 also max|Im s|, rounded up like
+# max|s| from at least _CELL_IM_FLOOR; tol rounded down to a power of
+# 2^(1/_CELL_TOL_LADDER); and the batch size rounded up to a power of 2.
+# Over one pass of perfbench's inputs (seed 1), the 24,282 groups of strip
+# fell in 568 cells and the 32,445 of seeds_1d in 1,049; with the last 256
+# cells' plans kept, 97.5% and 95.1% of the plans hit the cache (96.8% for
+# seeds_1d without a bound).  The wider hull costs 2.1% and 3.1% more terms
+# (7.9% on the 32-point groups left of 0, whose Pochhammer bound is the
+# product of corner maxima).  A 1/256 Re grid cut that to 1.5% and 0.2%,
+# but only 72.5% of seeds_1d's plans hit; 1/8 raised it to 2.8% and 4.6%.
+# An entry costs about 0.5 kB.
+_CELL_LADDER = 32
+_CELL_RE_GRID = 16
+_CELL_IM_FLOOR = 2.0 ** -8
+_CELL_TOL_LADDER = 4
+_PLAN_CACHE_SIZE = 256
+# min Re s of _em_rounding's O(N) sums, floored to 1/256: at N = 400 they
+# over-count by at most 400^(1/256), 2.4%
+_SUMS_RE_GRID = 256
 
-def _batch_pochhammer(s: np.ndarray, want_deriv: bool) -> list:
-    """(ln Pi, H), K = 0..12: Pi = max |(s)_(2K+2)|, H Pi >= max |(s)_(2K+2)| sum_i 1/|s+i|."""
-    factors = np.maximum(np.abs(s + _POCHHAMMER_OFFSETS), _POCHHAMMER_FLOOR)
-    logs = np.log(factors).cumsum(axis=0)[1::2]
-    top = logs.max(axis=1)
-    if not want_deriv:
-        return [(t, 0.0) for t in top.tolist()]
-    harmonic = (np.exp(logs - top[:, None]) * (1.0 / factors).cumsum(axis=0)[1::2]).max(axis=1)
-    return list(zip(top.tolist(), harmonic.tolist()))
+
+def _rung_up(x: float, ladder: int) -> int:
+    """The least k with 2^(k/ladder) >= x > 0."""
+    k = math.ceil(math.log2(x) * ladder)
+    return k if 2.0 ** (k / ladder) >= x else k + 1
+
+
+def _rung_down(x: float, ladder: int) -> int:
+    """The greatest k with 2^(k/ladder) <= x, x > 0."""
+    k = math.floor(math.log2(x) * ladder)
+    return k if 2.0 ** (k / ladder) <= x else k - 1
+
+
+def _least_corrections(re_min: float) -> int:
+    """The least K >= 1 with re_min + 2K + 1 > 0."""
+    return max(1, math.floor(-(re_min + 1.0) / 2.0) + 1)
 
 
 def _em_plan(s: np.ndarray, alpha: float, tol: float, want_deriv: bool, re_min: float):
     """Term count N, correction count K and error bounds for an Euler-Maclaurin group.
 
-    After K corrections the remainder is R = int_N^inf P(x) (s)_{2K+2}
+    The group is planned for its cell (see _CELL_LADDER): N and K are a
+    pure function of the cell, cached in _cell_plan, so the RK stages of a
+    flow and the steps of a march, whose points move little from call to
+    call, plan once per cell.  The remainder bound of _cell_plan holds at
+    every point of the cell.  Raises AccuracyError, naming the group's
+    point and route "series-em", at Re s <= -25, where no K <= 12 bounds
+    the remainder, and where no N <= 2^31 meets it.  Returns (N, K,
+    remainder bound, S), S = max|s| of the group itself, as the rounding
+    counts it.
+    """
+    abs_s = np.abs(s)
+    big_s = max(float(abs_s.max()), 1e-300)  # s = 0 zeroes every correction
+    re_lo = math.floor(re_min * _CELL_RE_GRID)
+    if _least_corrections(re_lo / _CELL_RE_GRID) > _EM_MAX_CORRECTIONS:
+        raise AccuracyError(f"no remainder bound with K <= {_EM_MAX_CORRECTIONS} corrections "
+                            + _at(complex(s[np.argmin(s.real)]), alpha, "series-em"))
+    re_max = float(s.real.max()) if s.size > 1 else re_min
+    im_rung = None
+    if re_lo < 0:
+        im_rung = _rung_up(max(float(np.abs(s.imag).max()), _CELL_IM_FLOOR), _CELL_LADDER)
+    plan = _cell_plan(alpha, want_deriv, _rung_down(tol, _CELL_TOL_LADDER),
+                      _rung_up(big_s, _CELL_LADDER), re_lo, math.ceil(re_max * _CELL_RE_GRID),
+                      im_rung, (s.size - 1).bit_length())
+    if plan is None:
+        raise AccuracyError("no remainder bound with N <= 2^31 terms "
+                            + _at(complex(s[np.argmax(abs_s)]), alpha, "series-em"))
+    return (*plan, big_s)
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _cell_plan(alpha: float, want_deriv: bool, tol_rung: int, s_rung: int, re_lo: int,
+               re_hi: int, im_rung: int | None, size_class: int):
+    """(N, K, remainder bound) of an Euler-Maclaurin cell, or None past 2^31 terms.
+
+    The cell holds the points with |s| <= S = 2^(s_rung/_CELL_LADDER) and
+    r = re_lo/_CELL_RE_GRID <= Re s <= re_hi/_CELL_RE_GRID, and for r < 0
+    |Im s| <= 2^(im_rung/_CELL_LADDER), in groups of at most 2^size_class
+    points; the target is tol = 2^(tol_rung/_CELL_TOL_LADDER).  After K
+    corrections the remainder is R = int_N^inf P(x) (s)_{2K+2}
     (x+a)^(-s-2K-2) dx, where P = (B_{2K+2}({x}) - B_{2K+2})/(2K+2)! keeps
     one sign and averages -C_{K+1} over each period, so against decreasing
     convex weights it counts as |C_{K+1}| (Edwards, Riemann's Zeta Function,
-    6.4).  With r = min Re s, p = r+2K+1 > 0 and |(s)_{2K+2}| <= Pi,
+    6.4).  With p = r+2K+1 > 0 and |(s)_{2K+2}| <= Pi,
 
         |R|  <= M(N+a),   M(x) = |C_{K+1}| Pi x^(-p) / p,
         |R'| <= M(N+a) (H + ln(N+a) + 1/p)
 
-    at every point, Pi = prod_{i=0}^{2K+1} (S+i), S = max|s|, H = sum
-    1/(S+i); for r < 0 the batch maxima of _batch_pochhammer, which see the
-    trivial zeros.  K runs from the least count with p > 0 to 12 (none at
-    Re s <= -25: AccuracyError naming the point and route "series-em"); per
-    K, N is the least count whose majorant meets the target.  Work is one
-    complex power per point and term, and per correction a Horner step of
-    _EM_STEP_COST_PER_POINT terms per point plus _EM_STEP_OVERHEAD.  The
-    least-work pair wins where its counted rounding (_em_group_rounding) is
-    within _EM_ROUNDING_SLACK of the target.  Elsewhere rounding limits the
-    result: the least K past it whose rounding (_em_sums_bound) is
-    within that slack of max(target, the rounding at K = 12, the fewest
-    terms) wins.  The target is ``tol``; for r < 0, where the terms grow, it
-    is raised to the rounding at the K = 12 balance point, the least N with
-    M(N) below the rounding, so a tighter ``tol`` does not raise the
-    estimate there.  Returns (N, K, remainder bound, S).
+    at every point of the cell, Pi = prod_{i=0}^{2K+1} M_i and H = sum 1/M_i,
+    M_i >= max|s+i|: S+i, and for r < 0 the least of S+i and the largest
+    |s+i| at the corners of the cell's rectangle, floored at
+    _POCHHAMMER_FLOOR, which sees the trivial zeros.  K runs from the least
+    count with p > 0 to 12; per K, N is the least count whose majorant
+    meets the target.  Work is one complex power per point and term, and
+    per correction a Horner step of _EM_STEP_COST_PER_POINT terms per point
+    plus _EM_STEP_OVERHEAD.  The least-work pair wins where its counted
+    rounding (_em_group_rounding, at the cell's bounds) is within
+    _EM_ROUNDING_SLACK of the target.  Elsewhere rounding limits the
+    result: the least K past it whose rounding (_em_sums_bound) is within
+    that slack of max(target, the rounding at K = 12, the fewest terms)
+    wins.  For r < 0, where the terms grow, the target is raised to the
+    rounding at the K = 12 balance point, the least N with M(N) below the
+    rounding, so a tighter tol does not raise the estimate there.
     """
-    big_s = max(float(np.abs(s).max()), 1e-300)  # s = 0 zeroes every correction
-    k_min = max(1, math.floor(-(re_min + 1.0) / 2.0) + 1)
-    if k_min > _EM_MAX_CORRECTIONS:
-        raise AccuracyError(f"no remainder bound with K <= {_EM_MAX_CORRECTIONS} corrections "
-                            + _at(complex(s[np.argmin(s.real)]), alpha, "series-em"))
-    re_max = float(s.real.max()) if s.size > 1 else re_min
-    step_cost = _EM_STEP_COST_PER_POINT * s.size + _EM_STEP_OVERHEAD
+    target = 2.0 ** (tol_rung / _CELL_TOL_LADDER)
+    big_s = 2.0 ** (s_rung / _CELL_LADDER)
+    re_min, re_max = re_lo / _CELL_RE_GRID, re_hi / _CELL_RE_GRID
+    points = 1 << size_class
+    step_cost = _EM_STEP_COST_PER_POINT * points + _EM_STEP_OVERHEAD
 
     def rounding(n_terms, k):
         """_em_group_rounding at (N, K) from _em_sums_bound: the ranking of the pairs."""
-        sums = _em_sums_bound(s.size, re_min, alpha, want_deriv, n_terms)
+        sums = _em_sums_bound(points, re_min, alpha, want_deriv, n_terms)
         return _em_group_rounding(re_min, re_max, big_s, alpha, n_terms, k, want_deriv, sums)
 
-    risings = [(math.log(big_s) + math.log(big_s + 1.0), 1.0 / big_s + 1.0 / (big_s + 1.0))]
+    factors = [big_s + i for i in range(_POCHHAMMER_FACTORS)]
+    if im_rung is not None:
+        big_im = 2.0 ** (im_rung / _CELL_LADDER)
+        factors = [max(_POCHHAMMER_FLOOR,
+                       min(f, math.hypot(max(abs(re_min + i), abs(re_max + i)), big_im)))
+                   for i, f in enumerate(factors)]
+    risings, log_rising, harmonic = [], 0.0, 0.0     # (ln Pi, H) for K = 0..12
+    for i in range(0, _POCHHAMMER_FACTORS, 2):
+        log_rising += math.log(factors[i]) + math.log(factors[i + 1])
+        harmonic += 1.0 / factors[i] + 1.0 / factors[i + 1]
+        risings.append((log_rising, harmonic))
 
     def plan(k, target):
         """(work, N, K, remainder): the least N whose majorant meets ``target``; None past 2^31."""
-        while len(risings) <= k:       # the group product, grown with K
-            log_rising, harmonic = risings[-1]
-            for i in (2 * len(risings), 2 * len(risings) + 1):
-                log_rising += math.log(big_s + i)
-                harmonic += 1.0 / (big_s + i)
-            risings.append((log_rising, harmonic))
         log_rising, harmonic = risings[k]
         power = re_min + 2 * k + 1
         log_amp = _EM_LOG_COEF[k] + log_rising - math.log(power)
@@ -631,12 +743,10 @@ def _em_plan(s: np.ndarray, alpha: float, tol: float, want_deriv: bool, re_min: 
             if want_deriv:
                 remainder *= max(1.0, harmonic + math.log(x) + 1.0 / power)
             if remainder <= target:
-                return s.size * n_terms + k * step_cost, n_terms, k, remainder
+                return points * n_terms + k * step_cost, n_terms, k, remainder
             n_terms += 1
 
-    target = tol
     if re_min < 0.0:
-        risings = _batch_pochhammer(s, want_deriv)
         # bisect for the balance point, the least N with M(N) <= rounding(N)
         # (the least N meeting rounding(N) is then at most N), below an N
         # with M(N) <= eps, which every rounding exceeds
@@ -648,18 +758,17 @@ def _em_plan(s: np.ndarray, alpha: float, tol: float, want_deriv: bool, re_min: 
                 hi = mid
             else:
                 lo = mid + 1
-        target = max(tol, rounding(lo, last))
+        target = max(target, rounding(lo, last))
     best = None
-    for k in range(k_min, _EM_MAX_CORRECTIONS + 1):
+    for k in range(_least_corrections(re_min), _EM_MAX_CORRECTIONS + 1):
         if best is not None and k * step_cost >= best[0]:
             break  # the corrections alone cost more than the best pair
         if (candidate := plan(k, target)) and (best is None or candidate[0] < best[0]):
             best = candidate
     if best is None:
-        raise AccuracyError("no remainder bound with N <= 2^31 terms "
-                            + _at(complex(s[np.argmax(np.abs(s))]), alpha, "series-em"))
+        return None
     work, n_terms, k, remainder = best
-    sieved = alpha == 1.0 and _sieve_pays(s.size, n_terms)
+    sieved = alpha == 1.0 and _sieve_pays(points, n_terms)
     sums = _em_weighted_sums(alpha, n_terms, re_min, want_deriv, sieved)
     if (_em_group_rounding(re_min, re_max, big_s, alpha, n_terms, k, want_deriv, sums)
             > _EM_ROUNDING_SLACK * target):
@@ -669,7 +778,7 @@ def _em_plan(s: np.ndarray, alpha: float, tol: float, want_deriv: bool, re_min: 
         work, n_terms, k, remainder = next(
             candidate for candidate in (plan(j, target) for j in range(k, _EM_MAX_CORRECTIONS + 1))
             if candidate and rounding(candidate[1], candidate[2]) <= limit)
-    return n_terms, k, remainder, big_s
+    return n_terms, k, remainder
 
 
 # Veltkamp's splitter 2^27 + 1: c = K x, x_hi = c - (c - x) keeps the upper 26
@@ -880,6 +989,20 @@ _ZETA_D1_TAIL = 0.8
 _ZETA_D2_TAIL = 0.7
 
 
+@lru_cache(maxsize=16)
+def _reflect_tables(period: int, residues: tuple):
+    """The constant factors of _reflect for a period m and its residues r, read-only.
+
+    q = 2kr/m mod 2, shape (R, m, 1), and ln(k/m) as a column, k = 1..m.
+    """
+    k = np.arange(1, period + 1)
+    q = (2 * np.multiply.outer(np.array(residues), k) % (2 * period)) / period
+    tables = (q[:, :, None], np.log(k / period)[:, None])
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
+
+
 def _reflect(s: np.ndarray, period: int, alphas, tol: float, deriv: bool):
     """Regular parts of zeta(s, r/m) (or of zeta') for each a = r/m in ``alphas``.
 
@@ -907,11 +1030,9 @@ def _reflect(s: np.ndarray, period: int, alphas, tol: float, deriv: bool):
     big_l = math.log(_TWO_PI * m)
     gamma = _log_gamma(u, deriv)
     lg, lg_err = gamma[:2]
-    k = np.arange(1, m + 1)
-    residues = np.array([round(a * m) for a in alphas])
-    q = (2 * np.multiply.outer(residues, k) % (2 * m)) / m          # 2kr/m mod 2
+    q, log_a = _reflect_tables(m, tuple(round(a * m) for a in alphas))
     half = np.remainder(0.5 * u.real, 2.0) + 0.5j * u.imag          # u/2 mod 2
-    phase = math.pi * (half - q[:, :, None])                         # (R, m, n)
+    phase = math.pi * (half - q)                                     # (R, m, n)
     with np.errstate(over="ignore", invalid="ignore"):      # checked below
         g = 2.0 * np.exp(lg - u * big_l)
         cos, sin = np.cos(phase), np.sin(phase)
@@ -947,7 +1068,6 @@ def _reflect(s: np.ndarray, period: int, alphas, tol: float, deriv: bool):
     # u = 1 - s is off by eps |Re u| / 2; |zeta'(u, a)| and |zeta''(u, a)|
     # are at most |ln a|^j a^-Re u plus the tails of _ZETA_D1_TAIL, _ZETA_D2_TAIL
     inexact_u = 0.5 * _EPS * np.abs(u.real)
-    log_a = np.log(k / m)[:, None]
     a_pow = np.exp(-log_a * u.real)
     s_pole = 1.0 / (s - 1.0)
     if not deriv:
@@ -1015,8 +1135,9 @@ def _route_masks(s: np.ndarray, has_period: bool):
     """(reflect, hermite) masks of the points that leave Euler-Maclaurin.
 
     The h-rule takes |Im s| <= 15 with Re s < -3 (Re s < 8 for a size-1
-    call); given a period, every point left of Re s = -3 reflects instead,
-    except a size-1 call on the h-rule.
+    call, where _h_rule_fits has the last word right of Re s = -3); given a
+    period, every point left of Re s = -3 reflects instead, except a size-1
+    call on the h-rule.
     """
     re_limit = _SINGLE_H_RULE_RE_LIMIT if s.size == 1 else _H_RULE_RE_LIMIT
     hermite = (s.real < re_limit) & (np.abs(s.imag) <= HERMITE_IM_LIMIT)
@@ -1036,10 +1157,10 @@ def hurwitz_split_many(s, alpha, tol: float = 1e-12, deriv=False, period: int | 
     sequence of them; with ``period`` m every a must be a residue r/m, and
     a = 1 alone implies m = 1.  The points _route_masks marks take the
     reflection, one call for all residues, or d (or d') plus the h-rule; a
-    size-1 call right of Re s = -3 moves on where the h-rule's estimate
-    exceeds ``tol``.  Euler-Maclaurin takes the rest in one group per sign
-    of Re s: as one group, {-2.9, 0.5+300i} takes N = 176 and the -2.9 point
-    comes out 3e-7 off, against 8e-13 alone.  ``deriv`` False gives R, True
+    residue of a size-1 call right of Re s = -3 takes the h-rule only where
+    _h_rule_fits.  Euler-Maclaurin takes the rest in one group per sign
+    of Re s: as one group, {-2.9, 0.5+300i} takes N = 179 and the -2.9 point
+    comes out 3e-7 off, against 2.5e-13 alone.  ``deriv`` False gives R, True
     R', and PAIR both on a new leading axis (R first), with one estimate
     bounding each.  Returns (values, estimates, routes), routes holding a
     code per point (SERIES_EM, HERMITE or REFLECT, indexing ROUTES), each
@@ -1064,28 +1185,20 @@ def hurwitz_split_many(s, alpha, tol: float = 1e-12, deriv=False, period: int | 
             out_k[:, reflect] = values
         est[:, reflect] = reduce(np.maximum, (e for _, e in parts))
         routes[:, reflect] = REFLECT
-    series, any_h = ~(reflect | on_h), bool(on_h.any())
+    # h-rule points right of Re s = -3 come from size-1 calls; each residue
+    # keeps the rule where _h_rule_fits, and takes Euler-Maclaurin elsewhere
+    choose = flat.size == 1 and bool(on_h[0]) and flat.real[0] >= _H_RULE_RE_LIMIT
     for i, a in enumerate(alphas):
         out_a, est_a, routes_a = out[:, i], est[i], routes[i]
-        em = series
-        if any_h:
-            sf = flat[on_h]
+        hermite = on_h & (not choose or _h_rule_fits(complex(flat[0]), a, tol, orders))
+        em = ~(reflect | hermite)
+        if hermite.any():
+            sf = flat[hermite]
             parts = [_h_rule(sf, a, tol, order) for order in orders]
-            est_h = reduce(np.maximum, (e for _, e in parts))
-            # h-rule points right of Re s = -3 come from size-1 calls; they
-            # move on where the rule's floor exceeds tol
-            stay = (est_h <= tol) | (sf.real < _H_RULE_RE_LIMIT)
-            hermite = on_h
-            if not stay.all():
-                hermite = on_h.copy()
-                hermite[on_h] = stay
-                sf, est_h = sf[stay], est_h[stay]
-                parts = [(h[stay], e) for h, e in parts]
-                em = ~(reflect | hermite)
             for out_k, order, (h, _) in zip(out_a, orders, parts):
                 entire = hermite_d_deriv_many(sf, a) if order else hermite_d_many(sf, a)
                 out_k[hermite] = entire + h
-            est_a[hermite] = est_h
+            est_a[hermite] = reduce(np.maximum, (e for _, e in parts))
             routes_a[hermite] = HERMITE
         if not em.any():
             continue

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -6,6 +7,15 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import zetaflow as zf
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # HYPOTHESIS_PROFILE=ci draws the same examples on every run and machine
+    settings.register_profile("ci", derandomize=True, deadline=None)
+    settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

@@ -206,6 +206,13 @@ class TestZeroCensus:
         assert all(abs(r.location.real - 0.5) < 1e-9 for r in records)
         assert all(r.residual < 1e-8 for r in records)
 
+    def test_census_to_100_at_abs_tol_1e_11(self):
+        # each zero's estimates meet abs_tol 1e-11: all 29 found, none skipped
+        # (at 1e-12 the counted rounding still skips every seed)
+        scan = zf.find_critical_zeros(100.0, zf.EvalConfig(abs_tol=1e-11))
+        assert len(scan.records) == 29
+        assert not scan.skipped
+
     def test_census_to_290_matches_mpmath(self, census_290):
         # mpmath counts 132 zeros with 0 < t <= 290 (nzeros), and each census
         # zero lies within 1e-9 of one by the Newton correction zeta/zeta' at

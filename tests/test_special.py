@@ -141,6 +141,27 @@ class TestHurwitzZeta:
         assert sp.hurwitz_regular_split(s, 0.25, CFG)[2] == "series-em"
         assert sp._split_point(s, 0.25, CFG, deriv=True)[2] == "series-em"
 
+    def test_size_one_call_runs_one_route_per_residue(self, chi4, monkeypatch):
+        # the h-rule or Euler-Maclaurin is chosen before either runs; chi4 at
+        # 0.5+12.99i ran the h-rule, refused its estimate, then Euler-Maclaurin
+        calls = []
+        for name in ("_h_rule", "euler_maclaurin_split"):
+            def counting(s, alpha, *args, _name=name, _fn=getattr(sp, name), **kwargs):
+                calls.append((_name, alpha))
+                return _fn(s, alpha, *args, **kwargs)
+            monkeypatch.setattr(sp, name, counting)
+        handle = zf.l_function(chi4)
+        routes = set()
+        for re in (0.5, 2.0, 5.0):
+            for im in np.linspace(0.0, 15.0, 61):
+                calls.clear()
+                handle.evaluate(np.array([complex(re, im)]))
+                for alpha in (0.25, 0.75):
+                    ran = {name for name, a in calls if a == alpha}
+                    assert len(ran) == 1, (re, im, alpha, calls)
+                    routes |= ran
+        assert routes == {"_h_rule", "euler_maclaurin_split"}
+
     def test_ill_conditioned_integral_point_against_series(self):
         # the integral route returned this point 3.3e-10 off while reporting
         # an estimate of abs_tol
@@ -586,14 +607,16 @@ class TestRouteBoundary:
 
     # a = 1 batches on both sides of the sieved table's rule: (points, deriv,
     # the table runs, N+1 prime or None for either).  The plan fixes N; the
-    # last table row (N+1)^(-s) is the boundary factor.
+    # last table row (N+1)^(-s) is the boundary factor: 150 and 167 on the
+    # critical-line rows, and 171 on the direct row, where the table would
+    # pay at 8 points but not at 7
     _RNG = np.random.default_rng(11)
     TABLE_CASES = [
-        pytest.param(0.5 + 1j * np.linspace(250.0, 310.0, 128), False, True, True,
+        pytest.param(0.5 + 1j * np.linspace(250.0, 310.0, 128), False, True, False,
                      id="critical-line-to-310"),
-        pytest.param(0.5 + 1j * np.linspace(280.0, 320.0, 128), sp.PAIR, True, False,
+        pytest.param(0.5 + 1j * np.linspace(280.0, 320.0, 128), sp.PAIR, True, True,
                      id="critical-line-to-320-pair"),
-        pytest.param(0.5 + 1j * np.linspace(300.0, 320.0, 8), False, False, None,
+        pytest.param(0.5 + 1j * np.linspace(300.0, 320.0, 7), False, False, None,
                      id="direct-to-320"),
         pytest.param(_RNG.uniform(-2.9, -0.1, 256) + 1j * _RNG.uniform(15.0, 40.0, 256),
                      False, True, False, id="negative-re"),
