@@ -14,6 +14,8 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -36,14 +38,20 @@ def _fmt(x: float) -> str:
 
 
 def _parse_complex(text: str) -> complex:
+    """'re,im' or a complex literal with i or j as the unit; only finite values."""
     text = text.strip()
     try:
         if "," in text:
             re_s, im_s = text.split(",", 1)
-            return complex(float(re_s), float(im_s))
-        return complex(text.replace("i", "j").replace(" ", ""))
+            value = complex(float(re_s), float(im_s))
+        else:
+            # a trailing i is the imaginary unit; the i of inf is not
+            value = complex(re.sub(r"i(?=\)?$)", "j", text.replace(" ", "")))
     except ValueError as exc:
         raise ConfigurationError(f"cannot parse complex number {text!r}") from exc
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise ConfigurationError(f"complex number {text!r} is not finite")
+    return value
 
 
 def _parse_lambda(text: str) -> int:

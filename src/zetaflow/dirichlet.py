@@ -32,6 +32,7 @@ from . import special
 from .special import DEFAULT_CONFIG, EvalConfig
 
 _UNITY_TOL = 1e-12
+_EPS = 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -186,11 +187,12 @@ class LFunctionHandle:
 
     @cached_property
     def _residues(self):
-        """chi(r), r/m and sum |chi(r)| over the residues r coprime to m."""
+        """chi(r) and |chi(r)| as arrays, r/m and sum |chi(r)|, over the r coprime to m."""
         pairs = [(chi, r / self.period) for r, chi in enumerate(self.character.values, start=1)
                  if math.gcd(r, self.period) == 1]
-        return (tuple(chi for chi, _ in pairs), tuple(a for _, a in pairs),
-                sum(abs(chi) for chi, _ in pairs))
+        weights = [abs(chi) for chi, _ in pairs]
+        return (np.array([chi for chi, _ in pairs]), np.array(weights),
+                tuple(a for _, a in pairs), sum(weights))
 
     def evaluate(self, s, deriv: bool = False):
         """(values, estimates, routes) of L on an array of points, from one router call.
@@ -201,42 +203,47 @@ class LFunctionHandle:
         phi(m)/(s-1) joins the sum over chi(r) R_r (so s != 1), and its
         derivative the sum over chi(r) R'_r.  Each Hurwitz estimate bounds
         the error of R_r and R'_r, so m^(-Re s) sum_r |chi(r)| est_r, times
-        (1 + ln m) with ``deriv``, bounds that of L and L'; the router runs at
-        eval_cfg.split_tol times m^(min Re s) / sum_r |chi(r)| where that is
-        below 1, for all residues at once: left of Re s = -3 the points take
-        the reflection once, at every |Im s|, except that a size-1 call
-        keeps the h-rule up to |Im s| = 15.  ``routes`` holds its route code
-        per residue (leading axis) and point.
+        (1 + ln m) with ``deriv``, plus the rounding of m^(-s), bounds that
+        of L and L'; the router runs at eval_cfg.split_tol times
+        m^(min Re s) / sum_r |chi(r)| where that is below 1, for all
+        residues at once: left of Re s = -3 the points take the reflection
+        once, at every |Im s|, except that a size-1 call keeps the h-rule up
+        to |Im s| = 15.  Each sum over the residues is one elementwise sum,
+        in the same order at every point and batch size.  ``routes`` holds
+        its route code per residue (leading axis) and point.
         """
         s = np.asarray(s, dtype=complex)
+        flat = s.ravel()
         m = self.period
-        chis, alphas, weight = self._residues
-        lowest = float(np.min(s.real, initial=np.inf))
+        chis, weights, alphas, weight = self._residues
+        # m^(min Re s) / weight is at least 1 from Re s = 1 on, as weight is
+        # phi(m) <= m, so the power stays within the float64 range
+        lowest = min(float(flat.real.min(initial=np.inf)), 1.0)
         tol = self.eval_cfg.split_tol * min(1.0, m ** lowest / weight)
         values, ests, routes = special.hurwitz_split_many(
-            s, alphas, tol, special.PAIR if deriv else False, m)
-        totals = []
-        for regs in (values if deriv else (values,)):
-            total = np.zeros_like(s)
-            for chi, reg in zip(chis, regs):
-                total = total + chi * reg
-            totals.append(total)
-        est = np.zeros(s.shape)
-        for chi, est_r in zip(chis, ests):
-            est = est + abs(chi) * est_r
+            flat, alphas, tol, special.PAIR if deriv else False, m)
+        regs = values.reshape(-1, len(alphas), flat.size)       # (order, residue, point)
+        totals = list(np.multiply(regs.swapaxes(1, 2), chis, order="C").sum(axis=-1, initial=0.0))
+        est = np.multiply(ests.T, weights, order="C").sum(axis=-1, initial=0.0)
         if self.has_pole:
-            totals[0] = totals[0] + len(chis) / (s - 1.0)
+            totals[0] = totals[0] + len(alphas) / (flat - 1.0)
             if deriv:
-                totals[1] = totals[1] - len(chis) / (s - 1.0) ** 2
+                totals[1] = totals[1] - len(alphas) / (flat - 1.0) ** 2
         if m > 1:
             log_m = math.log(m)
             if deriv:
                 totals[1] = totals[1] - log_m * totals[0]
-            scale = np.exp(-s * log_m)
+            scale = np.exp(-flat * log_m)
             totals = [scale * total for total in totals]
-            est_scale = np.exp(-s.real * log_m)
+            est_scale = np.exp(-flat.real * log_m)
             est = (est_scale * (1.0 + log_m) if deriv else est_scale) * est
-        return (tuple(totals) if deriv else totals[0]), est, routes
+            # m^(-s) = exp(-s fl(ln m)) is off by eps (|s| ln m + 2) relative
+            # and the product by 2 eps, on L and on L' alike
+            largest = np.maximum(*map(np.abs, totals)) if deriv else np.abs(totals[0])
+            est = est + (np.abs(flat) * (_EPS * log_m) + 4.0 * _EPS) * largest
+        totals = [total.reshape(s.shape) for total in totals]
+        return ((tuple(totals) if deriv else totals[0]), est.reshape(s.shape),
+                routes.reshape((len(alphas),) + s.shape))
 
     def eval_many(self, s) -> np.ndarray:
         """Vectorized evaluation on an array of points away from s = 1."""

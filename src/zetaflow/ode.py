@@ -402,13 +402,14 @@ def _census(seeds: np.ndarray, t_max: float, cfg: EvalConfig) -> ZeroScan:
 def count_zeros_box(re_lo: float, re_hi: float, im_lo: float, im_hi: float) -> int:
     """Argument-principle zero count for zeta on a rectangle.
 
-    Integrates zeta'/zeta + 1/(s-1) (the log-derivative of (s-1) zeta, regular
-    at the pole) around the box with trapezoid sums of Euler-Maclaurin values
-    at tol 1e-11, halving the spacing until the winding stabilizes on an
-    integer.  An edge of length L starts with max(96, 16 L) intervals; the
-    grids are nested, so each halving evaluates only the new midpoints, of
-    all four edges in one call.  The box must not contain s = 1, and its
-    boundary must avoid zeros; nudge edges by ~1e-3.
+    Integrates F'/F for F = (s-1) zeta(s) = 1 + (s-1) R, R the regular part,
+    as (R + (s-1) R') / (1 + (s-1) R), which is regular at s = 1 (F(1) = 1),
+    around the box with trapezoid sums of Euler-Maclaurin values at tol
+    1e-11, halving the spacing until the winding stabilizes on an integer.
+    An edge of length L starts with max(96, 16 L) intervals; the grids are
+    nested, so each halving evaluates only the new midpoints, of all four
+    edges in one call.  s = 1 may lie on the boundary but not inside the
+    box, and the boundary must avoid zeros; nudge edges by ~1e-3.
     """
     if not (re_lo < re_hi and im_lo < im_hi):
         raise DomainError("degenerate box")
@@ -424,8 +425,8 @@ def count_zeros_box(re_lo: float, re_hi: float, im_lo: float, im_hi: float) -> i
         """The integrand at a + (b - a) u for each edge's array u, in one call."""
         s = np.concatenate([a + d * u for (a, d), u in zip(edges, fractions)])
         reg, dreg, _ = special.euler_maclaurin_split(s, 1.0, tol=1e-11, want_deriv=True)
-        pole = 1.0 / (s - 1.0)
-        g = (dreg - pole * pole) / (reg + pole) + pole
+        shifted = s - 1.0
+        g = (reg + shifted * dreg) / (1.0 + shifted * reg)
         return np.split(g, np.cumsum([u.size for u in fractions])[:-1])
 
     n = [max(96, int(abs(d) * 16.0)) for _, d in edges]

@@ -14,11 +14,12 @@ as the router names them:
   |Im s| = 15).  Hurwitz's formula (Apostol, Introduction to Analytic
   Number Theory, Thm 12.6) read at u = 1 - s,
   zeta(s, r/m) = 2 Gamma(u) (2 pi m)^(-u) sum_k cos(pi u/2 - 2 pi k r/m) zeta(u, k/m),
-  turns the batch into m Euler-Maclaurin evaluations at Re u > 4, shared
-  by every residue.  ln Gamma and psi come from Stirling's series with
-  explicit remainders.  The estimate adds the float64 rounding of every
-  factor in absolute terms, so it holds at the trivial zeros too; where a
-  factor leaves the float64 range it raises AccuracyError.
+  turns the batch into one Euler-Maclaurin call for the m parameters k/m
+  at Re u > 4, shared by every residue.  ln Gamma and psi come from
+  Stirling's series with explicit remainders.  The estimate adds the
+  float64 rounding of every factor in absolute terms, so it holds at the
+  trivial zeros too; where a factor leaves the float64 range it raises
+  AccuracyError.
 * "hermite" where |Im s| <= 15, for a size-1 call with Re s < 8 and for a
   batch without a period left of Re s = -3: zeta(s, a) = 1/(s-1) + d + h,
   d entire and h an integral by one graded fixed-panel Gauss-Legendre
@@ -30,7 +31,9 @@ as the router names them:
   tail, which also provides the analytic continuation.  One planner,
   _em_plan, picks the term count N and the K <= 12 corrections (summed by
   Horner's rule) for either sign of Re s, trading work against counted
-  rounding; the router groups the points by that sign.  It plans a group
+  rounding; the router groups the points by that sign, and evaluates every
+  residue that takes this route in one call per group, planned at the
+  least a, whose remainder bound holds for every larger a.  It plans a group
   for its cell: max|s|, the Re s hull and, left of Re s = 0, max|Im s|
   rounded outward on fixed ladders, the tolerance rounded down and the
   group size rounded up to a power of 2 (_CELL_LADDER).  A plan is a pure
@@ -40,10 +43,11 @@ as the router names them:
   tolerance, never on what was evaluated before.  The estimate is the
   cell's remainder bound plus the float64 rounding of the kernel at the
   group's own hull.  At Re s <= -25, where no K <= 12 bounds the
-  remainder, it raises AccuracyError.  For a = 1 a wide batch takes the
-  terms n^(-s) from a sieved table (_sieved_sums): only the prime rows
-  take a complex exp, and every other row is the product of two earlier
-  rows.
+  remainder, and where a^(-s) leaves the float64 range, it raises
+  AccuracyError; a point that is not finite is a DomainError.  For a = 1
+  alone a wide batch takes the terms n^(-s) from a sieved table
+  (_sieved_sums): only the prime rows take a complex exp, and every other
+  row is the product of two earlier rows.
 
 The scalar functions raise AccuracyError, naming s, a and the route, where
 the estimate exceeds both ``EvalConfig.abs_tol`` and the float64 floor of
@@ -116,6 +120,8 @@ _SIEVE_PASS_OVERHEAD = 150.0
 # 2^15 timed alike, and 2^18 1.6 to 2 times slower on the 1501-point sigma0
 # row and the 5800-point census row (x86-64, 2 MB L2 per core).
 _EM_BLOCK = 1 << 14
+# ln of the largest float64
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -165,6 +171,13 @@ def _check_alpha(alpha) -> float:
     return alpha
 
 
+def _check_alphas(alpha) -> tuple[tuple, bool]:
+    """(the a of ``alpha`` checked, as a tuple; whether ``alpha`` is one a, not a sequence)."""
+    if isinstance(alpha, (tuple, list)) or (isinstance(alpha, np.ndarray) and alpha.ndim):
+        return tuple(map(_check_alpha, alpha)), False
+    return (_check_alpha(alpha),), True
+
+
 def _at(s, alpha, route: str) -> str:
     return f"at s={s!r}, alpha={alpha!r} (route {route})"
 
@@ -193,15 +206,17 @@ _FP_COEFS = tuple(k / math.factorial(k + 1) for k in range(_F_SERIES_TERMS, 0, -
 def _entire(u, coefs, closed):
     """Power series with ``coefs`` for |u| < 0.5, ``closed(u)`` elsewhere."""
     u = np.asarray(u, dtype=complex)
-    scalar = u.shape == ()
-    u = np.atleast_1d(u)
-    out = np.empty_like(u)
     small = np.abs(u) < _F_SERIES_RADIUS
-    if small.any():
+    count = np.count_nonzero(small)
+    if count == small.size:
+        out = _horner_series(u, coefs)
+    elif count == 0:
+        out = closed(u)
+    else:
+        out = np.empty_like(u)
         out[small] = _horner_series(u[small], coefs)
-    if (~small).any():
         out[~small] = closed(u[~small])
-    return complex(out[0]) if scalar else out
+    return complex(out) if u.ndim == 0 else out
 
 
 def expm1_over(u):
@@ -399,6 +414,27 @@ def _em_logs(alpha: float, n_terms: int):
     for arr in (logs, *cols):
         arr.setflags(write=False)
     return logs, cols
+
+
+@lru_cache(maxsize=32)
+def _em_columns(alphas: tuple, n_terms: int):
+    """_em_split's constants for the parameters ``alphas`` at N terms, read-only.
+
+    The rows ln(n+a), n = 0..N, stacked (R, N+1), and as (R, 1) columns
+    ln(N+a), N+a and, on a leading axis j = 1.._EM_MAX_CORRECTIONS, the
+    Horner constants D_j = C_j (N+a)^(2-2j), each formed in Python floats
+    as for a single a.
+    """
+    logs = np.stack([_em_logs(a, n_terms)[0] for a in alphas])
+    big_a = [n_terms + a for a in alphas]
+    inv_a2 = [1.0 / (x * x) for x in big_a]
+    horner = np.array([[_EM_COEF[j] * inv ** j for inv in inv_a2]
+                       for j in range(_EM_MAX_CORRECTIONS)])[:, :, None]
+    cols = (logs, np.array([math.log(x) for x in big_a])[:, None], np.array(big_a)[:, None],
+            horner)
+    for arr in cols:
+        arr.setflags(write=False)
+    return cols
 
 
 @lru_cache(maxsize=32)
@@ -641,12 +677,16 @@ def _em_plan(s: np.ndarray, alpha: float, tol: float, want_deriv: bool, re_min: 
     call, plan once per cell.  The remainder bound of _cell_plan holds at
     every point of the cell.  Raises AccuracyError, naming the group's
     point and route "series-em", at Re s <= -25, where no K <= 12 bounds
-    the remainder, and where no N <= 2^31 meets it.  Returns (N, K,
-    remainder bound, S), S = max|s| of the group itself, as the rounding
-    counts it.
+    the remainder, and where no N <= 2^31 meets it, and DomainError, naming
+    the point, where |s| is not finite.  Returns (N, K, remainder bound,
+    S), S = max|s| of the group itself, as the rounding counts it.
     """
     abs_s = np.abs(s)
-    big_s = max(float(abs_s.max()), 1e-300)  # s = 0 zeroes every correction
+    big_s = float(abs_s.max())
+    if not math.isfinite(big_s):                # NaN propagates through the max
+        raise DomainError("s must be finite "
+                          + _at(complex(s[np.argmax(~np.isfinite(abs_s))]), alpha, "series-em"))
+    big_s = max(big_s, 1e-300)                  # s = 0 zeroes every correction
     re_lo = math.floor(re_min * _CELL_RE_GRID)
     if _least_corrections(re_lo / _CELL_RE_GRID) > _EM_MAX_CORRECTIONS:
         raise AccuracyError(f"no remainder bound with K <= {_EM_MAX_CORRECTIONS} corrections "
@@ -815,93 +855,136 @@ def _leading_power(s: np.ndarray, alpha: float) -> np.ndarray:
     return np.exp(-prod) * (1.0 - (residual + s * lo))
 
 
-def _em_split(s: np.ndarray, alpha: float, n_terms: int, n_corr: int, exact_lead: bool,
+def _em_split(s: np.ndarray, alpha, n_terms: int, n_corr: int, exact_lead,
               want_deriv: bool, sieved: bool):
     """Euler-Maclaurin evaluation with the 1/(s-1) pole kept symbolic.
 
     Returns (regular, d_regular or None) with zeta(s, alpha) = regular +
     1/(s-1) and zeta'(s, alpha) = d_regular - 1/(s-1)^2, for ``n_terms``
-    terms and ``n_corr`` corrections; with ``exact_lead`` the n = 0 term
-    comes from _leading_power, and with ``sieved`` (a = 1) the terms come
-    from _sieved_sums.
+    terms and ``n_corr`` corrections.  ``alpha`` is one a, or a tuple of them
+    that gives the results a leading residue axis; ``exact_lead`` is then a
+    tuple of flags, one per a.  Where an a's flag is set its n = 0 term
+    comes from _leading_power, and with ``sieved`` (a = 1 alone) the terms
+    come from _sieved_sums.  The residues share one exp over (residue, point, term),
+    blocked to _EM_BLOCK elements, and one pass of every other step, with
+    their constants held as columns (_em_columns); the arithmetic per
+    element is that of a single a.
     """
     s = np.asarray(s, dtype=complex)
+    single = not isinstance(alpha, tuple)
+    alphas, leads = ((alpha,), (exact_lead,)) if single else (alpha, exact_lead)
     flat = s.ravel()
-    big_a = n_terms + alpha
-    la = math.log(big_a)
+    # numpy's complex product rounds differently where an operand is
+    # broadcast, so the products past the partial sums take every point
+    # repeated per a
+    grid = flat[None] if len(alphas) == 1 else np.repeat(flat[None], len(alphas), axis=0)
+    logs, la, big_a, horner = _em_columns(alphas, n_terms)
     if sieved:
         partial, dpartial, decay = _sieved_sums(flat, n_terms, want_deriv)
     else:
-        first = 1 if exact_lead else 0
-        logb = _em_logs(alpha, n_terms)[0][first:n_terms]
-        # partial sum of the defining series (blocked to bound memory)
-        partial = np.zeros_like(flat)
-        dpartial = np.zeros_like(flat) if want_deriv else None
-        block = max(1, _EM_BLOCK // max(n_terms, 1))
-        for i in range(0, flat.size, block):
-            sl = flat[i:i + block, None]
-            mat = np.exp(-sl * logb[None, :])
-            partial[i:i + block] = mat.sum(axis=1)
-            if want_deriv:
-                dpartial[i:i + block] = -(mat * logb[None, :]).sum(axis=1)
-        if exact_lead:
-            lead = _leading_power(flat, alpha)
-            partial += lead
-            if want_deriv:
-                hi, lo = _log_parts(alpha)[:2]
-                dpartial -= (hi + lo) * lead
-        decay = np.exp(-flat * la)          # (N+a)^{-s}
+        # partial sums of the defining series, each a from its own first term
+        firsts = [1 if lead else 0 for lead in leads]
+        start = min(firsts)
+        terms = logs[:, None, start:n_terms]
+        cuts = [first - start for first in firsts]
 
-    w = -(flat - 1.0) * la
+        def sums(sl):
+            mat = np.exp(-sl[:, None] * terms)
+            if not any(cuts):
+                return mat.sum(axis=-1), (-(mat * terms).sum(axis=-1) if want_deriv else None)
+            rows = [(mat[r, :, c:], terms[r, :, c:]) for r, c in enumerate(cuts)]
+            return (np.array([m.sum(axis=-1) for m, _ in rows]),
+                    np.array([-(m * t).sum(axis=-1) for m, t in rows]) if want_deriv else None)
+
+        block = max(1, _EM_BLOCK // (len(alphas) * max(n_terms, 1)))
+        if flat.size <= block:
+            partial, dpartial = sums(flat)
+        else:
+            partial = np.empty((len(alphas), flat.size), dtype=complex)
+            dpartial = np.empty_like(partial) if want_deriv else None
+            for i in range(0, flat.size, block):
+                partial[:, i:i + block], part = sums(flat[i:i + block])
+                if want_deriv:
+                    dpartial[:, i:i + block] = part
+        for r, (a, lead) in enumerate(zip(alphas, leads)):
+            if lead:
+                power = _leading_power(flat, a)
+                partial[r] += power
+                if want_deriv:
+                    hi, lo = _log_parts(a)[:2]
+                    dpartial[r] -= (hi + lo) * power
+        decay = np.exp(-grid * la)          # (N+a)^{-s}
+
+    w = -(grid - 1.0) * la
     # (N+a)^(1-s)/(s-1) = -ln(N+a) f(-(s-1) ln(N+a)) + 1/(s-1)
     reg_int = -la * expm1_over(w)
 
     # (N+a)^(-s) [1/2 + sum_{j<=K} C_j (s)_{2j-1} (N+a)^(1-2j)], the sum by
     # Horner's rule: (s/(N+a)) (D_1 + v_1 (D_2 + v_2 (... + v_{K-1} D_K)))
     # with v_j = (s+2j-1)(s+2j) and D_j = C_j (N+a)^(2-2j)
-    inv_a2 = 1.0 / (big_a * big_a)
-    acc = np.full_like(flat, _EM_COEF[n_corr - 1] * inv_a2 ** (n_corr - 1))
-    dacc = np.zeros_like(flat) if want_deriv else None
+    acc = horner[n_corr - 1]
+    dacc = np.zeros_like(grid) if want_deriv else None
     for j in range(n_corr - 1, 0, -1):
-        v = (flat + (2 * j - 1)) * (flat + 2 * j)
+        v = (grid + (2 * j - 1)) * (grid + 2 * j)
         if want_deriv:
-            dacc = dacc * v + acc * (2.0 * flat + (4 * j - 1))
-        acc = acc * v + _EM_COEF[j - 1] * inv_a2 ** (j - 1)
-    tail = 0.5 + flat * acc / big_a
-    regular = (partial + reg_int + decay * tail).reshape(s.shape)
+            dacc = dacc * v + acc * (2.0 * grid + (4 * j - 1))
+        acc = acc * v + horner[j - 1]
+    tail = 0.5 + grid * acc / big_a
+    shape = s.shape if single else (len(alphas),) + s.shape
+    regular = (partial + reg_int + decay * tail).reshape(shape)
     if not want_deriv:
         return regular, None
     dreg_int = la * la * expm1_over_deriv(w)
-    dtail = (acc + flat * dacc) / big_a - la * tail
-    return regular, (dpartial + dreg_int + decay * dtail).reshape(s.shape)
+    dtail = (acc + grid * dacc) / big_a - la * tail
+    return regular, (dpartial + dreg_int + decay * dtail).reshape(shape)
 
 
-def euler_maclaurin_split(s, alpha: float, tol: float = 1e-12,
-                          want_deriv: bool = False):
-    """Euler-Maclaurin split evaluation (vectorized).
+def euler_maclaurin_split(s, alpha, tol: float = 1e-12, want_deriv: bool = False):
+    """Euler-Maclaurin split evaluation (vectorized), for one a or several.
 
     Returns (regular, d_regular or None, error_estimate), all shaped like
-    ``s``.  N and K come from _em_plan; the estimate is its remainder bound
-    (the derivative's too with ``want_deriv``) plus the float64 rounding of
-    the kernel (_em_rounding), so rounding alone can take it past ``tol``:
-    at large |Im s|, and left of Re s = 0.  For a = 1 the kernel takes the
-    sieved table where _sieve_pays.  Raises AccuracyError at Re s <= -25.
+    ``s``, with a leading residue axis where ``alpha`` is a sequence.  All
+    the a of a sequence run in one kernel call (_em_split) on one plan,
+    made by _em_plan at the least a.  That plan holds for every a: its
+    remainder majorants M(x) = |C_{K+1}| Pi x^(-p) / p and, for the
+    derivative, M(x) (H + ln x + 1/p), p > 0, are read at x = N + a and
+    fall as x grows, the second as its x-derivative is
+    -p x^(-p-1) (H + ln x) < 0 for x > 1.  Each a's estimate is that
+    remainder bound plus the float64 rounding of the kernel with its own a
+    (_em_rounding), so rounding alone can take it past ``tol``: at large
+    |Im s|, and left of Re s = 0.  The leading term a^(-s) is formed to a
+    few eps (_leading_power) for each a where its plain rounding could
+    reach a tenth of ``tol``.  For a = 1 alone the kernel takes the sieved
+    table where _sieve_pays.  Raises AccuracyError at Re s <= -25, and
+    where a^(-s) leaves the float64 range; both name the point.
     """
-    alpha = _check_alpha(alpha)
+    alphas, single = _check_alphas(alpha)
     s = np.asarray(s, dtype=complex)
+    shape = s.shape if single else (len(alphas),) + s.shape
     if s.size == 0:
-        return s.copy(), (s.copy() if want_deriv else None), np.zeros(s.shape)
+        empty = np.empty(shape, dtype=complex)
+        return empty, (empty.copy() if want_deriv else None), np.zeros(shape)
     flat = s.ravel()
-    re_min, re_max = float(flat.real.min()), float(flat.real.max())
-    n_terms, n_corr, remainder, big_s = _em_plan(flat, alpha, tol, want_deriv, re_min)
-    # the leading term a^(-s) is formed to a few eps where its plain
-    # rounding, eps |s| |ln a| a^(-Re s), could reach a tenth of tol
-    exact_lead = alpha < 1.0 and _EPS * big_s * -math.log(alpha) * alpha ** -re_max > 0.1 * tol
-    sieved = alpha == 1.0 and _sieve_pays(flat.size, n_terms)
-    est = remainder + _em_rounding(flat.real, re_min, re_max, big_s, alpha, n_terms, n_corr,
-                                   exact_lead, want_deriv, sieved)
-    est = (np.zeros(s.size) + est).reshape(s.shape)
-    return (*_em_split(s, alpha, n_terms, n_corr, exact_lead, want_deriv, sieved), est)
+    re = flat.real
+    re_min, re_max = float(re.min()), float(re.max())
+    low = min(alphas)
+    n_terms, n_corr, remainder, big_s = _em_plan(flat, low, tol, want_deriv, re_min)
+    if -re_max * math.log(low) > _LOG_FLOAT_MAX:
+        raise AccuracyError("a^(-s) leaves the float64 range "
+                            + _at(complex(flat[np.argmax(re)]), low, "series-em"))
+    # the plain rounding of a^(-s), eps |s| |ln a| a^(-Re s), against tol / 10
+    log_tol = math.log(0.1 * tol)
+    log_rounding = math.log(_EPS * big_s)
+    leads = tuple(a < 1.0
+                  and log_rounding + math.log(-math.log(a)) - re_max * math.log(a) > log_tol
+                  for a in alphas)
+    sieved = alphas == (1.0,) and _sieve_pays(flat.size, n_terms)
+    est = np.empty((len(alphas), flat.size))
+    for r, (a, lead) in enumerate(zip(alphas, leads)):
+        est[r] = remainder + _em_rounding(re, re_min, re_max, big_s, a, n_terms, n_corr, lead,
+                                          want_deriv, sieved)
+    return (*_em_split(s, alphas[0] if single else alphas, n_terms, n_corr,
+                       leads[0] if single else leads, want_deriv, sieved), est.reshape(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -1010,8 +1093,9 @@ def _reflect(s: np.ndarray, period: int, alphas, tol: float, deriv: bool):
     G = 2 Gamma(u) (2 pi m)^(-u), C_k, S_k = cos, sin(pi u/2 - 2 pi k r/m)
     and Z_k = zeta(u, k/m), the value is G sum_k C_k Z_k and its
     s-derivative -G ((psi(u) - ln(2 pi m)) sum_k C_k Z_k - (pi/2) sum_k S_k
-    Z_k + sum_k C_k Z_k').  Euler-Maclaurin runs at _H_TAIL_SHARE ``tol``
-    over the largest weight |G| sum_k |C_k|.  The estimate adds the rounding
+    Z_k + sum_k C_k Z_k').  One Euler-Maclaurin call evaluates every Z_k,
+    k = 1..m, planned at a = 1/m, at _H_TAIL_SHARE ``tol`` over the largest
+    weight |G| sum_k |C_k|.  The estimate adds the rounding
     of every factor: of G and the products times |G| sum_k |C_k| |Z_k|, of
     the phase times |G| sum_k |S_k| |Z_k| (absolute near the trivial zeros),
     and of u = 1 - s, eps |Re u| / 2, times a bound on the u-derivative.
@@ -1049,15 +1133,10 @@ def _reflect(s: np.ndarray, period: int, alphas, tol: float, deriv: bool):
         weight = abs_c
     tol_em = _H_TAIL_SHARE * tol / max(1.0, float(np.max(abs_g * weight.sum(axis=1))))
     pole = 1.0 / (u - 1.0)
-    zs = np.empty((m, u.size), dtype=complex)
-    dzs = np.empty_like(zs) if deriv else None
-    em_est = np.empty((m, u.size))
-    for i in range(m):
-        reg, dreg, em_est[i] = euler_maclaurin_split(u, (i + 1) / m, tol=tol_em,
-                                                     want_deriv=deriv)
-        zs[i] = reg + pole
-        if deriv:
-            dzs[i] = dreg - pole * pole
+    regs, dregs, em_est = euler_maclaurin_split(u, tuple((k + 1) / m for k in range(m)),
+                                                tol=tol_em, want_deriv=deriv)
+    zs = regs + pole
+    dzs = dregs - pole * pole if deriv else None
     sums = (cos * zs).sum(axis=1)
     abs_z = np.abs(zs)
     # relative rounding of G (ln Gamma, u ln(2 pi m), exp) and of each term
@@ -1160,14 +1239,15 @@ def hurwitz_split_many(s, alpha, tol: float = 1e-12, deriv=False, period: int | 
     residue of a size-1 call right of Re s = -3 takes the h-rule only where
     _h_rule_fits.  Euler-Maclaurin takes the rest in one group per sign
     of Re s: as one group, {-2.9, 0.5+300i} takes N = 179 and the -2.9 point
-    comes out 3e-7 off, against 2.5e-13 alone.  ``deriv`` False gives R, True
+    comes out 3e-7 off, against 2.5e-13 alone.  Each group is one call for
+    all the residues it serves, planned at the least of them.  The routes
+    are decided with one count per route.  ``deriv`` False gives R, True
     R', and PAIR both on a new leading axis (R first), with one estimate
     bounding each.  Returns (values, estimates, routes), routes holding a
     code per point (SERIES_EM, HERMITE or REFLECT, indexing ROUTES), each
     shaped like ``s`` with a leading axis over a sequence ``alpha``.
     """
-    single_alpha = np.isscalar(alpha)
-    alphas = (_check_alpha(alpha),) if single_alpha else tuple(map(_check_alpha, alpha))
+    alphas, single_alpha = _check_alphas(alpha)
     if period is None:
         period = 1 if alphas == (1.0,) else None
     elif any(abs(a * period - round(a * period)) > 1e-9 for a in alphas):
@@ -1179,36 +1259,52 @@ def hurwitz_split_many(s, alpha, tol: float = 1e-12, deriv=False, period: int | 
     est = np.empty(out.shape[1:])
     routes = np.zeros(est.shape, dtype=np.int8)           # SERIES_EM
     reflect, on_h = _route_masks(flat, period is not None)
-    if reflect.any():
+    n_reflect, n_hermite = np.count_nonzero(reflect), np.count_nonzero(on_h)
+    if n_reflect:
         parts = [_reflect(flat[reflect], period, alphas, tol, order) for order in orders]
         for out_k, (values, _) in zip(out, parts):
             out_k[:, reflect] = values
         est[:, reflect] = reduce(np.maximum, (e for _, e in parts))
         routes[:, reflect] = REFLECT
-    # h-rule points right of Re s = -3 come from size-1 calls; each residue
-    # keeps the rule where _h_rule_fits, and takes Euler-Maclaurin elsewhere
-    choose = flat.size == 1 and bool(on_h[0]) and flat.real[0] >= _H_RULE_RE_LIMIT
-    for i, a in enumerate(alphas):
-        out_a, est_a, routes_a = out[:, i], est[i], routes[i]
-        hermite = on_h & (not choose or _h_rule_fits(complex(flat[0]), a, tol, orders))
-        em = ~(reflect | hermite)
-        if hermite.any():
-            sf = flat[hermite]
+    # every residue shares the routes of the points, except that the h-rule
+    # points of a size-1 call right of Re s = -3 keep the rule for the
+    # residues where _h_rule_fits, and take Euler-Maclaurin for the rest
+    hermite_rows = range(len(alphas)) if n_hermite else ()
+    em_rows, em_alphas = slice(None), alphas
+    em, n_em = ~(reflect | on_h), flat.size - n_reflect - n_hermite
+    if n_hermite and flat.size == 1 and flat.real[0] >= _H_RULE_RE_LIMIT:
+        point = complex(flat[0])
+        fits = [_h_rule_fits(point, a, tol, orders) for a in alphas]
+        hermite_rows = [i for i, fit in enumerate(fits) if fit]
+        em_rows = [i for i, fit in enumerate(fits) if not fit]
+        em_alphas = tuple(alphas[i] for i in em_rows)
+        em, n_em = on_h, (1 if em_rows else 0)
+    if hermite_rows:
+        sf = flat[on_h]
+        for i in hermite_rows:
+            a = alphas[i]
             parts = [_h_rule(sf, a, tol, order) for order in orders]
-            for out_k, order, (h, _) in zip(out_a, orders, parts):
+            for out_k, order, (h, _) in zip(out[:, i], orders, parts):
                 entire = hermite_d_deriv_many(sf, a) if order else hermite_d_many(sf, a)
-                out_k[hermite] = entire + h
-            est_a[hermite] = reduce(np.maximum, (e for _, e in parts))
-            routes_a[hermite] = HERMITE
-        if not em.any():
-            continue
-        negative = flat.real < 0.0
-        for group in (em & negative, em & ~negative):
-            if group.any():
-                reg, dreg, est_a[group] = euler_maclaurin_split(flat[group], a, tol=tol,
-                                                                want_deriv=orders[-1])
-                for out_k, order in zip(out_a, orders):
-                    out_k[group] = dreg if order else reg
+                out_k[on_h] = entire + h
+            est[i, on_h] = reduce(np.maximum, (e for _, e in parts))
+            routes[i, on_h] = HERMITE
+    if n_em:
+        # one Euler-Maclaurin call for all these residues per sign of Re s
+        negative = em & (flat.real < 0.0)
+        n_negative = np.count_nonzero(negative)
+        for size, left in ((n_negative, True), (n_em - n_negative, False)):
+            if not size:
+                continue
+            if size == flat.size:               # every point, as in a size-1 call
+                points, at = flat, (em_rows, slice(None))
+            else:
+                group = negative if left else em & ~negative
+                points, at = flat[group], (em_rows, group)
+            reg, dreg, est[at] = euler_maclaurin_split(points, em_alphas, tol=tol,
+                                                       want_deriv=orders[-1])
+            for out_k, order in zip(out, orders):
+                out_k[at] = dreg if order else reg
     shape = s.shape if single_alpha else (len(alphas),) + s.shape
     values = out.reshape((len(orders),) + shape)
     return (values if deriv == PAIR else values[0]), est.reshape(shape), routes.reshape(shape)

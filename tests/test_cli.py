@@ -50,6 +50,18 @@ class TestEval:
     def test_bad_complex(self):
         assert run(["eval", "zeta", "--s", "two"]) == 2
 
+    @pytest.mark.parametrize("text", ["inf", "nan", "-inf", "1+infi", "nan,0", "0,inf"])
+    def test_non_finite_complex_is_config_error(self, text, capsys):
+        # "inf" once failed only as the unparseable "jnf"
+        assert run(["eval", "zeta", f"--s={text}"]) == 2
+        assert "not finite" in capsys.readouterr().err
+
+    def test_hurwitz_term_past_float64_is_numerical_failure(self, capsys):
+        # 4^s leaves the float64 range; m ** (min Re s) raised OverflowError
+        assert run(["eval", "l", "--principal", "4", "--s", "1e5"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "s=(100000+0j)" in err
+
     def test_hurwitz_form(self, capsys):
         assert run(["eval", "hurwitz", "--s", "2", "--alpha", "0.5"]) == 0
         assert "4.9348022005446" in capsys.readouterr().out  # pi^2/2

@@ -158,6 +158,87 @@ class TestLEval:
                 assert abs(d - oracles.mp_l(mpmath, values, s, deriv=1)) <= e, s
 
 
+def _residue_tables(chi4):
+    """chi4 and the four characters mod 5: principal, quadratic and two complex."""
+    return [chi4] + zf.prime_character_group(5)
+
+
+class TestResidueAxis:
+    """All residues of a sign group run in one Euler-Maclaurin call."""
+
+    @staticmethod
+    def _counting_kernel(monkeypatch):
+        calls = []
+        kernel = zf.special._em_split
+
+        def counting(s, alpha, *args):
+            calls.append((np.size(s), alpha if isinstance(alpha, tuple) else (alpha,)))
+            return kernel(s, alpha, *args)
+
+        monkeypatch.setattr(zf.special, "_em_split", counting)
+        return calls
+
+    @pytest.mark.parametrize("size", [1, 32])
+    @pytest.mark.parametrize("table", [0, 2], ids=["chi4", "mod5-complex"])
+    def test_one_kernel_call_per_sign_group(self, chi4, table, size, monkeypatch):
+        character = _residue_tables(chi4)[table]
+        assert table == 0 or not character.is_real
+        handle = zf.l_function(character)
+        calls = self._counting_kernel(monkeypatch)
+        rng = np.random.default_rng(size)
+        batches = [rng.uniform(-2.9, 3.0, size) + 1j * rng.uniform(-60.0, 60.0, size)
+                   for _ in range(12)]
+        if size == 1:
+            batches += [np.array([s]) for s in (0.5 + 280j, -1.0 + 20j, 2.0 + 5j, 6.0)]
+        for pts in batches:
+            for deriv in (False, True):
+                calls.clear()
+                _, _, routes = handle.evaluate(pts, deriv=deriv)
+                em = routes == zf.special.SERIES_EM
+                groups = [side for side in (pts.real < 0.0, pts.real >= 0.0) if em[:, side].any()]
+                assert len(calls) == len(groups), (pts, calls)
+                # every call holds every residue that takes Euler-Maclaurin
+                served = tuple(a for a, row in zip(handle._residues[2], em) if row.any())
+                assert all(alphas == served for _, alphas in calls), (calls, served)
+                assert sum(n for n, _ in calls) == (pts.size if calls else 0)
+
+    def test_far_right_points_are_accepted_or_named(self, chi4):
+        # m ** (min Re s) raised OverflowError from Re s ~ 512 on for m = 4;
+        # there the Hurwitz term zeta(s, 1/4) ~ 4^s leaves float64
+        handle = zf.l_function(chi4)
+        vals, est, _ = handle.evaluate(np.array([500.0, 60.0 + 300.0j]))
+        assert abs(vals[0] - 1.0) <= est[0]
+        for pts in ([600.0], [0.5 + 1.0j, 800.0]):
+            with pytest.raises(zf.AccuracyError) as err:
+                handle.evaluate(np.array(pts, dtype=complex))
+            assert f"s={complex(pts[-1])!r}" in str(err.value)
+        assert zf.zeta_function().evaluate(np.array([1e5]))[0][0] == 1.0
+
+    def test_non_finite_point_is_a_domain_error(self, chi4):
+        for handle in (zf.zeta_function(), zf.l_function(chi4)):
+            with pytest.raises(zf.DomainError) as err:
+                handle.evaluate(np.array([float("nan")]))
+            assert "s=(nan+0j)" in str(err.value)
+
+    def test_values_within_estimate_against_mpmath(self, chi4):
+        # the merged call plans at the least a; each residue's estimate must
+        # still bound its error, right of Re s = -3 and in the merged
+        # reflection left of it, as one batch and as size-1 calls
+        mpmath = pytest.importorskip("mpmath")
+        ims = (0.0, 14.0, 40.0, 300.0)
+        grid = [complex(re, im) for re in (-2.5, 0.5, 2.0, 6.0) for im in ims]
+        grid += [complex(re, im) for re in (-4.5, -8.0) for im in ims[:3]]
+        for character in _residue_tables(chi4):
+            handle = zf.l_function(character)
+            pts = np.array(grid if character.is_real else grid + [s.conjugate() for s in grid])
+            refs = [oracles.mp_l(mpmath, character.values, complex(s)) for s in pts]
+            for group in [pts] + [pts[i:i + 1] for i in range(pts.size)]:
+                vals, est, _ = handle.evaluate(group)
+                for s, v, e in zip(group, vals, est):
+                    ref = refs[int(np.flatnonzero(pts == s)[0])]
+                    assert abs(v - ref) <= e, (character.values, complex(s), abs(v - ref), e)
+
+
 def _builtin_handles(chi4):
     handles = [zf.zeta_function(),
                zf.l_function(zf.principal_character(2)),

@@ -299,6 +299,11 @@ class TestZeroCensus:
         with pytest.raises(zf.DomainError):
             zf.count_zeros_box(0.0, 2.0, -1.0, 1.0)
 
+    def test_pole_on_the_boundary(self):
+        # a node at s = 1 turned the winding into NaN; (s - 1) zeta(s) is 1 there
+        assert zf.count_zeros_box(0.0, 2.0, 0.0, 15.0) == 1
+        assert zf.count_zeros_box(1.0, 2.0, -1.0, 1.0) == 0
+
 
 class TestSinkProportion:
     def test_empty(self):

@@ -143,11 +143,12 @@ class TestHurwitzZeta:
 
     def test_size_one_call_runs_one_route_per_residue(self, chi4, monkeypatch):
         # the h-rule or Euler-Maclaurin is chosen before either runs; chi4 at
-        # 0.5+12.99i ran the h-rule, refused its estimate, then Euler-Maclaurin
+        # 0.5+12.99i ran the h-rule, refused its estimate, then Euler-Maclaurin.
+        # One Euler-Maclaurin call takes every residue the rule refuses
         calls = []
         for name in ("_h_rule", "euler_maclaurin_split"):
             def counting(s, alpha, *args, _name=name, _fn=getattr(sp, name), **kwargs):
-                calls.append((_name, alpha))
+                calls.append((_name, tuple(alpha) if np.ndim(alpha) else (alpha,)))
                 return _fn(s, alpha, *args, **kwargs)
             monkeypatch.setattr(sp, name, counting)
         handle = zf.l_function(chi4)
@@ -157,9 +158,10 @@ class TestHurwitzZeta:
                 calls.clear()
                 handle.evaluate(np.array([complex(re, im)]))
                 for alpha in (0.25, 0.75):
-                    ran = {name for name, a in calls if a == alpha}
+                    ran = [name for name, alphas in calls if alpha in alphas]
                     assert len(ran) == 1, (re, im, alpha, calls)
-                    routes |= ran
+                    routes |= set(ran)
+                assert [name for name, _ in calls].count("euler_maclaurin_split") <= 1, calls
         assert routes == {"_h_rule", "euler_maclaurin_split"}
 
     def test_ill_conditioned_integral_point_against_series(self):
@@ -336,6 +338,56 @@ class TestPlannedEulerMaclaurin:
             for alpha in (0.5, 0.75, 1.0):
                 self._check(mpmath, np.array([s]), alpha, 1e-14, want_deriv=True)
 
+    @pytest.mark.parametrize("size", [1, 12])
+    def test_residue_axis_runs_every_a_on_the_plan_of_the_least(self, size):
+        # one call for a sequence of a, planned at the least a: the remainder
+        # bound holds for every a, and an a whose own plan is the shared one
+        # keeps the value of its single-a call bit for bit
+        mpmath = pytest.importorskip("mpmath")
+        pts = self._points(size, size)[::2]
+        alphas = (0.75, 0.25, 0.5, 1.0)
+        for want_deriv in (False, True):
+            reg, dreg, est = sp.euler_maclaurin_split(pts, alphas, want_deriv=want_deriv)
+            assert reg.shape == est.shape == (len(alphas), pts.size)
+            plan = sp._em_plan(pts, 0.25, 1e-12, want_deriv, float(pts.real.min()))
+            kept = 0
+            for r, alpha in enumerate(alphas):
+                own = sp._em_plan(pts, alpha, 1e-12, want_deriv, float(pts.real.min()))
+                assert own[2] <= 1e-12 and plan[2] <= 1e-12
+                if own[:2] == plan[:2] and alpha < 1.0:     # a = 1 alone may take the table
+                    one, done, _ = sp.euler_maclaurin_split(pts, alpha, want_deriv=want_deriv)
+                    assert np.array_equal(one, reg[r]), alpha
+                    assert not want_deriv or np.array_equal(done, dreg[r]), alpha
+                    kept += 1
+                for i, s in enumerate(pts):
+                    s = complex(s)
+                    ref = oracles.mp_zeta(mpmath, s, alpha, 0)
+                    assert abs(reg[r, i] + 1.0 / (s - 1.0) - ref) <= est[r, i], (s, alpha)
+                    if want_deriv:
+                        dref = oracles.mp_zeta(mpmath, s, alpha, 1)
+                        assert abs(dreg[r, i] - 1.0 / (s - 1.0) ** 2 - dref) <= est[r, i]
+            assert kept >= 2
+
+    def test_leading_power_past_float64_raises_naming_the_point(self):
+        # alpha ** -re_max raised a bare OverflowError
+        assert abs(sp.hurwitz_zeta(300.0, 0.25) / 4.0 ** 300 - 1.0) < 1e-13
+        with pytest.raises(zf.AccuracyError) as err:
+            sp.hurwitz_zeta(600.0, 0.25)
+        assert "s=(600+0j), alpha=0.25" in str(err.value)
+        with pytest.raises(zf.AccuracyError) as err:
+            sp.euler_maclaurin_split(np.array([0.5 + 1.0j, 800.0]), (0.25, 0.75))
+        assert "s=(800+0j)" in str(err.value)
+        assert sp.riemann_zeta(600.0) == 1.0
+
+    @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(0.0, float("nan")),
+                                     complex(float("inf"), 1.0)])
+    def test_non_finite_point_is_a_domain_error(self, bad):
+        # _em_plan died converting NaN to an integer
+        for alpha in (1.0, (0.25, 0.75)):
+            with pytest.raises(zf.DomainError) as err:
+                sp.euler_maclaurin_split(np.array([0.5 + 1.0j, bad]), alpha)
+            assert f"s={bad!r}" in str(err.value)
+
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_negative_real_part_holds_its_accuracy(self, alpha):
         # Re s < 0 keeps the small-N rule; 3e-12 relative to max(1, |ref|)
@@ -477,7 +529,8 @@ class TestRouteBoundary:
             assert abs(vals[i] - oracles.mp_l(mpmath, chi4.values, complex(s))) <= est[i], s
 
     def test_chi4_batch_shares_four_em_evaluations(self, chi4, monkeypatch):
-        # both residues 1/4 and 3/4 read zeta(1-s, k/4), k = 1..4, once
+        # both residues 1/4 and 3/4 read zeta(1-s, k/4), k = 1..4, from one
+        # Euler-Maclaurin call
         calls = []
         em = sp.euler_maclaurin_split
 
@@ -487,8 +540,8 @@ class TestRouteBoundary:
 
         monkeypatch.setattr(sp, "euler_maclaurin_split", counting)
         zf.l_function(chi4).evaluate(np.array([-5.0 + 1.0j, -4.2 - 3.0j, -7.1]))
-        assert sorted(alpha for _, alpha in calls) == [0.25, 0.5, 0.75, 1.0]
-        assert all(re > 4.0 for re, _ in calls)
+        (re, alphas), = calls
+        assert tuple(alphas) == (0.25, 0.5, 0.75, 1.0) and re > 4.0
 
     FAR_LEFT = (-5.96 + 26.9j, -8.0 + 60.0j, -5.0 + 100.0j, -5.0 + 300.0j)
 
