@@ -206,11 +206,15 @@ class LFunctionHandle:
         (1 + ln m) with ``deriv``, plus the rounding of m^(-s), bounds that
         of L and L'; the router runs at eval_cfg.split_tol times
         m^(min Re s) / sum_r |chi(r)| where that is below 1, for all
-        residues at once: left of Re s = -3 the points take the reflection
-        once, at every |Im s|, except that a size-1 call keeps the h-rule up
-        to |Im s| = 15.  Each sum over the residues is one elementwise sum,
-        in the same order at every point and batch size.  ``routes`` holds
-        its route code per residue (leading axis) and point.
+        residues at once.  Each point takes one route for every residue,
+        and each route is one kernel call for all of them, which with
+        ``deriv`` gives R_r and R'_r together: left of Re s = -3 the points
+        take the reflection, at every |Im s|, except that a size-1 call
+        keeps the h-rule up to |Im s| = 15, and right of it a size-1 call
+        takes the h-rule only where its floor meets the tolerance for every
+        residue.  Each sum over the residues is one elementwise sum, in the
+        same order at every point and batch size.  ``routes`` holds the
+        route code per residue (leading axis) and point; the rows are equal.
         """
         s = np.asarray(s, dtype=complex)
         flat = s.ravel()
@@ -220,10 +224,9 @@ class LFunctionHandle:
         # phi(m) <= m, so the power stays within the float64 range
         lowest = min(float(flat.real.min(initial=np.inf)), 1.0)
         tol = self.eval_cfg.split_tol * min(1.0, m ** lowest / weight)
-        values, ests, routes = special.hurwitz_split_many(
-            flat, alphas, tol, special.PAIR if deriv else False, m)
-        regs = values.reshape(-1, len(alphas), flat.size)       # (order, residue, point)
-        totals = list(np.multiply(regs.swapaxes(1, 2), chis, order="C").sum(axis=-1, initial=0.0))
+        values, ests, routes = special.hurwitz_split_many(flat, alphas, tol, deriv, m)
+        totals = [np.multiply(regs.T, chis, order="C").sum(axis=-1, initial=0.0)
+                  for regs in (values if deriv else (values,))]     # regs: (residue, point)
         est = np.multiply(ests.T, weights, order="C").sum(axis=-1, initial=0.0)
         if self.has_pole:
             totals[0] = totals[0] + len(alphas) / (flat - 1.0)
@@ -276,16 +279,15 @@ def l_eval(handle: LFunctionHandle, s) -> complex:
 
 
 def l_eval_with_estimate(handle: LFunctionHandle, s) -> tuple[complex, float, str]:
-    """(L_m(s), its error estimate, its routes) at one point; raises as ``l_eval`` does.
+    """(L_m(s), its error estimate, its route) at one point; raises as ``l_eval`` does.
 
-    The routes are the distinct router routes over the residues, as
-    ``special.route_names`` joins them.
+    The route is the router's route at s, which every residue takes.
     """
     s = complex(s)
     if s == 1 and handle.has_pole:
         raise PoleError("principal L-functions have a pole at s = 1")
     vals, est, routes = handle.evaluate(np.array([s]))
-    value, est, route = complex(vals[0]), float(est[0]), special.route_names(routes)
+    value, est, route = complex(vals[0]), float(est[0]), special.ROUTES[routes[0, 0]]
     if not handle.eval_cfg.accepts(value, est):
         raise handle.eval_cfg.rejection(value, est,
                                         f"at s={s!r}, m={handle.period} (route {route})")

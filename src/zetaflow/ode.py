@@ -285,7 +285,7 @@ def _lockstep_newton(handle: LFunctionHandle, z0, evals: int, tol: float):
             if not ok[j]:
                 outcomes[i] = cfg.rejection(
                     complex(f[j]), float(est[j]),
-                    f"at s={s!r}, m={handle.period} (route {special.route_names(routes[:, j])})")
+                    f"at s={s!r}, m={handle.period} (route {special.ROUTES[routes[0, j]]})")
             elif lost[j]:
                 why = (f"|F| = {size[j]:.3e} not below {tol:g} after {used[i]} evaluations"
                        if used[i] >= evals else f"Newton step {complex(step[j])!r} rejected")

@@ -32,6 +32,8 @@ ESCAPE_LIMIT = 1.0e6
 _PHI_SERIES_CUT = 1e-4
 _OVERSHOOT_JUMP = 1.0
 _MAX_HALVINGS = 20
+# About this many field snapshots are kept per run (integrate_pde)
+_SNAPSHOT_BUDGET = 200
 
 
 def y_norm(values: np.ndarray) -> float:
@@ -214,13 +216,12 @@ def _advance(field: GridField, dt: float, cfg: FlowConfig, depth: int = 0) -> Gr
 
 def integrate_pde(g: GridField, cfg: FlowConfig,
                   track_target: complex | None = None,
-                  estimate_error: bool = False,
-                  snapshot_budget: int = 200) -> RunRecord:
+                  estimate_error: bool = False) -> RunRecord:
     """March the field to cfg.t_end with fixed step cfg.dt_init.
 
     Early terminations: 'quenched' when the pole guard trips (min P below
     cfg.pole_guard_eps), 'escaped' when sup |u| exceeds 1e6.  Monitors are
-    sampled every step; about ``snapshot_budget`` field snapshots are kept.
+    sampled every step; about _SNAPSHOT_BUDGET field snapshots are kept.
     With ``estimate_error`` a halved-step shadow run at the same horizon
     supplies a self-convergence error estimate (only for completed runs).
     """
@@ -231,7 +232,7 @@ def integrate_pde(g: GridField, cfg: FlowConfig,
 
     n_steps = max(1, round(cfg.t_end / cfg.dt_init))
     dt = cfg.t_end / n_steps
-    snap_every = max(1, n_steps // max(1, snapshot_budget))
+    snap_every = max(1, n_steps // _SNAPSHOT_BUDGET)
 
     times, mins_p, re_mins, re_maxs, im_mins, im_maxs, sups, dists = \
         [], [], [], [], [], [], [], []
@@ -457,8 +458,7 @@ def envelope_check(run: RunRecord, spec: EnvelopeSpec, theorem: str) -> Envelope
                          for k, t in enumerate(times)])
         record("upper", [np.min((zi * t + spec.s) - re_parts[k])
                          for k, t in enumerate(times)])
-        record("imag_confined", [slack - np.max(np.abs(im_parts[k]))
-                                 for k in range(len(times))])
+        record("imag_confined", [-np.max(np.abs(im_parts[k])) for k in range(len(times))])
     elif theorem == "thm1.7ii":
         upper = -2.0 * spec.k2 if spec.k2 is not None else spec.s
         record("lower", [np.min(re_parts[k] - (-2.0 * spec.k1))
@@ -507,10 +507,16 @@ def fourier_field(mean: complex, modes, shape=(64,),
     return GridField(vals, length)
 
 
-def _random_zero_mean(rng, shape, length, n_modes: int, complex_parts: bool):
+# Fourier modes k = 1.._RANDOM_MODES of the random data, and the range of the
+# disc datum's perturbation as a fraction of the disc radius
+_RANDOM_MODES = 3
+_DISC_AMP_RANGE = (0.15, 0.45)
+
+
+def _random_zero_mean(rng, shape, length, complex_parts: bool):
     axes = [np.arange(n) * (length / n) for n in shape]
     w = np.zeros(shape, dtype=complex)
-    for k in range(1, n_modes + 1):
+    for k in range(1, _RANDOM_MODES + 1):
         if len(shape) == 1:
             theta = 2.0 * math.pi * k * axes[0] / length
             w = w + rng.uniform(-1, 1) * np.cos(theta + rng.uniform(0, 2 * math.pi))
@@ -527,33 +533,32 @@ def _random_zero_mean(rng, shape, length, n_modes: int, complex_parts: bool):
 
 
 def disc_random_field(center: complex, delta: float, seed: int, shape=(32,),
-                      length: float = 2.0 * math.pi, n_modes: int = 3,
-                      amp_range=(0.15, 0.45)) -> GridField:
+                      length: float = 2.0 * math.pi) -> GridField:
     """Random smooth zero-mean perturbation of ``center`` inside D(center, delta).
 
-    The perturbation is scaled to a random fraction of delta (default at
-    most 0.45 delta), so the datum is strictly inside the disc and its
-    spatial mean sits at the disc center.
+    The perturbation is scaled to a random fraction of delta in
+    _DISC_AMP_RANGE (at most 0.45 delta), so the datum is strictly inside the
+    disc and its spatial mean sits at the disc center.
     """
     if delta <= 0:
         raise DomainError("delta must be positive")
     rng = np.random.default_rng(seed)
-    w = _random_zero_mean(rng, shape, length, n_modes, complex_parts=True)
+    w = _random_zero_mean(rng, shape, length, complex_parts=True)
     sup = float(np.max(np.abs(w)))
     if sup == 0.0:
         w = np.zeros(shape, dtype=complex)
     else:
-        w = w * (rng.uniform(*amp_range) * delta / sup)
+        w = w * (rng.uniform(*_DISC_AMP_RANGE) * delta / sup)
     return GridField(complex(center) + w, length)
 
 
 def smooth_real_field(vmin: float, vmax: float, seed: int, shape=(64,),
-                      length: float = 2.0 * math.pi, n_modes: int = 3) -> GridField:
+                      length: float = 2.0 * math.pi) -> GridField:
     """Random smooth real field with range exactly [vmin, vmax]."""
     if not vmin < vmax:
         raise DomainError("need vmin < vmax")
     rng = np.random.default_rng(seed)
-    w = _random_zero_mean(rng, shape, length, n_modes, complex_parts=False).real
+    w = _random_zero_mean(rng, shape, length, complex_parts=False).real
     lo, hi = float(np.min(w)), float(np.max(w))
     if hi - lo < 1e-12:
         w = np.cos(2.0 * math.pi * np.arange(shape[0]) / shape[0])

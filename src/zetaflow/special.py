@@ -1,13 +1,16 @@
 """Hurwitz/Riemann zeta evaluation and the explicit sup-norm bound constants.
 
 One router, ``hurwitz_split_many``, evaluates the regular part of zeta(s, a)
-(the 1/(s-1) pole term kept symbolic), its derivative, or both from one
+(the 1/(s-1) pole term kept symbolic), or it and its derivative from one
 call, with a per-point error estimate and route, for batches, for all
 residues of an L-function at once and, as size-1 calls, for every scalar
-entry point.  One predicate, ``_route_masks``, sends points off
-Euler-Maclaurin, and for a size-1 call right of Re s = -3 one bound,
-``_h_rule_fits``, decides per residue whether the h-rule runs.  The routes,
-as the router names them:
+entry point.  One predicate, ``_route_masks``, gives each point one route,
+which every residue takes; for a size-1 call right of Re s = -3 one bound,
+``_h_rule_fits``, decides whether the h-rule runs.  Each route is one
+kernel call for all the residues (Euler-Maclaurin one per sign of Re s),
+with one contract: (R, R' or None, estimate), with a leading residue axis,
+R and R' from one pass and one estimate bounding each.  The routes, as the
+router names them:
 
 * "reflect" left of Re s = -3, at every |Im s|, when a = 1 or a is a
   residue r/m of a given period m (size-1 calls keep "hermite" up to
@@ -24,23 +27,25 @@ as the router names them:
   batch without a period left of Re s = -3: zeta(s, a) = 1/(s-1) + d + h,
   d entire and h an integral by one graded fixed-panel Gauss-Legendre
   rule, whose estimate is its tail level plus 16 eps times the integral of
-  |integrand|.  Right of Re s = -3 a residue takes the rule only where a
-  bound on that estimate, from (s, a, tol) alone, meets the tolerance, and
-  Euler-Maclaurin elsewhere: one route per residue, whatever came before.
+  |integrand|.  The residues share one node set, graded at the least a and
+  truncated at the largest truncation point over the residues and orders.
+  Right of Re s = -3 a size-1 call takes the rule only where a bound on
+  that estimate, from (s, a, tol) alone, meets the tolerance for every
+  residue and order, and Euler-Maclaurin elsewhere, whatever came before.
 * "series-em" everywhere else: the defining series with an Euler-Maclaurin
   tail, which also provides the analytic continuation.  One planner,
   _em_plan, picks the term count N and the K <= 12 corrections (summed by
   Horner's rule) for either sign of Re s, trading work against counted
   rounding; the router groups the points by that sign, and evaluates every
-  residue that takes this route in one call per group, planned at the
-  least a, whose remainder bound holds for every larger a.  It plans a group
-  for its cell: max|s|, the Re s hull and, left of Re s = 0, max|Im s|
-  rounded outward on fixed ladders, the tolerance rounded down and the
-  group size rounded up to a power of 2 (_CELL_LADDER).  A plan is a pure
-  function of its cell, kept in a bounded cache (_cell_plan), so the small
-  calls of the flows and marches, whose points move little from call to
-  call, plan once per cell, and a value depends only on its group and
-  tolerance, never on what was evaluated before.  The estimate is the
+  residue in one call per group, planned at the least a, whose remainder
+  bound holds for every larger a.  It plans a group for its cell: max|s|,
+  the Re s hull and, left of Re s = 0, max|Im s| rounded outward on fixed
+  ladders, the tolerance rounded down and the group size rounded up to a
+  power of 2 (_CELL_LADDER).  A plan is a pure function of its cell, kept
+  in a bounded cache (_cell_plan), so the small calls of the flows and
+  marches, whose points move little from call to call, plan once per cell,
+  and a value depends only on its group and tolerance, never on what was
+  evaluated before.  The estimate is the
   cell's remainder bound plus the float64 rounding of the kernel at the
   group's own hull.  At Re s <= -25, where no K <= 12 bounds the
   remainder, and where a^(-s) leaves the float64 range, it raises
@@ -62,7 +67,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -297,15 +302,16 @@ def _truncation_point(s: complex, alpha: float, threshold: float, deriv: bool) -
 
 
 @lru_cache(maxsize=64)
-def _h_panels(alpha: float, n_panels: int):
+def _h_panels(alphas: tuple, n_panels: int):
     """Node factors of the graded rule: (arctan(t/a), ln(a^2+t^2)/2, weights).
 
-    Breakpoints alpha/2, alpha, 2 alpha, ... below 0.5, then ``n_panels``
-    panels of width 0.5.  The weights carry the factor 2 of h and
-    1/(e^{2 pi t} - 1).  The arrays are read-only.
+    One node set t for every a of ``alphas``: breakpoints a/2, a, 2a, ...
+    below 0.5 at the least a, then ``n_panels`` panels of width 0.5.  The
+    first two factors have a row per a, shape (R, nodes); the weights carry
+    the factor 2 of h and 1/(e^{2 pi t} - 1).  The arrays are read-only.
     """
     edges = [0.0]
-    b = alpha / 2.0
+    b = min(alphas) / 2.0
     while b < _H_PANEL_WIDTH:
         edges.append(b)
         b *= 2.0
@@ -314,7 +320,8 @@ def _h_panels(alpha: float, n_panels: int):
     lo = edges[:-1, None]
     half = 0.5 * (edges[1:, None] - lo)
     t = (lo + half * (x0 + 1.0)).ravel()
-    factors = (np.arctan(t / alpha), 0.5 * np.log(alpha * alpha + t * t),
+    factors = (np.array([np.arctan(t / a) for a in alphas]),
+               np.array([0.5 * np.log(a * a + t * t) for a in alphas]),
                (half * w0).ravel() * (2.0 / np.expm1(_TWO_PI * t)))
     for arr in factors:
         arr.setflags(write=False)
@@ -322,63 +329,73 @@ def _h_panels(alpha: float, n_panels: int):
 
 
 @lru_cache(maxsize=16)
-def _h_nodes(worst: complex, alpha: float, tol: float, deriv: bool):
+def _h_nodes(worst: complex, alphas: tuple, tol: float, want_deriv: bool):
     """_h_panels to the truncation point of the envelope at ``worst``, max|Re s| + i max|Im s|.
 
-    Cached, as a size-1 call reads it in _h_rule_fits and again in _h_rule.
+    The largest over the a and the orders; cached, as a size-1 call reads it
+    in _h_rule_fits and again in _h_rule.
     """
-    tail = _truncation_point(worst, alpha, _H_TAIL_SHARE * tol, deriv)
-    return _h_panels(alpha, math.ceil(tail / _H_PANEL_WIDTH))
+    tail = max(_truncation_point(worst, a, _H_TAIL_SHARE * tol, deriv)
+               for a in alphas for deriv in ((False, True) if want_deriv else (False,)))
+    return _h_panels(alphas, math.ceil(tail / _H_PANEL_WIDTH))
 
 
-def _h_rule(s: np.ndarray, alpha: float, tol: float, deriv: bool):
-    """h (or h') at the 1-d points ``s``, with per-point error estimates.
+def _h_rule(s: np.ndarray, alphas: tuple, tol: float, want_deriv: bool):
+    """(h, h' or None, estimates) at the 1-d points ``s``, each shaped (len(alphas), s.size).
 
-    h(s, a) = 2 int_0^inf sin(s arctan(t/a)) / ((a^2+t^2)^(s/2) (e^{2 pi t} - 1)) dt.
-    The panels run to the batch envelope's truncation point at
-    _H_TAIL_SHARE * tol.  Each estimate is that tail level plus the float64
-    floor of the panel sums, _QUAD_FLOOR times the integral of |integrand|
-    on the same nodes.
+    h(s, a) = 2 int_0^inf sin(s arctan(t/a)) / ((a^2+t^2)^(s/2) (e^{2 pi t} - 1)) dt,
+    on the nodes of _h_nodes; h' shares its sin and exp.  An estimate is the
+    tail level _H_TAIL_SHARE * tol plus the float64 floor of the panel sums,
+    _QUAD_FLOOR times the larger integral of |integrand| on the same nodes.
     """
     worst = complex(float(np.abs(s.real).max()), float(np.abs(s.imag).max()))
-    angle, half_log, weights = _h_nodes(worst, alpha, tol, deriv)
-    col = s[:, None]
-    phase = col * angle
-    num = np.sin(phase)
-    if deriv:
-        num = angle * np.cos(phase) - half_log * num
-    vals = num * np.exp(-col * half_log)
-    return vals @ weights, _H_TAIL_SHARE * tol + _QUAD_FLOOR * (np.abs(vals) @ weights)
+    angle, half_log, weights = _h_nodes(worst, alphas, tol, want_deriv)
+    col = s[None, :, None]
+    angle, half_log = angle[:, None, :], half_log[:, None, :]
+    phase = col * angle                                     # (R, n, nodes)
+    sin = np.sin(phase)
+    shape, rows = (len(alphas), s.size), (len(alphas) * s.size, weights.size)
+    if want_deriv:
+        decay = np.exp(-col * half_log)
+        vals = (sin * decay).reshape(rows)
+        dvals = ((angle * np.cos(phase) - half_log * sin) * decay).reshape(rows)
+        dh = (dvals @ weights).reshape(shape)
+        mass = np.maximum(np.abs(vals) @ weights, np.abs(dvals) @ weights)
+    else:
+        # one a alone keeps its value bitwise: numpy rounds a complex a * b and
+        # b * a differently, and writes a large product into a temporary operand
+        vals = (sin * np.exp(-col * half_log)).reshape(rows)
+        dh, mass = None, np.abs(vals) @ weights
+    return ((vals @ weights).reshape(shape), dh,
+            (_H_TAIL_SHARE * tol + _QUAD_FLOOR * mass).reshape(shape))
 
 
-def _h_rule_fits(s: complex, alpha: float, tol: float, orders) -> bool:
-    """Whether _h_rule's estimate at the point ``s`` meets ``tol`` in each of ``orders``.
+def _h_rule_fits(s: complex, alphas: tuple, tol: float, want_deriv: bool) -> bool:
+    """Whether _h_rule's estimate at the point ``s`` meets ``tol`` for every a and order.
 
-    Decided before the rule runs, from (s, alpha, tol) alone: |sin(s theta)|
-    and |cos(s theta)| are at most cosh(Im s theta), so on each node
-    |integrand| is at most cosh(|Im s| theta) e^(-Re s ln(a^2+t^2)/2), times
-    theta + |ln(a^2+t^2)|/2 for h'.  That bounds the integral of |integrand|
-    in the rule's floor, and it is tight where the floor matters, at
-    cosh(|Im s| theta) >> 1.
+    Decided before the rule runs, on its nodes, from (s, alphas, tol) alone:
+    |sin(s theta)| and |cos(s theta)| are at most cosh(Im s theta), so on
+    each node |integrand| is at most cosh(|Im s| theta) e^(-Re s
+    ln(a^2+t^2)/2), times theta + |ln(a^2+t^2)|/2 for h'.  That bounds the
+    integral of |integrand| in the rule's floor, and it is tight where the
+    floor matters, at cosh(|Im s| theta) >> 1.
     """
     worst = complex(abs(s.real), abs(s.imag))
-    for deriv in orders:
-        angle, half_log, weights = _h_nodes(worst, alpha, tol, deriv)
-        bound = np.cosh(worst.imag * angle)
-        bound *= np.exp(-s.real * half_log)
-        if deriv:
-            bound *= angle + np.abs(half_log)
-        if _H_TAIL_SHARE * tol + _QUAD_FLOOR * float(bound @ weights) > tol:
-            return False
-    return True
+    angle, half_log, weights = _h_nodes(worst, alphas, tol, want_deriv)
+    bound = np.cosh(worst.imag * angle)
+    bound *= np.exp(-s.real * half_log)
+    mass = bound @ weights
+    if want_deriv:
+        mass = np.maximum(mass, (bound * (angle + np.abs(half_log))) @ weights)
+    return _H_TAIL_SHARE * tol + _QUAD_FLOOR * float(mass.max()) <= tol
 
 
 def hermite_h(s, alpha: float, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
     """Integral part h of the split; PrecisionFloorError, naming s, past abs_tol."""
     alpha = _check_alpha(alpha)
     s = complex(s)
-    h, est = _h_rule(np.array([s]), alpha, cfg.split_tol, False)
-    value, est = complex(h[0]), float(est[0])
+    h, _, est = _h_rule(np.array([s]), (alpha,), cfg.split_tol, False)
+    value, est = complex(h[0, 0]), float(est[0, 0])
     if not est <= cfg.abs_tol:
         raise PrecisionFloorError(
             f"float64 floor of the h-rule: estimate {est:.1e} exceeds abs_tol "
@@ -1086,19 +1103,22 @@ def _reflect_tables(period: int, residues: tuple):
     return tables
 
 
-def _reflect(s: np.ndarray, period: int, alphas, tol: float, deriv: bool):
-    """Regular parts of zeta(s, r/m) (or of zeta') for each a = r/m in ``alphas``.
+def _reflect(s: np.ndarray, period: int, alphas, tol: float, want_deriv: bool):
+    """Regular parts of zeta(s, r/m), and with ``want_deriv`` of zeta', for each r/m in ``alphas``.
 
-    Returns (values, estimates) of shape (len(alphas), s.size).  With
-    G = 2 Gamma(u) (2 pi m)^(-u), C_k, S_k = cos, sin(pi u/2 - 2 pi k r/m)
-    and Z_k = zeta(u, k/m), the value is G sum_k C_k Z_k and its
-    s-derivative -G ((psi(u) - ln(2 pi m)) sum_k C_k Z_k - (pi/2) sum_k S_k
-    Z_k + sum_k C_k Z_k').  One Euler-Maclaurin call evaluates every Z_k,
+    Returns (values, derivatives or None, estimates), each of shape
+    (len(alphas), s.size).  With G = 2 Gamma(u) (2 pi m)^(-u), C_k, S_k =
+    cos, sin(pi u/2 - 2 pi k r/m) and Z_k = zeta(u, k/m), the value is
+    G sum_k C_k Z_k and its s-derivative -G ((psi(u) - ln(2 pi m)) sum_k C_k
+    Z_k - (pi/2) sum_k S_k Z_k + sum_k C_k Z_k'), both from one ln Gamma
+    (with psi) and one Euler-Maclaurin call for every Z_k (and Z_k'),
     k = 1..m, planned at a = 1/m, at _H_TAIL_SHARE ``tol`` over the largest
-    weight |G| sum_k |C_k|.  The estimate adds the rounding
-    of every factor: of G and the products times |G| sum_k |C_k| |Z_k|, of
-    the phase times |G| sum_k |S_k| |Z_k| (absolute near the trivial zeros),
-    and of u = 1 - s, eps |Re u| / 2, times a bound on the u-derivative.
+    weight |G| sum_k |C_k| (for the derivative, |G| sum_k (|C_k| (|psi(u) -
+    ln(2 pi m)| + 1) + (pi/2) |S_k|)).  The estimate adds the rounding of
+    every factor: of G and the products times |G| sum_k |C_k| |Z_k|, of the
+    phase times |G| sum_k |S_k| |Z_k| (absolute near the trivial zeros), and
+    of u = 1 - s, eps |Re u| / 2, times a bound on the u-derivative; with
+    ``want_deriv`` it bounds the error of the value and of the derivative.
     Raises AccuracyError where a factor leaves the float64 range.
     """
     m = period
@@ -1112,7 +1132,7 @@ def _reflect(s: np.ndarray, period: int, alphas, tol: float, deriv: bool):
 
     abs_u = np.abs(u)
     big_l = math.log(_TWO_PI * m)
-    gamma = _log_gamma(u, deriv)
+    gamma = _log_gamma(u, want_deriv)
     lg, lg_err = gamma[:2]
     q, log_a = _reflect_tables(m, tuple(round(a * m) for a in alphas))
     half = np.remainder(0.5 * u.real, 2.0) + 0.5j * u.imag          # u/2 mod 2
@@ -1125,7 +1145,7 @@ def _reflect(s: np.ndarray, period: int, alphas, tol: float, deriv: bool):
         # cosh(pi |Im s| / 2) passes the float64 range near |Im s| = 452
         overflow(np.isfinite(abs_g * (abs_c + abs_s).sum(axis=(0, 1))),
                  "2 Gamma(1-s) (2 pi m)^(s-1) cos(pi (1-s)/2 - 2 pi k r/m)")
-    if deriv:
+    if want_deriv:
         dlog = gamma[2] - big_l
         abs_dlog = np.abs(dlog)
         weight = abs_c * (abs_dlog + 1.0) + (0.5 * math.pi) * abs_s
@@ -1134,9 +1154,8 @@ def _reflect(s: np.ndarray, period: int, alphas, tol: float, deriv: bool):
     tol_em = _H_TAIL_SHARE * tol / max(1.0, float(np.max(abs_g * weight.sum(axis=1))))
     pole = 1.0 / (u - 1.0)
     regs, dregs, em_est = euler_maclaurin_split(u, tuple((k + 1) / m for k in range(m)),
-                                                tol=tol_em, want_deriv=deriv)
+                                                tol=tol_em, want_deriv=want_deriv)
     zs = regs + pole
-    dzs = dregs - pole * pole if deriv else None
     sums = (cos * zs).sum(axis=1)
     abs_z = np.abs(zs)
     # relative rounding of G (ln Gamma, u ln(2 pi m), exp) and of each term
@@ -1149,16 +1168,18 @@ def _reflect(s: np.ndarray, period: int, alphas, tol: float, deriv: bool):
     inexact_u = 0.5 * _EPS * np.abs(u.real)
     a_pow = np.exp(-log_a * u.real)
     s_pole = 1.0 / (s - 1.0)
-    if not deriv:
-        # |dV/du| <= |G| sum_k ((|psi(u) - ln(2 pi m)| |C_k| + (pi/2) |S_k|) |Z_k|
-        # + |C_k| |Z_k'|), and |psi(u) - ln u| < 0.2 for |u| >= 4
-        dlog_bound = np.abs(np.log(u) - big_l) + 0.2
-        d1 = np.abs(log_a) * a_pow + _ZETA_D1_TAIL
-        est = (abs_g * (abs_c * (em_est + (rel + inexact_u * dlog_bound) * abs_z
-                                 + inexact_u * d1)
-                        + abs_s * (dphase + inexact_u * 0.5 * math.pi) * abs_z).sum(axis=1)
-               + _EPS * np.abs(s_pole))
-        return g * sums - s_pole, est
+    # |dV/du| <= |G| sum_k ((|psi(u) - ln(2 pi m)| |C_k| + (pi/2) |S_k|) |Z_k|
+    # + |C_k| |Z_k'|), and |psi(u) - ln u| < 0.2 for |u| >= 4
+    dlog_bound = np.abs(np.log(u) - big_l) + 0.2
+    d1 = np.abs(log_a) * a_pow + _ZETA_D1_TAIL
+    est = (abs_g * (abs_c * (em_est + (rel + inexact_u * dlog_bound) * abs_z
+                             + inexact_u * d1)
+                    + abs_s * (dphase + inexact_u * 0.5 * math.pi) * abs_z).sum(axis=1)
+           + _EPS * np.abs(s_pole))
+    value = g * sums - s_pole
+    if not want_deriv:
+        return value, None, est
+    dzs = dregs - pole * pole
     dsums = (cos * dzs).sum(axis=1)
     ssums = (sin * zs).sum(axis=1)
     dvalue = -g * (dlog * sums - (0.5 * math.pi) * ssums + dsums)
@@ -1172,13 +1193,13 @@ def _reflect(s: np.ndarray, period: int, alphas, tol: float, deriv: bool):
                        + 2.0 * abs_dlog * abs_dz + d2)
               + abs_s * math.pi * (abs_dlog * abs_z + abs_dz))
     psi_err = gamma[3] + _EPS * (np.abs(gamma[2]) + big_l)
-    est = (abs_g * (weight * em_est
-                    + abs_c * (rel * c_part + psi_err * abs_z)
-                    + abs_s * (rel * s_part + dphase * c_part)
-                    + abs_c * dphase * s_part
-                    + inexact_u * second).sum(axis=1)
-           + _EPS * np.abs(s_pole) ** 2)
-    return dvalue + s_pole * s_pole, est
+    dest = (abs_g * (weight * em_est
+                     + abs_c * (rel * c_part + psi_err * abs_z)
+                     + abs_s * (rel * s_part + dphase * c_part)
+                     + abs_c * dphase * s_part
+                     + inexact_u * second).sum(axis=1)
+            + _EPS * np.abs(s_pole) ** 2)
+    return value, dvalue + s_pole * s_pole, np.maximum(est, dest)
 
 
 # ---------------------------------------------------------------------------
@@ -1201,25 +1222,21 @@ HERMITE_IM_LIMIT = 15.0
 # Route codes of hurwitz_split_many, indexing ROUTES
 SERIES_EM, HERMITE, REFLECT = 0, 1, 2
 ROUTES = ("series-em", "hermite", "reflect")
-# hurwitz_split_many's ``deriv`` for R and R' together (False gives R, True R')
-PAIR = 2
 
 
-def route_names(codes) -> str:
-    """The distinct ROUTES names of route ``codes``, in order of appearance, joined by '/'."""
-    return "/".join(dict.fromkeys(ROUTES[c] for c in np.ravel(codes)))
-
-
-def _route_masks(s: np.ndarray, has_period: bool):
-    """(reflect, hermite) masks of the points that leave Euler-Maclaurin.
+def _route_masks(s: np.ndarray, alphas: tuple, tol: float, want_deriv: bool,
+                 has_period: bool):
+    """(reflect, hermite) masks of the points that leave Euler-Maclaurin, one route per point.
 
     The h-rule takes |Im s| <= 15 with Re s < -3 (Re s < 8 for a size-1
-    call, where _h_rule_fits has the last word right of Re s = -3); given a
-    period, every point left of Re s = -3 reflects instead, except a size-1
-    call on the h-rule.
+    call, which right of Re s = -3 keeps the rule only where _h_rule_fits
+    for every a and order); given a period, every point left of Re s = -3
+    reflects instead, except a size-1 call on the h-rule.
     """
     re_limit = _SINGLE_H_RULE_RE_LIMIT if s.size == 1 else _H_RULE_RE_LIMIT
     hermite = (s.real < re_limit) & (np.abs(s.imag) <= HERMITE_IM_LIMIT)
+    if s.size == 1 and hermite[0] and s.real[0] >= _H_RULE_RE_LIMIT:
+        hermite[0] = _h_rule_fits(complex(s[0]), alphas, tol, want_deriv)
     if not has_period:
         return np.zeros_like(hermite), hermite
     reflect = s.real < _H_RULE_RE_LIMIT
@@ -1228,93 +1245,73 @@ def _route_masks(s: np.ndarray, has_period: bool):
     return reflect, np.zeros_like(hermite)
 
 
-def hurwitz_split_many(s, alpha, tol: float = 1e-12, deriv=False, period: int | None = None):
+def hurwitz_split_many(s, alpha, tol: float = 1e-12, deriv: bool = False,
+                       period: int | None = None):
     """The Hurwitz router: regular parts, per-point error estimates, routes.
 
     The regular parts are R with zeta(s, a) = R + 1/(s-1) and R' with
     zeta'(s, a) = R' - 1/(s-1)^2.  ``alpha`` is one a in (0, 1] or a
     sequence of them; with ``period`` m every a must be a residue r/m, and
-    a = 1 alone implies m = 1.  The points _route_masks marks take the
-    reflection, one call for all residues, or d (or d') plus the h-rule; a
-    residue of a size-1 call right of Re s = -3 takes the h-rule only where
-    _h_rule_fits.  Euler-Maclaurin takes the rest in one group per sign
-    of Re s: as one group, {-2.9, 0.5+300i} takes N = 179 and the -2.9 point
-    comes out 3e-7 off, against 2.5e-13 alone.  Each group is one call for
-    all the residues it serves, planned at the least of them.  The routes
-    are decided with one count per route.  ``deriv`` False gives R, True
-    R', and PAIR both on a new leading axis (R first), with one estimate
-    bounding each.  Returns (values, estimates, routes), routes holding a
-    code per point (SERIES_EM, HERMITE or REFLECT, indexing ROUTES), each
-    shaped like ``s`` with a leading axis over a sequence ``alpha``.
+    a = 1 alone implies m = 1.  _route_masks gives each point one route,
+    shared by every residue; each route is one kernel call for all the
+    residues: the reflection, d (or d') plus the h-rule, and Euler-Maclaurin
+    once per sign of Re s: as one group, {-2.9, 0.5+300i} takes N = 179 and
+    the -2.9 point comes out 3e-7 off, against 2.5e-13 alone.  ``deriv``
+    False gives R, True the pair (R, R') from the same kernel calls, with
+    one estimate bounding each.  Returns (values, estimates, routes), routes
+    holding a code per point (SERIES_EM, HERMITE or REFLECT, indexing
+    ROUTES), each shaped like ``s`` with a leading axis over a sequence
+    ``alpha``.
     """
     alphas, single_alpha = _check_alphas(alpha)
     if period is None:
         period = 1 if alphas == (1.0,) else None
     elif any(abs(a * period - round(a * period)) > 1e-9 for a in alphas):
         raise DomainError(f"alpha {alpha!r} is not a residue r/{period}")
-    orders = (False, True) if deriv == PAIR else (bool(deriv),)
     s = np.asarray(s, dtype=complex)
     flat = s.ravel()
-    out = np.empty((len(orders), len(alphas), flat.size), dtype=complex)
-    est = np.empty(out.shape[1:])
-    routes = np.zeros(est.shape, dtype=np.int8)           # SERIES_EM
-    reflect, on_h = _route_masks(flat, period is not None)
+    out = np.empty((len(alphas), flat.size), dtype=complex)
+    dout = np.empty_like(out) if deriv else None
+    est = np.empty(out.shape)
+    codes = np.zeros(flat.size, dtype=np.int8)              # SERIES_EM
+
+    def put(at, values, dvalues, errors):
+        """Store a kernel's (R, R' or None, estimates) at the points ``at``."""
+        out[:, at], est[:, at] = values, errors
+        if deriv:
+            dout[:, at] = dvalues
+
+    reflect, on_h = _route_masks(flat, alphas, tol, deriv, period is not None)
     n_reflect, n_hermite = np.count_nonzero(reflect), np.count_nonzero(on_h)
     if n_reflect:
-        parts = [_reflect(flat[reflect], period, alphas, tol, order) for order in orders]
-        for out_k, (values, _) in zip(out, parts):
-            out_k[:, reflect] = values
-        est[:, reflect] = reduce(np.maximum, (e for _, e in parts))
-        routes[:, reflect] = REFLECT
-    # every residue shares the routes of the points, except that the h-rule
-    # points of a size-1 call right of Re s = -3 keep the rule for the
-    # residues where _h_rule_fits, and take Euler-Maclaurin for the rest
-    hermite_rows = range(len(alphas)) if n_hermite else ()
-    em_rows, em_alphas = slice(None), alphas
-    em, n_em = ~(reflect | on_h), flat.size - n_reflect - n_hermite
-    if n_hermite and flat.size == 1 and flat.real[0] >= _H_RULE_RE_LIMIT:
-        point = complex(flat[0])
-        fits = [_h_rule_fits(point, a, tol, orders) for a in alphas]
-        hermite_rows = [i for i, fit in enumerate(fits) if fit]
-        em_rows = [i for i, fit in enumerate(fits) if not fit]
-        em_alphas = tuple(alphas[i] for i in em_rows)
-        em, n_em = on_h, (1 if em_rows else 0)
-    if hermite_rows:
+        put(reflect, *_reflect(flat[reflect], period, alphas, tol, deriv))
+        codes[reflect] = REFLECT
+    if n_hermite:
         sf = flat[on_h]
-        for i in hermite_rows:
-            a = alphas[i]
-            parts = [_h_rule(sf, a, tol, order) for order in orders]
-            for out_k, order, (h, _) in zip(out[:, i], orders, parts):
-                entire = hermite_d_deriv_many(sf, a) if order else hermite_d_many(sf, a)
-                out_k[on_h] = entire + h
-            est[i, on_h] = reduce(np.maximum, (e for _, e in parts))
-            routes[i, on_h] = HERMITE
+        h, dh, errors = _h_rule(sf, alphas, tol, deriv)
+        put(on_h, np.array([hermite_d_many(sf, a) for a in alphas]) + h,
+            np.array([hermite_d_deriv_many(sf, a) for a in alphas]) + dh if deriv else None,
+            errors)
+        codes[on_h] = HERMITE
+    n_em = flat.size - n_reflect - n_hermite
     if n_em:
-        # one Euler-Maclaurin call for all these residues per sign of Re s
+        em = ~(reflect | on_h)
         negative = em & (flat.real < 0.0)
         n_negative = np.count_nonzero(negative)
-        for size, left in ((n_negative, True), (n_em - n_negative, False)):
-            if not size:
-                continue
-            if size == flat.size:               # every point, as in a size-1 call
-                points, at = flat, (em_rows, slice(None))
-            else:
-                group = negative if left else em & ~negative
-                points, at = flat[group], (em_rows, group)
-            reg, dreg, est[at] = euler_maclaurin_split(points, em_alphas, tol=tol,
-                                                       want_deriv=orders[-1])
-            for out_k, order in zip(out, orders):
-                out_k[at] = dreg if order else reg
+        for size, group in ((n_negative, negative), (n_em - n_negative, em & ~negative)):
+            if size:        # a group of every point, as in a size-1 call, is not copied
+                at = slice(None) if size == flat.size else group
+                put(at, *euler_maclaurin_split(flat[at], alphas, tol=tol, want_deriv=deriv))
     shape = s.shape if single_alpha else (len(alphas),) + s.shape
-    values = out.reshape((len(orders),) + shape)
-    return (values if deriv == PAIR else values[0]), est.reshape(shape), routes.reshape(shape)
+    values = (out.reshape(shape), dout.reshape(shape)) if deriv else out.reshape(shape)
+    return values, est.reshape(shape), np.repeat(codes[None], len(alphas), axis=0).reshape(shape)
 
 
 def _split_point(s, alpha: float, cfg: EvalConfig, deriv: bool):
-    """One point through the router: (value, estimate, route); AccuracyError unless accepted."""
+    """One point through the router: (R or R', estimate, route); AccuracyError unless accepted."""
     s = complex(s)
     reg, est, route = hurwitz_split_many(np.array([s]), alpha, cfg.split_tol, deriv)
-    value, est, route = complex(reg[0]), float(est[0]), ROUTES[route[0]]
+    value, est, route = complex((reg[1] if deriv else reg)[0]), float(est[0]), ROUTES[route[0]]
     if not cfg.accepts(value, est):
         raise cfg.rejection(value, est, _at(s, alpha, route))
     return value, est, route
@@ -1437,14 +1434,14 @@ def bound_constants(alpha: float, beta: float) -> BoundConstants:
                           e_r=e_r, a_ab=a_ab, b_b=b_b)
 
 
-def d_sup_bound(alpha: float, beta: float, grid: int = 101) -> float:
-    """1.1 x the sampled sup of |d| on a grid (no closed form; feeds the existence time)."""
+def d_sup_bound(alpha: float, beta: float) -> float:
+    """1.1 x the sampled sup of |d| on a 101^2 grid (no closed form; feeds the existence time)."""
     alpha = _check_alpha(alpha)
     if beta <= 0:
         raise DomainError("beta must be positive")
     if alpha == 1.0:
         return 1.1 * 0.5  # d is identically 1/2
-    x = np.linspace(-beta, beta, grid)
+    x = np.linspace(-beta, beta, 101)
     ss = x[:, None] + 1j * x[None, :]
     vals = hermite_d_many(ss.ravel(), alpha)
     return 1.1 * float(np.max(np.abs(vals)))

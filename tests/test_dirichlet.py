@@ -109,11 +109,12 @@ class TestLEval:
         assert abs(at_one - near) < 1e-6
 
     def test_with_estimate_names_the_routes_evaluate_took(self, chi4):
-        # near |Im s| = 13 the residue 1/4 leaves the h-rule and 3/4 keeps it
+        # near |Im s| = 13 the residue 1/4 leaves the h-rule, so both residues
+        # take Euler-Maclaurin: a point takes one route for every residue
         handle = zf.l_function(chi4)
         routes = handle.evaluate(np.array([1.5 + 13.2j]))[2]
-        assert dd.l_eval_with_estimate(handle, 1.5 + 13.2j)[2] == "series-em/hermite"
-        assert zf.special.route_names(routes) == "series-em/hermite"
+        assert dd.l_eval_with_estimate(handle, 1.5 + 13.2j)[2] == "series-em"
+        assert (routes == zf.special.SERIES_EM).all()
         with pytest.raises(zf.AccuracyError) as err:
             dd.l_eval_with_estimate(zf.zeta_function(zf.EvalConfig(abs_tol=1e-14)), 0.5 + 3j)
         assert str(err.value).endswith("at s=(0.5+3j), m=1 (route series-em)")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -193,9 +194,8 @@ class TestIntegratePde:
 
     def test_snapshot_budget(self, zeta_handle):
         cfg = flow_cfg(zeta_handle, lam=1, t_end=1.0, dt_init=1e-3)
-        run = zf.integrate_pde(zf.constant_field(2.0, shape=(16,)), cfg,
-                               snapshot_budget=50)
-        assert len(run.snapshots) <= 52
+        run = zf.integrate_pde(zf.constant_field(2.0, shape=(16,)), cfg)
+        assert pm._SNAPSHOT_BUDGET <= len(run.snapshots) <= pm._SNAPSHOT_BUDGET + 2
         assert run.snapshot_times[0] == 0.0
         assert run.snapshot_times[-1] == pytest.approx(1.0)
 
@@ -246,6 +246,20 @@ class TestEnvelopeCheck:
         assert report.passed
         assert report.worst_margin >= -report.slack
         assert set(report.bounds) == {"lower", "upper", "imag_confined"}
+
+    @pytest.mark.parametrize("imag, passed", [(0.5e-6, True), (1.5e-6, False)])
+    def test_imag_confined_counts_the_slack_once(self, zeta_handle, imag, passed):
+        # the margin was slack - max|Im u|, checked against -slack, so
+        # |Im u| up to twice the slack of 1e-6 passed
+        datum = zf.constant_field(2.0, shape=(16,))
+        cfg = flow_cfg(zeta_handle, lam=1, t_end=0.1, dt_init=1e-2)
+        run = zf.integrate_pde(datum, cfg)
+        run = dataclasses.replace(run, error_estimate=None,
+                                  snapshots=[snap + 1j * imag for snap in run.snapshots])
+        report = zf.envelope_check(run, zf.EnvelopeSpec.from_field(datum), "thm1.7i")
+        assert report.slack == 1e-6
+        assert report.bounds["imag_confined"] == pytest.approx(-imag, rel=1e-12)
+        assert report.passed is passed
 
     def test_complex_growth_envelope(self, zeta_handle):
         datum = zf.fourier_field(2.1 + 0.2j, [(1, 0.1 + 0.05j)], shape=(32,))
