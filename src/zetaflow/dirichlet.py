@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -298,10 +298,12 @@ def l_eval_with_estimate(handle: LFunctionHandle, s) -> tuple[complex, float, st
 # sigma_1 and the window-truncated sigma_0 estimate.
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def sigma1_root(cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     """The real root of zeta(sigma) = 2 on (1, 2), by bisection to 1e-8.
 
-    zeta is strictly decreasing on (1, inf), so the root is unique.
+    zeta is strictly decreasing on (1, inf), so the root is unique.  It is
+    computed once per (frozen, hashable) EvalConfig.
     """
     lo, hi = 1.01, 2.0
     flo = special.riemann_zeta(lo, cfg).real - 2.0

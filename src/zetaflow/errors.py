@@ -74,7 +74,12 @@ class QuenchSignal(ZetaflowError):
 
 
 class NumericalFailureError(ZetaflowError):
-    """A march produced non-finite values; carries the last valid state."""
+    """A numerical march could not continue with finite values.
+
+    A PDE step whose nonlinearity is not finite is halved; once halving is
+    exhausted the march raises this error with the time reached and the
+    last finite field (``last_time``, ``last_state``).  The CLI exits 3.
+    """
 
     def __init__(self, message: str, last_time: float | None = None, last_state=None):
         super().__init__(message)

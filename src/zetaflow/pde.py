@@ -29,7 +29,6 @@ from .dirichlet import sigma1_root
 from .ode import FlowConfig, ZeroRecord, pole_distance
 
 ESCAPE_LIMIT = 1.0e6
-_PHI_SERIES_CUT = 1e-4
 _OVERSHOOT_JUMP = 1.0
 _MAX_HALVINGS = 20
 # About this many field snapshots are kept per run (integrate_pde)
@@ -95,23 +94,17 @@ def heat_semigroup(field: GridField, t: float) -> GridField:
     return GridField(np.fft.ifftn(vhat), field.length, field.time)
 
 
-def _phi1(z: np.ndarray) -> np.ndarray:
-    small = np.abs(z) < _PHI_SERIES_CUT
-    zs = np.where(small, 1.0, z)
-    out = (np.expm1(zs)) / zs
-    series = 1.0 + z / 2.0 + z * z / 6.0 + z ** 3 / 24.0
-    return np.where(small, series, out)
+# phi2(z) = (e^z - 1 - z)/z^2 = sum_{k>=0} z^k/(k+2)!, coefficients from the highest power down
+_PHI2_COEFS = tuple(1.0 / math.factorial(k + 2) for k in range(special._F_SERIES_TERMS, -1, -1))
 
 
 def _phi2(z: np.ndarray) -> np.ndarray:
-    small = np.abs(z) < _PHI_SERIES_CUT
-    zs = np.where(small, 1.0, z)
-    out = (np.expm1(zs) - zs) / (zs * zs)
-    series = 0.5 + z / 6.0 + z * z / 24.0 + z ** 3 / 120.0
-    return np.where(small, series, out)
+    """phi2 by the rule of phi1 = special.expm1_over: the power series for |z| < 0.5."""
+    return special._entire(z, _PHI2_COEFS, lambda v: (np.expm1(v) - v) / (v * v))
 
 
 def _nonlinearity(cfg: FlowConfig, values: np.ndarray) -> np.ndarray:
+    """lam L(values); QuenchSignal past the pole guard, NumericalFailureError where L is not finite."""
     handle = cfg.nonlinearity
     if handle.has_pole:
         p = pole_distance(values)
@@ -119,7 +112,14 @@ def _nonlinearity(cfg: FlowConfig, values: np.ndarray) -> np.ndarray:
         min_p = float(p[idx])
         if min_p < cfg.pole_guard_eps:
             raise QuenchSignal(idx, complex(values[idx]), min_p)
-    return cfg.lam * handle.eval_many(values)
+    out = handle.eval_many(values)
+    finite = np.isfinite(out)
+    if not finite.all():
+        idx = np.unravel_index(int(np.argmin(finite)), finite.shape)
+        raise NumericalFailureError(f"L({complex(values[idx])!r}) = {complex(out[idx])!r} "
+                                    f"is not finite at grid index {idx}")
+    out *= cfg.lam  # in place, so that no second grid-sized array is held
+    return out
 
 
 @lru_cache(maxsize=32)
@@ -130,7 +130,7 @@ def _etd_multipliers(shape: tuple, length: float, dt: float):
     get entries of their own.
     """
     z = dt * _laplacian_eigs(shape, length)
-    out = (np.exp(z), dt * _phi1(z), dt * _phi2(z))
+    out = (np.exp(z), dt * special.expm1_over(z), dt * _phi2(z))
     for arr in out:
         arr.setflags(write=False)
     return out
@@ -141,6 +141,9 @@ def etd_step(field: GridField, dt: float, cfg: FlowConfig) -> GridField:
 
     a  = e^{dt Lap} u + dt phi1(dt Lap) N(u)
     u+ = a + dt phi2(dt Lap) (N(a) - N(u))
+
+    Raises NumericalFailureError where N(u) or N(a) is not finite: short of
+    an overflow, the one way a step from a finite field turns non-finite.
     """
     if dt <= 0:
         raise DomainError("dt must be positive")
@@ -193,23 +196,38 @@ class RunRecord:
     length: float
 
 
+def _monitor_row(field: GridField, target: complex | None) -> tuple:
+    """One field's MonitorSeries row: t, min P, Re and Im extrema, sup |u| [, sup |u - target|]."""
+    v = field.values
+    row = (field.time, float(np.min(pole_distance(v))),
+           float(np.min(v.real)), float(np.max(v.real)),
+           float(np.min(v.imag)), float(np.max(v.imag)), float(np.max(np.abs(v))))
+    return row if target is None else row + (float(np.max(np.abs(v - target))),)
+
+
 def _advance(field: GridField, dt: float, cfg: FlowConfig, depth: int = 0) -> GridField:
-    """One macro step of size dt, halved locally on overshoot or non-finite output.
+    """One macro step of size dt, halved locally on overshoot or a non-finite step.
 
     Near the pole the admissible jump shrinks with the pole distance, so the
     march cannot hop across s = 1 in a single step; the quench guard then
-    trips during a resolved sub-step instead.
+    trips during a resolved sub-step instead.  A step whose N(u) or N(a) is
+    not finite (etd_step's NumericalFailureError) is halved as an overshoot
+    is; after _MAX_HALVINGS halvings NumericalFailureError carries the time
+    and the last finite field.
     """
     if depth > _MAX_HALVINGS:
-        raise NumericalFailureError("time step halving exhausted",
+        raise NumericalFailureError(f"time step halving exhausted at t = {field.time!r}",
                                     last_time=field.time, last_state=field)
     limit = _OVERSHOOT_JUMP
     if cfg.nonlinearity.has_pole:
         limit = min(limit, 0.5 * float(np.min(pole_distance(field.values))))
-    nxt = etd_step(field, dt, cfg)
-    finite = np.all(np.isfinite(nxt.values.real)) and np.all(np.isfinite(nxt.values.imag))
-    if finite and float(np.max(np.abs(nxt.values - field.values))) <= limit:
-        return nxt
+    try:
+        nxt = etd_step(field, dt, cfg)
+    except NumericalFailureError:
+        pass
+    else:
+        if float(np.max(np.abs(nxt.values - field.values))) <= limit:
+            return nxt
     half = _advance(field, dt / 2.0, cfg, depth + 1)
     return _advance(half, dt / 2.0, cfg, depth + 1)
 
@@ -224,6 +242,8 @@ def integrate_pde(g: GridField, cfg: FlowConfig,
     sampled every step; about _SNAPSHOT_BUDGET field snapshots are kept.
     With ``estimate_error`` a halved-step shadow run at the same horizon
     supplies a self-convergence error estimate (only for completed runs).
+    A step that stays non-finite through every halving raises
+    NumericalFailureError (see _advance).
     """
     handle = cfg.nonlinearity
     if handle.has_pole:
@@ -234,30 +254,9 @@ def integrate_pde(g: GridField, cfg: FlowConfig,
     dt = cfg.t_end / n_steps
     snap_every = max(1, n_steps // _SNAPSHOT_BUDGET)
 
-    times, mins_p, re_mins, re_maxs, im_mins, im_maxs, sups, dists = \
-        [], [], [], [], [], [], [], []
-    snapshot_times: list[float] = []
-    snapshots: list[np.ndarray] = []
-
-    def sample(fld: GridField):
-        v = fld.values
-        times.append(fld.time)
-        mins_p.append(float(np.min(pole_distance(v))))
-        re_mins.append(float(np.min(v.real)))
-        re_maxs.append(float(np.max(v.real)))
-        im_mins.append(float(np.min(v.imag)))
-        im_maxs.append(float(np.max(v.imag)))
-        sups.append(float(np.max(np.abs(v))))
-        if track_target is not None:
-            dists.append(float(np.max(np.abs(v - track_target))))
-
-    def snap(fld: GridField):
-        snapshot_times.append(fld.time)
-        snapshots.append(fld.values.copy())
-
     field = g.copy()
-    sample(field)
-    snap(field)
+    rows = [_monitor_row(field, track_target)]
+    snapshot_times, snapshots = [field.time], [field.values.copy()]
     termination = "completed"
     quench = None
     for step in range(1, n_steps + 1):
@@ -269,14 +268,16 @@ def integrate_pde(g: GridField, cfg: FlowConfig,
                                 value=sig.value, min_p=sig.min_p)
             break
         field.time = step * dt  # exact grid times, no accumulation drift
-        sample(field)
-        if step % snap_every == 0 or step == n_steps:
-            snap(field)
-        if sups[-1] > ESCAPE_LIMIT:
+        rows.append(_monitor_row(field, track_target))
+        if rows[-1][6] > ESCAPE_LIMIT:  # sup |u|
             termination = "escaped"
             break
-    if termination != "completed" and snapshot_times[-1] != field.time:
-        snap(field)
+        if step % snap_every == 0:
+            snapshot_times.append(field.time)
+            snapshots.append(field.values.copy())
+    if snapshot_times[-1] != field.time:  # the final field of every run
+        snapshot_times.append(field.time)
+        snapshots.append(field.values.copy())
 
     err_est = None
     if estimate_error and termination == "completed":
@@ -288,15 +289,10 @@ def integrate_pde(g: GridField, cfg: FlowConfig,
         except QuenchSignal:
             err_est = None
 
-    mon = MonitorSeries(
-        time=np.array(times), min_p=np.array(mins_p),
-        re_min=np.array(re_mins), re_max=np.array(re_maxs),
-        im_min=np.array(im_mins), im_max=np.array(im_maxs),
-        sup_abs=np.array(sups),
-        sup_dist=np.array(dists) if track_target is not None else None)
     return RunRecord(termination=termination, final=field,
                      snapshot_times=snapshot_times, snapshots=snapshots,
-                     monitors=mon, quench=quench, error_estimate=err_est,
+                     monitors=MonitorSeries(*map(np.array, zip(*rows))),
+                     quench=quench, error_estimate=err_est,
                      lam=cfg.lam, dt=dt, t_end=cfg.t_end, length=g.length)
 
 
@@ -421,55 +417,50 @@ def envelope_check(run: RunRecord, spec: EnvelopeSpec, theorem: str) -> Envelope
     """Verify the affine-in-t (or constant) bounds on every stored snapshot.
 
     The hypotheses are those of validate_envelope_hypotheses.  Margins are
-    signed distances to the bounds; the check passes when the worst margin
-    stays above -(slack), with slack = 1e-6 plus ten times the run's
-    self-convergence error estimate.
+    signed distances to the bounds, each bound's the worst over the
+    snapshots (thm1.7iii bounds the final snapshot only); the check passes
+    when the worst margin stays above -(slack), with slack = 1e-6 plus ten
+    times the run's self-convergence error estimate.
     """
     validate_envelope_hypotheses(spec, theorem)
     slack = 1e-6 + 10.0 * (run.error_estimate or 0.0)
-    times = np.array(run.snapshot_times)
-    re_parts = [snap.real for snap in run.snapshots]
-    im_parts = [snap.imag for snap in run.snapshots]
-    bounds: dict[str, float] = {}
+    snapshots = list(zip(run.snapshot_times, run.snapshots))
 
     def zeta_at(x: float) -> float:
         return special.riemann_zeta(complex(x)).real
 
-    def record(name: str, margins) -> None:
-        bounds[name] = float(min(margins))
-
+    # each bound's margin on one snapshot (t, Re u, Im u)
     if theorem in ("thm1.5", "cor1.6"):
         z1 = zeta_at(spec.i1)
         lo_slope = max(0.0, 2.0 - z1)
-        record("re_lower", [np.min(re_parts[k] - (lo_slope * t + spec.i1))
-                            for k, t in enumerate(times)])
-        record("re_upper", [np.min((z1 * t + spec.s1) - re_parts[k])
-                            for k, t in enumerate(times)])
+        margins = {"re_lower": lambda t, re, im: np.min(re - (lo_slope * t + spec.i1)),
+                   "re_upper": lambda t, re, im: np.min((z1 * t + spec.s1) - re)}
         if theorem == "thm1.5":
-            record("im_lower", [np.min(im_parts[k] - ((1.0 - z1) * t + spec.i2))
-                                for k, t in enumerate(times)])
+            margins["im_lower"] = lambda t, re, im: np.min(im - ((1.0 - z1) * t + spec.i2))
         else:
-            record("im_positive", [np.min(im_parts[k]) for k in range(len(times))])
-        record("im_upper", [np.min(((z1 - 1.0) * t + spec.s2) - im_parts[k])
-                            for k, t in enumerate(times)])
+            margins["im_positive"] = lambda t, re, im: np.min(im)
+        margins["im_upper"] = lambda t, re, im: np.min(((z1 - 1.0) * t + spec.s2) - im)
     elif theorem == "thm1.7i":
         zi = zeta_at(spec.i)
-        record("lower", [np.min(re_parts[k] - (t + spec.i))
-                         for k, t in enumerate(times)])
-        record("upper", [np.min((zi * t + spec.s) - re_parts[k])
-                         for k, t in enumerate(times)])
-        record("imag_confined", [-np.max(np.abs(im_parts[k])) for k in range(len(times))])
+        margins = {"lower": lambda t, re, im: np.min(re - (t + spec.i)),
+                   "upper": lambda t, re, im: np.min((zi * t + spec.s) - re),
+                   "imag_confined": lambda t, re, im: -np.max(np.abs(im))}
     elif theorem == "thm1.7ii":
         upper = -2.0 * spec.k2 if spec.k2 is not None else spec.s
-        record("lower", [np.min(re_parts[k] - (-2.0 * spec.k1))
-                         for k in range(len(times))])
-        record("upper", [np.min(upper - re_parts[k]) for k in range(len(times))])
+        margins = {"lower": lambda t, re, im: np.min(re - (-2.0 * spec.k1)),
+                   "upper": lambda t, re, im: np.min(upper - re)}
     else:  # thm1.7iii
         lo = -4.0 * spec.n1 + 2.0
         hi = -4.0 * spec.n2 + 2.0
-        record("final_lower", [float(np.min(re_parts[-1])) - lo + _FINAL_TOL])
-        record("final_upper", [hi + _FINAL_TOL - float(np.max(re_parts[-1]))])
+        margins = {"final_lower": lambda t, re, im: float(np.min(re)) - lo + _FINAL_TOL,
+                   "final_upper": lambda t, re, im: hi + _FINAL_TOL - float(np.max(re))}
+        snapshots = snapshots[-1:]
 
+    bounds = dict.fromkeys(margins, math.inf)
+    for t, snap in snapshots:
+        re, im = snap.real, snap.imag
+        for name, margin in margins.items():
+            bounds[name] = min(bounds[name], float(margin(t, re, im)))
     worst = min(bounds.values())
     return EnvelopeReport(theorem=theorem, passed=bool(worst >= -slack),
                           worst_margin=worst, slack=slack, bounds=bounds)

@@ -209,8 +209,9 @@ _FP_COEFS = tuple(k / math.factorial(k + 1) for k in range(_F_SERIES_TERMS, 0, -
 
 
 def _entire(u, coefs, closed):
-    """Power series with ``coefs`` for |u| < 0.5, ``closed(u)`` elsewhere."""
-    u = np.asarray(u, dtype=complex)
+    """Power series with ``coefs`` for |u| < 0.5, ``closed(u)`` elsewhere; float64 stays real."""
+    u = np.asarray(u)
+    u = u if u.dtype == np.float64 else u.astype(complex)
     small = np.abs(u) < _F_SERIES_RADIUS
     count = np.count_nonzero(small)
     if count == small.size:
@@ -238,28 +239,28 @@ def expm1_over_deriv(u):
 # The entire part d(s, alpha) = (alpha^(1-s) - 1)/(s - 1) + 1/(2 alpha^s).
 # ---------------------------------------------------------------------------
 
-def hermite_d_many(s, alpha: float) -> np.ndarray:
-    alpha = _check_alpha(alpha)
-    s = np.asarray(s, dtype=complex)
-    if alpha == 1.0:
-        return np.full_like(s, 0.5)
-    ell = -math.log(alpha)  # > 0
-    return ell * expm1_over(ell * (s - 1.0)) + 0.5 * np.exp(-s * math.log(alpha))
+def _hermite_d(s: np.ndarray, alphas: tuple, want_deriv: bool):
+    """(d, d' or None) at the 1-d points ``s``, each shaped (len(alphas), s.size).
+
+    d = l f(l (s-1)) + a^(-s)/2 and d' = l^2 f'(l (s-1)) + l a^(-s)/2, l = ln(1/a), for
+    every a from one exp and one pass of f (and f'); rows of a = 1 are 1/2 and 0 exactly.
+    """
+    d = np.full((len(alphas), s.size), 0.5, dtype=complex)
+    dd = np.zeros_like(d) if want_deriv else None
+    rows = [k for k, a in enumerate(alphas) if a != 1.0]
+    if rows:
+        log_a = np.array([[math.log(alphas[k])] for k in rows])
+        ell, half_power = -log_a, 0.5 * np.exp(-s * log_a)
+        u = ell * (s - 1.0)
+        d[rows] = ell * expm1_over(u) + half_power
+        if want_deriv:
+            dd[rows] = ell * ell * expm1_over_deriv(u) + ell * half_power
+    return d, dd
 
 
 def hermite_d(s, alpha: float) -> complex:
     """Entire part d of the three-term split; d(1, a) = -ln(a) + 1/(2a)."""
-    return complex(hermite_d_many(np.array([complex(s)]), alpha)[0])
-
-
-def hermite_d_deriv_many(s, alpha: float) -> np.ndarray:
-    alpha = _check_alpha(alpha)
-    s = np.asarray(s, dtype=complex)
-    if alpha == 1.0:
-        return np.zeros_like(s)
-    ell = -math.log(alpha)
-    return (ell * ell * expm1_over_deriv(ell * (s - 1.0))
-            + 0.5 * ell * np.exp(-s * math.log(alpha)))
+    return complex(_hermite_d(np.array([complex(s)]), (_check_alpha(alpha),), False)[0][0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +341,7 @@ def _h_nodes(worst: complex, alphas: tuple, tol: float, want_deriv: bool):
     return _h_panels(alphas, math.ceil(tail / _H_PANEL_WIDTH))
 
 
-def _h_rule(s: np.ndarray, alphas: tuple, tol: float, want_deriv: bool):
+def _h_integral(s: np.ndarray, alphas: tuple, tol: float, want_deriv: bool):
     """(h, h' or None, estimates) at the 1-d points ``s``, each shaped (len(alphas), s.size).
 
     h(s, a) = 2 int_0^inf sin(s arctan(t/a)) / ((a^2+t^2)^(s/2) (e^{2 pi t} - 1)) dt,
@@ -355,19 +356,25 @@ def _h_rule(s: np.ndarray, alphas: tuple, tol: float, want_deriv: bool):
     phase = col * angle                                     # (R, n, nodes)
     sin = np.sin(phase)
     shape, rows = (len(alphas), s.size), (len(alphas) * s.size, weights.size)
+    # named, so that numpy writes no product into it: it rounds a complex
+    # a * b and b * a differently, and h would then depend on want_deriv
+    decay = np.exp(-col * half_log)
+    vals = (sin * decay).reshape(rows)
     if want_deriv:
-        decay = np.exp(-col * half_log)
-        vals = (sin * decay).reshape(rows)
         dvals = ((angle * np.cos(phase) - half_log * sin) * decay).reshape(rows)
         dh = (dvals @ weights).reshape(shape)
         mass = np.maximum(np.abs(vals) @ weights, np.abs(dvals) @ weights)
     else:
-        # one a alone keeps its value bitwise: numpy rounds a complex a * b and
-        # b * a differently, and writes a large product into a temporary operand
-        vals = (sin * np.exp(-col * half_log)).reshape(rows)
         dh, mass = None, np.abs(vals) @ weights
     return ((vals @ weights).reshape(shape), dh,
             (_H_TAIL_SHARE * tol + _QUAD_FLOOR * mass).reshape(shape))
+
+
+def _h_rule(s: np.ndarray, alphas: tuple, tol: float, want_deriv: bool):
+    """The h-rule route's kernel: (R, R' or None, estimates), R = d + h and R' = d' + h'."""
+    d, dd = _hermite_d(s, alphas, want_deriv)
+    h, dh, est = _h_integral(s, alphas, tol, want_deriv)
+    return d + h, dd + dh if want_deriv else None, est
 
 
 def _h_rule_fits(s: complex, alphas: tuple, tol: float, want_deriv: bool) -> bool:
@@ -394,7 +401,7 @@ def hermite_h(s, alpha: float, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
     """Integral part h of the split; PrecisionFloorError, naming s, past abs_tol."""
     alpha = _check_alpha(alpha)
     s = complex(s)
-    h, _, est = _h_rule(np.array([s]), (alpha,), cfg.split_tol, False)
+    h, _, est = _h_integral(np.array([s]), (alpha,), cfg.split_tol, False)
     value, est = complex(h[0, 0]), float(est[0, 0])
     if not est <= cfg.abs_tol:
         raise PrecisionFloorError(
@@ -1254,7 +1261,7 @@ def hurwitz_split_many(s, alpha, tol: float = 1e-12, deriv: bool = False,
     sequence of them; with ``period`` m every a must be a residue r/m, and
     a = 1 alone implies m = 1.  _route_masks gives each point one route,
     shared by every residue; each route is one kernel call for all the
-    residues: the reflection, d (or d') plus the h-rule, and Euler-Maclaurin
+    residues: the reflection, the h-rule (d + h, d' + h'), and Euler-Maclaurin
     once per sign of Re s: as one group, {-2.9, 0.5+300i} takes N = 179 and
     the -2.9 point comes out 3e-7 off, against 2.5e-13 alone.  ``deriv``
     False gives R, True the pair (R, R') from the same kernel calls, with
@@ -1287,11 +1294,7 @@ def hurwitz_split_many(s, alpha, tol: float = 1e-12, deriv: bool = False,
         put(reflect, *_reflect(flat[reflect], period, alphas, tol, deriv))
         codes[reflect] = REFLECT
     if n_hermite:
-        sf = flat[on_h]
-        h, dh, errors = _h_rule(sf, alphas, tol, deriv)
-        put(on_h, np.array([hermite_d_many(sf, a) for a in alphas]) + h,
-            np.array([hermite_d_deriv_many(sf, a) for a in alphas]) + dh if deriv else None,
-            errors)
+        put(on_h, *_h_rule(flat[on_h], alphas, tol, deriv))
         codes[on_h] = HERMITE
     n_em = flat.size - n_reflect - n_hermite
     if n_em:
@@ -1439,9 +1442,6 @@ def d_sup_bound(alpha: float, beta: float) -> float:
     alpha = _check_alpha(alpha)
     if beta <= 0:
         raise DomainError("beta must be positive")
-    if alpha == 1.0:
-        return 1.1 * 0.5  # d is identically 1/2
     x = np.linspace(-beta, beta, 101)
-    ss = x[:, None] + 1j * x[None, :]
-    vals = hermite_d_many(ss.ravel(), alpha)
-    return 1.1 * float(np.max(np.abs(vals)))
+    d = _hermite_d((x[:, None] + 1j * x[None, :]).ravel(), (alpha,), False)[0]
+    return 1.1 * float(np.max(np.abs(d)))  # 1.1 x 1/2 at a = 1, where d is 1/2

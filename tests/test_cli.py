@@ -1,8 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+import zetaflow as zf
 from zetaflow.cli import main
 
 
@@ -199,6 +201,22 @@ class TestFlow:
         assert code == 3
         summary = json.loads((out / "summary.json").read_text())
         assert summary["termination"].startswith("error:")
+
+    def test_non_finite_march_is_numerical_failure(self, tmp_path, monkeypatch):
+        # a step that stays non-finite through every halving ended as a
+        # configuration error (exit 2) from the evaluator
+        original = zf.LFunctionHandle.eval_many
+
+        def eval_many(self, s):
+            values = original(self, s)
+            values.flat[3] = np.inf
+            return values
+        monkeypatch.setattr(zf.LFunctionHandle, "eval_many", eval_many)
+        out = tmp_path / "nan"
+        assert run(["flow", "--mode", "pde", "--datum", "const:2.5", "--tend", "0.1",
+                    "--dt", "0.01", "--grid", "16", "--out", str(out)]) == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["termination"].startswith("error: time step halving exhausted at t = 0.0")
 
     def test_picard_mode(self, tmp_path, capsys):
         out = tmp_path / "pic"

@@ -13,6 +13,27 @@ def flow_cfg(handle, **kw):
     return zf.FlowConfig(**kw)
 
 
+def inject_inf(monkeypatch, injected):
+    """Make LFunctionHandle.eval_many put inf at one point on call n wherever injected(n)."""
+    count = [0]
+    original = zf.LFunctionHandle.eval_many
+
+    def eval_many(self, s):
+        values = original(self, s)
+        count[0] += 1
+        if injected(count[0]):
+            values.flat[3] = np.inf
+        return values
+    monkeypatch.setattr(zf.LFunctionHandle, "eval_many", eval_many)
+
+
+def count_etd_steps(monkeypatch) -> list:
+    calls = []
+    original = pm.etd_step
+    monkeypatch.setattr(pm, "etd_step", lambda *args: calls.append(args[1]) or original(*args))
+    return calls
+
+
 class TestGridField:
     def test_rejects_bad_sizes(self):
         with pytest.raises(zf.DomainError):
@@ -122,13 +143,25 @@ class TestEtdStep:
         f = zf.disc_random_field(-2.0 + 0.5j, 0.05, seed=3, shape=shape)
         z = dt * pm._laplacian_eigs(shape, f.length)
         nu = zeta_handle.eval_many(f.values)
-        ahat = np.exp(z) * np.fft.fftn(f.values) + dt * pm._phi1(z) * np.fft.fftn(nu)
+        ahat = np.exp(z) * np.fft.fftn(f.values) + dt * zf.expm1_over(z) * np.fft.fftn(nu)
         a = np.fft.ifftn(ahat)
         ref = np.fft.ifftn(ahat + dt * pm._phi2(z) * np.fft.fftn(zeta_handle.eval_many(a) - nu))
         for _ in range(2):  # the first call fills the cache, the second reads it
             got = zf.etd_step(f, dt, cfg).values
             assert np.array_equal(got.view(float), ref.view(float))
         assert not any(m.flags.writeable for m in pm._etd_multipliers(shape, f.length, dt))
+
+    @pytest.mark.parametrize("z", [1.01e-4, -1.01e-4, 1e-3, -1e-3, 0.3, -0.3])
+    def test_phi_functions_against_mpmath(self, z):
+        # (expm1(z) - z)/z^2 was used down to |z| = 1e-4, 8.8e-13 off there
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            x = mpmath.mpf(z)
+            exact = (mpmath.expm1(x) / x, (mpmath.expm1(x) - x) / (x * x))
+        got = (zf.expm1_over(np.array([z])), pm._phi2(np.array([z])))
+        for value, ref in zip(got, exact):
+            assert value.dtype == np.float64  # the multipliers stay real
+            assert abs(value[0] - float(ref)) <= 1e-15 * abs(float(ref))
 
     def test_second_order_self_convergence(self, zeta_handle):
         x = 2.0 * math.pi * np.arange(64) / 64
@@ -169,6 +202,31 @@ class TestIntegratePde:
         # on the approach (tail of the monitor series)
         tail = run.monitors.min_p[-30:]
         assert np.all(np.diff(tail) < 0)
+
+    @pytest.mark.parametrize("call", [7, 8])  # N(u), then N(a), of the fourth step
+    def test_non_finite_stage_halves_the_step(self, zeta_handle, monkeypatch, call):
+        datum = zf.disc_random_field(2.5 + 0.5j, 0.1, seed=1, shape=(16,))
+        cfg = flow_cfg(zeta_handle, lam=1, t_end=0.1, dt_init=0.01)
+        ref = zf.integrate_pde(datum, cfg)
+        inject_inf(monkeypatch, lambda n: n == call)
+        steps = count_etd_steps(monkeypatch)
+        run = zf.integrate_pde(datum, cfg)
+        assert run.termination == "completed"
+        assert steps[3:6] == [0.01, 0.005, 0.005] and len(steps) == 12
+        assert np.max(np.abs(run.final.values - ref.final.values)) < 1e-6
+
+    def test_persistent_non_finite_step_raises_with_time(self, zeta_handle, monkeypatch):
+        datum = zf.disc_random_field(2.5 + 0.5j, 0.1, seed=1, shape=(16,))
+        cfg = flow_cfg(zeta_handle, lam=1, t_end=0.1, dt_init=0.01)
+        inject_inf(monkeypatch, lambda n: n > 8)   # every step from the fifth
+        steps = count_etd_steps(monkeypatch)
+        with pytest.raises(zf.NumericalFailureError) as err:
+            zf.integrate_pde(datum, cfg)
+        assert len(steps) == 4 + 1 + pm._MAX_HALVINGS
+        assert err.value.last_time == pytest.approx(0.04)
+        assert f"t = {err.value.last_time!r}" in str(err.value)
+        last = err.value.last_state
+        assert last.time == err.value.last_time and np.all(np.isfinite(last.values))
 
     def test_escape_guard(self, zeta_handle, monkeypatch):
         monkeypatch.setattr(pm, "ESCAPE_LIMIT", 3.0)
@@ -284,6 +342,18 @@ class TestEnvelopeCheck:
         spec = zf.EnvelopeSpec.from_field(datum)
         report = zf.envelope_check(run, spec, "thm1.7ii")
         assert report.passed
+
+    def test_second_validation_makes_no_zeta_call(self, monkeypatch):
+        # sigma_1 was a 29-call bisection on every thm1.5 and cor1.6 validation
+        spec = zf.EnvelopeSpec.from_field(zf.constant_field(3.0 + 0.5j, shape=(16,)))
+        zf.validate_envelope_hypotheses(spec, "thm1.5")
+        calls = []
+        original = zf.special.riemann_zeta
+        monkeypatch.setattr(zf.special, "riemann_zeta",
+                            lambda *args: calls.append(args) or original(*args))
+        zf.validate_envelope_hypotheses(spec, "thm1.5")
+        zf.validate_envelope_hypotheses(spec, "cor1.6")
+        assert calls == []
 
     def test_hypothesis_errors(self, zeta_handle):
         datum = zf.constant_field(1.5, shape=(16,))
