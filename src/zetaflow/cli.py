@@ -255,11 +255,13 @@ def _run_flow(args, handle, datum, cfg, out_dir, summary, t0) -> int:
         spec = pde.EnvelopeSpec.from_field(datum)
         if check in pde.THEOREM_IDS:
             pde.validate_envelope_hypotheses(
-                spec, check, character_real=handle.character.is_real)
+                spec, check, character_real=handle.character.is_real, cfg=handle.eval_cfg)
         elif check == "thm1.8" and not args.datum.startswith("disc:"):
             raise ConfigurationError("thm1.8 check needs a disc datum")
-        elif check == "thm1.9" and not spec.real_case:
-            raise ConfigurationError("thm1.9 check needs real-valued data")
+        elif check == "thm1.9":
+            if not spec.real_case:
+                raise ConfigurationError("thm1.9 check needs real-valued data")
+            _thm19_expected(spec)
 
     if args.mode == "ode":
         if not args.datum.startswith("const:"):
@@ -322,7 +324,7 @@ def _run_flow(args, handle, datum, cfg, out_dir, summary, t0) -> int:
             (out_dir / "fields.csv").write_text("\n".join(lines) + "\n")
             summary["artifacts"].append("fields.csv")
         if check is not None:
-            summary["check"] = _run_check(check, run, spec, args)
+            summary["check"] = _run_check(check, run, spec, handle.eval_cfg)
             print(f"check {check}: {'pass' if summary['check']['passed'] else 'FAIL'} "
                   f"({summary['check'].get('detail', '')})")
         print(f"termination: {run.termination}")
@@ -338,9 +340,22 @@ def _track_target(args) -> complex | None:
     return None
 
 
-def _run_check(check: str, run: pde.RunRecord, spec, args) -> dict:
+def _thm19_expected(spec) -> str:
+    """The termination thm1.9 predicts for the datum's I and S.
+
+    A quench for I > 1 or -2 < I <= S < 1, a global run for S < -2; any
+    other datum is a ConfigurationError.
+    """
+    if spec.i > 1.0 or (-2.0 < spec.i and spec.s < 1.0):
+        return "quenched"
+    if spec.s < -2.0:
+        return "completed"
+    raise ConfigurationError("thm1.9 needs I > 1, or -2 < I <= S < 1, or S < -2")
+
+
+def _run_check(check: str, run: pde.RunRecord, spec, eval_cfg: EvalConfig) -> dict:
     if check in pde.THEOREM_IDS:
-        report = pde.envelope_check(run, spec, check)
+        report = pde.envelope_check(run, spec, check, eval_cfg)
         return {"passed": bool(report.passed),
                 "worst_margin": report.worst_margin,
                 "slack": report.slack,
@@ -352,18 +367,10 @@ def _run_check(check: str, run: pde.RunRecord, spec, args) -> dict:
         return {"passed": converged,
                 "sup_dist_final": float(dist[-1]) if dist is not None else None,
                 "detail": f"final sup distance {float(dist[-1]):.3g}"}
-    # thm1.9: quench expected for I > 1 or -2 < I < S < 1; global run for S < -2
-    i, s = spec.i, spec.s
-    if i > 1.0 or (-2.0 < i and s < 1.0):
-        passed = run.termination == "quenched"
-        detail = f"termination {run.termination} (quench expected)"
-    elif s < -2.0:
-        passed = run.termination == "completed"
-        detail = f"termination {run.termination} (global run expected)"
-    else:
-        raise ConfigurationError(
-            "thm1.9 needs I > 1, or -2 < I <= S < 1, or S < -2")
-    out = {"passed": bool(passed), "detail": detail}
+    expected = _thm19_expected(spec)
+    detail = (f"termination {run.termination} "
+              f"({'quench' if expected == 'quenched' else 'global run'} expected)")
+    out = {"passed": run.termination == expected, "detail": detail}
     if run.quench is not None:
         out["quench_time"] = run.quench.time
     return out

@@ -209,11 +209,10 @@ class LFunctionHandle:
         residues at once.  Each point takes one route for every residue,
         and each route is one kernel call for all of them, which with
         ``deriv`` gives R_r and R'_r together: left of Re s = -3 the points
-        take the reflection, at every |Im s|, except that a size-1 call
-        keeps the h-rule up to |Im s| = 15, and right of it a size-1 call
-        takes the h-rule only where its floor meets the tolerance for every
-        residue.  Each sum over the residues is one elementwise sum, in the
-        same order at every point and batch size.  ``routes`` holds the
+        take the reflection, at every |Im s|, and right of it
+        Euler-Maclaurin, at every batch size.  Each sum over the residues is
+        one elementwise sum, in the same order at every point and batch
+        size.  ``routes`` holds the
         route code per residue (leading axis) and point; the rows are equal.
         """
         s = np.asarray(s, dtype=complex)

@@ -26,6 +26,7 @@ from .errors import (ConfigurationError, CounterexampleError, DomainError,
                      ContractionError, NumericalFailureError, QuenchSignal)
 from . import special
 from .dirichlet import sigma1_root
+from .special import DEFAULT_CONFIG, EvalConfig
 from .ode import FlowConfig, ZeroRecord, pole_distance
 
 ESCAPE_LIMIT = 1.0e6
@@ -241,9 +242,10 @@ def integrate_pde(g: GridField, cfg: FlowConfig,
     cfg.pole_guard_eps), 'escaped' when sup |u| exceeds 1e6.  Monitors are
     sampled every step; about _SNAPSHOT_BUDGET field snapshots are kept.
     With ``estimate_error`` a halved-step shadow run at the same horizon
-    supplies a self-convergence error estimate (only for completed runs).
-    A step that stays non-finite through every halving raises
-    NumericalFailureError (see _advance).
+    supplies a self-convergence error estimate (only for completed runs);
+    a shadow that quenches or fails numerically leaves it None and the run
+    standing.  A step of the run itself that stays non-finite through every
+    halving raises NumericalFailureError (see _advance).
     """
     handle = cfg.nonlinearity
     if handle.has_pole:
@@ -286,7 +288,7 @@ def integrate_pde(g: GridField, cfg: FlowConfig,
             for _ in range(2 * n_steps):
                 shadow = _advance(shadow, dt / 2.0, cfg)
             err_est = float(np.max(np.abs(shadow.values - field.values)))
-        except QuenchSignal:
+        except (QuenchSignal, NumericalFailureError):
             err_est = None
 
     return RunRecord(termination=termination, final=field,
@@ -373,11 +375,13 @@ THEOREM_IDS = ("thm1.5", "cor1.6", "thm1.7i", "thm1.7ii", "thm1.7iii")
 
 
 def validate_envelope_hypotheses(spec: EnvelopeSpec, theorem: str,
-                                 character_real: bool | None = None) -> None:
+                                 character_real: bool | None = None,
+                                 cfg: EvalConfig = DEFAULT_CONFIG) -> None:
     """Raise ConfigurationError unless the selected theorem's hypotheses hold.
 
     The complex-data theorems need I1 > max(1, sigma0); the barrier used is
-    max(1, sigma_1), as sigma_1 > sigma0 ~ 1.19235 (sufficient, stricter).
+    max(1, sigma_1), as sigma_1 > sigma0 ~ 1.19235 (sufficient, stricter),
+    with sigma_1 evaluated at ``cfg``.
     A window scan of sigma0 gives a lower estimate of the abscissa, so it
     cannot stand in for it.  A check is only meaningful under its
     hypotheses, so callers validate before integrating.
@@ -386,7 +390,7 @@ def validate_envelope_hypotheses(spec: EnvelopeSpec, theorem: str,
         raise ConfigurationError(f"unknown theorem id {theorem!r}; "
                                  f"expected one of {THEOREM_IDS}")
     if theorem in ("thm1.5", "cor1.6"):
-        barrier = max(1.0, sigma1_root())
+        barrier = max(1.0, sigma1_root(cfg))
         if not spec.i1 > barrier:
             raise ConfigurationError(
                 f"hypothesis I1 > max(1, sigma0) not met: I1 = {spec.i1:.6g}, "
@@ -413,21 +417,23 @@ def validate_envelope_hypotheses(spec: EnvelopeSpec, theorem: str,
                 "I and S must each lie strictly inside a cell (-4n, -4n+4)")
 
 
-def envelope_check(run: RunRecord, spec: EnvelopeSpec, theorem: str) -> EnvelopeReport:
+def envelope_check(run: RunRecord, spec: EnvelopeSpec, theorem: str,
+                   cfg: EvalConfig = DEFAULT_CONFIG) -> EnvelopeReport:
     """Verify the affine-in-t (or constant) bounds on every stored snapshot.
 
-    The hypotheses are those of validate_envelope_hypotheses.  Margins are
+    The hypotheses are those of validate_envelope_hypotheses, and the zeta
+    values of the bounds are evaluated at ``cfg``, like them.  Margins are
     signed distances to the bounds, each bound's the worst over the
     snapshots (thm1.7iii bounds the final snapshot only); the check passes
     when the worst margin stays above -(slack), with slack = 1e-6 plus ten
     times the run's self-convergence error estimate.
     """
-    validate_envelope_hypotheses(spec, theorem)
+    validate_envelope_hypotheses(spec, theorem, cfg=cfg)
     slack = 1e-6 + 10.0 * (run.error_estimate or 0.0)
     snapshots = list(zip(run.snapshot_times, run.snapshots))
 
     def zeta_at(x: float) -> float:
-        return special.riemann_zeta(complex(x)).real
+        return special.riemann_zeta(complex(x), cfg).real
 
     # each bound's margin on one snapshot (t, Re u, Im u)
     if theorem in ("thm1.5", "cor1.6"):

@@ -5,17 +5,16 @@ One router, ``hurwitz_split_many``, evaluates the regular part of zeta(s, a)
 call, with a per-point error estimate and route, for batches, for all
 residues of an L-function at once and, as size-1 calls, for every scalar
 entry point.  One predicate, ``_route_masks``, gives each point one route,
-which every residue takes; for a size-1 call right of Re s = -3 one bound,
-``_h_rule_fits``, decides whether the h-rule runs.  Each route is one
-kernel call for all the residues (Euler-Maclaurin one per sign of Re s),
-with one contract: (R, R' or None, estimate), with a leading residue axis,
-R and R' from one pass and one estimate bounding each.  The routes, as the
-router names them:
+which every residue takes, from the point and whether the residues share a
+period alone, so a point takes the same route at every batch size.  Each
+route is one kernel call for all the residues (Euler-Maclaurin one per sign
+of Re s), with one contract: (R, R' or None, estimate), with a leading
+residue axis, R and R' from one pass and one estimate bounding each.  The
+routes, as the router names them:
 
 * "reflect" left of Re s = -3, at every |Im s|, when a = 1 or a is a
-  residue r/m of a given period m (size-1 calls keep "hermite" up to
-  |Im s| = 15).  Hurwitz's formula (Apostol, Introduction to Analytic
-  Number Theory, Thm 12.6) read at u = 1 - s,
+  residue r/m of a given period m.  Hurwitz's formula (Apostol,
+  Introduction to Analytic Number Theory, Thm 12.6) read at u = 1 - s,
   zeta(s, r/m) = 2 Gamma(u) (2 pi m)^(-u) sum_k cos(pi u/2 - 2 pi k r/m) zeta(u, k/m),
   turns the batch into one Euler-Maclaurin call for the m parameters k/m
   at Re u > 4, shared by every residue.  ln Gamma and psi come from
@@ -23,15 +22,12 @@ router names them:
   float64 rounding of every factor in absolute terms, so it holds at the
   trivial zeros too; where a factor leaves the float64 range it raises
   AccuracyError.
-* "hermite" where |Im s| <= 15, for a size-1 call with Re s < 8 and for a
-  batch without a period left of Re s = -3: zeta(s, a) = 1/(s-1) + d + h,
-  d entire and h an integral by one graded fixed-panel Gauss-Legendre
-  rule, whose estimate is its tail level plus 16 eps times the integral of
-  |integrand|.  The residues share one node set, graded at the least a and
-  truncated at the largest truncation point over the residues and orders.
-  Right of Re s = -3 a size-1 call takes the rule only where a bound on
-  that estimate, from (s, a, tol) alone, meets the tolerance for every
-  residue and order, and Euler-Maclaurin elsewhere, whatever came before.
+* "hermite" left of Re s = -3 up to |Im s| = 15 where there is no period:
+  zeta(s, a) = 1/(s-1) + d + h, d entire and h an integral by one graded
+  fixed-panel Gauss-Legendre rule, whose estimate is its tail level plus
+  16 eps times the integral of |integrand|.  The residues share one node
+  set, graded at the least a and truncated at the largest truncation point
+  over the residues and orders.
 * "series-em" everywhere else: the defining series with an Euler-Maclaurin
   tail, which also provides the analytic continuation.  One planner,
   _em_plan, picks the term count N and the K <= 12 corrections (summed by
@@ -329,28 +325,20 @@ def _h_panels(alphas: tuple, n_panels: int):
     return factors
 
 
-@lru_cache(maxsize=16)
-def _h_nodes(worst: complex, alphas: tuple, tol: float, want_deriv: bool):
-    """_h_panels to the truncation point of the envelope at ``worst``, max|Re s| + i max|Im s|.
-
-    The largest over the a and the orders; cached, as a size-1 call reads it
-    in _h_rule_fits and again in _h_rule.
-    """
-    tail = max(_truncation_point(worst, a, _H_TAIL_SHARE * tol, deriv)
-               for a in alphas for deriv in ((False, True) if want_deriv else (False,)))
-    return _h_panels(alphas, math.ceil(tail / _H_PANEL_WIDTH))
-
-
 def _h_integral(s: np.ndarray, alphas: tuple, tol: float, want_deriv: bool):
     """(h, h' or None, estimates) at the 1-d points ``s``, each shaped (len(alphas), s.size).
 
     h(s, a) = 2 int_0^inf sin(s arctan(t/a)) / ((a^2+t^2)^(s/2) (e^{2 pi t} - 1)) dt,
-    on the nodes of _h_nodes; h' shares its sin and exp.  An estimate is the
-    tail level _H_TAIL_SHARE * tol plus the float64 floor of the panel sums,
-    _QUAD_FLOOR times the larger integral of |integrand| on the same nodes.
+    on the nodes of _h_panels to the largest truncation point over the a and
+    the orders of the envelope at max|Re s| + i max|Im s|; h' shares its sin
+    and exp.  An estimate is the tail level _H_TAIL_SHARE * tol plus the
+    float64 floor of the panel sums, _QUAD_FLOOR times the larger integral
+    of |integrand| on the same nodes.
     """
     worst = complex(float(np.abs(s.real).max()), float(np.abs(s.imag).max()))
-    angle, half_log, weights = _h_nodes(worst, alphas, tol, want_deriv)
+    tail = max(_truncation_point(worst, a, _H_TAIL_SHARE * tol, deriv)
+               for a in alphas for deriv in ((False, True) if want_deriv else (False,)))
+    angle, half_log, weights = _h_panels(alphas, math.ceil(tail / _H_PANEL_WIDTH))
     col = s[None, :, None]
     angle, half_log = angle[:, None, :], half_log[:, None, :]
     phase = col * angle                                     # (R, n, nodes)
@@ -375,26 +363,6 @@ def _h_rule(s: np.ndarray, alphas: tuple, tol: float, want_deriv: bool):
     d, dd = _hermite_d(s, alphas, want_deriv)
     h, dh, est = _h_integral(s, alphas, tol, want_deriv)
     return d + h, dd + dh if want_deriv else None, est
-
-
-def _h_rule_fits(s: complex, alphas: tuple, tol: float, want_deriv: bool) -> bool:
-    """Whether _h_rule's estimate at the point ``s`` meets ``tol`` for every a and order.
-
-    Decided before the rule runs, on its nodes, from (s, alphas, tol) alone:
-    |sin(s theta)| and |cos(s theta)| are at most cosh(Im s theta), so on
-    each node |integrand| is at most cosh(|Im s| theta) e^(-Re s
-    ln(a^2+t^2)/2), times theta + |ln(a^2+t^2)|/2 for h'.  That bounds the
-    integral of |integrand| in the rule's floor, and it is tight where the
-    floor matters, at cosh(|Im s| theta) >> 1.
-    """
-    worst = complex(abs(s.real), abs(s.imag))
-    angle, half_log, weights = _h_nodes(worst, alphas, tol, want_deriv)
-    bound = np.cosh(worst.imag * angle)
-    bound *= np.exp(-s.real * half_log)
-    mass = bound @ weights
-    if want_deriv:
-        mass = np.maximum(mass, (bound * (angle + np.abs(half_log))) @ weights)
-    return _H_TAIL_SHARE * tol + _QUAD_FLOOR * float(mass.max()) <= tol
 
 
 def hermite_h(s, alpha: float, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
@@ -1217,12 +1185,8 @@ def _reflect(s: np.ndarray, period: int, alphas, tol: float, want_deriv: bool):
 # (N+a)^(1-Re s), and float64 cancellation against the partial sum costs eps
 # times that.  There a point with a period takes the reflection; other a
 # take the h-rule while its envelope factor cosh(|Im s| pi/2) stays
-# moderate, up to |Im s| = 15 (cosh(15 pi/2) ~ 6e9).  numpy's per-call
-# overhead makes the h-rule the cheaper route for a size-1 call up to
-# |Im s| = 15 (2.5x against Euler-Maclaurin at s = 2, 115 against 299 us
-# against the reflection at s = -5), so there it serves Re s < 8 as well.
+# moderate, up to |Im s| = 15 (cosh(15 pi/2) ~ 6e9).
 _H_RULE_RE_LIMIT = -3.0
-_SINGLE_H_RULE_RE_LIMIT = 8.0
 HERMITE_IM_LIMIT = 15.0
 
 
@@ -1231,25 +1195,16 @@ SERIES_EM, HERMITE, REFLECT = 0, 1, 2
 ROUTES = ("series-em", "hermite", "reflect")
 
 
-def _route_masks(s: np.ndarray, alphas: tuple, tol: float, want_deriv: bool,
-                 has_period: bool):
+def _route_masks(s: np.ndarray, has_period: bool):
     """(reflect, hermite) masks of the points that leave Euler-Maclaurin, one route per point.
 
-    The h-rule takes |Im s| <= 15 with Re s < -3 (Re s < 8 for a size-1
-    call, which right of Re s = -3 keeps the rule only where _h_rule_fits
-    for every a and order); given a period, every point left of Re s = -3
-    reflects instead, except a size-1 call on the h-rule.
+    Left of Re s = -3 a point reflects given a period, and takes the h-rule
+    up to |Im s| = 15 without one; every other point takes Euler-Maclaurin.
     """
-    re_limit = _SINGLE_H_RULE_RE_LIMIT if s.size == 1 else _H_RULE_RE_LIMIT
-    hermite = (s.real < re_limit) & (np.abs(s.imag) <= HERMITE_IM_LIMIT)
-    if s.size == 1 and hermite[0] and s.real[0] >= _H_RULE_RE_LIMIT:
-        hermite[0] = _h_rule_fits(complex(s[0]), alphas, tol, want_deriv)
-    if not has_period:
-        return np.zeros_like(hermite), hermite
-    reflect = s.real < _H_RULE_RE_LIMIT
-    if s.size == 1:
-        return reflect & ~hermite, hermite
-    return reflect, np.zeros_like(hermite)
+    left = s.real < _H_RULE_RE_LIMIT
+    if has_period:
+        return left, np.zeros_like(left)
+    return np.zeros_like(left), left & (np.abs(s.imag) <= HERMITE_IM_LIMIT)
 
 
 def hurwitz_split_many(s, alpha, tol: float = 1e-12, deriv: bool = False,
@@ -1288,7 +1243,7 @@ def hurwitz_split_many(s, alpha, tol: float = 1e-12, deriv: bool = False,
         if deriv:
             dout[:, at] = dvalues
 
-    reflect, on_h = _route_masks(flat, alphas, tol, deriv, period is not None)
+    reflect, on_h = _route_masks(flat, period is not None)
     n_reflect, n_hermite = np.count_nonzero(reflect), np.count_nonzero(on_h)
     if n_reflect:
         put(reflect, *_reflect(flat[reflect], period, alphas, tol, deriv))

@@ -12,12 +12,20 @@ def run(args):
     return main(args)
 
 
+def _within_printed_estimate(out: str, reference: float):
+    """Assert that the value ``eval`` or ``l`` printed lies within its printed estimate."""
+    value_line, est_line, path_line = out.splitlines()
+    re_part, sign, im_part = value_line.split(" = ")[1].split()
+    value = complex(float(re_part), (1.0 if sign == "+" else -1.0) * float(im_part[:-1]))
+    est = float(est_line.split(":")[1])
+    assert abs(value - reference) <= est, (value, est)
+    assert path_line == "path: series-em"
+
+
 class TestEval:
     def test_zeta_basel(self, capsys):
         assert run(["eval", "zeta", "--s", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "1.6449340668482264" in out
-        assert "path: hermite" in out
+        _within_printed_estimate(capsys.readouterr().out, math.pi ** 2 / 6)
 
     def test_zeta_trivial_zero(self, capsys):
         assert run(["eval", "zeta", "--s", "-2"]) == 0
@@ -26,8 +34,7 @@ class TestEval:
 
     def test_l_subcommand_alias(self, capsys):
         assert run(["l", "--principal", "2", "--s", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "1.2337005501361697" in out  # pi^2/8
+        _within_printed_estimate(capsys.readouterr().out, math.pi ** 2 / 8)
 
     def test_l_prints_reported_estimate(self, capsys):
         # the router's estimate at pi^2/8 is far below the 1e-10 tolerance
@@ -42,7 +49,9 @@ class TestEval:
 
     def test_l_path_names_the_router_route(self, capsys):
         assert run(["eval", "l", "--principal", "2", "--s", "2"]) == 0
-        assert "path: hermite" in capsys.readouterr().out
+        assert "path: series-em" in capsys.readouterr().out
+        assert run(["eval", "l", "--principal", "2", "--s=-5+1i"]) == 0
+        assert "path: reflect" in capsys.readouterr().out
         assert run(["l", "--principal", "3", "--s", "0.5+40i"]) == 0
         assert "path: series-em" in capsys.readouterr().out
 
@@ -66,7 +75,7 @@ class TestEval:
 
     def test_hurwitz_form(self, capsys):
         assert run(["eval", "hurwitz", "--s", "2", "--alpha", "0.5"]) == 0
-        assert "4.9348022005446" in capsys.readouterr().out  # pi^2/2
+        _within_printed_estimate(capsys.readouterr().out, math.pi ** 2 / 2)
 
     def test_character_file(self, tmp_path, capsys, chi4):
         import zetaflow as zf
@@ -170,6 +179,34 @@ class TestFlow:
         assert run(["flow", "--mode", "pde", "--datum", "const:1.5",
                     "--check", "thm1.5", "--tend", "1",
                     "--out", str(tmp_path / "h")]) == 2
+
+    def test_thm19_hypothesis_rejected_before_run(self, tmp_path, monkeypatch):
+        # I = -3 and S = 0.5 meet no case of thm1.9; the march once ran to its
+        # end and wrote run.json before the check refused the datum
+        def march(*args, **kwargs):
+            raise AssertionError("integrate_pde ran")
+        monkeypatch.setattr(zf.pde, "integrate_pde", march)
+        out = tmp_path / "t19"
+        assert run(["flow", "--mode", "pde", "--datum", "range:-3,0.5", "--seed", "1",
+                    "--check", "thm1.9", "--tend", "0.05", "--grid", "32",
+                    "--lambda", "-1", "--out", str(out)]) == 2
+        assert not (out / "run.json").exists()
+
+    def test_theorem_check_evaluates_at_the_run_tolerance(self, tmp_path, monkeypatch):
+        # sigma_1 in the hypothesis and zeta(I1) in the margins were taken
+        # at the default abs_tol 1e-10, whatever --abs-tol the run set
+        tols = []
+        original = zf.special.riemann_zeta
+
+        def riemann_zeta(s, cfg=zf.special.DEFAULT_CONFIG):
+            tols.append(cfg.abs_tol)
+            return original(s, cfg)
+        monkeypatch.setattr(zf.special, "riemann_zeta", riemann_zeta)
+        zf.sigma1_root.cache_clear()
+        assert run(["flow", "--mode", "pde", "--datum", "const:3", "--check", "thm1.5",
+                    "--tend", "0.05", "--dt", "0.01", "--grid", "16", "--abs-tol", "1e-6",
+                    "--out", str(tmp_path / "tol")]) == 0
+        assert tols and set(tols) == {1e-6}
 
     def test_unknown_check(self, tmp_path):
         assert run(["flow", "--mode", "pde", "--datum", "const:3",

@@ -250,6 +250,21 @@ class TestIntegratePde:
         assert run.error_estimate is not None
         assert run.error_estimate < 1e-7
 
+    def test_shadow_failure_leaves_the_run_standing(self, zeta_handle, monkeypatch):
+        # the halved-step shadow of a completed run failed numerically at
+        # every step below the run's dt, and that ended the whole run
+        original = pm.etd_step
+
+        def etd_step(field, dt, cfg):
+            if dt < cfg.dt_init:
+                raise zf.NumericalFailureError("injected")
+            return original(field, dt, cfg)
+        monkeypatch.setattr(pm, "etd_step", etd_step)
+        cfg = flow_cfg(zeta_handle, lam=1, t_end=0.05, dt_init=1e-2)
+        run = zf.integrate_pde(zf.constant_field(3.0, shape=(16,)), cfg, estimate_error=True)
+        assert run.termination == "completed"
+        assert run.error_estimate is None
+
     def test_snapshot_budget(self, zeta_handle):
         cfg = flow_cfg(zeta_handle, lam=1, t_end=1.0, dt_init=1e-3)
         run = zf.integrate_pde(zf.constant_field(2.0, shape=(16,)), cfg)

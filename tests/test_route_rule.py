@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from zetaflow import special as sp  # noqa: E402
 
@@ -15,6 +15,8 @@ import oracles  # noqa: E402
 KERNELS = ("_reflect", "_h_rule", "euler_maclaurin_split")
 # the residues r/m, r coprime to m, of the characters mod 3, 4 and 5
 RESIDUES = {3: (1 / 3, 2 / 3), 4: (0.25, 0.75), 5: (0.2, 0.4, 0.6, 0.8)}
+# (period, alphas): zeta, chi4's residues, and an a without a period
+ROUTE_CASES = ((1, (1.0,)), (4, (0.25, 0.75)), (None, (0.3,)))
 
 
 def _counted_call(*args, **kwargs):
@@ -63,3 +65,26 @@ def test_batch_makes_one_kernel_call_per_route(period, alphas, deriv):
          "euler_maclaurin_split": 2 + (left == sp.REFLECT)}), calls
     for values in (got if deriv else (got,)):
         assert values.shape == est.shape == (len(alphas), pts.size)
+
+
+# up to 8 points and an order of them
+_BATCHES = st.lists(st.builds(complex, st.floats(-23.99, 9.99), st.floats(-320.0, 320.0)),
+                    min_size=1, max_size=8).flatmap(
+    lambda pts: st.tuples(st.just(pts), st.permutations(range(len(pts)))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch=_BATCHES, case=st.sampled_from(ROUTE_CASES))
+@example(batch=([2.0, -5.0 + 1.0j, 0.5 + 14.0j], [2, 0, 1]), case=ROUTE_CASES[0])
+def test_route_is_the_same_at_every_batch_size(batch, case):
+    # a point's route code depends on the point, the residues and the period
+    # alone: the same in the whole batch, in a shuffled batch and one point a call
+    period, alphas = case
+    pts, order = np.array(batch[0], dtype=complex), np.array(batch[1])
+    hypothesis.assume(np.all(np.abs(pts - 1.0) > 0.1))
+    whole = sp.hurwitz_split_many(pts, alphas, period=period)[2]
+    shuffled = sp.hurwitz_split_many(pts[order], alphas, period=period)[2]
+    assert (shuffled == whole[:, order]).all(), (pts, whole, shuffled)
+    for i in range(pts.size):
+        single = sp.hurwitz_split_many(pts[i:i + 1], alphas, period=period)[2]
+        assert (single[:, 0] == whole[:, i]).all(), (pts[i], whole[:, i], single[:, 0])

@@ -147,27 +147,25 @@ class TestHurwitzZeta:
         assert sp._split_point(s, 0.25, CFG, deriv=True)[2] == "series-em"
 
     def test_size_one_call_runs_one_route_per_residue(self, chi4, monkeypatch):
-        # the h-rule or Euler-Maclaurin is chosen before either runs; chi4 at
-        # 0.5+12.99i ran the h-rule, refused its estimate, then Euler-Maclaurin.
-        # The point's one route is one kernel call for both residues
+        # the route is chosen before any kernel runs; chi4 at 0.5+12.99i once
+        # ran the h-rule, refused its estimate, then Euler-Maclaurin.  A size-1
+        # call runs the kernel the batch gives its point, once for both residues
+        kernels = {sp.SERIES_EM: "euler_maclaurin_split", sp.HERMITE: "_h_rule"}
         calls = []
-        for name in ("_h_rule", "euler_maclaurin_split"):
+        for name in kernels.values():
             def counting(s, alpha, *args, _name=name, _fn=getattr(sp, name), **kwargs):
                 calls.append((_name, tuple(alpha) if np.ndim(alpha) else (alpha,)))
                 return _fn(s, alpha, *args, **kwargs)
             monkeypatch.setattr(sp, name, counting)
         handle = zf.l_function(chi4)
-        routes = set()
-        for re in (0.5, 2.0, 5.0):
-            for im in np.linspace(0.0, 15.0, 61):
-                calls.clear()
-                handle.evaluate(np.array([complex(re, im)]))
-                for alpha in (0.25, 0.75):
-                    ran = [name for name, alphas in calls if alpha in alphas]
-                    assert len(ran) == 1, (re, im, alpha, calls)
-                    routes |= set(ran)
-                assert len(calls) == 1, calls
-        assert routes == {"_h_rule", "euler_maclaurin_split"}
+        pts = np.array([complex(re, im) for re in (0.5, 2.0, 5.0)
+                        for im in np.linspace(0.0, 15.0, 61)])
+        batch_routes = handle.evaluate(pts)[2]
+        for i in range(pts.size):
+            calls.clear()
+            routes = handle.evaluate(pts[i:i + 1])[2]
+            assert (routes[:, 0] == batch_routes[:, i]).all(), pts[i]
+            assert calls == [(kernels[routes[0, 0]], (0.25, 0.75))], (pts[i], calls)
 
     def test_ill_conditioned_integral_point_against_series(self):
         # the integral route returned this point 3.3e-10 off while reporting
@@ -508,7 +506,7 @@ class TestRouteBoundary:
 
     @pytest.mark.parametrize("pts, route", [
         (np.array([-5.0 + 1.0j, -4.2 - 3.0j, -4.0 + 0.0j]), sp.REFLECT),
-        (np.array([-2.0 + 0.5j]), sp.HERMITE),
+        (np.array([-2.0 + 0.5j]), sp.SERIES_EM),
         (np.array([0.5 + 14.0j, 2.0 - 3.0j, 0.5 + 280.0j]), sp.SERIES_EM)])
     def test_pair_covers_value_and_derivative(self, pts, route):
         # one call gives R and R', with one estimate bounding each
@@ -593,17 +591,15 @@ class TestRouteBoundary:
         near = (-3.0 + rng.uniform(-0.05, 0.05, 8)
                 + 1j * rng.choice([-1.0, 1.0], 8) * rng.uniform(15.5, 100.0, 8))
         origin = 1e-3 * rng.uniform(0.05, 1.0, 6) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 6))
-        left = np.where(near.real < -3.0, sp.REFLECT, sp.SERIES_EM) if period else sp.SERIES_EM
-        for pts, batch_route, single_route in ((near, left, left),
-                                               (origin, sp.SERIES_EM, sp.HERMITE)):
+        left = np.where((near.real < -3.0) & bool(period), sp.REFLECT, sp.SERIES_EM)
+        for pts, routes in ((near, left), (origin, np.full(origin.size, sp.SERIES_EM))):
             self._check_pair(mpmath, pts, alphas,
                              sp.hurwitz_split_many(pts, list(alphas), deriv=True, period=period),
-                             batch_route)
+                             routes)
             for i in range(pts.size):
-                route = single_route[i] if np.ndim(single_route) else single_route
                 self._check_pair(mpmath, pts[i:i + 1], alphas,
                                  sp.hurwitz_split_many(pts[i:i + 1], list(alphas), deriv=True,
-                                                       period=period), route)
+                                                       period=period), routes[i])
 
     def test_non_residue_past_the_last_correction_raises(self):
         # at Re s <= -25 no K <= 12 bounds the Euler-Maclaurin remainder
@@ -636,12 +632,6 @@ class TestRouteBoundary:
         (pair_value, _), _, _ = sp.hurwitz_split_many(s, 0.3, deriv=True)
         assert np.all(routes == sp.HERMITE)
         assert np.array_equal(value.view(float), pair_value.view(float))
-
-    def test_size_one_calls_keep_the_h_rule(self):
-        assert sp.hurwitz_regular_split(-5.0 + 1.0j, 1.0)[2] == "hermite"
-        assert sp.hurwitz_split_many(np.array([-5.0 + 1.0j] * 2), 1.0)[2][0] == sp.REFLECT
-        # a not 1 and no period: the h-rule
-        assert sp.hurwitz_split_many(np.array([-5.0 + 1.0j] * 2), 0.5)[2][0] == sp.HERMITE
 
     def test_reflection_overflow_raises_with_point_and_route(self):
         with pytest.raises(zf.AccuracyError) as err:
