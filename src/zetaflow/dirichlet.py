@@ -11,6 +11,10 @@ otherwise, so non-principal L-functions evaluate cleanly through s = 1.
 One evaluator, ``LFunctionHandle.evaluate``, makes one Hurwitz router call
 for all residues and returns L (and L') with an error estimate and the
 routes; ``eval_many``, ``eval_point``, ``l_eval`` and the zero census call it.
+Its lattice counterpart, ``LFunctionHandle._evaluate_grid``, evaluates L on
+a sigma x t lattice with one phase table per residue for every row, for the
+sigma_0 scan; both share the chi-weighting, pole term and m^(-s) of
+``LFunctionHandle._combine``.
 
 Also here: the real root sigma_1 of zeta(sigma) = 2, a window-truncated scan
 estimate of the abscissa sigma_0 below which Re L_m can vanish, and the
@@ -217,15 +221,38 @@ class LFunctionHandle:
         """
         s = np.asarray(s, dtype=complex)
         flat = s.ravel()
+        alphas = self._residues[2]
+        values, ests, routes = special.hurwitz_split_many(
+            flat, alphas, self._router_tol(float(flat.real.min(initial=np.inf))), deriv,
+            self.period)
+        totals, est = self._combine(flat, values if deriv else (values,), ests)
+        totals = [total.reshape(s.shape) for total in totals]
+        return ((tuple(totals) if deriv else totals[0]), est.reshape(s.shape),
+                routes.reshape((len(alphas),) + s.shape))
+
+    def _router_tol(self, lowest: float) -> float:
+        """The Hurwitz tolerance for points whose least real part is ``lowest``.
+
+        eval_cfg.split_tol times m^(min(lowest, 1)) / sum_r |chi(r)| where
+        that is below 1; m^(min Re s) / weight is at least 1 from Re s = 1
+        on, as weight is phi(m) <= m, so the power stays within the float64
+        range.
+        """
+        weight = self._residues[3]
+        return self.eval_cfg.split_tol * min(1.0, self.period ** min(lowest, 1.0) / weight)
+
+    def _combine(self, flat: np.ndarray, regs: tuple, ests: np.ndarray):
+        """(totals, estimate) of L (and L') at the 1-d points ``flat`` from the regular parts.
+
+        ``regs`` holds the (residue, point) arrays R_r, and R'_r after them
+        for the derivative; ``ests`` their (residue, point) estimates.  The
+        chi-weighting, the pole term phi(m)/(s-1) of a principal character
+        and the factor m^(-s), as ``evaluate`` states them.
+        """
         m = self.period
-        chis, weights, alphas, weight = self._residues
-        # m^(min Re s) / weight is at least 1 from Re s = 1 on, as weight is
-        # phi(m) <= m, so the power stays within the float64 range
-        lowest = min(float(flat.real.min(initial=np.inf)), 1.0)
-        tol = self.eval_cfg.split_tol * min(1.0, m ** lowest / weight)
-        values, ests, routes = special.hurwitz_split_many(flat, alphas, tol, deriv, m)
-        totals = [np.multiply(regs.T, chis, order="C").sum(axis=-1, initial=0.0)
-                  for regs in (values if deriv else (values,))]     # regs: (residue, point)
+        chis, weights, alphas, _ = self._residues
+        deriv = len(regs) == 2
+        totals = [np.multiply(r.T, chis, order="C").sum(axis=-1, initial=0.0) for r in regs]
         est = np.multiply(ests.T, weights, order="C").sum(axis=-1, initial=0.0)
         if self.has_pole:
             totals[0] = totals[0] + len(alphas) / (flat - 1.0)
@@ -243,9 +270,34 @@ class LFunctionHandle:
             # and the product by 2 eps, on L and on L' alike
             largest = np.maximum(*map(np.abs, totals)) if deriv else np.abs(totals[0])
             est = est + (np.abs(flat) * (_EPS * log_m) + 4.0 * _EPS) * largest
-        totals = [total.reshape(s.shape) for total in totals]
-        return ((tuple(totals) if deriv else totals[0]), est.reshape(s.shape),
-                routes.reshape((len(alphas),) + s.shape))
+        return totals, est
+
+    def _evaluate_grid(self, sigmas, ts):
+        """(L, estimates) on the lattice ``sigmas`` x ``ts``, each shaped (row, column).
+
+        The lattice counterpart of ``evaluate``, value only, for Euler-Maclaurin
+        points: every sigma >= -3, and no point at the pole s = 1 of a
+        principal character.  The rows on either side of Re s = 0, the
+        router's two sign groups, are one special._em_grid call each for
+        all residues, at the tolerance ``evaluate`` takes for the lattice;
+        _combine weights, adds the pole term and scales them.
+        """
+        sigmas = np.asarray(sigmas, dtype=float)
+        ts = np.asarray(ts, dtype=float)
+        alphas = self._residues[2]
+        tol = self._router_tol(float(sigmas.min()))
+        values = np.empty((sigmas.size, ts.size), dtype=complex)
+        est = np.empty(values.shape)
+        negative = sigmas < 0.0
+        for rows in (negative, ~negative):
+            if rows.any():
+                regs, ests = special._em_grid(sigmas[rows], ts, alphas, tol)
+                flat = (sigmas[rows, None] + 1j * ts[None, :]).ravel()
+                totals, errors = self._combine(flat, (regs.reshape(len(alphas), -1),),
+                                               ests.reshape(len(alphas), -1))
+                values[rows] = totals[0].reshape(-1, ts.size)
+                est[rows] = errors.reshape(-1, ts.size)
+        return values, est
 
     def eval_many(self, s) -> np.ndarray:
         """Vectorized evaluation on an array of points away from s = 1."""
@@ -322,6 +374,16 @@ def sigma1_root(cfg: EvalConfig = DEFAULT_CONFIG) -> float:
 _SIGMA_STEP = 0.005
 _T_STEP = 0.2
 _BISECT_TOL = 1e-4
+# Left of Re s = -3 a point of a period reflects: the scan's lattice serves
+# Euler-Maclaurin points only.
+_SCAN_RE_MIN = -3.0
+# Lattice points per t-block of the scan.  Euler-Maclaurin's tail keeps about
+# seven complex arrays of the block alive; at a quarter of special._EM_BLOCK
+# they stay near a core's L2 cache.  On the strip benchmark's window (41
+# rows, t in [0, 300]; numpy 2.4, one x86-64 core, 2 MB L2) blocks of 2^12
+# points timed 13 ms a scan with a 1.3 MB allocation peak, 2^13 16 ms and
+# 2.0 MB, 2^14 20 ms and 3.5 MB, 2^11 17 ms.
+_SCAN_BLOCK = special._EM_BLOCK // 4
 
 
 @dataclass(frozen=True)
@@ -336,8 +398,13 @@ def sigma0_estimate(handle: LFunctionHandle, sigma_lo: float, sigma_hi: float,
     """Largest sigma in [sigma_lo, sigma_hi] where Re L_m(sigma + it) changes
     sign for some |t| <= t_max, refined by bisection in sigma.
 
-    The scan steps sigma down by 0.005 on a t-grid of step 0.2 and bisects
-    the first hit to 1e-4.
+    The scan takes the rows sigma_hi - 0.005 k while they are >= sigma_lo,
+    then a row at sigma_lo, on a t-grid of step 0.2, and bisects the first
+    row with a change, from the top down, to 1e-4.  The window's Re L comes
+    from the lattice evaluator (LFunctionHandle._evaluate_grid) in t-blocks
+    of about _SCAN_BLOCK points, a bisection row as a 1-row lattice;
+    the pole of a principal character at s = 1 is dodged to 1 + 0.2i/7.
+    Raises DomainError, naming the window, left of Re s = -3.
 
     A lower estimate of the true abscissa, truncated to the t-window; when no
     sign change exists anywhere in the window the result carries
@@ -347,26 +414,39 @@ def sigma0_estimate(handle: LFunctionHandle, sigma_lo: float, sigma_hi: float,
         raise DomainError("need sigma_lo < sigma_hi")
     if t_max < 0:
         raise DomainError("t_max must be nonnegative")
+    if sigma_lo < _SCAN_RE_MIN:
+        raise DomainError(f"the sigma0 scan needs sigma >= {_SCAN_RE_MIN:g}, "
+                          f"got the window [{sigma_lo!r}, {sigma_hi!r}]")
     ts = np.arange(0.0, t_max + _T_STEP * 0.5, _T_STEP)
-    if ts.size == 0:
-        return Sigma0Result(sigma=sigma_lo, attained=False, t_hit=None)
     if not handle.character.is_real:
         ts = np.concatenate([-ts[::-1], ts[1:]])  # conjugate symmetry fails: scan both signs
+    # a principal character's rows at sigma = 1 take t = 0.2/7 for t = 0
+    dodged = np.where(ts == 0.0, _T_STEP / 7.0, ts)
 
-    def first_change(sigma: float) -> float | None:
-        s = sigma + 1j * ts
-        if handle.has_pole:
-            # dodge exact pole evaluation at (1, 0)
-            s = np.where(np.abs(s - 1.0) < 1e-12, sigma + 1j * (ts + _T_STEP / 7.0), s)
-        row = handle.eval_many(s).real
-        idx = np.where(np.diff(np.sign(row)) != 0)[0]
+    def re_rows(sigmas: np.ndarray) -> np.ndarray:
+        """Re L on the rows ``sigmas``, shaped (row, t)."""
+        out = np.empty((sigmas.size, ts.size))
+        pole = handle.has_pole & (np.abs(sigmas - 1.0) < 1e-12)
+        for rows, grid_ts in ((~pole, ts), (pole, dodged)):
+            if rows.any():
+                width = max(1, _SCAN_BLOCK // np.count_nonzero(rows))
+                for j in range(0, ts.size, width):
+                    out[rows, j:j + width] = handle._evaluate_grid(
+                        sigmas[rows], grid_ts[j:j + width])[0].real
+        return out
+
+    def first_change(row: np.ndarray) -> float | None:
+        idx = np.flatnonzero(np.diff(np.sign(row)) != 0)
         return float(ts[idx[0]]) if idx.size else None
 
     sigmas = np.arange(sigma_hi, sigma_lo - _SIGMA_STEP * 0.5, -_SIGMA_STEP)
+    sigmas = sigmas[sigmas >= sigma_lo]
+    if sigmas[-1] != sigma_lo:
+        sigmas = np.append(sigmas, sigma_lo)
     hit_sigma = None
     hit_t = None
-    for sg in sigmas:
-        t_hit = first_change(float(sg))
+    for sg, row in zip(sigmas, re_rows(sigmas)):
+        t_hit = first_change(row)
         if t_hit is not None:
             hit_sigma, hit_t = float(sg), t_hit
             break
@@ -377,7 +457,7 @@ def sigma0_estimate(handle: LFunctionHandle, sigma_lo: float, sigma_hi: float,
     hi = min(hit_sigma + _SIGMA_STEP, sigma_hi)
     while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        t_hit = first_change(mid)
+        t_hit = first_change(re_rows(np.array([mid]))[0])
         if t_hit is None:
             hi = mid
         else:

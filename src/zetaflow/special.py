@@ -48,7 +48,17 @@ routes, as the router names them:
   AccuracyError; a point that is not finite is a DomainError.  For a = 1
   alone a wide batch takes the terms n^(-s) from a sieved table
   (_sieved_sums): only the prime rows take a complex exp, and every other
-  row is the product of two earlier rows.
+  row is the product of two earlier rows.  The partial sums are summed by
+  pairwise halving, of depth log2 N.
+
+The sigma0 scan of the dirichlet module evaluates whole sigma x t lattices,
+value only, through _em_grid, a private Euler-Maclaurin entry outside the
+router: rows that share their t split (n+a)^(-s) into a real weight
+(n+a)^(-sigma) per row and a phase (n+a)^(-it) per column, so one phase
+table per a (sieved for a = 1) serves every row, and the partial sums of
+all rows are one real contraction in a fixed-order einsum loop.  It shares
+_em_split's plan, lead term and tail (_em_tail); its estimate counts a
+sequential sum, of depth N, and the weight's exp and product in each term.
 
 The scalar functions raise AccuracyError, naming s, a and the route, where
 the estimate exceeds both ``EvalConfig.abs_tol`` and the float64 floor of
@@ -483,6 +493,17 @@ def _halving_sum(rows: np.ndarray) -> np.ndarray:
     return rows[0]
 
 
+def _sieved_table(s: np.ndarray, n_rows: int) -> np.ndarray:
+    """The sieved power table n^(-s), n = 1..``n_rows`` in row n-1, at the 1-d points ``s``."""
+    primes, neg_logs, passes, _ = _sieve_plan(n_rows)
+    table = np.empty((n_rows, s.size), dtype=complex)
+    table[0] = 1.0
+    table[primes] = np.exp(neg_logs * s)
+    for dst, factor, cofactor in passes:
+        table[dst] = table[factor] * table[cofactor]
+    return table
+
+
 def _sieved_sums(flat: np.ndarray, n_terms: int, want_deriv: bool):
     """Sums of n^(-s) and -ln n n^(-s) over n = 1..N, and (N+1)^(-s), from the sieved table.
 
@@ -490,19 +511,13 @@ def _sieved_sums(flat: np.ndarray, n_terms: int, want_deriv: bool):
     elements, summed by pairwise halving.  Returns (partial, dpartial or None, decay).
     """
     rows = n_terms + 1
-    primes, neg_logs, passes, _ = _sieve_plan(rows)
     logs = _em_logs(1.0, n_terms)[0][:n_terms, None]         # ln n, n = 1..N
     partial = np.empty_like(flat)
     dpartial = np.empty_like(flat) if want_deriv else None
     decay = np.empty_like(flat)
     block = max(1, _EM_BLOCK // rows)
     for i in range(0, flat.size, block):
-        sl = flat[i:i + block]
-        table = np.empty((rows, sl.size), dtype=complex)
-        table[0] = 1.0
-        table[primes] = np.exp(neg_logs * sl)
-        for dst, factor, cofactor in passes:
-            table[dst] = table[factor] * table[cofactor]
+        table = _sieved_table(flat[i:i + block], rows)
         decay[i:i + block] = table[n_terms]
         if want_deriv:
             dpartial[i:i + block] = -_halving_sum(logs * table[:n_terms])
@@ -543,10 +558,12 @@ def _em_weighted_sums(alpha: float, n_terms: int, re: float, want_deriv: bool,
 
 
 def _em_group_rounding(re_min: float, re_max: float, big_s: float, alpha: float,
-                       n_terms: int, n_corr: int, want_deriv: bool, sums: tuple) -> float:
+                       n_terms: int, n_corr: int, want_deriv: bool, sums: tuple,
+                       depth: float | None = None) -> float:
     """_em_rounding less the first term, one number for the group.
 
-    ``sums`` are those of _em_weighted_sums, or the bounds of _em_sums_bound.
+    ``sums`` are those of _em_weighted_sums, or the bounds of _em_sums_bound;
+    ``depth`` is the sum's depth, log2(N+1) (pairwise) by default.
     """
     la = math.log(n_terms + alpha)
     plain, logged, own, power = sums
@@ -555,14 +572,22 @@ def _em_group_rounding(re_min: float, re_max: float, big_s: float, alpha: float,
     tail = _em_tail_majorant(big_s, n_terms + alpha, n_corr)
     boundary = ((power + big_s * la + 2 * n_corr + 2) * tail
                 + la * (1.0 + 3.0 / w_floor) * (n_terms + alpha))
-    rest = (math.log2(n_terms + 1) * plain + big_s * logged + own
+    if depth is None:
+        depth = math.log2(n_terms + 1)
+    rest = (depth * plain + big_s * logged + own
             + scale * math.exp(-re_min * la) * boundary)
     return _EPS * (rest + scale * la * 2.0 / w_floor)
 
 
+# The own rounding a lattice term w p of _em_grid adds to that of its phase p
+# (_term_rounding): the real exp of the weight w = (n+a)^(-sigma), about 3
+# eps as for a complex power, and the product w p, 1 eps.
+_LATTICE_TERM_ROUNDING = 4.0
+
+
 def _em_rounding(re: np.ndarray, re_min: float, re_max: float, big_s: float, alpha: float,
                  n_terms: int, n_corr: int, exact_lead: bool, want_deriv: bool,
-                 sieved: bool):
+                 sieved: bool, lattice: bool = False):
     """Float64 rounding of _em_split at points with real parts ``re`` and |s| <= big_s.
 
     A term (n+a)^(-s) is off by eps (c_n + |s| |ln(n+a)|) (_term_rounding),
@@ -575,13 +600,24 @@ def _em_rounding(re: np.ndarray, re_min: float, re_max: float, big_s: float, alp
     each falls with Re s; its O(N) sums are read at ``re_min`` floored to
     the 1/_SUMS_RE_GRID grid, which over-counts them by at most
     (N+a)^(1/_SUMS_RE_GRID).  The first, a^(-s), is taken per point; with
-    ``exact_lead`` _leading_power forms it to a few eps.  Returns a number
-    for a = 1, else an array like ``re``.
+    ``exact_lead`` _leading_power forms it to a few eps.  With ``lattice``
+    it counts _em_grid instead: each term, and (N+a)^(-s), adds
+    _LATTICE_TERM_ROUNDING to its c_n, the sum is sequential, of depth N,
+    and ``big_s`` must bound |Re s| + |Im s|, which bounds the exponents'
+    rounding of the weight and the phase.  Returns a number for a = 1, else
+    an array like ``re``.
     """
     sums = _em_weighted_sums(alpha, n_terms, math.floor(re_min * _SUMS_RE_GRID) / _SUMS_RE_GRID,
                              want_deriv, sieved)
-    rest = _em_group_rounding(re_min, re_max, big_s, alpha, n_terms, n_corr, want_deriv, sums)
-    step = math.log2(n_terms + 1) + (0.0 if sieved else 3.0)     # with c_0
+    depth, own = math.log2(n_terms + 1), 0.0 if sieved else 3.0      # c_0
+    if lattice:
+        plain, logged, own_sum, power = sums
+        sums = (plain, logged, own_sum + _LATTICE_TERM_ROUNDING * plain,
+                power + _LATTICE_TERM_ROUNDING)
+        depth, own = float(n_terms), own + _LATTICE_TERM_ROUNDING
+    rest = _em_group_rounding(re_min, re_max, big_s, alpha, n_terms, n_corr, want_deriv, sums,
+                              depth)
+    step = depth + own
     if alpha == 1.0:
         return _EPS * step + rest        # the first term is 1
     log_a = math.log(alpha)
@@ -907,9 +943,25 @@ def _em_split(s: np.ndarray, alpha, n_terms: int, n_corr: int, exact_lead,
                     dpartial[r] -= (hi + lo) * power
         decay = np.exp(-grid * la)          # (N+a)^{-s}
 
+    boundary, tail, dboundary, dtail = _em_tail(grid, la, big_a, horner, n_corr, want_deriv)
+    shape = s.shape if single else (len(alphas),) + s.shape
+    regular = (partial + boundary + decay * tail).reshape(shape)
+    if not want_deriv:
+        return regular, None
+    return regular, (dpartial + dboundary + decay * dtail).reshape(shape)
+
+
+def _em_tail(grid: np.ndarray, la, big_a, horner, n_corr: int, want_deriv: bool):
+    """(B, T, B' or None, T' or None): the boundary term and the Horner tail at the points ``grid``.
+
+    The regular part is the partial sum + B + (N+a)^(-s) T, and its
+    s-derivative the derivative's partial sum + B' + (N+a)^(-s) T'.  ``la``,
+    ``big_a`` and ``horner`` are the columns ln(N+a), N+a and D_j of
+    _em_columns, against the residue axis of ``grid``.
+    """
     w = -(grid - 1.0) * la
     # (N+a)^(1-s)/(s-1) = -ln(N+a) f(-(s-1) ln(N+a)) + 1/(s-1)
-    reg_int = -la * expm1_over(w)
+    boundary = -la * expm1_over(w)
 
     # (N+a)^(-s) [1/2 + sum_{j<=K} C_j (s)_{2j-1} (N+a)^(1-2j)], the sum by
     # Horner's rule: (s/(N+a)) (D_1 + v_1 (D_2 + v_2 (... + v_{K-1} D_K)))
@@ -922,13 +974,28 @@ def _em_split(s: np.ndarray, alpha, n_terms: int, n_corr: int, exact_lead,
             dacc = dacc * v + acc * (2.0 * grid + (4 * j - 1))
         acc = acc * v + horner[j - 1]
     tail = 0.5 + grid * acc / big_a
-    shape = s.shape if single else (len(alphas),) + s.shape
-    regular = (partial + reg_int + decay * tail).reshape(shape)
     if not want_deriv:
-        return regular, None
-    dreg_int = la * la * expm1_over_deriv(w)
-    dtail = (acc + grid * dacc) / big_a - la * tail
-    return regular, (dpartial + dreg_int + decay * dtail).reshape(shape)
+        return boundary, tail, None, None
+    return (boundary, tail, la * la * expm1_over_deriv(w),
+            (acc + grid * dacc) / big_a - la * tail)
+
+
+def _exact_leads(flat: np.ndarray, alphas: tuple, tol: float, big_s: float) -> tuple:
+    """Per a, whether _leading_power forms a^(-s) at the points ``flat``, |s| <= big_s.
+
+    It does where the plain rounding of a^(-s), eps |s| |ln a| a^(-Re s),
+    could reach a tenth of ``tol``.  Raises AccuracyError, naming the point,
+    where a^(-s) leaves the float64 range.
+    """
+    low, re_max = min(alphas), float(flat.real.max())
+    if -re_max * math.log(low) > _LOG_FLOAT_MAX:
+        raise AccuracyError("a^(-s) leaves the float64 range "
+                            + _at(complex(flat[np.argmax(flat.real)]), low, "series-em"))
+    log_tol = math.log(0.1 * tol)
+    log_rounding = math.log(_EPS * big_s)
+    return tuple(a < 1.0
+                 and log_rounding + math.log(-math.log(a)) - re_max * math.log(a) > log_tol
+                 for a in alphas)
 
 
 def euler_maclaurin_split(s, alpha, tol: float = 1e-12, want_deriv: bool = False):
@@ -959,17 +1026,8 @@ def euler_maclaurin_split(s, alpha, tol: float = 1e-12, want_deriv: bool = False
     flat = s.ravel()
     re = flat.real
     re_min, re_max = float(re.min()), float(re.max())
-    low = min(alphas)
-    n_terms, n_corr, remainder, big_s = _em_plan(flat, low, tol, want_deriv, re_min)
-    if -re_max * math.log(low) > _LOG_FLOAT_MAX:
-        raise AccuracyError("a^(-s) leaves the float64 range "
-                            + _at(complex(flat[np.argmax(re)]), low, "series-em"))
-    # the plain rounding of a^(-s), eps |s| |ln a| a^(-Re s), against tol / 10
-    log_tol = math.log(0.1 * tol)
-    log_rounding = math.log(_EPS * big_s)
-    leads = tuple(a < 1.0
-                  and log_rounding + math.log(-math.log(a)) - re_max * math.log(a) > log_tol
-                  for a in alphas)
+    n_terms, n_corr, remainder, big_s = _em_plan(flat, min(alphas), tol, want_deriv, re_min)
+    leads = _exact_leads(flat, alphas, tol, big_s)
     sieved = alphas == (1.0,) and _sieve_pays(flat.size, n_terms)
     est = np.empty((len(alphas), flat.size))
     for r, (a, lead) in enumerate(zip(alphas, leads)):
@@ -977,6 +1035,77 @@ def euler_maclaurin_split(s, alpha, tol: float = 1e-12, want_deriv: bool = False
                                           want_deriv, sieved)
     return (*_em_split(s, alphas[0] if single else alphas, n_terms, n_corr,
                        leads[0] if single else leads, want_deriv, sieved), est.reshape(shape))
+
+
+def _lattice_sums(sigmas: np.ndarray, ts: np.ndarray, logs: np.ndarray, sieved: bool):
+    """(partial sums over n = first..N-1, (N+a)^(-s)) of one a on the lattice, (row, column).
+
+    ``logs`` holds ln(n+a), n = first..N; the sieved table (a = 1) has the
+    rows n = 1..N+1, the same terms.  The phase table is built in column
+    blocks of _EM_BLOCK elements.
+    """
+    weights = np.exp(np.multiply.outer(-sigmas, logs))
+    partial = np.empty((sigmas.size, ts.size), dtype=complex)
+    decay = np.empty_like(partial)
+    block = max(1, _EM_BLOCK // logs.size)
+    for j in range(0, ts.size, block):
+        col = ts[j:j + block]
+        if sieved:
+            phases = _sieved_table(1j * col, logs.size)
+        else:
+            phases = np.exp(np.multiply.outer(logs, -1j * col))
+        sums = np.einsum("kn,nj->kj", weights[:, :-1], phases[:-1].view(float), optimize=False)
+        partial[:, j:j + block] = sums.view(complex)
+        decay[:, j:j + block] = np.multiply.outer(weights[:, -1], phases[-1])
+    return partial, decay
+
+
+def _em_grid(sigmas, ts, alphas: tuple, tol: float):
+    """Regular parts R of zeta(sigma + it, a) on the lattice ``sigmas`` x ``ts``, value only.
+
+    Returns (R, estimates), both shaped (residue, row, column), for the
+    residues ``alphas``.  The lattice is one Euler-Maclaurin group, planned
+    by _em_plan at the least a, so its rows must lie on one side of Re s = 0
+    and where the router takes Euler-Maclaurin (Re s >= -3 for a residue of
+    a period).  Every row shares the columns' t, so (n+a)^(-s) splits into a
+    real weight (n+a)^(-sigma) per (row, term) and a phase (n+a)^(-it) per
+    (term, column), one phase table per a: for a = 1 the sieved table
+    (_sieved_table, where _sieve_pays), else one exp per term, the n = 0 term
+    left to _leading_power where _exact_leads flags it.  The partial sums of
+    all rows are one real contraction of the (row, term) weights with the
+    (term, 2 column) table, an einsum in a fixed-order C loop; a BLAS product
+    would round differently with the thread count and the CPU's kernel.
+    (N+a)^(-s) is the product of the last weight and phase, and _em_tail
+    gives the rest.  An estimate is the plan's remainder bound plus
+    _em_rounding's lattice count: a sequential sum, and the weight's exp and
+    the product in each term.
+    """
+    sigmas = np.asarray(sigmas, dtype=float)
+    ts = np.asarray(ts, dtype=float)
+    flat = (sigmas[:, None] + 1j * ts[None, :]).ravel()
+    re_min, re_max = float(sigmas.min()), float(sigmas.max())
+    n_terms, n_corr, remainder, big_s = _em_plan(flat, min(alphas), tol, False, re_min)
+    leads = _exact_leads(flat, alphas, tol, big_s)
+    sieved = alphas == (1.0,) and _sieve_pays(ts.size, n_terms)
+    logs, la, big_a, horner = _em_columns(alphas, n_terms)
+    # the exponents of the weight and the phase are off by eps |sigma| ln(n+a)
+    # and eps |t| ln(n+a)
+    big_st = float(np.abs(sigmas).max() + np.abs(ts).max())
+    partial = np.empty((len(alphas), flat.size), dtype=complex)
+    decay = np.empty_like(partial)
+    est = np.empty((len(alphas), sigmas.size, 1))
+    for r, (a, lead) in enumerate(zip(alphas, leads)):
+        sums, last = _lattice_sums(sigmas, ts, logs[r, 1 if lead else 0:], sieved)
+        partial[r], decay[r] = sums.ravel(), last.ravel()
+        if lead:
+            partial[r] += _leading_power(flat, a)
+        est[r, :, 0] = remainder + _em_rounding(sigmas, re_min, re_max, big_st, a, n_terms,
+                                                n_corr, lead, False, sieved, lattice=True)
+    grid = flat[None] if len(alphas) == 1 else np.repeat(flat[None], len(alphas), axis=0)
+    boundary, tail = _em_tail(grid, la, big_a, horner, n_corr, False)[:2]
+    shape = (len(alphas), sigmas.size, ts.size)
+    return ((partial + boundary + decay * tail).reshape(shape),
+            np.broadcast_to(est, shape))
 
 
 # ---------------------------------------------------------------------------
