@@ -2,10 +2,12 @@
 
 One command per process.  Run-producing commands (zeros, flow) write their
 artifacts plus a run summary JSON under --out; a JSON config document can
-supply any flag (explicit flags win).  Exit codes: 0 success (quenching is a
-scientific outcome, not a failure), 2 configuration error, 3 numerical
-failure.  Floats in CSV artifacts carry 17 significant digits; JSON numbers
-use the shortest exact round-trip form.
+supply any flag (explicit flags win).  ``flow --check ID`` makes two calls
+into ID's entry of pde.THEOREMS: its hypotheses before the march, its verdict
+after it, and a configuration error leaves no output directory.  Exit codes:
+0 success (quenching is a scientific outcome, not a failure), 2 configuration
+error, 3 numerical failure.  Floats in CSV artifacts carry 17 significant
+digits; JSON numbers use the shortest exact round-trip form.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from . import dirichlet, ode, pde, special
 from .special import EvalConfig
 
 SCHEMA_VERSION = 1
-_CHECK_IDS = pde.THEOREM_IDS + ("thm1.8", "thm1.9")
 
 
 def _fmt(x: float) -> str:
@@ -125,22 +126,16 @@ def _config_hash(doc: dict) -> str:
         json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
-def _write_summary(out_dir: Path, summary: dict) -> Path:
-    path = out_dir / "summary.json"
-    path.write_text(json.dumps(summary, sort_keys=True, indent=1) + "\n")
-    return path
+def _write_summary(out_dir: Path, summary: dict) -> None:
+    (out_dir / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=1) + "\n")
 
 
 def _monitor_extrema(run: pde.RunRecord) -> dict:
     mon = run.monitors
-    out = {
-        "min_p": float(np.min(mon.min_p)),
-        "re_min": float(np.min(mon.re_min)),
-        "re_max": float(np.max(mon.re_max)),
-        "im_min": float(np.min(mon.im_min)),
-        "im_max": float(np.max(mon.im_max)),
-        "sup_abs": float(np.max(mon.sup_abs)),
-    }
+    out = {"min_p": float(np.min(mon.min_p)),
+           "re_min": float(np.min(mon.re_min)), "re_max": float(np.max(mon.re_max)),
+           "im_min": float(np.min(mon.im_min)), "im_max": float(np.max(mon.im_max)),
+           "sup_abs": float(np.max(mon.sup_abs))}
     if mon.sup_dist is not None:
         out["sup_dist_final"] = float(mon.sup_dist[-1])
     return out
@@ -159,12 +154,10 @@ def cmd_eval(args) -> int:
     elif args.function == "hurwitz":
         value, est, path = special.eval_diagnostics(s, args.alpha, cfg)
         label = f"zeta({args.s}, {args.alpha:g})"
-    elif args.function == "l":
+    else:  # l; argparse restricts the choices
         handle = _nonlinearity_from_spec(_l_spec(args), cfg)
         value, est, path = dirichlet.l_eval_with_estimate(handle, s)
         label = f"L[m={handle.period}]({args.s})"
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigurationError(f"unknown function {args.function!r}")
     print(f"{label} = {_fmt(value.real)} {'+' if value.imag >= 0 else '-'} {_fmt(abs(value.imag))}i")
     print(f"abs error estimate: {est:.3g}")
     print(f"path: {path}")
@@ -179,9 +172,7 @@ def cmd_zeros(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     records = [ode.zero_record_to_dict(r) for r in scan.records]
     (out_dir / "zeros.json").write_text(json.dumps(records, sort_keys=True, indent=1) + "\n")
-    lines = ["n,p_n"]
-    for n, p in ode.sink_proportion(scan.records):
-        lines.append(f"{n},{_fmt(p)}")
+    lines = ["n,p_n"] + [f"{n},{_fmt(p)}" for n, p in ode.sink_proportion(scan.records)]
     (out_dir / "pn.csv").write_text("\n".join(lines) + "\n")
     doc = {"command": "zeros", "tmax": args.tmax, "abs_tol": args.abs_tol,
            "schema": SCHEMA_VERSION}
@@ -206,25 +197,27 @@ def cmd_zeros(args) -> int:
     return 0
 
 
-def _flow_config(args, handle) -> ode.FlowConfig:
-    return ode.FlowConfig(
-        nonlinearity=handle, lam=_parse_lambda(args.lam), dt_init=args.dt,
-        t_end=args.tend, pole_guard_eps=args.pole_guard)
-
-
 def cmd_flow(args) -> int:
     t0 = time.perf_counter()
-    eval_cfg = EvalConfig(abs_tol=args.abs_tol)
-    handle = _nonlinearity_from_spec(args.nonlinearity, eval_cfg)
+    handle = _nonlinearity_from_spec(args.nonlinearity, EvalConfig(abs_tol=args.abs_tol))
     shape = (args.grid,) if args.dims == 1 else (args.grid, args.grid)
     datum = _datum_from_spec(args.datum, args.seed, shape, args.length)
-    cfg = _flow_config(args, handle)
+    cfg = ode.FlowConfig(nonlinearity=handle, lam=_parse_lambda(args.lam), dt_init=args.dt,
+                         t_end=args.tend, pole_guard_eps=args.pole_guard)
+    if args.mode == "ode" and not args.datum.startswith("const:"):
+        raise ConfigurationError("ode mode needs a constant datum")
+    spec = check = None
+    if args.check is not None:
+        if args.mode != "pde":
+            raise ConfigurationError("--check applies to --mode pde")
+        spec = pde.EnvelopeSpec.from_field(datum)
+        check = pde.validate_envelope_hypotheses(spec, args.check, cfg, _track_target(args))
     # created once the configuration is valid, so a configuration error
     # leaves no directory behind
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     doc = {"command": "flow", "mode": args.mode, "datum": args.datum,
-           "lambda": _parse_lambda(args.lam), "tend": args.tend, "dt": args.dt,
+           "lambda": cfg.lam, "tend": args.tend, "dt": args.dt,
            "grid": args.grid, "dims": args.dims, "length": args.length,
            "seed": args.seed, "nonlinearity": args.nonlinearity,
            "check": args.check, "rtol": args.rtol, "atol": args.atol,
@@ -235,7 +228,7 @@ def cmd_flow(args) -> int:
                "config_hash": _config_hash(doc), "artifacts": [], "flags": []}
 
     try:
-        return _run_flow(args, handle, datum, cfg, out_dir, summary, t0)
+        return _run_flow(args, datum, cfg, spec, check, out_dir, summary, t0)
     except ZetaflowError as exc:
         summary["termination"] = f"error: {exc}"
         summary["wall_time_s"] = round(time.perf_counter() - t0, 3)
@@ -243,33 +236,11 @@ def cmd_flow(args) -> int:
         raise
 
 
-def _run_flow(args, handle, datum, cfg, out_dir, summary, t0) -> int:
-    check = args.check
-    spec = None
-    if check is not None:
-        if check not in _CHECK_IDS:
-            raise ConfigurationError(
-                f"unknown check id {check!r}; expected one of {_CHECK_IDS}")
-        if args.mode != "pde":
-            raise ConfigurationError("--check applies to --mode pde")
-        spec = pde.EnvelopeSpec.from_field(datum)
-        if check in pde.THEOREM_IDS:
-            pde.validate_envelope_hypotheses(
-                spec, check, character_real=handle.character.is_real, cfg=handle.eval_cfg)
-        elif check == "thm1.8" and not args.datum.startswith("disc:"):
-            raise ConfigurationError("thm1.8 check needs a disc datum")
-        elif check == "thm1.9":
-            if not spec.real_case:
-                raise ConfigurationError("thm1.9 check needs real-valued data")
-            _thm19_expected(spec)
-
+def _run_flow(args, datum, cfg, spec, check, out_dir, summary, t0) -> int:
     if args.mode == "ode":
-        if not args.datum.startswith("const:"):
-            raise ConfigurationError("ode mode needs a constant datum")
         result = ode.integrate_flow(cfg, datum.values.flat[0],
                                     rtol=args.rtol, atol=args.atol)
-        traj = out_dir / "trajectory.csv"
-        traj.write_text("\n".join(ode.trajectory_csv_lines(result)) + "\n")
+        (out_dir / "trajectory.csv").write_text("\n".join(ode.trajectory_csv_lines(result)) + "\n")
         summary["termination"] = result.termination
         summary["final_state"] = {"re": result.final_state.real,
                                   "im": result.final_state.imag,
@@ -278,23 +249,20 @@ def _run_flow(args, handle, datum, cfg, out_dir, summary, t0) -> int:
             summary["converged_to"] = ode.zero_record_to_dict(result.converged_to)
         summary["artifacts"].append("trajectory.csv")
     elif args.mode == "picard":
-        consts = pde.constants_for_datum(datum, handle.period)
+        consts = pde.constants_for_datum(datum, cfg.nonlinearity.period)
         picard_cfg = dataclasses.replace(cfg, dt_init=consts.t_local / 16.0,
                                          t_end=consts.t_local)
         result = pde.picard_local_solve(datum, consts, args.picard_iters, picard_cfg)
         etd_run = pde.integrate_pde(datum, picard_cfg)
         dev = float(np.max(np.abs(result.final.values - etd_run.final.values)))
-        summary["termination"] = "completed"
-        summary["t_local"] = consts.t_local
-        summary["contraction_distances"] = result.distances
-        summary["contraction_ratios"] = result.ratios
-        summary["etd_deviation"] = dev
+        summary.update(termination="completed", t_local=consts.t_local, etd_deviation=dev,
+                       contraction_distances=result.distances, contraction_ratios=result.ratios)
         print(f"picard horizon t_local = {consts.t_local:.6g}; "
               f"ratios {['%.3g' % r for r in result.ratios]}; "
               f"ETD deviation {dev:.3g}")
     else:  # pde
         run = pde.integrate_pde(datum, cfg, track_target=_track_target(args),
-                                estimate_error=check in pde.THEOREM_IDS)
+                                estimate_error=check is not None and check.estimate_error)
         summary["termination"] = run.termination
         summary["monitor_extrema"] = _monitor_extrema(run)
         if run.quench is not None:
@@ -304,7 +272,7 @@ def _run_flow(args, handle, datum, cfg, out_dir, summary, t0) -> int:
                                            "im": run.quench.value.imag}}
         run_doc = {
             "termination": run.termination,
-            "dt": run.dt, "t_end": run.t_end, "lambda": run.lam,
+            "dt": run.dt, "t_end": run.t_end, "lambda": run.cfg.lam,
             "snapshots": [
                 {"t": t,
                  "re_min": float(np.min(s.real)), "re_max": float(np.max(s.real)),
@@ -318,15 +286,16 @@ def _run_flow(args, handle, datum, cfg, out_dir, summary, t0) -> int:
         if args.dump_fields:
             lines = ["snapshot,t,index,re,im"]
             for k, (t, snap) in enumerate(zip(run.snapshot_times, run.snapshots)):
-                flat = snap.ravel()
-                for idx, v in enumerate(flat):
+                for idx, v in enumerate(snap.ravel()):
                     lines.append(f"{k},{_fmt(t)},{idx},{_fmt(v.real)},{_fmt(v.imag)}")
             (out_dir / "fields.csv").write_text("\n".join(lines) + "\n")
             summary["artifacts"].append("fields.csv")
+        if run.shadow_failure is not None:
+            summary["flags"].append(f"no error estimate: the shadow run {run.shadow_failure}")
         if check is not None:
-            summary["check"] = _run_check(check, run, spec, handle.eval_cfg)
-            print(f"check {check}: {'pass' if summary['check']['passed'] else 'FAIL'} "
-                  f"({summary['check'].get('detail', '')})")
+            block = summary["check"] = check.verdict(run, spec, args.check)
+            print(f"check {args.check}: {'pass' if block['passed'] else 'FAIL'} "
+                  f"({block['detail']})")
         print(f"termination: {run.termination}")
 
     summary["wall_time_s"] = round(time.perf_counter() - t0, 3)
@@ -338,42 +307,6 @@ def _track_target(args) -> complex | None:
     if args.datum.startswith("disc:"):
         return _parse_complex(args.datum.split(":")[1])
     return None
-
-
-def _thm19_expected(spec) -> str:
-    """The termination thm1.9 predicts for the datum's I and S.
-
-    A quench for I > 1 or -2 < I <= S < 1, a global run for S < -2; any
-    other datum is a ConfigurationError.
-    """
-    if spec.i > 1.0 or (-2.0 < spec.i and spec.s < 1.0):
-        return "quenched"
-    if spec.s < -2.0:
-        return "completed"
-    raise ConfigurationError("thm1.9 needs I > 1, or -2 < I <= S < 1, or S < -2")
-
-
-def _run_check(check: str, run: pde.RunRecord, spec, eval_cfg: EvalConfig) -> dict:
-    if check in pde.THEOREM_IDS:
-        report = pde.envelope_check(run, spec, check, eval_cfg)
-        return {"passed": bool(report.passed),
-                "worst_margin": report.worst_margin,
-                "slack": report.slack,
-                "bounds": report.bounds,
-                "detail": f"worst margin {report.worst_margin:.3g}"}
-    if check == "thm1.8":
-        dist = run.monitors.sup_dist
-        converged = bool(dist is not None and float(dist[-1]) < 1e-6)
-        return {"passed": converged,
-                "sup_dist_final": float(dist[-1]) if dist is not None else None,
-                "detail": f"final sup distance {float(dist[-1]):.3g}"}
-    expected = _thm19_expected(spec)
-    detail = (f"termination {run.termination} "
-              f"({'quench' if expected == 'quenched' else 'global run'} expected)")
-    out = {"passed": run.termination == expected, "detail": detail}
-    if run.quench is not None:
-        out["quench_time"] = run.quench.time
-    return out
 
 
 def cmd_bounds(args) -> int:
@@ -484,8 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--seed", type=int, default=None)
     p_flow.add_argument("--nonlinearity", default="zeta",
                         help="zeta | principal:m | file:chars.json")
-    p_flow.add_argument("--check", default=None,
-                        help="|".join(_CHECK_IDS))
+    p_flow.add_argument("--check", default=None, help="|".join(pde.THEOREM_IDS))
     p_flow.add_argument("--rtol", type=float, default=1e-9)
     p_flow.add_argument("--atol", type=float, default=1e-9)
     p_flow.add_argument("--abs-tol", type=float, default=1e-10)

@@ -78,11 +78,8 @@ class ZeroRecord:
     location: complex
     deriv_re: float
     deriv_im: float
-    kind: str            # sink | source | trivial_sink | trivial_source
+    kind: str            # sink | source | trivial_sink | trivial_source, for lam = +1
     residual: float
-
-    def is_sink(self) -> bool:
-        return self.kind in ("sink", "trivial_sink")
 
 
 @dataclass

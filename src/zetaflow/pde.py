@@ -7,18 +7,19 @@ series fallback near the zero eigenvalue.  The march monitors pole proximity
 P(u) = |Re u - 1| + |Im u| (quench detection), field extrema, and sup |u|
 (escape detection).
 
-On top of the march sit the theorem-shaped checks: affine-in-t envelope
-verification for the global-existence bounds, the shrinking-disc stability
-experiment around a sink, and a short-time Picard (Duhamel fixed point)
-solver with certified contraction constants, used to cross-validate the ETD
-integrator on [0, T_local].
+On top of the march sit the paper's theorem checks, one THEOREMS entry per
+id (hypotheses on the datum, lambda, the nonlinearity and thm1.8's target
+zero; a verdict on the run), the stability experiment around a stable zero,
+and a short-time Picard (Duhamel fixed point) solver with certified
+contraction constants that cross-validates the ETD march on [0, T_local].
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -26,8 +27,7 @@ from .errors import (ConfigurationError, CounterexampleError, DomainError,
                      ContractionError, NumericalFailureError, QuenchSignal)
 from . import special
 from .dirichlet import sigma1_root
-from .special import DEFAULT_CONFIG, EvalConfig
-from .ode import FlowConfig, ZeroRecord, pole_distance
+from .ode import FlowConfig, ZeroRecord, _classify, pole_distance
 
 ESCAPE_LIMIT = 1.0e6
 _OVERSHOOT_JUMP = 1.0
@@ -191,10 +191,11 @@ class RunRecord:
     monitors: MonitorSeries
     quench: QuenchInfo | None
     error_estimate: float | None
-    lam: int
+    cfg: FlowConfig
     dt: float
     t_end: float
     length: float
+    shadow_failure: str | None = None  # how a requested shadow run quenched or failed
 
 
 def _monitor_row(field: GridField, target: complex | None) -> tuple:
@@ -243,14 +244,13 @@ def integrate_pde(g: GridField, cfg: FlowConfig,
     sampled every step; about _SNAPSHOT_BUDGET field snapshots are kept.
     With ``estimate_error`` a halved-step shadow run at the same horizon
     supplies a self-convergence error estimate (only for completed runs);
-    a shadow that quenches or fails numerically leaves it None and the run
-    standing.  A step of the run itself that stays non-finite through every
-    halving raises NumericalFailureError (see _advance).
+    a shadow that quenches or fails numerically leaves it None, the run
+    standing and the reason in ``shadow_failure``.  A step of the run
+    itself that stays non-finite through every halving raises
+    NumericalFailureError (see _advance).
     """
-    handle = cfg.nonlinearity
-    if handle.has_pole:
-        if float(np.min(pole_distance(g.values))) <= cfg.pole_guard_eps:
-            raise DomainError("initial datum violates the pole guard")
+    if cfg.nonlinearity.has_pole and float(np.min(pole_distance(g.values))) <= cfg.pole_guard_eps:
+        raise DomainError("initial datum violates the pole guard")
 
     n_steps = max(1, round(cfg.t_end / cfg.dt_init))
     dt = cfg.t_end / n_steps
@@ -281,29 +281,32 @@ def integrate_pde(g: GridField, cfg: FlowConfig,
         snapshot_times.append(field.time)
         snapshots.append(field.values.copy())
 
-    err_est = None
+    err_est = shadow_failure = None
     if estimate_error and termination == "completed":
+        shadow = g.copy()
         try:
-            shadow = g.copy()
             for _ in range(2 * n_steps):
                 shadow = _advance(shadow, dt / 2.0, cfg)
             err_est = float(np.max(np.abs(shadow.values - field.values)))
-        except (QuenchSignal, NumericalFailureError):
-            err_est = None
+        except QuenchSignal:
+            shadow_failure = f"quenched at t = {shadow.time:.6g}"
+        except NumericalFailureError as exc:
+            shadow_failure = f"failed numerically at t = {exc.last_time:.6g}"
 
     return RunRecord(termination=termination, final=field,
                      snapshot_times=snapshot_times, snapshots=snapshots,
                      monitors=MonitorSeries(*map(np.array, zip(*rows))),
-                     quench=quench, error_estimate=err_est,
-                     lam=cfg.lam, dt=dt, t_end=cfg.t_end, length=g.length)
+                     quench=quench, error_estimate=err_est, cfg=cfg,
+                     dt=dt, t_end=cfg.t_end, length=g.length, shadow_failure=shadow_failure)
 
 
 # ---------------------------------------------------------------------------
-# Envelope specifications and checks.
+# The theorem checks: one table of hypotheses and verdicts.
 # ---------------------------------------------------------------------------
 
 _REAL_DATUM_TOL = 1e-12
 _FINAL_TOL = 1e-3  # thm1.7iii: slack of the final bounds -4 n1 + 2 <= u <= -4 n2 + 2
+_CONVERGED_TOL = 1e-6  # thm1.8: the final sup |u - z0| must lie below this
 
 
 @dataclass(frozen=True)
@@ -356,9 +359,7 @@ class EnvelopeSpec:
 def _cell_index(x: float) -> int | None:
     """The positive n with x in the open cell (-4n, -4n+4), if any."""
     n = math.ceil(-x / 4.0)
-    if n >= 1 and -4.0 * n < x < -4.0 * n + 4.0:
-        return n
-    return None
+    return n if n >= 1 and -4.0 * n < x < -4.0 * n + 4.0 else None
 
 
 @dataclass
@@ -370,111 +371,174 @@ class EnvelopeReport:
     bounds: dict
 
 
-# The theorems whose envelopes envelope_check verifies.
-THEOREM_IDS = ("thm1.5", "cor1.6", "thm1.7i", "thm1.7ii", "thm1.7iii")
+@dataclass(frozen=True)
+class TheoremCheck:
+    """One entry of THEOREMS: ``hypotheses``, (statement, holds(spec, cfg, target))
+    pairs tested in order; ``verdict(run, spec, theorem)``, the summary's check
+    block with ``passed`` and a one-line ``detail``; and for an envelope check
+    ``margins(spec, zeta_at)``, each bound's signed margin on a snapshot
+    (t, Re u, Im u), on the final snapshot alone when ``final_only``."""
+
+    hypotheses: tuple
+    verdict: Callable
+    estimate_error: bool = False  # the verdict reads the self-convergence estimate
+    margins: Callable | None = None
+    final_only: bool = False
 
 
-def validate_envelope_hypotheses(spec: EnvelopeSpec, theorem: str,
-                                 character_real: bool | None = None,
-                                 cfg: EvalConfig = DEFAULT_CONFIG) -> None:
-    """Raise ConfigurationError unless the selected theorem's hypotheses hold.
+def _growth_margins(spec: EnvelopeSpec, zeta_at, im_positive: bool = False) -> dict:
+    """thm1.5 and cor1.6: Re u and Im u between lines in t whose slopes are set by zeta(I1)."""
+    z1 = zeta_at(spec.i1)
+    lo_slope = max(0.0, 2.0 - z1)
+    margins = {"re_lower": lambda t, re, im: np.min(re - (lo_slope * t + spec.i1)),
+               "re_upper": lambda t, re, im: np.min((z1 * t + spec.s1) - re)}
+    if im_positive:
+        margins["im_positive"] = lambda t, re, im: np.min(im)
+    else:
+        margins["im_lower"] = lambda t, re, im: np.min(im - ((1.0 - z1) * t + spec.i2))
+    margins["im_upper"] = lambda t, re, im: np.min(((z1 - 1.0) * t + spec.s2) - im)
+    return margins
 
-    The complex-data theorems need I1 > max(1, sigma0); the barrier used is
-    max(1, sigma_1), as sigma_1 > sigma0 ~ 1.19235 (sufficient, stricter),
-    with sigma_1 evaluated at ``cfg``.
-    A window scan of sigma0 gives a lower estimate of the abscissa, so it
-    cannot stand in for it.  A check is only meaningful under its
-    hypotheses, so callers validate before integrating.
+
+def _real_growth_margins(spec: EnvelopeSpec, zeta_at) -> dict:
+    """thm1.7i: I + t <= u <= S + zeta(I) t, and u stays real."""
+    zi = zeta_at(spec.i)
+    return {"lower": lambda t, re, im: np.min(re - (t + spec.i)),
+            "upper": lambda t, re, im: np.min((zi * t + spec.s) - re),
+            "imag_confined": lambda t, re, im: -np.max(np.abs(im))}
+
+
+def _lattice_margins(spec: EnvelopeSpec, zeta_at) -> dict:
+    """thm1.7ii: -2 k1 <= u <= -2 k2 (or S)."""
+    upper = -2.0 * spec.k2 if spec.k2 is not None else spec.s
+    return {"lower": lambda t, re, im: np.min(re - (-2.0 * spec.k1)),
+            "upper": lambda t, re, im: np.min(upper - re)}
+
+
+def _limit_margins(spec: EnvelopeSpec, zeta_at) -> dict:
+    """thm1.7iii: -4 n1 + 2 <= u <= -4 n2 + 2 at the final time, within _FINAL_TOL."""
+    lo, hi = -4.0 * spec.n1 + 2.0, -4.0 * spec.n2 + 2.0
+    return {"final_lower": lambda t, re, im: float(np.min(re)) - lo + _FINAL_TOL,
+            "final_upper": lambda t, re, im: hi + _FINAL_TOL - float(np.max(re))}
+
+
+def _envelope_verdict(run: RunRecord, spec: EnvelopeSpec, theorem: str) -> dict:
+    report = envelope_check(run, spec, theorem)
+    return {"passed": bool(report.passed), "worst_margin": report.worst_margin,
+            "slack": report.slack, "bounds": report.bounds,
+            "detail": f"worst margin {report.worst_margin:.3g}"}
+
+
+def _stability_verdict(run: RunRecord, spec: EnvelopeSpec, theorem: str) -> dict:
+    final = float(run.monitors.sup_dist[-1])
+    return {"passed": final < _CONVERGED_TOL, "sup_dist_final": final,
+            "detail": f"final sup distance {final:.3g}"}
+
+
+def _blowup_expected(spec: EnvelopeSpec) -> str | None:
+    """thm1.9's termination: a quench for I > 1 or -2 < I <= S < 1, a global run for S < -2."""
+    if spec.i > 1.0 or (-2.0 < spec.i and spec.s < 1.0):
+        return "quenched"
+    return "completed" if spec.s < -2.0 else None
+
+
+def _blowup_verdict(run: RunRecord, spec: EnvelopeSpec, theorem: str) -> dict:
+    expected = _blowup_expected(spec)
+    out = {"passed": run.termination == expected,
+           "detail": f"termination {run.termination} "
+                     f"({'quench' if expected == 'quenched' else 'global run'} expected)"}
+    if run.quench is not None:
+        out["quench_time"] = run.quench.time
+    return out
+
+
+_DEFOCUSING = ("lambda = +1", lambda spec, cfg, target: cfg.lam == 1)
+_FOCUSING = ("lambda = -1", lambda spec, cfg, target: cfg.lam == -1)
+_ZETA = ("the zeta nonlinearity", lambda spec, cfg, target: cfg.nonlinearity.period == 1)
+_REAL_CHARACTER = ("a real character", lambda spec, cfg, target: cfg.nonlinearity.character.is_real)
+_REAL = ("real-valued data", lambda spec, cfg, target: spec.real_case)
+# sigma_1 ~ 1.7286 > sigma0 ~ 1.19235: sufficient and stricter; a window scan of
+# sigma0 gives a lower estimate of the abscissa, so it cannot stand in for it
+_RIGHT_OF_POLE = ("I1 > max(1, sigma_1), where zeta(sigma_1) = 2", lambda spec, cfg, target:
+                  spec.i1 > max(1.0, sigma1_root(cfg.nonlinearity.eval_cfg)))
+_I2_POSITIVE = ("I2 > 0", lambda spec, cfg, target: spec.i2 > 0)
+_I_ABOVE_1 = ("I > 1", lambda spec, cfg, target: spec.i > 1.0)
+_I_BELOW_1 = ("I < 1", lambda spec, cfg, target: spec.i < 1.0)
+_IN_CELLS = ("I and S each strictly inside a cell (-4n, -4n+4)",
+             lambda spec, cfg, target: spec.n1 is not None and spec.n2 is not None)
+_BLOWUP_CASE = ("I > 1, or -2 < I <= S < 1, or S < -2",
+                lambda spec, cfg, target: _blowup_expected(spec) is not None)
+# target is a ZeroRecord, or a disc center the census Newton classifies
+# (DomainError, naming the point, where L is not small there)
+_STABLE_ZERO = ("a disc datum around a zero z0 of L with lambda Re L'(z0) < 0",
+                lambda spec, cfg, target: target is not None and cfg.lam * (
+                    target if isinstance(target, ZeroRecord)
+                    else _classify(cfg.nonlinearity, target)).deriv_re < 0)
+
+# Every check id, in the order the CLI lists them
+THEOREMS = {
+    "thm1.5": TheoremCheck((_DEFOCUSING, _RIGHT_OF_POLE), _envelope_verdict, True, _growth_margins),
+    "cor1.6": TheoremCheck((_DEFOCUSING, _REAL_CHARACTER, _RIGHT_OF_POLE, _I2_POSITIVE),
+                           _envelope_verdict, True, partial(_growth_margins, im_positive=True)),
+    "thm1.7i": TheoremCheck((_DEFOCUSING, _ZETA, _REAL, _I_ABOVE_1),
+                            _envelope_verdict, True, _real_growth_margins),
+    "thm1.7ii": TheoremCheck((_DEFOCUSING, _ZETA, _REAL, _I_BELOW_1),
+                             _envelope_verdict, True, _lattice_margins),
+    "thm1.7iii": TheoremCheck((_DEFOCUSING, _ZETA, _REAL, _I_BELOW_1, _IN_CELLS),
+                              _envelope_verdict, True, _limit_margins, final_only=True),
+    "thm1.8": TheoremCheck((_STABLE_ZERO,), _stability_verdict),
+    "thm1.9": TheoremCheck((_FOCUSING, _ZETA, _REAL, _BLOWUP_CASE), _blowup_verdict),
+}
+THEOREM_IDS = tuple(THEOREMS)
+
+
+def validate_envelope_hypotheses(spec: EnvelopeSpec, theorem: str, cfg: FlowConfig,
+                                 target=None) -> TheoremCheck:
+    """Raise ConfigurationError unless ``theorem``'s hypotheses hold; return its entry.
+
+    They read the datum's extrema ``spec``, the run's ``cfg`` (lam, the
+    nonlinearity and its EvalConfig) and, for thm1.8, ``target``.
     """
-    if theorem not in THEOREM_IDS:
-        raise ConfigurationError(f"unknown theorem id {theorem!r}; "
-                                 f"expected one of {THEOREM_IDS}")
-    if theorem in ("thm1.5", "cor1.6"):
-        barrier = max(1.0, sigma1_root(cfg))
-        if not spec.i1 > barrier:
+    if theorem not in THEOREMS:
+        raise ConfigurationError(f"unknown check id {theorem!r}; expected one of {THEOREM_IDS}")
+    for statement, holds in THEOREMS[theorem].hypotheses:
+        try:
+            met = holds(spec, cfg, target)
+        except DomainError as exc:  # thm1.8's Newton, where L(target) is not small
+            met, statement = False, f"{statement} ({exc})"
+        if not met:
             raise ConfigurationError(
-                f"hypothesis I1 > max(1, sigma0) not met: I1 = {spec.i1:.6g}, "
-                f"barrier max(1, sigma_1) = {barrier:.6g}")
-        if theorem == "cor1.6":
-            if not spec.i2 > 0:
-                raise ConfigurationError("hypothesis I2 > 0 not met")
-            if character_real is False:
-                raise ConfigurationError("this bound needs a real-valued character")
-    elif theorem == "thm1.7i":
-        _require_real_case(spec)
-        if not spec.i > 1.0:
-            raise ConfigurationError("hypothesis I > 1 not met")
-    elif theorem == "thm1.7ii":
-        _require_real_case(spec)
-        if not spec.i < 1.0:
-            raise ConfigurationError("hypothesis I < 1 not met")
-    else:  # thm1.7iii
-        _require_real_case(spec)
-        if not spec.i < 1.0:
-            raise ConfigurationError("hypothesis I < 1 not met")
-        if spec.n1 is None or spec.n2 is None:
-            raise ConfigurationError(
-                "I and S must each lie strictly inside a cell (-4n, -4n+4)")
+                f"{theorem} needs {statement}; the run has lambda = {cfg.lam:+d}, period "
+                f"m = {cfg.nonlinearity.period}, Re u in [{spec.i1:.6g}, {spec.s1:.6g}] "
+                f"and Im u in [{spec.i2:.6g}, {spec.s2:.6g}]")
+    return THEOREMS[theorem]
 
 
-def envelope_check(run: RunRecord, spec: EnvelopeSpec, theorem: str,
-                   cfg: EvalConfig = DEFAULT_CONFIG) -> EnvelopeReport:
+def envelope_check(run: RunRecord, spec: EnvelopeSpec, theorem: str) -> EnvelopeReport:
     """Verify the affine-in-t (or constant) bounds on every stored snapshot.
 
-    The hypotheses are those of validate_envelope_hypotheses, and the zeta
-    values of the bounds are evaluated at ``cfg``, like them.  Margins are
-    signed distances to the bounds, each bound's the worst over the
-    snapshots (thm1.7iii bounds the final snapshot only); the check passes
-    when the worst margin stays above -(slack), with slack = 1e-6 plus ten
-    times the run's self-convergence error estimate.
+    The hypotheses are those of validate_envelope_hypotheses under the run's
+    FlowConfig, and the zeta values of the bounds are evaluated at its
+    EvalConfig.  Margins are signed distances to the bounds, each bound's the
+    worst over the snapshots (thm1.7iii bounds the final snapshot only); the
+    check passes when the worst margin stays above -(slack), with slack =
+    1e-6 plus ten times the run's self-convergence error estimate.
     """
-    validate_envelope_hypotheses(spec, theorem, cfg=cfg)
+    check = validate_envelope_hypotheses(spec, theorem, run.cfg)
+    if check.margins is None:
+        raise ConfigurationError(f"{theorem} is not an envelope check")
     slack = 1e-6 + 10.0 * (run.error_estimate or 0.0)
+    eval_cfg = run.cfg.nonlinearity.eval_cfg
+    margins = check.margins(spec, lambda x: special.riemann_zeta(complex(x), eval_cfg).real)
     snapshots = list(zip(run.snapshot_times, run.snapshots))
-
-    def zeta_at(x: float) -> float:
-        return special.riemann_zeta(complex(x), cfg).real
-
-    # each bound's margin on one snapshot (t, Re u, Im u)
-    if theorem in ("thm1.5", "cor1.6"):
-        z1 = zeta_at(spec.i1)
-        lo_slope = max(0.0, 2.0 - z1)
-        margins = {"re_lower": lambda t, re, im: np.min(re - (lo_slope * t + spec.i1)),
-                   "re_upper": lambda t, re, im: np.min((z1 * t + spec.s1) - re)}
-        if theorem == "thm1.5":
-            margins["im_lower"] = lambda t, re, im: np.min(im - ((1.0 - z1) * t + spec.i2))
-        else:
-            margins["im_positive"] = lambda t, re, im: np.min(im)
-        margins["im_upper"] = lambda t, re, im: np.min(((z1 - 1.0) * t + spec.s2) - im)
-    elif theorem == "thm1.7i":
-        zi = zeta_at(spec.i)
-        margins = {"lower": lambda t, re, im: np.min(re - (t + spec.i)),
-                   "upper": lambda t, re, im: np.min((zi * t + spec.s) - re),
-                   "imag_confined": lambda t, re, im: -np.max(np.abs(im))}
-    elif theorem == "thm1.7ii":
-        upper = -2.0 * spec.k2 if spec.k2 is not None else spec.s
-        margins = {"lower": lambda t, re, im: np.min(re - (-2.0 * spec.k1)),
-                   "upper": lambda t, re, im: np.min(upper - re)}
-    else:  # thm1.7iii
-        lo = -4.0 * spec.n1 + 2.0
-        hi = -4.0 * spec.n2 + 2.0
-        margins = {"final_lower": lambda t, re, im: float(np.min(re)) - lo + _FINAL_TOL,
-                   "final_upper": lambda t, re, im: hi + _FINAL_TOL - float(np.max(re))}
-        snapshots = snapshots[-1:]
-
     bounds = dict.fromkeys(margins, math.inf)
-    for t, snap in snapshots:
+    for t, snap in snapshots[-1:] if check.final_only else snapshots:
         re, im = snap.real, snap.imag
         for name, margin in margins.items():
             bounds[name] = min(bounds[name], float(margin(t, re, im)))
     worst = min(bounds.values())
     return EnvelopeReport(theorem=theorem, passed=bool(worst >= -slack),
                           worst_margin=worst, slack=slack, bounds=bounds)
-
-
-def _require_real_case(spec: EnvelopeSpec) -> None:
-    if not spec.real_case:
-        raise ConfigurationError("this check applies to real-valued data only")
 
 
 # ---------------------------------------------------------------------------
@@ -581,21 +645,25 @@ class StabilityReport:
     run: RunRecord
 
 
-_STABILITY_CONV_TOL = 1e-6
 _STABILITY_TRANSIENT = 1.0
 
 
 def stability_experiment(z0: ZeroRecord, delta: float, datum: GridField,
                          cfg: FlowConfig) -> StabilityReport:
-    """Integrate disc data around a sink and audit the contraction.
+    """Integrate disc data around a stable zero and audit the contraction.
 
-    Verifies that sup |u - z0| is non-increasing after an initial transient
-    and stays inside the shrinking disc radius delta exp(-t delta^2 / 2);
-    escape from D(z0, 2 delta) raises CounterexampleError (a discrete-level
-    contradiction that flags step-size or tolerance review).
+    thm1.8's hypotheses (else DomainError) and verdict (``converged``) come
+    from THEOREMS.  Verifies that sup |u - z0| is non-increasing after an
+    initial transient and stays inside the shrinking disc radius
+    delta exp(-t delta^2 / 2); escape from D(z0, 2 delta) raises
+    CounterexampleError (a discrete-level contradiction that flags step-size
+    or tolerance review).
     """
-    if not z0.is_sink():
-        raise DomainError("stability experiment needs a sink")
+    spec = EnvelopeSpec.from_field(datum)
+    try:
+        check = validate_envelope_hypotheses(spec, "thm1.8", cfg, z0)
+    except ConfigurationError as exc:
+        raise DomainError(f"stability experiment: {exc}") from exc
     if delta <= 0:
         raise DomainError("delta must be positive")
     target = z0.location
@@ -611,8 +679,8 @@ def stability_experiment(z0: ZeroRecord, delta: float, datum: GridField,
             "trajectory escaped D(z0, 2 delta); review dt/tolerances",
             report=run)
 
-    below = np.where(dist < _STABILITY_CONV_TOL)[0]
-    converged = below.size > 0
+    converged = check.verdict(run, spec, "thm1.8")["passed"]
+    below = np.flatnonzero(dist < _CONVERGED_TOL)
     conv_time = float(tgrid[below[0]]) if converged else None
 
     after = tgrid >= _STABILITY_TRANSIENT

@@ -176,9 +176,39 @@ class TestFlow:
         assert summary["quench"]["min_p"] < 1e-3
 
     def test_hypothesis_rejected_before_run(self, tmp_path):
+        # the refused run once left its directory with a summary.json
         assert run(["flow", "--mode", "pde", "--datum", "const:1.5",
                     "--check", "thm1.5", "--tend", "1",
                     "--out", str(tmp_path / "h")]) == 2
+        assert not (tmp_path / "h").exists()
+
+    @pytest.mark.parametrize("argv, needs", [
+        (["--datum", "const:0.5", "--lambda", "+1", "--check", "thm1.9"],
+         "thm1.9 needs lambda = -1"),
+        (["--datum", "const:3", "--lambda", "-1", "--check", "thm1.7i"],
+         "thm1.7i needs lambda = +1"),
+        (["--datum", "const:3", "--lambda", "-1", "--check", "thm1.5"],
+         "thm1.5 needs lambda = +1"),
+        (["--datum", "const:3", "--nonlinearity", "principal:3", "--check", "thm1.7i"],
+         "thm1.7i needs the zeta nonlinearity"),
+        (["--datum", "disc:-2:0.05", "--seed", "1", "--lambda", "-1", "--check", "thm1.8"],
+         "thm1.8 needs a disc datum around a zero z0 of L with lambda Re L'(z0) < 0;"),
+        (["--datum", "disc:3:0.05", "--seed", "1", "--check", "thm1.8"],
+         "thm1.8 needs a disc datum around a zero z0 of L with lambda Re L'(z0) < 0 (|F|"),
+    ], ids=["thm1.9-defocusing", "thm1.7i-focusing", "thm1.5-focusing",
+            "thm1.7i-principal3", "thm1.8-repelling", "thm1.8-not-a-zero"])
+    def test_check_outside_its_theorem_rejected_before_run(self, tmp_path, monkeypatch, capsys,
+                                                           argv, needs):
+        # each ran the march and reported a false counterexample (or a pass
+        # for an L the theorem is not about) with exit 0
+        def march(*args, **kwargs):
+            raise AssertionError("integrate_pde ran")
+        monkeypatch.setattr(zf.pde, "integrate_pde", march)
+        out = tmp_path / "outside"
+        assert run(["flow", "--mode", "pde", "--grid", "16", "--tend", "0.05"] + argv
+                   + ["--out", str(out)]) == 2
+        assert needs in capsys.readouterr().err
+        assert not out.exists()
 
     def test_thm19_hypothesis_rejected_before_run(self, tmp_path, monkeypatch):
         # I = -3 and S = 0.5 meet no case of thm1.9; the march once ran to its

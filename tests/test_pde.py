@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 import zetaflow as zf
 import zetaflow.pde as pm
+from zetaflow.cli import main as cli_main
 
 
 def flow_cfg(handle, **kw):
@@ -250,7 +252,7 @@ class TestIntegratePde:
         assert run.error_estimate is not None
         assert run.error_estimate < 1e-7
 
-    def test_shadow_failure_leaves_the_run_standing(self, zeta_handle, monkeypatch):
+    def test_shadow_failure_leaves_the_run_standing(self, zeta_handle, monkeypatch, tmp_path):
         # the halved-step shadow of a completed run failed numerically at
         # every step below the run's dt, and that ended the whole run
         original = pm.etd_step
@@ -264,6 +266,15 @@ class TestIntegratePde:
         run = zf.integrate_pde(zf.constant_field(3.0, shape=(16,)), cfg, estimate_error=True)
         assert run.termination == "completed"
         assert run.error_estimate is None
+        assert run.shadow_failure == "failed numerically at t = 0"
+        # the summary names the failed shadow; its flags were always empty
+        out = tmp_path / "shadow"
+        assert cli_main(["flow", "--datum", "const:3", "--check", "thm1.5", "--tend", "0.05",
+                         "--dt", "0.01", "--grid", "16", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["flags"] == [
+            "no error estimate: the shadow run failed numerically at t = 0"]
+        assert summary["check"]["slack"] == 1e-6
 
     def test_snapshot_budget(self, zeta_handle):
         cfg = flow_cfg(zeta_handle, lam=1, t_end=1.0, dt_init=1e-3)
@@ -358,16 +369,17 @@ class TestEnvelopeCheck:
         report = zf.envelope_check(run, spec, "thm1.7ii")
         assert report.passed
 
-    def test_second_validation_makes_no_zeta_call(self, monkeypatch):
+    def test_second_validation_makes_no_zeta_call(self, monkeypatch, zeta_handle):
         # sigma_1 was a 29-call bisection on every thm1.5 and cor1.6 validation
         spec = zf.EnvelopeSpec.from_field(zf.constant_field(3.0 + 0.5j, shape=(16,)))
-        zf.validate_envelope_hypotheses(spec, "thm1.5")
+        cfg = flow_cfg(zeta_handle, lam=1)
+        zf.validate_envelope_hypotheses(spec, "thm1.5", cfg)
         calls = []
         original = zf.special.riemann_zeta
         monkeypatch.setattr(zf.special, "riemann_zeta",
                             lambda *args: calls.append(args) or original(*args))
-        zf.validate_envelope_hypotheses(spec, "thm1.5")
-        zf.validate_envelope_hypotheses(spec, "cor1.6")
+        zf.validate_envelope_hypotheses(spec, "thm1.5", cfg)
+        zf.validate_envelope_hypotheses(spec, "cor1.6", cfg)
         assert calls == []
 
     def test_hypothesis_errors(self, zeta_handle):
@@ -389,13 +401,13 @@ class TestEnvelopeCheck:
         datum = zf.fourier_field(2.0 + 0.5j, [(1, 0.1)], shape=(16,))
         spec = zf.EnvelopeSpec.from_field(datum)
         with pytest.raises(zf.ConfigurationError):
-            zf.validate_envelope_hypotheses(spec, "thm1.7i")
+            zf.validate_envelope_hypotheses(spec, "thm1.7i", flow_cfg(zeta_handle, lam=1))
 
-    def test_cell_boundary_rejected_for_limits(self):
+    def test_cell_boundary_rejected_for_limits(self, zeta_handle):
         vals = np.full(16, -4.0, dtype=complex)  # I = S = -4, a cell boundary
         spec = zf.EnvelopeSpec.from_field(zf.GridField(vals))
         with pytest.raises(zf.ConfigurationError):
-            zf.validate_envelope_hypotheses(spec, "thm1.7iii")
+            zf.validate_envelope_hypotheses(spec, "thm1.7iii", flow_cfg(zeta_handle, lam=1))
 
 
 class TestStability:
@@ -438,6 +450,21 @@ class TestStability:
         cfg = flow_cfg(zeta_handle, lam=1, t_end=400.0, dt_init=0.1)
         with pytest.raises(zf.CounterexampleError):
             zf.stability_experiment(fake, 0.05, datum, cfg)
+
+    def test_stability_reads_lambda(self, zeta_handle, monkeypatch):
+        # the sink test read the record's kind, which holds for lambda = +1
+        # only: under lambda = -1 the sink -2 repels and the source -4 attracts
+        monkeypatch.setattr(pm, "integrate_pde", lambda *a, **k: pytest.fail("marched"))
+        cfg = flow_cfg(zeta_handle, lam=-1, t_end=1.0)
+        with pytest.raises(zf.DomainError):
+            zf.stability_experiment(zf.classify_zero(-2.0), 0.05,
+                                    zf.constant_field(-2.01, shape=(16,)), cfg)
+
+    def test_source_is_stable_for_focusing_flow(self, zeta_handle):
+        source = zf.classify_zero(-4.0)
+        cfg = flow_cfg(zeta_handle, lam=-1, t_end=1.0, dt_init=1e-2)
+        rep = zf.stability_experiment(source, 0.05, zf.constant_field(-4.0, shape=(16,)), cfg)
+        assert rep.converged and rep.convergence_time == 0.0
 
     def test_datum_outside_disc_rejected(self, zeta_handle):
         sink = zf.classify_zero(-2.0)
