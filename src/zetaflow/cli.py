@@ -207,11 +207,21 @@ def cmd_flow(args) -> int:
     if args.mode == "ode" and not args.datum.startswith("const:"):
         raise ConfigurationError("ode mode needs a constant datum")
     spec = check = None
+    target = _track_target(args)
     if args.check is not None:
         if args.mode != "pde":
             raise ConfigurationError("--check applies to --mode pde")
         spec = pde.EnvelopeSpec.from_field(datum)
-        check = pde.validate_envelope_hypotheses(spec, args.check, cfg, _track_target(args))
+        if args.check == "thm1.8" and target is not None:
+            # the run tracks the zero z0 that Newton refines from the disc
+            # center; where L is not small there, the check below says so
+            try:
+                target = ode._classify(handle, target)
+            except DomainError:
+                pass
+        check = pde.validate_envelope_hypotheses(spec, args.check, cfg, target)
+        if isinstance(target, ode.ZeroRecord):
+            target = target.location
     # created once the configuration is valid, so a configuration error
     # leaves no directory behind
     out_dir = Path(args.out)
@@ -228,7 +238,7 @@ def cmd_flow(args) -> int:
                "config_hash": _config_hash(doc), "artifacts": [], "flags": []}
 
     try:
-        return _run_flow(args, datum, cfg, spec, check, out_dir, summary, t0)
+        return _run_flow(args, datum, cfg, spec, check, target, out_dir, summary, t0)
     except ZetaflowError as exc:
         summary["termination"] = f"error: {exc}"
         summary["wall_time_s"] = round(time.perf_counter() - t0, 3)
@@ -236,7 +246,7 @@ def cmd_flow(args) -> int:
         raise
 
 
-def _run_flow(args, datum, cfg, spec, check, out_dir, summary, t0) -> int:
+def _run_flow(args, datum, cfg, spec, check, target, out_dir, summary, t0) -> int:
     if args.mode == "ode":
         result = ode.integrate_flow(cfg, datum.values.flat[0],
                                     rtol=args.rtol, atol=args.atol)
@@ -261,7 +271,7 @@ def _run_flow(args, datum, cfg, spec, check, out_dir, summary, t0) -> int:
               f"ratios {['%.3g' % r for r in result.ratios]}; "
               f"ETD deviation {dev:.3g}")
     else:  # pde
-        run = pde.integrate_pde(datum, cfg, track_target=_track_target(args),
+        run = pde.integrate_pde(datum, cfg, track_target=target,
                                 estimate_error=check is not None and check.estimate_error)
         summary["termination"] = run.termination
         summary["monitor_extrema"] = _monitor_extrema(run)

@@ -222,9 +222,9 @@ class LFunctionHandle:
         s = np.asarray(s, dtype=complex)
         flat = s.ravel()
         alphas = self._residues[2]
+        lowest = special._re_hull(flat)[0] if flat.size else math.inf
         values, ests, routes = special.hurwitz_split_many(
-            flat, alphas, self._router_tol(float(flat.real.min(initial=np.inf))), deriv,
-            self.period)
+            flat, alphas, self._router_tol(lowest), deriv, self.period)
         totals, est = self._combine(flat, values if deriv else (values,), ests)
         totals = [total.reshape(s.shape) for total in totals]
         return ((tuple(totals) if deriv else totals[0]), est.reshape(s.shape),
@@ -254,22 +254,31 @@ class LFunctionHandle:
         deriv = len(regs) == 2
         totals = [np.multiply(r.T, chis, order="C").sum(axis=-1, initial=0.0) for r in regs]
         est = np.multiply(ests.T, weights, order="C").sum(axis=-1, initial=0.0)
+        # the sums are this call's own arrays: the sums and real products below
+        # update them in place (a complex product in place would round otherwise)
         if self.has_pole:
-            totals[0] = totals[0] + len(alphas) / (flat - 1.0)
+            shifted = flat - 1.0
+            totals[0] += len(alphas) / shifted
             if deriv:
-                totals[1] = totals[1] - len(alphas) / (flat - 1.0) ** 2
+                totals[1] -= len(alphas) / shifted ** 2
         if m > 1:
             log_m = math.log(m)
             if deriv:
-                totals[1] = totals[1] - log_m * totals[0]
+                totals[1] -= log_m * totals[0]
             scale = np.exp(-flat * log_m)
             totals = [scale * total for total in totals]
-            est_scale = np.exp(-flat.real * log_m)
-            est = (est_scale * (1.0 + log_m) if deriv else est_scale) * est
+            est_scale = np.exp(flat.real * -log_m)
+            if deriv:
+                est_scale *= 1.0 + log_m
+            est *= est_scale
             # m^(-s) = exp(-s fl(ln m)) is off by eps (|s| ln m + 2) relative
             # and the product by 2 eps, on L and on L' alike
             largest = np.maximum(*map(np.abs, totals)) if deriv else np.abs(totals[0])
-            est = est + (np.abs(flat) * (_EPS * log_m) + 4.0 * _EPS) * largest
+            bound = np.abs(flat)
+            bound *= _EPS * log_m
+            bound += 4.0 * _EPS
+            bound *= largest
+            est += bound
         return totals, est
 
     def _evaluate_grid(self, sigmas, ts):
@@ -400,9 +409,12 @@ def sigma0_estimate(handle: LFunctionHandle, sigma_lo: float, sigma_hi: float,
 
     The scan takes the rows sigma_hi - 0.005 k while they are >= sigma_lo,
     then a row at sigma_lo, on a t-grid of step 0.2, and bisects the first
-    row with a change, from the top down, to 1e-4.  The window's Re L comes
-    from the lattice evaluator (LFunctionHandle._evaluate_grid) in t-blocks
-    of about _SCAN_BLOCK points, a bisection row as a 1-row lattice;
+    row with a change, from the top down, to 1e-4.  A change is one between
+    two sure points of opposite sign, sure where |Re L| exceeds its error
+    estimate; a point within it, as at a zero of L on the grid, has no
+    sign.  The window's Re L comes from the lattice evaluator
+    (LFunctionHandle._evaluate_grid) in t-blocks of about _SCAN_BLOCK
+    points, a bisection row as a 1-row lattice;
     the pole of a principal character at s = 1 is dodged to 1 + 0.2i/7.
     Raises DomainError, naming the window, left of Re s = -3.
 
@@ -423,21 +435,24 @@ def sigma0_estimate(handle: LFunctionHandle, sigma_lo: float, sigma_hi: float,
     # a principal character's rows at sigma = 1 take t = 0.2/7 for t = 0
     dodged = np.where(ts == 0.0, _T_STEP / 7.0, ts)
 
-    def re_rows(sigmas: np.ndarray) -> np.ndarray:
-        """Re L on the rows ``sigmas``, shaped (row, t)."""
+    def re_signs(sigmas: np.ndarray) -> np.ndarray:
+        """Sign of Re L on the rows ``sigmas``, shaped (row, t); 0 where |Re L| <= its estimate."""
         out = np.empty((sigmas.size, ts.size))
         pole = handle.has_pole & (np.abs(sigmas - 1.0) < 1e-12)
         for rows, grid_ts in ((~pole, ts), (pole, dodged)):
             if rows.any():
                 width = max(1, _SCAN_BLOCK // np.count_nonzero(rows))
                 for j in range(0, ts.size, width):
-                    out[rows, j:j + width] = handle._evaluate_grid(
-                        sigmas[rows], grid_ts[j:j + width])[0].real
+                    values, est = handle._evaluate_grid(sigmas[rows], grid_ts[j:j + width])
+                    re = values.real
+                    out[rows, j:j + width] = np.where(np.abs(re) > est, np.sign(re), 0.0)
         return out
 
     def first_change(row: np.ndarray) -> float | None:
-        idx = np.flatnonzero(np.diff(np.sign(row)) != 0)
-        return float(ts[idx[0]]) if idx.size else None
+        """t of the last sure point before the first change between sure points, or None."""
+        sure = np.flatnonzero(row)
+        idx = np.flatnonzero(np.diff(row[sure]) != 0)
+        return float(ts[sure[idx[0]]]) if idx.size else None
 
     sigmas = np.arange(sigma_hi, sigma_lo - _SIGMA_STEP * 0.5, -_SIGMA_STEP)
     sigmas = sigmas[sigmas >= sigma_lo]
@@ -445,7 +460,7 @@ def sigma0_estimate(handle: LFunctionHandle, sigma_lo: float, sigma_hi: float,
         sigmas = np.append(sigmas, sigma_lo)
     hit_sigma = None
     hit_t = None
-    for sg, row in zip(sigmas, re_rows(sigmas)):
+    for sg, row in zip(sigmas, re_signs(sigmas)):
         t_hit = first_change(row)
         if t_hit is not None:
             hit_sigma, hit_t = float(sg), t_hit
@@ -457,7 +472,7 @@ def sigma0_estimate(handle: LFunctionHandle, sigma_lo: float, sigma_hi: float,
     hi = min(hit_sigma + _SIGMA_STEP, sigma_hi)
     while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        t_hit = first_change(re_rows(np.array([mid]))[0])
+        t_hit = first_change(re_signs(np.array([mid]))[0])
         if t_hit is None:
             hi = mid
         else:

@@ -9,8 +9,10 @@ which every residue takes, from the point and whether the residues share a
 period alone, so a point takes the same route at every batch size.  Each
 route is one kernel call for all the residues (Euler-Maclaurin one per sign
 of Re s), with one contract: (R, R' or None, estimate), with a leading
-residue axis, R and R' from one pass and one estimate bounding each.  The
-routes, as the router names them:
+residue axis, R and R' from one pass and one estimate bounding each.  A call
+whose points make one Euler-Maclaurin group, as a size-1 call right of
+Re s = -3 does, returns that kernel call's arrays as they are.  The routes,
+as the router names them:
 
 * "reflect" left of Re s = -3, at every |Im s|, when a = 1 or a is a
   residue r/m of a given period m.  Hurwitz's formula (Apostol,
@@ -105,7 +107,8 @@ _BERNOULLI = (
 )
 # B_{2j} / (2j)!  for j = 1..14, and their logarithms' absolute values
 _EM_COEF = tuple(b / math.factorial(2 * (j + 1)) for j, b in enumerate(_BERNOULLI))
-_EM_LOG_COEF = tuple(math.log(abs(c)) for c in _EM_COEF)
+_EM_ABS_COEF = tuple(abs(c) for c in _EM_COEF)
+_EM_LOG_COEF = tuple(math.log(c) for c in _EM_ABS_COEF)
 # Most corrections summed; the next coefficient bounds the remainder.
 _EM_MAX_CORRECTIONS = 12
 # ln of the most partial-sum terms a plan may take (2^31)
@@ -184,9 +187,40 @@ def _check_alpha(alpha) -> float:
 
 def _check_alphas(alpha) -> tuple[tuple, bool]:
     """(the a of ``alpha`` checked, as a tuple; whether ``alpha`` is one a, not a sequence)."""
-    if isinstance(alpha, (tuple, list)) or (isinstance(alpha, np.ndarray) and alpha.ndim):
+    if isinstance(alpha, tuple):
+        return _checked_tuple(alpha), False
+    if isinstance(alpha, list) or (isinstance(alpha, np.ndarray) and alpha.ndim):
         return tuple(map(_check_alpha, alpha)), False
     return (_check_alpha(alpha),), True
+
+
+@lru_cache(maxsize=64)
+def _checked_tuple(alphas: tuple) -> tuple:
+    """The a of a tuple, checked.
+
+    Cached: the tuple a router call checked and hands on to its kernel is
+    not checked again.
+    """
+    return tuple(map(_check_alpha, alphas))
+
+
+@lru_cache(maxsize=64)
+def _all_residues(alphas: tuple, period: int) -> bool:
+    """Whether every a of ``alphas`` is a residue r/``period``."""
+    return all(abs(a * period - round(a * period)) <= 1e-9 for a in alphas)
+
+
+def _re_hull(flat: np.ndarray) -> tuple[float, float]:
+    """(min Re s, max Re s) over the 1-d points ``flat``, at least one; NaN if one is NaN.
+
+    One point is read as it is: a reduction would cost a size-1 call more
+    than its arithmetic.
+    """
+    if flat.size == 1:
+        re = float(flat[0].real)
+        return re, re
+    re = flat.real
+    return float(re.min()), float(re.max())
 
 
 def _at(s, alpha, route: str) -> str:
@@ -217,7 +251,7 @@ _FP_COEFS = tuple(k / math.factorial(k + 1) for k in range(_F_SERIES_TERMS, 0, -
 def _entire(u, coefs, closed):
     """Power series with ``coefs`` for |u| < 0.5, ``closed(u)`` elsewhere; float64 stays real."""
     u = np.asarray(u)
-    u = u if u.dtype == np.float64 else u.astype(complex)
+    u = u if u.dtype == np.float64 else u.astype(complex, copy=False)
     small = np.abs(u) < _F_SERIES_RADIUS
     count = np.count_nonzero(small)
     if count == small.size:
@@ -394,11 +428,11 @@ def hermite_h(s, alpha: float, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
 
 def _em_tail_majorant(big_s: float, big_a: float, n_corr: int) -> float:
     """Bound on |1/2 + sum_{j<=K} C_j (s)_{2j-1} (N+a)^(1-2j)| over |s| <= big_s."""
-    total, rising, power = 0.5, big_s, 1.0 / big_a
-    for j in range(1, n_corr + 1):
-        total += abs(_EM_COEF[j - 1]) * rising * power
+    total, rising, power, big_a2 = 0.5, big_s, 1.0 / big_a, big_a * big_a
+    for j, coef in enumerate(_EM_ABS_COEF[:n_corr], start=1):
+        total += coef * rising * power
         rising *= (big_s + 2 * j - 1) * (big_s + 2 * j)
-        power /= big_a * big_a
+        power /= big_a2
     return total
 
 
@@ -423,17 +457,21 @@ def _em_columns(alphas: tuple, n_terms: int):
     """_em_split's constants for the parameters ``alphas`` at N terms, read-only.
 
     The rows ln(n+a), n = 0..N, stacked (R, N+1), and as (R, 1) columns
-    ln(N+a), N+a and, on a leading axis j = 1.._EM_MAX_CORRECTIONS, the
-    Horner constants D_j = C_j (N+a)^(2-2j), each formed in Python floats
-    as for a single a.
+    ln(N+a), -ln(N+a), N+a and, on a leading axis j = 1.._EM_MAX_CORRECTIONS,
+    the Horner constants D_j = C_j (N+a)^(2-2j), each formed in Python floats
+    as for a single a.  All are complex, x + 0i, the operand numpy would cast
+    a real x to, so the kernel's complex arithmetic skips the cast and rounds
+    alike; the lattice reads the rows' real parts.
     """
     logs = np.stack([_em_logs(a, n_terms)[0] for a in alphas])
     big_a = [n_terms + a for a in alphas]
     inv_a2 = [1.0 / (x * x) for x in big_a]
     horner = np.array([[_EM_COEF[j] * inv ** j for inv in inv_a2]
-                       for j in range(_EM_MAX_CORRECTIONS)])[:, :, None]
-    cols = (logs, np.array([math.log(x) for x in big_a])[:, None], np.array(big_a)[:, None],
-            horner)
+                       for j in range(_EM_MAX_CORRECTIONS)], dtype=complex)[:, :, None]
+    la = [math.log(x) for x in big_a]
+    cols = (logs.astype(complex), np.array(la, dtype=complex)[:, None],
+            np.array([-x for x in la], dtype=complex)[:, None],
+            np.array(big_a, dtype=complex)[:, None], horner)
     for arr in cols:
         arr.setflags(write=False)
     return cols
@@ -585,9 +623,9 @@ def _em_group_rounding(re_min: float, re_max: float, big_s: float, alpha: float,
 _LATTICE_TERM_ROUNDING = 4.0
 
 
-def _em_rounding(re: np.ndarray, re_min: float, re_max: float, big_s: float, alpha: float,
-                 n_terms: int, n_corr: int, exact_lead: bool, want_deriv: bool,
-                 sieved: bool, lattice: bool = False):
+def _em_rounding(re: np.ndarray, re_min: float, re_max: float, big_s: float, alphas: tuple,
+                 n_terms: int, n_corr: int, leads: tuple, want_deriv: bool, sieved: bool,
+                 lattice: bool = False) -> np.ndarray:
     """Float64 rounding of _em_split at points with real parts ``re`` and |s| <= big_s.
 
     A term (n+a)^(-s) is off by eps (c_n + |s| |ln(n+a)|) (_term_rounding),
@@ -600,34 +638,48 @@ def _em_rounding(re: np.ndarray, re_min: float, re_max: float, big_s: float, alp
     each falls with Re s; its O(N) sums are read at ``re_min`` floored to
     the 1/_SUMS_RE_GRID grid, which over-counts them by at most
     (N+a)^(1/_SUMS_RE_GRID).  The first, a^(-s), is taken per point; with
-    ``exact_lead`` _leading_power forms it to a few eps.  With ``lattice``
-    it counts _em_grid instead: each term, and (N+a)^(-s), adds
+    an a's flag in ``leads`` _leading_power forms it to a few eps.  With
+    ``lattice`` it counts _em_grid instead: each term, and (N+a)^(-s), adds
     _LATTICE_TERM_ROUNDING to its c_n, the sum is sequential, of depth N,
     and ``big_s`` must bound |Re s| + |Im s|, which bounds the exponents'
-    rounding of the weight and the phase.  Returns a number for a = 1, else
-    an array like ``re``.
+    rounding of the weight and the phase.  Returns one row per a of
+    ``alphas``, shaped (residue, point), in one pass for every residue;
+    for a = 1 alone, where the first term is 1, a (1, 1) column.
     """
-    sums = _em_weighted_sums(alpha, n_terms, math.floor(re_min * _SUMS_RE_GRID) / _SUMS_RE_GRID,
-                             want_deriv, sieved)
+    re_sums = math.floor(re_min * _SUMS_RE_GRID) / _SUMS_RE_GRID
     depth, own = math.log2(n_terms + 1), 0.0 if sieved else 3.0      # c_0
     if lattice:
-        plain, logged, own_sum, power = sums
-        sums = (plain, logged, own_sum + _LATTICE_TERM_ROUNDING * plain,
-                power + _LATTICE_TERM_ROUNDING)
         depth, own = float(n_terms), own + _LATTICE_TERM_ROUNDING
-    rest = _em_group_rounding(re_min, re_max, big_s, alpha, n_terms, n_corr, want_deriv, sums,
-                              depth)
     step = depth + own
-    if alpha == 1.0:
-        return _EPS * step + rest        # the first term is 1
-    log_a = math.log(alpha)
-    if exact_lead:
-        # exp, the correction and the final sum, about 4 eps, and the
-        # derivative's term ln(a) a^(-s), 6 eps |ln a|; with margin
-        lead = max(6.0, 8.0 * abs(log_a)) if want_deriv else 6.0
-    else:
-        lead = (step + big_s * abs(log_a)) * (max(1.0, abs(log_a)) if want_deriv else 1.0)
-    return _EPS * lead * np.exp(-log_a * re) + rest
+    rests, leading, log_as = [], [], []
+    for a, exact_lead in zip(alphas, leads):
+        sums = _em_weighted_sums(a, n_terms, re_sums, want_deriv, sieved)
+        if lattice:
+            plain, logged, own_sum, power = sums
+            sums = (plain, logged, own_sum + _LATTICE_TERM_ROUNDING * plain,
+                    power + _LATTICE_TERM_ROUNDING)
+        rest = _em_group_rounding(re_min, re_max, big_s, a, n_terms, n_corr, want_deriv, sums,
+                                  depth)
+        if a == 1.0:
+            # the first term is 1: no per-point part, which 0 e^0 adds exactly
+            rests.append(_EPS * step + rest)
+            leading.append(0.0)
+            log_as.append(0.0)
+            continue
+        log_a = math.log(a)
+        if exact_lead:
+            # exp, the correction and the final sum, about 4 eps, and the
+            # derivative's term ln(a) a^(-s), 6 eps |ln a|; with margin
+            lead = max(6.0, 8.0 * abs(log_a)) if want_deriv else 6.0
+        else:
+            lead = (step + big_s * abs(log_a)) * (max(1.0, abs(log_a)) if want_deriv else 1.0)
+        rests.append(rest)
+        leading.append(_EPS * lead)
+        log_as.append(-log_a)
+    if not any(leading):
+        return np.array(rests)[:, None]
+    cols = np.array((leading, log_as, rests))[..., None]
+    return cols[0] * np.exp(cols[1] * re) + cols[2]
 
 
 def _em_sums_bound(points: int, re_min: float, alpha: float, want_deriv: bool,
@@ -905,8 +957,8 @@ def _em_split(s: np.ndarray, alpha, n_terms: int, n_corr: int, exact_lead,
     # numpy's complex product rounds differently where an operand is
     # broadcast, so the products past the partial sums take every point
     # repeated per a
-    grid = flat[None] if len(alphas) == 1 else np.repeat(flat[None], len(alphas), axis=0)
-    logs, la, big_a, horner = _em_columns(alphas, n_terms)
+    grid = flat[None] if len(alphas) == 1 else flat[None].repeat(len(alphas), axis=0)
+    logs, la, neg_la, big_a, horner = _em_columns(alphas, n_terms)
     if sieved:
         partial, dpartial, decay = _sieved_sums(flat, n_terms, want_deriv)
     else:
@@ -943,7 +995,8 @@ def _em_split(s: np.ndarray, alpha, n_terms: int, n_corr: int, exact_lead,
                     dpartial[r] -= (hi + lo) * power
         decay = np.exp(-grid * la)          # (N+a)^{-s}
 
-    boundary, tail, dboundary, dtail = _em_tail(grid, la, big_a, horner, n_corr, want_deriv)
+    boundary, tail, dboundary, dtail = _em_tail(grid, la, neg_la, big_a, horner, n_corr,
+                                                want_deriv)
     shape = s.shape if single else (len(alphas),) + s.shape
     regular = (partial + boundary + decay * tail).reshape(shape)
     if not want_deriv:
@@ -951,43 +1004,79 @@ def _em_split(s: np.ndarray, alpha, n_terms: int, n_corr: int, exact_lead,
     return regular, (dpartial + dboundary + decay * dtail).reshape(shape)
 
 
-def _em_tail(grid: np.ndarray, la, big_a, horner, n_corr: int, want_deriv: bool):
+def _em_tail(grid: np.ndarray, la, neg_la, big_a, horner, n_corr: int, want_deriv: bool):
     """(B, T, B' or None, T' or None): the boundary term and the Horner tail at the points ``grid``.
 
     The regular part is the partial sum + B + (N+a)^(-s) T, and its
     s-derivative the derivative's partial sum + B' + (N+a)^(-s) T'.  ``la``,
-    ``big_a`` and ``horner`` are the columns ln(N+a), N+a and D_j of
-    _em_columns, against the residue axis of ``grid``.
+    ``neg_la``, ``big_a`` and ``horner`` are the columns ln(N+a), -ln(N+a),
+    N+a and D_j of _em_columns, against the residue axis of ``grid``.
     """
-    w = -(grid - 1.0) * la
+    w = -(grid - _ONE) * la
     # (N+a)^(1-s)/(s-1) = -ln(N+a) f(-(s-1) ln(N+a)) + 1/(s-1)
-    boundary = -la * expm1_over(w)
+    boundary = neg_la * expm1_over(w)
 
-    # (N+a)^(-s) [1/2 + sum_{j<=K} C_j (s)_{2j-1} (N+a)^(1-2j)], the sum by
-    # Horner's rule: (s/(N+a)) (D_1 + v_1 (D_2 + v_2 (... + v_{K-1} D_K)))
-    # with v_j = (s+2j-1)(s+2j) and D_j = C_j (N+a)^(2-2j)
-    acc = horner[n_corr - 1]
-    dacc = np.zeros_like(grid) if want_deriv else None
-    for j in range(n_corr - 1, 0, -1):
-        v = (grid + (2 * j - 1)) * (grid + 2 * j)
-        if want_deriv:
-            dacc = dacc * v + acc * (2.0 * grid + (4 * j - 1))
-        acc = acc * v + horner[j - 1]
-    tail = 0.5 + grid * acc / big_a
+    acc, dacc = _em_horner(grid, horner, n_corr, want_deriv)
+    tail = _HALF + grid * acc / big_a
     if not want_deriv:
         return boundary, tail, None, None
     return (boundary, tail, la * la * expm1_over_deriv(w),
             (acc + grid * dacc) / big_a - la * tail)
 
 
-def _exact_leads(flat: np.ndarray, alphas: tuple, tol: float, big_s: float) -> tuple:
-    """Per a, whether _leading_power forms a^(-s) at the points ``flat``, |s| <= big_s.
+# v_j = (s+2j-1)(s+2j) and its s-derivative 2s+4j-1 add 2j-1, 2j and 4j-1,
+# j = 1.._EM_MAX_CORRECTIONS-1, to s and 2s, on a leading axis over j; these
+# and the tail's 1 and 1/2 are complex, as numpy would cast them
+_V_ODD = np.arange(1.0, 2.0 * _EM_MAX_CORRECTIONS - 2.0, 2.0, dtype=complex)[:, None, None]
+_V_EVEN = _V_ODD + 1.0
+_DV_SHIFT = 2.0 * _V_ODD + 1.0
+_ONE, _HALF = np.array(1.0, dtype=complex), np.array(0.5, dtype=complex)
+for _const in (_V_ODD, _V_EVEN, _DV_SHIFT, _ONE, _HALF):
+    _const.setflags(write=False)
+# Elements of one stacked op of _em_horner: the v_j of up to this many
+# (residue, point) elements are formed together, and of a larger grid one j
+# at a time, so no array outgrows the grid or 64 kB
+_HORNER_BLOCK = _EM_BLOCK // 4
 
-    It does where the plain rounding of a^(-s), eps |s| |ln a| a^(-Re s),
-    could reach a tenth of ``tol``.  Raises AccuracyError, naming the point,
+
+def _em_horner(grid: np.ndarray, horner, n_corr: int, want_deriv: bool):
+    """(A, A' or None): the Horner sum of _em_tail and its s-derivative at the points ``grid``.
+
+    (N+a)^(-s) [1/2 + sum_{j<=K} C_j (s)_{2j-1} (N+a)^(1-2j)] = (N+a)^(-s)
+    (1/2 + s A/(N+a)), A by Horner's rule: D_1 + v_1 (D_2 + v_2 (... +
+    v_{K-1} D_K)) with v_j = (s+2j-1)(s+2j) and D_j = C_j (N+a)^(2-2j).
+    The v_j are formed in blocks of consecutive j, one op per block over
+    (j, residue, point), of at most _HORNER_BLOCK elements or one j; the
+    products are elementwise those of one v_j at a time.  The derivative's
+    factor v_j' = 2s+4j-1 is a fresh array per j, as a product's operand
+    numpy may take over in place, which swaps the operands of a product
+    (and so its rounding) from 256 kB on.
+    """
+    steps = n_corr - 1
+    acc = horner[steps]
+    dacc = np.zeros_like(grid) if want_deriv else None
+    two_grid = 2.0 * grid if want_deriv and steps else None
+    block = max(1, _HORNER_BLOCK // grid.size)
+    for top in range(steps, 0, -block):
+        low = max(0, top - block)
+        v = (grid + _V_ODD[low:top]) * (grid + _V_EVEN[low:top])
+        for j in range(top - 1, low - 1, -1):
+            if want_deriv:
+                dacc = dacc * v[j - low] + acc * (two_grid + _DV_SHIFT[j])
+            acc = acc * v[j - low] + horner[j]
+    return acc, dacc
+
+
+def _exact_leads(flat: np.ndarray, alphas: tuple, tol: float, big_s: float,
+                 re_max: float) -> tuple:
+    """Per a, whether _leading_power forms a^(-s) at the points ``flat``.
+
+    The points have |s| <= big_s and Re s <= re_max.  It does where the
+    plain rounding of a^(-s), eps |s| |ln a| a^(-Re s), could reach a tenth
+    of ``tol``.  Raises AccuracyError, naming the point,
     where a^(-s) leaves the float64 range.
     """
-    low, re_max = min(alphas), float(flat.real.max())
+    low = min(alphas)
     if -re_max * math.log(low) > _LOG_FLOAT_MAX:
         raise AccuracyError("a^(-s) leaves the float64 range "
                             + _at(complex(flat[np.argmax(flat.real)]), low, "series-em"))
@@ -1024,15 +1113,13 @@ def euler_maclaurin_split(s, alpha, tol: float = 1e-12, want_deriv: bool = False
         empty = np.empty(shape, dtype=complex)
         return empty, (empty.copy() if want_deriv else None), np.zeros(shape)
     flat = s.ravel()
-    re = flat.real
-    re_min, re_max = float(re.min()), float(re.max())
+    re_min, re_max = _re_hull(flat)
     n_terms, n_corr, remainder, big_s = _em_plan(flat, min(alphas), tol, want_deriv, re_min)
-    leads = _exact_leads(flat, alphas, tol, big_s)
+    leads = _exact_leads(flat, alphas, tol, big_s, re_max)
     sieved = alphas == (1.0,) and _sieve_pays(flat.size, n_terms)
     est = np.empty((len(alphas), flat.size))
-    for r, (a, lead) in enumerate(zip(alphas, leads)):
-        est[r] = remainder + _em_rounding(re, re_min, re_max, big_s, a, n_terms, n_corr, lead,
-                                          want_deriv, sieved)
+    np.add(remainder, _em_rounding(flat.real, re_min, re_max, big_s, alphas, n_terms, n_corr,
+                                   leads, want_deriv, sieved), out=est)
     return (*_em_split(s, alphas[0] if single else alphas, n_terms, n_corr,
                        leads[0] if single else leads, want_deriv, sieved), est.reshape(shape))
 
@@ -1085,24 +1172,24 @@ def _em_grid(sigmas, ts, alphas: tuple, tol: float):
     flat = (sigmas[:, None] + 1j * ts[None, :]).ravel()
     re_min, re_max = float(sigmas.min()), float(sigmas.max())
     n_terms, n_corr, remainder, big_s = _em_plan(flat, min(alphas), tol, False, re_min)
-    leads = _exact_leads(flat, alphas, tol, big_s)
+    leads = _exact_leads(flat, alphas, tol, big_s, re_max)
     sieved = alphas == (1.0,) and _sieve_pays(ts.size, n_terms)
-    logs, la, big_a, horner = _em_columns(alphas, n_terms)
+    logs, la, neg_la, big_a, horner = _em_columns(alphas, n_terms)
     # the exponents of the weight and the phase are off by eps |sigma| ln(n+a)
     # and eps |t| ln(n+a)
     big_st = float(np.abs(sigmas).max() + np.abs(ts).max())
     partial = np.empty((len(alphas), flat.size), dtype=complex)
     decay = np.empty_like(partial)
-    est = np.empty((len(alphas), sigmas.size, 1))
     for r, (a, lead) in enumerate(zip(alphas, leads)):
-        sums, last = _lattice_sums(sigmas, ts, logs[r, 1 if lead else 0:], sieved)
+        sums, last = _lattice_sums(sigmas, ts, logs[r, 1 if lead else 0:].real, sieved)
         partial[r], decay[r] = sums.ravel(), last.ravel()
         if lead:
             partial[r] += _leading_power(flat, a)
-        est[r, :, 0] = remainder + _em_rounding(sigmas, re_min, re_max, big_st, a, n_terms,
-                                                n_corr, lead, False, sieved, lattice=True)
+    est = np.empty((len(alphas), sigmas.size, 1))
+    np.add(remainder, _em_rounding(sigmas, re_min, re_max, big_st, alphas, n_terms, n_corr,
+                                   leads, False, sieved, lattice=True), out=est[..., 0])
     grid = flat[None] if len(alphas) == 1 else np.repeat(flat[None], len(alphas), axis=0)
-    boundary, tail = _em_tail(grid, la, big_a, horner, n_corr, False)[:2]
+    boundary, tail = _em_tail(grid, la, neg_la, big_a, horner, n_corr, False)[:2]
     shape = (len(alphas), sigmas.size, ts.size)
     return ((partial + boundary + decay * tail).reshape(shape),
             np.broadcast_to(est, shape))
@@ -1349,18 +1436,28 @@ def hurwitz_split_many(s, alpha, tol: float = 1e-12, deriv: bool = False,
     once per sign of Re s: as one group, {-2.9, 0.5+300i} takes N = 179 and
     the -2.9 point comes out 3e-7 off, against 2.5e-13 alone.  ``deriv``
     False gives R, True the pair (R, R') from the same kernel calls, with
-    one estimate bounding each.  Returns (values, estimates, routes), routes
-    holding a code per point (SERIES_EM, HERMITE or REFLECT, indexing
-    ROUTES), each shaped like ``s`` with a leading axis over a sequence
-    ``alpha``.
+    one estimate bounding each.  Where one Euler-Maclaurin group holds every
+    point, every point right of Re s = -3 with one sign of Re s, the
+    kernel's arrays are the result, as they are.  Returns (values,
+    estimates, routes), routes holding a code per point (SERIES_EM, HERMITE
+    or REFLECT, indexing ROUTES), each shaped like ``s`` with a leading axis
+    over a sequence ``alpha``.
     """
     alphas, single_alpha = _check_alphas(alpha)
     if period is None:
         period = 1 if alphas == (1.0,) else None
-    elif any(abs(a * period - round(a * period)) > 1e-9 for a in alphas):
+    elif not _all_residues(alphas, period):
         raise DomainError(f"alpha {alpha!r} is not a residue r/{period}")
     s = np.asarray(s, dtype=complex)
     flat = s.ravel()
+    shape = s.shape if single_alpha else (len(alphas),) + s.shape
+    lo, hi = _re_hull(flat) if flat.size else (math.nan, math.nan)
+    if lo >= _H_RULE_RE_LIMIT and (lo >= 0.0 or hi < 0.0):
+        # one Euler-Maclaurin group holds every point: its arrays are the result
+        regular, dregular, est = euler_maclaurin_split(flat, alphas, tol=tol, want_deriv=deriv)
+        values = ((regular.reshape(shape), dregular.reshape(shape)) if deriv
+                  else regular.reshape(shape))
+        return values, est.reshape(shape), np.zeros(shape, dtype=np.int8)
     out = np.empty((len(alphas), flat.size), dtype=complex)
     dout = np.empty_like(out) if deriv else None
     est = np.empty(out.shape)
@@ -1386,10 +1483,8 @@ def hurwitz_split_many(s, alpha, tol: float = 1e-12, deriv: bool = False,
         negative = em & (flat.real < 0.0)
         n_negative = np.count_nonzero(negative)
         for size, group in ((n_negative, negative), (n_em - n_negative, em & ~negative)):
-            if size:        # a group of every point, as in a size-1 call, is not copied
-                at = slice(None) if size == flat.size else group
-                put(at, *euler_maclaurin_split(flat[at], alphas, tol=tol, want_deriv=deriv))
-    shape = s.shape if single_alpha else (len(alphas),) + s.shape
+            if size:
+                put(group, *euler_maclaurin_split(flat[group], alphas, tol=tol, want_deriv=deriv))
     values = (out.reshape(shape), dout.reshape(shape)) if deriv else out.reshape(shape)
     return values, est.reshape(shape), np.repeat(codes[None], len(alphas), axis=0).reshape(shape)
 

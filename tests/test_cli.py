@@ -312,6 +312,17 @@ class TestFlow:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["check"]["sup_dist_final"] < 1e-6
 
+    def test_stability_check_tracks_the_refined_zero(self, tmp_path, capsys):
+        # the disc center 0.5+14.1347i is 2.5e-5 from the zero; the run once
+        # tracked the center as typed and reported FAIL at that distance
+        out = tmp_path / "z1"
+        assert run(["flow", "--mode", "pde", "--datum", "disc:0.5+14.1347i:0.01",
+                    "--seed", "1", "--lambda", "-1", "--grid", "32", "--tend", "40",
+                    "--dt", "0.02", "--check", "thm1.8", "--out", str(out)]) == 0
+        assert "check thm1.8: pass" in capsys.readouterr().out
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["check"]["sup_dist_final"] < 1e-10
+
     def test_quench_check(self, tmp_path, capsys):
         out = tmp_path / "qc"
         assert run(["flow", "--mode", "pde", "--datum", "const:0.5",

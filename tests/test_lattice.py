@@ -97,7 +97,9 @@ PINNED = [
     ("chi5", -0.4, 0.3, 3.0, (-0.4, False, None)),
     ("chi4", -0.9, 0.4, 3.0, (-0.9, False, None)),
     ("chi5", -1.2, 0.6, 8.0, (0.5917187500000001, True, -4.800000000000001)),
-    ("zeta", -3.0, -2.0, 40.0, (-2.0, True, 0.0)),
+    # zeta(-2) = 0 is on the grid: its rounding-level Re once made a change
+    # at t = 0; the first change between sure points is at t = 12.8
+    ("zeta", -3.0, -2.0, 40.0, (-2.0, True, 12.8)),
     ("chi5", -2.9, 0.3, 3.0, (-0.8611718750000009, True, 0.4)),
     ("zeta", -2.9, 0.3, 0.4, (-1.8248437500000017, True, 0.2)),
 ]
@@ -123,6 +125,24 @@ def test_sigma0_strip_windows_are_pinned():
     for lo in STRIP_SIGMA_LO:
         res = zf.sigma0_estimate(zeta, lo, lo + 0.2, 300.0)
         assert (res.sigma, res.attained, res.t_hit) == (lo, False, None)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_sigma0_rounding_level_value_has_no_sign(monkeypatch, sign):
+    # L(-1, chi4) = 0 is on the grid, where Re L is 8.5e-14 against an
+    # estimate of 2.4e-12: with its sign forced either way the scan must
+    # return the change just below -1, between Re L < 0 at t = 0 and > 0 at
+    # t = 0.2; the sign it once counted made sigma = -1 with one of them
+    grid = dd.LFunctionHandle._evaluate_grid
+
+    def forced(self, sigmas, ts):
+        values, est = grid(self, sigmas, ts)
+        rounding = np.abs(values.real) <= est
+        return np.where(rounding, sign * np.abs(values.real) + 1j * values.imag, values), est
+
+    monkeypatch.setattr(dd.LFunctionHandle, "_evaluate_grid", forced)
+    res = zf.sigma0_estimate(HANDLES["chi4"], -2.9, 0.4, 4.0)
+    assert (res.sigma, res.attained, res.t_hit) == (-1.0000781250000013, True, 0.0)
 
 
 def test_sigma0_scan_stays_in_its_window():

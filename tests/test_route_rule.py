@@ -88,3 +88,28 @@ def test_route_is_the_same_at_every_batch_size(batch, case):
     for i in range(pts.size):
         single = sp.hurwitz_split_many(pts[i:i + 1], alphas, period=period)[2]
         assert (single[:, 0] == whole[:, i]).all(), (pts[i], whole[:, i], single[:, 0])
+
+
+# one Euler-Maclaurin group: every point right of Re s = -3, one sign of Re s
+_ONE_GROUP = st.tuples(st.booleans(), st.integers(1, 64)).flatmap(
+    lambda case: st.lists(
+        st.builds(complex, st.floats(-2.99, -0.01) if case[0] else st.floats(0.0, 8.0),
+                  st.floats(-60.0, 60.0) if case[0] else st.floats(-320.0, 320.0)),
+        min_size=case[1], max_size=case[1]))
+# zeta, chi4's residues and those of a complex character mod 5
+ONE_GROUP_CASES = ((1, (1.0,)), (4, RESIDUES[4]), (5, RESIDUES[5]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pts=_ONE_GROUP, case=st.sampled_from(ONE_GROUP_CASES), deriv=st.booleans())
+def test_one_group_batch_is_the_kernels_call(pts, case, deriv):
+    # the router hands a batch that is one kernel group to the kernel and
+    # returns its arrays: bitwise the kernel's own call, all of it SERIES_EM
+    period, alphas = case
+    pts = np.array(pts, dtype=complex)
+    values, est, routes = sp.hurwitz_split_many(pts, alphas, deriv=deriv, period=period)
+    reg, dreg, em_est = sp.euler_maclaurin_split(pts, alphas, want_deriv=deriv)
+    assert (routes == sp.SERIES_EM).all(), routes
+    for got, want in zip(values if deriv else (values,), (reg, dreg) if deriv else (reg,)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), pts
+    assert est.tobytes() == em_est.tobytes(), pts

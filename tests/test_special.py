@@ -421,6 +421,39 @@ class TestPlannedEulerMaclaurin:
             ests.append(est[0])
         assert ests[0] >= ests[1] >= ests[2], ests
 
+    @staticmethod
+    def _horner_by_loop(grid, horner, n_corr, want_deriv):
+        """_em_horner's sums as the tail once formed them: one v_j at a time, real D_j."""
+        acc = horner[n_corr - 1]
+        dacc = np.zeros_like(grid) if want_deriv else None
+        for j in range(n_corr - 1, 0, -1):
+            v = (grid + (2 * j - 1)) * (grid + 2 * j)
+            if want_deriv:
+                dacc = dacc * v + acc * (2.0 * grid + (4 * j - 1))
+            acc = acc * v + horner[j - 1]
+        return acc, dacc
+
+    @pytest.mark.parametrize("size, alphas", [(1, (1.0,)), (7, (0.25, 0.75)),
+                                              (33, (0.2, 0.4, 0.6, 0.8)), (4096, (0.25, 0.75)),
+                                              (4096, (0.2, 0.4, 0.6, 0.8))])
+    @pytest.mark.parametrize("want_deriv", [False, True])
+    def test_stacked_horner_is_the_loop_bitwise(self, size, alphas, want_deriv):
+        # the v_j stacked over j (in blocks of j for a large grid) and the
+        # complex D_j give the loop's bits; at 4 x 4096 numpy takes over the
+        # loop's fresh v_j' in place, which swaps the product's operands
+        rng = np.random.default_rng(size)
+        flat = rng.uniform(-2.99, 8.0, size) + 1j * rng.uniform(-320.0, 320.0, size)
+        flat[::5] = flat[::5].real
+        grid = flat[None].repeat(len(alphas), axis=0)
+        horner = sp._em_columns(alphas, 150)[-1]
+        for n_corr in range(1, sp._EM_MAX_CORRECTIONS + 1):
+            got = sp._em_horner(grid, horner, n_corr, want_deriv)
+            want = self._horner_by_loop(grid, horner.real, n_corr, want_deriv)
+            for a, b in zip(got, want):
+                if b is not None:       # at K = 1 the loop's sum is the real D_1
+                    b = np.broadcast_to(b, grid.shape).astype(complex)
+                    assert np.broadcast_to(a, grid.shape).tobytes() == b.tobytes(), n_corr
+
     def test_rounding_limited_point_trades_work_for_rounding(self):
         # the least-work pair, K = 6 and N = 468, counted 1.3e-10 of
         # rounding, past abs_tol; zeta' counts at least 1.7e-10 at every K
@@ -735,8 +768,8 @@ class TestRouteBoundary:
         pts = rng.uniform(0.0, 1.0, 48) + 1j * rng.uniform(-40.0, 40.0, 48)
         lo, hi, big_s = float(pts.real.min()), float(pts.real.max()), float(np.abs(pts).max())
         for n_terms in (*range(1, 65), 126, 127, 148, 163):
-            rounding = [sp._em_rounding(pts.real, lo, hi, big_s, 1.0, n_terms, 6, False, deriv,
-                                        sieved) for sieved in (False, True)]
+            rounding = [sp._em_rounding(pts.real, lo, hi, big_s, (1.0,), n_terms, 6, (False,),
+                                        deriv, sieved)[0] for sieved in (False, True)]
             direct, table = (sp._em_split(pts, 1.0, n_terms, 6, False, deriv, sieved)[deriv]
                              for sieved in (False, True))
             assert np.all(np.abs(table - direct) <= sum(rounding)), n_terms
