@@ -320,12 +320,11 @@ def _track_target(args) -> complex | None:
 
 
 def cmd_bounds(args) -> int:
-    if args.m is not None:
-        alpha = 1.0 / args.m
-    elif args.alpha is not None:
-        alpha = args.alpha
-    else:
+    if args.m is None and args.alpha is None:
         raise ConfigurationError("provide --alpha or --m")
+    if args.m is not None and args.m < 1:
+        raise ConfigurationError(f"--m must be a positive integer, got {args.m}")
+    alpha = args.alpha if args.m is None else 1.0 / args.m
     bc = special.bound_constants(alpha, args.beta)
     d1 = special.d_sup_bound(alpha, args.beta)
     rows = [
@@ -342,7 +341,9 @@ def cmd_bounds(args) -> int:
     for r in (0.5, 1.0, 2.0):
         rows.append((f"E({r:g})", special.f_prime_sup_bound(r), "closed-form"))
     if args.eps is not None:
-        m = args.m if args.m is not None else 1
+        m = args.m if args.m is not None else round(1.0 / alpha)
+        if abs(m * alpha - 1.0) > 1e-12:
+            raise ConfigurationError(f"1/alpha = {1.0 / alpha:g} is no period: give --m")
         consts = pde.local_constants(args.beta, args.eps, m)
         rows += [
             ("Z1", consts.z1, "assembled"),

@@ -12,8 +12,9 @@ One evaluator, ``LFunctionHandle.evaluate``, makes one Hurwitz router call
 for all residues and returns L (and L') with an error estimate and the
 routes; ``eval_many``, ``eval_point``, ``l_eval`` and the zero census call it.
 Its lattice counterpart, ``LFunctionHandle._evaluate_grid``, evaluates L on
-a sigma x t lattice with one phase table per residue for every row, for the
-sigma_0 scan; both share the chi-weighting, pole term and m^(-s) of
+a sigma x t lattice for the sigma_0 scan, from one call of the router's
+lattice twin ``special.hurwitz_grid``, which holds the route and group
+rules; both share the chi-weighting, pole term and m^(-s) of
 ``LFunctionHandle._combine``.
 
 Also here: the real root sigma_1 of zeta(sigma) = 2, a window-truncated scan
@@ -210,14 +211,11 @@ class LFunctionHandle:
         (1 + ln m) with ``deriv``, plus the rounding of m^(-s), bounds that
         of L and L'; the router runs at eval_cfg.split_tol times
         m^(min Re s) / sum_r |chi(r)| where that is below 1, for all
-        residues at once.  Each point takes one route for every residue,
-        and each route is one kernel call for all of them, which with
-        ``deriv`` gives R_r and R'_r together: left of Re s = -3 the points
-        take the reflection, at every |Im s|, and right of it
-        Euler-Maclaurin, at every batch size.  Each sum over the residues is
-        one elementwise sum, in the same order at every point and batch
-        size.  ``routes`` holds the
-        route code per residue (leading axis) and point; the rows are equal.
+        residues at once; it gives each point one route for every residue,
+        and with ``deriv`` R_r and R'_r from the same kernel calls.  Each
+        sum over the residues is one elementwise sum, in the same order at
+        every point and batch size.  ``routes`` holds the route code per
+        residue (leading axis) and point; the rows are equal.
         """
         s = np.asarray(s, dtype=complex)
         flat = s.ravel()
@@ -282,31 +280,18 @@ class LFunctionHandle:
         return totals, est
 
     def _evaluate_grid(self, sigmas, ts):
-        """(L, estimates) on the lattice ``sigmas`` x ``ts``, each shaped (row, column).
+        """(L, estimates) on the lattice of the arrays ``sigmas`` x ``ts``, shaped (row, column).
 
-        The lattice counterpart of ``evaluate``, value only, for Euler-Maclaurin
-        points: every sigma >= -3, and no point at the pole s = 1 of a
-        principal character.  The rows on either side of Re s = 0, the
-        router's two sign groups, are one special._em_grid call each for
-        all residues, at the tolerance ``evaluate`` takes for the lattice;
-        _combine weights, adds the pole term and scales them.
+        The lattice counterpart of ``evaluate``, value only, with no point
+        at the pole s = 1 of a principal character: one special.hurwitz_grid
+        call, at the tolerance ``evaluate`` takes, and one _combine call.
         """
-        sigmas = np.asarray(sigmas, dtype=float)
-        ts = np.asarray(ts, dtype=float)
-        alphas = self._residues[2]
-        tol = self._router_tol(float(sigmas.min()))
-        values = np.empty((sigmas.size, ts.size), dtype=complex)
-        est = np.empty(values.shape)
-        negative = sigmas < 0.0
-        for rows in (negative, ~negative):
-            if rows.any():
-                regs, ests = special._em_grid(sigmas[rows], ts, alphas, tol)
-                flat = (sigmas[rows, None] + 1j * ts[None, :]).ravel()
-                totals, errors = self._combine(flat, (regs.reshape(len(alphas), -1),),
-                                               ests.reshape(len(alphas), -1))
-                values[rows] = totals[0].reshape(-1, ts.size)
-                est[rows] = errors.reshape(-1, ts.size)
-        return values, est
+        regs, ests = special.hurwitz_grid(sigmas, ts, self._residues[2],
+                                          self._router_tol(float(sigmas.min())))
+        flat = (sigmas[:, None] + 1j * ts[None, :]).ravel()
+        totals, est = self._combine(flat, (regs.reshape(len(regs), -1),),
+                                    ests.reshape(len(regs), -1))
+        return totals[0].reshape(regs.shape[1:]), est.reshape(regs.shape[1:])
 
     def eval_many(self, s) -> np.ndarray:
         """Vectorized evaluation on an array of points away from s = 1."""
@@ -383,9 +368,6 @@ def sigma1_root(cfg: EvalConfig = DEFAULT_CONFIG) -> float:
 _SIGMA_STEP = 0.005
 _T_STEP = 0.2
 _BISECT_TOL = 1e-4
-# Left of Re s = -3 a point of a period reflects: the scan's lattice serves
-# Euler-Maclaurin points only.
-_SCAN_RE_MIN = -3.0
 # Lattice points per t-block of the scan.  Euler-Maclaurin's tail keeps about
 # seven complex arrays of the block alive; at a quarter of special._EM_BLOCK
 # they stay near a core's L2 cache.  On the strip benchmark's window (41
@@ -416,7 +398,8 @@ def sigma0_estimate(handle: LFunctionHandle, sigma_lo: float, sigma_hi: float,
     (LFunctionHandle._evaluate_grid) in t-blocks of about _SCAN_BLOCK
     points, a bisection row as a 1-row lattice;
     the pole of a principal character at s = 1 is dodged to 1 + 0.2i/7.
-    Raises DomainError, naming the window, left of Re s = -3.
+    Raises DomainError, naming the rows' range, left of Re s = -3, where
+    the lattice (special.hurwitz_grid) does not reach.
 
     A lower estimate of the true abscissa, truncated to the t-window; when no
     sign change exists anywhere in the window the result carries
@@ -426,9 +409,6 @@ def sigma0_estimate(handle: LFunctionHandle, sigma_lo: float, sigma_hi: float,
         raise DomainError("need sigma_lo < sigma_hi")
     if t_max < 0:
         raise DomainError("t_max must be nonnegative")
-    if sigma_lo < _SCAN_RE_MIN:
-        raise DomainError(f"the sigma0 scan needs sigma >= {_SCAN_RE_MIN:g}, "
-                          f"got the window [{sigma_lo!r}, {sigma_hi!r}]")
     ts = np.arange(0.0, t_max + _T_STEP * 0.5, _T_STEP)
     if not handle.character.is_real:
         ts = np.concatenate([-ts[::-1], ts[1:]])  # conjugate symmetry fails: scan both signs

@@ -4,17 +4,18 @@ An embedded Dormand-Prince 4(5) pair with PI step-size control integrates
 trajectories; accepted steps are monitored for pole proximity (the distance
 surrogate P(s) = |Re s - 1| + |Im s|), norm escape, and convergence onto a
 zero.  Zeros of the Riemann zeta on the critical line are located by a
-grid scan of |zeta(1/2 + it)| whose minima seed one lockstep Newton
+grid scan of |zeta(1/2 + it)|, one call of the Hurwitz router
+``special.hurwitz_split_many``, whose minima seed one lockstep Newton
 iteration over all seeds (one ``LFunctionHandle.evaluate`` call per iteration
 returns F, F' and the error estimate of every point still active, from one
 router call), classified by the sign of Re F'(z0) from the last of those
 calls, and independently counted with an argument-principle contour
-integral (the pole at s = 1 is cancelled by counting zeros of
-(s - 1) zeta(s) instead, which has the same zeros when the box excludes
-s = 1).  A seed that fails is reported with a reason naming
-the point, and the others go on.  The same Newton, on a size-1 batch,
-classifies a single zero (``classify_zero``) and the zero a flow converged
-onto, with the flow's own L-function.
+integral on router values, which reflect left of Re s = -3 (the pole at
+s = 1 is cancelled by counting zeros of (s - 1) zeta(s) instead, which has
+the same zeros when the box excludes s = 1).  A seed that fails is
+reported with a reason naming the point, and the others go on.  The same
+Newton, on a size-1 batch, classifies a single zero (``classify_zero``)
+and the zero a flow converged onto, with the flow's own L-function.
 """
 
 from __future__ import annotations
@@ -369,7 +370,7 @@ def find_critical_zeros(t_max: float, cfg: EvalConfig = DEFAULT_CONFIG) -> ZeroS
     # still an interior minimum; zeros above t_max are dropped below
     ts = np.arange(_SCAN_STEP, t_max + 3 * _SCAN_STEP, _SCAN_STEP)
     s = 0.5 + 1j * ts
-    reg, _, _ = special.euler_maclaurin_split(s, 1.0, tol=1e-11)
+    reg = special.hurwitz_split_many(s, 1.0, tol=1e-11)[0]
     mag = np.abs(reg + 1.0 / (s - 1.0))
     interior = ((mag[1:-1] < mag[:-2]) & (mag[1:-1] < mag[2:])
                 & (mag[1:-1] < _SEED_LEVEL))
@@ -401,8 +402,9 @@ def count_zeros_box(re_lo: float, re_hi: float, im_lo: float, im_hi: float) -> i
 
     Integrates F'/F for F = (s-1) zeta(s) = 1 + (s-1) R, R the regular part,
     as (R + (s-1) R') / (1 + (s-1) R), which is regular at s = 1 (F(1) = 1),
-    around the box with trapezoid sums of Euler-Maclaurin values at tol
-    1e-11, halving the spacing until the winding stabilizes on an integer.
+    around the box with trapezoid sums of router values at tol 1e-11 (the
+    reflection left of Re s = -3, so a box may enclose a trivial zero),
+    halving the spacing until the winding stabilizes on an integer.
     An edge of length L starts with max(96, 16 L) intervals; the grids are
     nested, so each halving evaluates only the new midpoints, of all four
     edges in one call.  s = 1 may lie on the boundary but not inside the
@@ -421,7 +423,7 @@ def count_zeros_box(re_lo: float, re_hi: float, im_lo: float, im_hi: float) -> i
     def integrand(fractions):
         """The integrand at a + (b - a) u for each edge's array u, in one call."""
         s = np.concatenate([a + d * u for (a, d), u in zip(edges, fractions)])
-        reg, dreg, _ = special.euler_maclaurin_split(s, 1.0, tol=1e-11, want_deriv=True)
+        (reg, dreg), _, _ = special.hurwitz_split_many(s, 1.0, tol=1e-11, deriv=True)
         shifted = s - 1.0
         g = (reg + shifted * dreg) / (1.0 + shifted * reg)
         return np.split(g, np.cumsum([u.size for u in fractions])[:-1])

@@ -252,8 +252,9 @@ def integrate_pde(g: GridField, cfg: FlowConfig,
     if cfg.nonlinearity.has_pole and float(np.min(pole_distance(g.values))) <= cfg.pole_guard_eps:
         raise DomainError("initial datum violates the pole guard")
 
-    n_steps = max(1, round(cfg.t_end / cfg.dt_init))
-    dt = cfg.t_end / n_steps
+    # a run to t_end = 0 takes no step: it holds the datum
+    n_steps = max(1, round(cfg.t_end / cfg.dt_init)) if cfg.t_end else 0
+    dt = cfg.t_end / max(n_steps, 1)
     snap_every = max(1, n_steps // _SNAPSHOT_BUDGET)
 
     field = g.copy()

@@ -53,14 +53,12 @@ as the router names them:
   row is the product of two earlier rows.  The partial sums are summed by
   pairwise halving, of depth log2 N.
 
-The sigma0 scan of the dirichlet module evaluates whole sigma x t lattices,
-value only, through _em_grid, a private Euler-Maclaurin entry outside the
-router: rows that share their t split (n+a)^(-s) into a real weight
-(n+a)^(-sigma) per row and a phase (n+a)^(-it) per column, so one phase
-table per a (sieved for a = 1) serves every row, and the partial sums of
-all rows are one real contraction in a fixed-order einsum loop.  It shares
-_em_split's plan, lead term and tail (_em_tail); its estimate counts a
-sequential sum, of depth N, and the weight's exp and product in each term.
+The router's lattice twin, ``hurwitz_grid``, evaluates whole sigma x t
+lattices, value only, for the sigma0 scan of the dirichlet module: the rows
+where the router takes Euler-Maclaurin (Re s >= -3), split into its sign
+groups by its own predicate (_em_left), one kernel call (_em_grid) each,
+whose rows share one phase table per a.  The two routers are the only way
+into the kernels: no other module calls a kernel or states a route rule.
 
 The scalar functions raise AccuracyError, naming s, a and the route, where
 the estimate exceeds both ``EvalConfig.abs_tol`` and the float64 floor of
@@ -1045,12 +1043,10 @@ def _em_horner(grid: np.ndarray, horner, n_corr: int, want_deriv: bool):
     (N+a)^(-s) [1/2 + sum_{j<=K} C_j (s)_{2j-1} (N+a)^(1-2j)] = (N+a)^(-s)
     (1/2 + s A/(N+a)), A by Horner's rule: D_1 + v_1 (D_2 + v_2 (... +
     v_{K-1} D_K)) with v_j = (s+2j-1)(s+2j) and D_j = C_j (N+a)^(2-2j).
-    The v_j are formed in blocks of consecutive j, one op per block over
-    (j, residue, point), of at most _HORNER_BLOCK elements or one j; the
-    products are elementwise those of one v_j at a time.  The derivative's
-    factor v_j' = 2s+4j-1 is a fresh array per j, as a product's operand
-    numpy may take over in place, which swaps the operands of a product
-    (and so its rounding) from 256 kB on.
+    The v_j, and the derivative's factors v_j' = 2s+4j-1, are formed in
+    blocks of consecutive j, one op per block over (j, residue, point), of
+    at most _HORNER_BLOCK elements or one j; the products are elementwise
+    those of one v_j at a time, at every batch size.
     """
     steps = n_corr - 1
     acc = horner[steps]
@@ -1060,9 +1056,10 @@ def _em_horner(grid: np.ndarray, horner, n_corr: int, want_deriv: bool):
     for top in range(steps, 0, -block):
         low = max(0, top - block)
         v = (grid + _V_ODD[low:top]) * (grid + _V_EVEN[low:top])
+        dv = two_grid + _DV_SHIFT[low:top] if want_deriv else None
         for j in range(top - 1, low - 1, -1):
             if want_deriv:
-                dacc = dacc * v[j - low] + acc * (two_grid + _DV_SHIFT[j])
+                dacc = dacc * v[j - low] + acc * dv[j - low]
             acc = acc * v[j - low] + horner[j]
     return acc, dacc
 
@@ -1148,27 +1145,23 @@ def _lattice_sums(sigmas: np.ndarray, ts: np.ndarray, logs: np.ndarray, sieved: 
 
 
 def _em_grid(sigmas, ts, alphas: tuple, tol: float):
-    """Regular parts R of zeta(sigma + it, a) on the lattice ``sigmas`` x ``ts``, value only.
+    """hurwitz_grid's kernel: regular parts R on one Euler-Maclaurin group of lattice rows.
 
-    Returns (R, estimates), both shaped (residue, row, column), for the
-    residues ``alphas``.  The lattice is one Euler-Maclaurin group, planned
-    by _em_plan at the least a, so its rows must lie on one side of Re s = 0
-    and where the router takes Euler-Maclaurin (Re s >= -3 for a residue of
-    a period).  Every row shares the columns' t, so (n+a)^(-s) splits into a
-    real weight (n+a)^(-sigma) per (row, term) and a phase (n+a)^(-it) per
-    (term, column), one phase table per a: for a = 1 the sieved table
-    (_sieved_table, where _sieve_pays), else one exp per term, the n = 0 term
-    left to _leading_power where _exact_leads flags it.  The partial sums of
-    all rows are one real contraction of the (row, term) weights with the
-    (term, 2 column) table, an einsum in a fixed-order C loop; a BLAS product
-    would round differently with the thread count and the CPU's kernel.
-    (N+a)^(-s) is the product of the last weight and phase, and _em_tail
-    gives the rest.  An estimate is the plan's remainder bound plus
-    _em_rounding's lattice count: a sequential sum, and the weight's exp and
-    the product in each term.
+    Returns (R, estimates) for the residues ``alphas``, shaped (residue,
+    row, column) and (residue, row, 1), from float arrays; the rows are
+    planned by _em_plan at the least a.  Every row shares the columns' t,
+    so (n+a)^(-s) splits into a real weight (n+a)^(-sigma) per (row, term)
+    and a phase (n+a)^(-it) per (term, column), one phase table per a: for
+    a = 1 the sieved table (_sieved_table, where _sieve_pays), else one exp
+    per term, the n = 0 term left to _leading_power where _exact_leads
+    flags it.  The partial sums of all rows are one real contraction of the
+    (row, term) weights with the (term, 2 column) table, an einsum in a
+    fixed-order C loop; a BLAS product would round differently with the
+    thread count and the CPU's kernel.  (N+a)^(-s) is the product of the
+    last weight and phase, and _em_tail gives the rest.  An estimate is the
+    plan's remainder bound plus _em_rounding's lattice count: a sequential
+    sum, and the weight's exp and the product in each term.
     """
-    sigmas = np.asarray(sigmas, dtype=float)
-    ts = np.asarray(ts, dtype=float)
     flat = (sigmas[:, None] + 1j * ts[None, :]).ravel()
     re_min, re_max = float(sigmas.min()), float(sigmas.max())
     n_terms, n_corr, remainder, big_s = _em_plan(flat, min(alphas), tol, False, re_min)
@@ -1190,9 +1183,7 @@ def _em_grid(sigmas, ts, alphas: tuple, tol: float):
                                    leads, False, sieved, lattice=True), out=est[..., 0])
     grid = flat[None] if len(alphas) == 1 else np.repeat(flat[None], len(alphas), axis=0)
     boundary, tail = _em_tail(grid, la, neg_la, big_a, horner, n_corr, False)[:2]
-    shape = (len(alphas), sigmas.size, ts.size)
-    return ((partial + boundary + decay * tail).reshape(shape),
-            np.broadcast_to(est, shape))
+    return (partial + boundary + decay * tail).reshape(len(alphas), sigmas.size, ts.size), est
 
 
 # ---------------------------------------------------------------------------
@@ -1406,6 +1397,11 @@ _H_RULE_RE_LIMIT = -3.0
 HERMITE_IM_LIMIT = 15.0
 
 
+def _em_left(re):
+    """Whether real parts ``re`` (float or array) lie in the Euler-Maclaurin group left of 0."""
+    return re < 0.0
+
+
 # Route codes of hurwitz_split_many, indexing ROUTES
 SERIES_EM, HERMITE, REFLECT = 0, 1, 2
 ROUTES = ("series-em", "hermite", "reflect")
@@ -1433,12 +1429,12 @@ def hurwitz_split_many(s, alpha, tol: float = 1e-12, deriv: bool = False,
     a = 1 alone implies m = 1.  _route_masks gives each point one route,
     shared by every residue; each route is one kernel call for all the
     residues: the reflection, the h-rule (d + h, d' + h'), and Euler-Maclaurin
-    once per sign of Re s: as one group, {-2.9, 0.5+300i} takes N = 179 and
-    the -2.9 point comes out 3e-7 off, against 2.5e-13 alone.  ``deriv``
-    False gives R, True the pair (R, R') from the same kernel calls, with
-    one estimate bounding each.  Where one Euler-Maclaurin group holds every
-    point, every point right of Re s = -3 with one sign of Re s, the
-    kernel's arrays are the result, as they are.  Returns (values,
+    once per sign group (_em_left): as one group, {-2.9, 0.5+300i} takes
+    N = 179 and the -2.9 point comes out 3e-7 off, against 2.5e-13 alone.
+    ``deriv`` False gives R, True the pair (R, R') from the same kernel
+    calls, with one estimate bounding each.  Where one Euler-Maclaurin group
+    holds every point, every point right of Re s = -3 in one sign group,
+    the kernel's arrays are the result, as they are.  Returns (values,
     estimates, routes), routes holding a code per point (SERIES_EM, HERMITE
     or REFLECT, indexing ROUTES), each shaped like ``s`` with a leading axis
     over a sequence ``alpha``.
@@ -1452,7 +1448,7 @@ def hurwitz_split_many(s, alpha, tol: float = 1e-12, deriv: bool = False,
     flat = s.ravel()
     shape = s.shape if single_alpha else (len(alphas),) + s.shape
     lo, hi = _re_hull(flat) if flat.size else (math.nan, math.nan)
-    if lo >= _H_RULE_RE_LIMIT and (lo >= 0.0 or hi < 0.0):
+    if lo >= _H_RULE_RE_LIMIT and _em_left(lo) == _em_left(hi):
         # one Euler-Maclaurin group holds every point: its arrays are the result
         regular, dregular, est = euler_maclaurin_split(flat, alphas, tol=tol, want_deriv=deriv)
         values = ((regular.reshape(shape), dregular.reshape(shape)) if deriv
@@ -1470,23 +1466,42 @@ def hurwitz_split_many(s, alpha, tol: float = 1e-12, deriv: bool = False,
             dout[:, at] = dvalues
 
     reflect, on_h = _route_masks(flat, period is not None)
-    n_reflect, n_hermite = np.count_nonzero(reflect), np.count_nonzero(on_h)
-    if n_reflect:
+    if reflect.any():
         put(reflect, *_reflect(flat[reflect], period, alphas, tol, deriv))
         codes[reflect] = REFLECT
-    if n_hermite:
+    if on_h.any():
         put(on_h, *_h_rule(flat[on_h], alphas, tol, deriv))
         codes[on_h] = HERMITE
-    n_em = flat.size - n_reflect - n_hermite
-    if n_em:
-        em = ~(reflect | on_h)
-        negative = em & (flat.real < 0.0)
-        n_negative = np.count_nonzero(negative)
-        for size, group in ((n_negative, negative), (n_em - n_negative, em & ~negative)):
-            if size:
-                put(group, *euler_maclaurin_split(flat[group], alphas, tol=tol, want_deriv=deriv))
+    em, left = ~(reflect | on_h), _em_left(flat.real)
+    for group in (em & left, em & ~left):
+        if group.any():
+            put(group, *euler_maclaurin_split(flat[group], alphas, tol=tol, want_deriv=deriv))
     values = (out.reshape(shape), dout.reshape(shape)) if deriv else out.reshape(shape)
     return values, est.reshape(shape), np.repeat(codes[None], len(alphas), axis=0).reshape(shape)
+
+
+def hurwitz_grid(sigmas, ts, alphas: tuple, tol: float):
+    """The router's lattice twin: (R, estimates) of zeta(sigma + it, a) on ``sigmas`` x ``ts``.
+
+    R is the regular part, value only; both are shaped (residue, row,
+    column) over ``alphas``.  Left of Re s = -3, where the router leaves
+    Euler-Maclaurin, DomainError names the rows' range; the rows split into
+    the router's sign groups (_em_left), one _em_grid call each.
+    """
+    alphas = _checked_tuple(alphas)
+    sigmas = np.asarray(sigmas, dtype=float)
+    ts = np.asarray(ts, dtype=float)
+    lo, hi = float(sigmas.min()), float(sigmas.max())
+    if not lo >= _H_RULE_RE_LIMIT:
+        raise DomainError(f"the lattice takes Euler-Maclaurin rows, Re s >= {_H_RULE_RE_LIMIT:g}, "
+                          f"got the rows [{lo!r}, {hi!r}]")
+    values = np.empty((len(alphas), sigmas.size, ts.size), dtype=complex)
+    est = np.empty((len(alphas), sigmas.size, 1))
+    left = _em_left(sigmas)
+    for rows in (left, ~left):
+        if rows.any():
+            values[:, rows], est[:, rows] = _em_grid(sigmas[rows], ts, alphas, tol)
+    return values, np.broadcast_to(est, values.shape)
 
 
 def _split_point(s, alpha: float, cfg: EvalConfig, deriv: bool):

@@ -151,6 +151,19 @@ class TestFlow:
         hashes = [json.loads((o / "summary.json").read_text())["config_hash"] for o in outs]
         assert hashes[0] != hashes[1]
 
+    @pytest.mark.parametrize("mode", ["ode", "pde"])
+    def test_zero_horizon_returns_the_datum(self, tmp_path, mode):
+        out = tmp_path / mode
+        assert run(["flow", "--mode", mode, "--datum", "const:-3", "--tend", "0",
+                    "--grid", "16", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["termination"] == "completed"
+        if mode == "ode":
+            assert summary["final_state"] == {"re": -3.0, "im": 0.0, "t": 0.0}
+        else:
+            assert summary["monitor_extrema"]["sup_abs"] == 3.0
+            assert json.loads((out / "run.json").read_text())["snapshots"][-1]["t"] == 0.0
+
     def test_ode_needs_constant_datum(self, tmp_path):
         assert run(["flow", "--mode", "ode", "--datum", "range:-3,-2", "--seed", "1",
                     "--out", str(tmp_path / "x")]) == 2
@@ -480,6 +493,26 @@ class TestBoundsAndSigma:
 
     def test_bounds_needs_alpha_or_m(self):
         assert run(["bounds", "--beta", "2"]) == 2
+
+    @pytest.mark.parametrize("m", ["0", "-2"])
+    def test_bounds_m_must_be_positive(self, capsys, m):
+        assert run(["bounds", "--m", m, "--beta", "1"]) == 2
+        assert f"--m must be a positive integer, got {m}" in capsys.readouterr().err
+
+    def test_bounds_alpha_gives_the_period_of_the_assembled_rows(self, capsys):
+        # the assembled rows of --alpha 0.5 were once those of m = 1
+        def assembled(argv):
+            assert run(["bounds", "--beta", "1", "--eps", "0.1"] + argv) == 0
+            return [line for line in capsys.readouterr().out.splitlines()
+                    if line.endswith("assembled")]
+
+        rows = assembled(["--alpha", "0.5"])
+        assert len(rows) == 5 and rows == assembled(["--m", "2"])
+        assert float(rows[0].split()[1]) == pytest.approx(23.43, abs=0.01)
+
+    def test_bounds_alpha_without_a_period_needs_m(self, capsys):
+        assert run(["bounds", "--alpha", "0.3", "--beta", "1", "--eps", "0.1"]) == 2
+        assert "give --m" in capsys.readouterr().err
 
     def test_sigma1(self, capsys):
         assert run(["sigma", "--which", "sigma1"]) == 0

@@ -1,7 +1,7 @@
 """The sigma0 scan's lattice evaluator and the scan's results.
 
 ``LFunctionHandle._evaluate_grid`` evaluates L on a sigma x t lattice, the
-rows sharing one phase table per residue (``special._em_grid``).  Its values
+rows sharing one phase table per residue (``special.hurwitz_grid``).  Its values
 are checked against mpmath and against ``evaluate`` at the same points, each
 within the estimates; ``sigma0_estimate``, which scans with it, is pinned to
 the results the per-row scan gave before the lattice.

@@ -282,16 +282,24 @@ class TestZeroCensus:
         assert zf.count_zeros_box(-1e-3, 1.001, 1e-3, 15.001) == 1
         assert zf.count_zeros_box(-1e-3, 1.001, 1e-3, 30.001) == 3
 
+    @pytest.mark.parametrize("box, want", [((-26.5, -25.5, -0.5, 0.5), 1),
+                                           ((-60.5, -59.5, -0.5, 0.5), 1),
+                                           ((-5.5, -0.5, -1.0, 1.0), 2)])
+    def test_box_count_around_trivial_zeros(self, box, want):
+        # left of Re s = -3 the router reflects; Euler-Maclaurin alone found
+        # no remainder bound at Re s <= -25
+        assert zf.count_zeros_box(*box) == want
+
     def test_box_count_evaluates_each_level_once(self, monkeypatch):
-        # nested grids: the first level and each halving are one call each
+        # nested grids: the first level and each halving are one router call each
         calls = []
-        em = om.special.euler_maclaurin_split
+        router = om.special.hurwitz_split_many
 
         def counted(s, *args, **kwargs):
             calls.append(np.size(s))
-            return em(s, *args, **kwargs)
+            return router(s, *args, **kwargs)
 
-        monkeypatch.setattr(om.special, "euler_maclaurin_split", counted)
+        monkeypatch.setattr(om.special, "hurwitz_split_many", counted)
         assert zf.count_zeros_box(-1e-3, 1.001, 1e-3, 30.001) == 3
         assert calls == [2 * 97 + 2 * 481, 2 * 96 + 2 * 480]
 

@@ -188,6 +188,16 @@ class TestIntegratePde:
                     for t, snap in zip(run.snapshot_times, run.snapshots) if t > 0)
         assert worst < 1e-6
 
+    def test_zero_horizon_holds_the_datum(self, zeta_handle):
+        # t_end = 0 once made one step of dt = 0, which raised DomainError
+        datum = zf.disc_random_field(-3.0, 0.1, 1, shape=(16,))
+        run = zf.integrate_pde(datum, flow_cfg(zeta_handle, lam=1, t_end=0.0),
+                               estimate_error=True)
+        assert run.termination == "completed" and run.final.time == 0.0
+        assert run.final.values.tobytes() == datum.values.tobytes()
+        assert run.snapshot_times == [0.0] and run.monitors.time.tolist() == [0.0]
+        assert run.error_estimate == 0.0
+
     def test_initial_guard(self, zeta_handle):
         cfg = flow_cfg(zeta_handle, lam=1, t_end=1.0)
         with pytest.raises(zf.DomainError):
