@@ -280,15 +280,14 @@ def _run_flow(args, datum, cfg, spec, check, target, out_dir, summary, t0) -> in
                                  "min_p": run.quench.min_p,
                                  "value": {"re": run.quench.value.real,
                                            "im": run.quench.value.imag}}
+        # each snapshot's monitor row: a snapshot is taken at a monitor time
+        rows = np.searchsorted(run.monitors.time, run.snapshot_times)
+        columns = ("re_min", "re_max", "im_min", "im_max", "sup_abs")
         run_doc = {
             "termination": run.termination,
             "dt": run.dt, "t_end": run.t_end, "lambda": run.cfg.lam,
-            "snapshots": [
-                {"t": t,
-                 "re_min": float(np.min(s.real)), "re_max": float(np.max(s.real)),
-                 "im_min": float(np.min(s.imag)), "im_max": float(np.max(s.imag)),
-                 "sup_abs": float(np.max(np.abs(s)))}
-                for t, s in zip(run.snapshot_times, run.snapshots)],
+            "snapshots": [dict(t=t, **{c: getattr(run.monitors, c)[k].item() for c in columns})
+                          for t, k in zip(run.snapshot_times, rows)],
         }
         (out_dir / "run.json").write_text(
             json.dumps(run_doc, sort_keys=True, indent=1) + "\n")
@@ -320,8 +319,8 @@ def _track_target(args) -> complex | None:
 
 
 def cmd_bounds(args) -> int:
-    if args.m is None and args.alpha is None:
-        raise ConfigurationError("provide --alpha or --m")
+    if (args.m is None) == (args.alpha is None):
+        raise ConfigurationError("give one of --alpha and --m: both set the period")
     if args.m is not None and args.m < 1:
         raise ConfigurationError(f"--m must be a positive integer, got {args.m}")
     alpha = args.alpha if args.m is None else 1.0 / args.m

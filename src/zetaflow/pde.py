@@ -32,7 +32,7 @@ from .ode import FlowConfig, ZeroRecord, _classify, pole_distance
 ESCAPE_LIMIT = 1.0e6
 _OVERSHOOT_JUMP = 1.0
 _MAX_HALVINGS = 20
-# About this many field snapshots are kept per run (integrate_pde)
+# About this many field snapshots are kept per run, for the artifacts (integrate_pde)
 _SNAPSHOT_BUDGET = 200
 
 
@@ -241,7 +241,8 @@ def integrate_pde(g: GridField, cfg: FlowConfig,
 
     Early terminations: 'quenched' when the pole guard trips (min P below
     cfg.pole_guard_eps), 'escaped' when sup |u| exceeds 1e6.  Monitors are
-    sampled every step; about _SNAPSHOT_BUDGET field snapshots are kept.
+    sampled every step and feed the theorem checks; about _SNAPSHOT_BUDGET
+    field snapshots are kept for run.json, fields.csv and the tests only.
     With ``estimate_error`` a halved-step shadow run at the same horizon
     supplies a self-convergence error estimate (only for completed runs);
     a shadow that quenches or fails numerically leaves it None, the run
@@ -377,50 +378,48 @@ class TheoremCheck:
     """One entry of THEOREMS: ``hypotheses``, (statement, holds(spec, cfg, target))
     pairs tested in order; ``verdict(run, spec, theorem)``, the summary's check
     block with ``passed`` and a one-line ``detail``; and for an envelope check
-    ``margins(spec, zeta_at)``, each bound's signed margin on a snapshot
-    (t, Re u, Im u), on the final snapshot alone when ``final_only``."""
+    ``margins(spec, zeta_at, mon)``, each bound's signed margin on every row of
+    the MonitorSeries ``mon`` (thm1.7iii: its last): a row's extremum minus a
+    function of t, bitwise the grid minimum of the difference, as rounding is monotone."""
 
     hypotheses: tuple
     verdict: Callable
     estimate_error: bool = False  # the verdict reads the self-convergence estimate
     margins: Callable | None = None
-    final_only: bool = False
 
 
-def _growth_margins(spec: EnvelopeSpec, zeta_at, im_positive: bool = False) -> dict:
+def _growth_margins(spec: EnvelopeSpec, zeta_at, mon: MonitorSeries,
+                    im_positive: bool = False) -> dict:
     """thm1.5 and cor1.6: Re u and Im u between lines in t whose slopes are set by zeta(I1)."""
-    z1 = zeta_at(spec.i1)
-    lo_slope = max(0.0, 2.0 - z1)
-    margins = {"re_lower": lambda t, re, im: np.min(re - (lo_slope * t + spec.i1)),
-               "re_upper": lambda t, re, im: np.min((z1 * t + spec.s1) - re)}
+    z1, t = zeta_at(spec.i1), mon.time
+    margins = {"re_lower": mon.re_min - (max(0.0, 2.0 - z1) * t + spec.i1),
+               "re_upper": (z1 * t + spec.s1) - mon.re_max}
     if im_positive:
-        margins["im_positive"] = lambda t, re, im: np.min(im)
+        margins["im_positive"] = mon.im_min
     else:
-        margins["im_lower"] = lambda t, re, im: np.min(im - ((1.0 - z1) * t + spec.i2))
-    margins["im_upper"] = lambda t, re, im: np.min(((z1 - 1.0) * t + spec.s2) - im)
+        margins["im_lower"] = mon.im_min - ((1.0 - z1) * t + spec.i2)
+    margins["im_upper"] = ((z1 - 1.0) * t + spec.s2) - mon.im_max
     return margins
 
 
-def _real_growth_margins(spec: EnvelopeSpec, zeta_at) -> dict:
+def _real_growth_margins(spec: EnvelopeSpec, zeta_at, mon: MonitorSeries) -> dict:
     """thm1.7i: I + t <= u <= S + zeta(I) t, and u stays real."""
-    zi = zeta_at(spec.i)
-    return {"lower": lambda t, re, im: np.min(re - (t + spec.i)),
-            "upper": lambda t, re, im: np.min((zi * t + spec.s) - re),
-            "imag_confined": lambda t, re, im: -np.max(np.abs(im))}
+    return {"lower": mon.re_min - (mon.time + spec.i),
+            "upper": (zeta_at(spec.i) * mon.time + spec.s) - mon.re_max,
+            "imag_confined": -np.maximum(np.abs(mon.im_min), np.abs(mon.im_max))}
 
 
-def _lattice_margins(spec: EnvelopeSpec, zeta_at) -> dict:
+def _lattice_margins(spec: EnvelopeSpec, zeta_at, mon: MonitorSeries) -> dict:
     """thm1.7ii: -2 k1 <= u <= -2 k2 (or S)."""
     upper = -2.0 * spec.k2 if spec.k2 is not None else spec.s
-    return {"lower": lambda t, re, im: np.min(re - (-2.0 * spec.k1)),
-            "upper": lambda t, re, im: np.min(upper - re)}
+    return {"lower": mon.re_min - (-2.0 * spec.k1), "upper": upper - mon.re_max}
 
 
-def _limit_margins(spec: EnvelopeSpec, zeta_at) -> dict:
+def _limit_margins(spec: EnvelopeSpec, zeta_at, mon: MonitorSeries) -> dict:
     """thm1.7iii: -4 n1 + 2 <= u <= -4 n2 + 2 at the final time, within _FINAL_TOL."""
     lo, hi = -4.0 * spec.n1 + 2.0, -4.0 * spec.n2 + 2.0
-    return {"final_lower": lambda t, re, im: float(np.min(re)) - lo + _FINAL_TOL,
-            "final_upper": lambda t, re, im: hi + _FINAL_TOL - float(np.max(re))}
+    return {"final_lower": mon.re_min[-1] - lo + _FINAL_TOL,
+            "final_upper": hi + _FINAL_TOL - mon.re_max[-1]}
 
 
 def _envelope_verdict(run: RunRecord, spec: EnvelopeSpec, theorem: str) -> dict:
@@ -486,7 +485,7 @@ THEOREMS = {
     "thm1.7ii": TheoremCheck((_DEFOCUSING, _ZETA, _REAL, _I_BELOW_1),
                              _envelope_verdict, True, _lattice_margins),
     "thm1.7iii": TheoremCheck((_DEFOCUSING, _ZETA, _REAL, _I_BELOW_1, _IN_CELLS),
-                              _envelope_verdict, True, _limit_margins, final_only=True),
+                              _envelope_verdict, True, _limit_margins),
     "thm1.8": TheoremCheck((_STABLE_ZERO,), _stability_verdict),
     "thm1.9": TheoremCheck((_FOCUSING, _ZETA, _REAL, _BLOWUP_CASE), _blowup_verdict),
 }
@@ -516,13 +515,13 @@ def validate_envelope_hypotheses(spec: EnvelopeSpec, theorem: str, cfg: FlowConf
 
 
 def envelope_check(run: RunRecord, spec: EnvelopeSpec, theorem: str) -> EnvelopeReport:
-    """Verify the affine-in-t (or constant) bounds on every stored snapshot.
+    """Verify the affine-in-t (or constant) bounds on every step's monitor row.
 
     The hypotheses are those of validate_envelope_hypotheses under the run's
     FlowConfig, and the zeta values of the bounds are evaluated at its
     EvalConfig.  Margins are signed distances to the bounds, each bound's the
-    worst over the snapshots (thm1.7iii bounds the final snapshot only); the
-    check passes when the worst margin stays above -(slack), with slack =
+    worst over the rows of run.monitors (thm1.7iii bounds the last row only);
+    the check passes when the worst margin stays above -(slack), with slack =
     1e-6 plus ten times the run's self-convergence error estimate.
     """
     check = validate_envelope_hypotheses(spec, theorem, run.cfg)
@@ -530,13 +529,9 @@ def envelope_check(run: RunRecord, spec: EnvelopeSpec, theorem: str) -> Envelope
         raise ConfigurationError(f"{theorem} is not an envelope check")
     slack = 1e-6 + 10.0 * (run.error_estimate or 0.0)
     eval_cfg = run.cfg.nonlinearity.eval_cfg
-    margins = check.margins(spec, lambda x: special.riemann_zeta(complex(x), eval_cfg).real)
-    snapshots = list(zip(run.snapshot_times, run.snapshots))
-    bounds = dict.fromkeys(margins, math.inf)
-    for t, snap in snapshots[-1:] if check.final_only else snapshots:
-        re, im = snap.real, snap.imag
-        for name, margin in margins.items():
-            bounds[name] = min(bounds[name], float(margin(t, re, im)))
+    margins = check.margins(spec, lambda x: special.riemann_zeta(complex(x), eval_cfg).real,
+                            run.monitors)
+    bounds = {name: float(np.min(margin)) for name, margin in margins.items()}
     worst = min(bounds.values())
     return EnvelopeReport(theorem=theorem, passed=bool(worst >= -slack),
                           worst_margin=worst, slack=slack, bounds=bounds)

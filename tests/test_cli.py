@@ -315,6 +315,22 @@ class TestFlow:
         lines = (out / "fields.csv").read_text().splitlines()
         assert lines[0] == "snapshot,t,index,re,im"
         assert len(lines) > 16
+        # run.json takes its rows from the monitors at the snapshot times; 500
+        # steps keep every other field, so a row off by one would show
+        out = tmp_path / "rows"
+        assert run(["flow", "--mode", "pde", "--datum", "disc:-2:0.05", "--seed", "5",
+                    "--tend", "1", "--dt", "0.002", "--grid", "16", "--dump-fields",
+                    "--out", str(out)]) == 0
+        fields = np.loadtxt(out / "fields.csv", delimiter=",", skiprows=1)
+        snapshots = json.loads((out / "run.json").read_text())["snapshots"]
+        assert 200 <= len(snapshots) < 500
+        for k, row in enumerate(snapshots):
+            mine = fields[fields[:, 0] == k]
+            values = mine[:, 3] + 1j * mine[:, 4]
+            assert row == {"t": mine[0, 1],
+                           "re_min": values.real.min(), "re_max": values.real.max(),
+                           "im_min": values.imag.min(), "im_max": values.imag.max(),
+                           "sup_abs": np.abs(values).max()}
 
     def test_stability_check(self, tmp_path, capsys):
         out = tmp_path / "st"
@@ -509,6 +525,12 @@ class TestBoundsAndSigma:
         rows = assembled(["--alpha", "0.5"])
         assert len(rows) == 5 and rows == assembled(["--m", "2"])
         assert float(rows[0].split()[1]) == pytest.approx(23.43, abs=0.01)
+
+    def test_bounds_alpha_and_m_conflict(self, capsys):
+        # --alpha 0.5 --m 3 once printed the rows of alpha = 1/3
+        assert run(["bounds", "--alpha", "0.5", "--m", "3", "--beta", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "--alpha" in err and "--m" in err
 
     def test_bounds_alpha_without_a_period_needs_m(self, capsys):
         assert run(["bounds", "--alpha", "0.3", "--beta", "1", "--eps", "0.1"]) == 2

@@ -331,15 +331,62 @@ class TestEnvelopeSpec:
         assert pm._cell_index(-2.5) == 1
 
 
+def snapshot_loop_bounds(run, spec, theorem) -> dict:
+    """Each bound's worst margin over the snapshots' grid values, as the envelope
+    check took it before it read the monitor rows: a reference written out here."""
+    zeta_at = lambda x: zf.riemann_zeta(complex(x), run.cfg.nonlinearity.eval_cfg).real
+    if theorem == "thm1.7i":
+        zi = zeta_at(spec.i)
+        margins = lambda t, re, im: {"lower": np.min(re - (t + spec.i)),
+                                     "upper": np.min((zi * t + spec.s) - re),
+                                     "imag_confined": -np.max(np.abs(im))}
+    elif theorem == "thm1.7ii":
+        upper = -2.0 * spec.k2 if spec.k2 is not None else spec.s
+        margins = lambda t, re, im: {"lower": np.min(re - (-2.0 * spec.k1)),
+                                     "upper": np.min(upper - re)}
+    else:  # thm1.5 and cor1.6
+        z1 = zeta_at(spec.i1)
+
+        def margins(t, re, im):
+            out = {"re_lower": np.min(re - (max(0.0, 2.0 - z1) * t + spec.i1)),
+                   "re_upper": np.min((z1 * t + spec.s1) - re)}
+            if theorem == "cor1.6":
+                out["im_positive"] = np.min(im)
+            else:
+                out["im_lower"] = np.min(im - ((1.0 - z1) * t + spec.i2))
+            out["im_upper"] = np.min(((z1 - 1.0) * t + spec.s2) - im)
+            return out
+    per_snapshot = [margins(t, snap.real, snap.imag)
+                    for t, snap in zip(run.snapshot_times, run.snapshots)]
+    return {name: min(float(m[name]) for m in per_snapshot) for name in per_snapshot[0]}
+
+
+def pin_to_snapshot_loop(run, spec, theorem, report):
+    """The monitor-row bounds are at most the snapshot loop's, and equal to them
+    where every row is a snapshot; on the snapshot rows alone they are equal."""
+    reference = snapshot_loop_bounds(run, spec, theorem)
+    rows = np.searchsorted(run.monitors.time, run.snapshot_times)
+    columns = [getattr(run.monitors, f.name) for f in dataclasses.fields(pm.MonitorSeries)]
+    at_snapshots = dataclasses.replace(run, monitors=pm.MonitorSeries(
+        *(None if col is None else col[rows] for col in columns)))
+    assert zf.envelope_check(at_snapshots, spec, theorem).bounds == reference
+    assert set(report.bounds) == set(reference)
+    assert all(report.bounds[name] <= reference[name] for name in reference)
+    if len(rows) == len(run.monitors.time):
+        assert report.bounds == reference
+
+
 class TestEnvelopeCheck:
     def test_real_growth_envelope(self, zeta_handle):
         datum = zf.constant_field(2.0, shape=(32,))
         cfg = flow_cfg(zeta_handle, lam=1, t_end=2.0, dt_init=2e-3)
         run = zf.integrate_pde(datum, cfg, estimate_error=True)
-        report = zf.envelope_check(run, zf.EnvelopeSpec.from_field(datum), "thm1.7i")
+        spec = zf.EnvelopeSpec.from_field(datum)
+        report = zf.envelope_check(run, spec, "thm1.7i")
         assert report.passed
         assert report.worst_margin >= -report.slack
         assert set(report.bounds) == {"lower", "upper", "imag_confined"}
+        pin_to_snapshot_loop(run, spec, "thm1.7i", report)
 
     @pytest.mark.parametrize("imag, passed", [(0.5e-6, True), (1.5e-6, False)])
     def test_imag_confined_counts_the_slack_once(self, zeta_handle, imag, passed):
@@ -348,8 +395,9 @@ class TestEnvelopeCheck:
         datum = zf.constant_field(2.0, shape=(16,))
         cfg = flow_cfg(zeta_handle, lam=1, t_end=0.1, dt_init=1e-2)
         run = zf.integrate_pde(datum, cfg)
-        run = dataclasses.replace(run, error_estimate=None,
-                                  snapshots=[snap + 1j * imag for snap in run.snapshots])
+        mon = dataclasses.replace(run.monitors, im_min=run.monitors.im_min + imag,
+                                  im_max=run.monitors.im_max + imag)
+        run = dataclasses.replace(run, error_estimate=None, monitors=mon)
         report = zf.envelope_check(run, zf.EnvelopeSpec.from_field(datum), "thm1.7i")
         assert report.slack == 1e-6
         assert report.bounds["imag_confined"] == pytest.approx(-imag, rel=1e-12)
@@ -359,25 +407,53 @@ class TestEnvelopeCheck:
         datum = zf.fourier_field(2.1 + 0.2j, [(1, 0.1 + 0.05j)], shape=(32,))
         cfg = flow_cfg(zeta_handle, lam=1, t_end=1.0, dt_init=2e-3)
         run = zf.integrate_pde(datum, cfg, estimate_error=True)
-        report = zf.envelope_check(run, zf.EnvelopeSpec.from_field(datum), "thm1.5")
+        spec = zf.EnvelopeSpec.from_field(datum)
+        report = zf.envelope_check(run, spec, "thm1.5")
         assert report.passed
+        pin_to_snapshot_loop(run, spec, "thm1.5", report)
 
     def test_real_character_keeps_upper_half_plane(self, chi4):
         handle = zf.l_function(chi4)
         datum = zf.fourier_field(2.2 + 0.5j, [(1, 0.08 + 0.06j)], shape=(32,))
         cfg = flow_cfg(handle, lam=1, t_end=1.0, dt_init=2e-3)
         run = zf.integrate_pde(datum, cfg, estimate_error=True)
-        report = zf.envelope_check(run, zf.EnvelopeSpec.from_field(datum), "cor1.6")
+        spec = zf.EnvelopeSpec.from_field(datum)
+        report = zf.envelope_check(run, spec, "cor1.6")
         assert report.passed
         assert "im_positive" in report.bounds
+        pin_to_snapshot_loop(run, spec, "cor1.6", report)
 
     def test_lattice_confinement(self, zeta_handle):
+        # 300 steps: every row is a snapshot
         datum = zf.smooth_real_field(-7.4, -2.6, seed=4, shape=(32,))
         cfg = flow_cfg(zeta_handle, lam=1, t_end=3.0, dt_init=0.01)
         run = zf.integrate_pde(datum, cfg, estimate_error=True)
         spec = zf.EnvelopeSpec.from_field(datum)
         report = zf.envelope_check(run, spec, "thm1.7ii")
         assert report.passed
+        assert len(run.snapshot_times) == len(run.monitors.time)
+        pin_to_snapshot_loop(run, spec, "thm1.7ii", report)
+
+    @pytest.mark.parametrize("theorem, passed", [("thm1.7ii", False), ("thm1.7iii", True)])
+    def test_a_dip_between_snapshots(self, zeta_handle, theorem, passed):
+        # 600 steps keep every third field, so the snapshots never see row 301;
+        # thm1.7ii bounds every row, thm1.7iii the last row only
+        datum = zf.smooth_real_field(-7.4, -2.6, seed=4, shape=(32,))
+        cfg = flow_cfg(zeta_handle, lam=1, t_end=3.0, dt_init=0.005)
+        run = zf.integrate_pde(datum, cfg)
+        spec = zf.EnvelopeSpec.from_field(datum)
+        assert len(run.monitors.time) > pm._SNAPSHOT_BUDGET
+        assert run.monitors.time[301] not in run.snapshot_times
+        re_min = run.monitors.re_min.copy()
+        re_min[301] = -2.0 * spec.k1 - 1e-3
+        dipped = dataclasses.replace(run, monitors=dataclasses.replace(run.monitors,
+                                                                       re_min=re_min))
+        report = zf.envelope_check(dipped, spec, theorem)
+        assert report.passed is passed
+        if passed:
+            assert report.bounds == zf.envelope_check(run, spec, theorem).bounds
+        else:
+            assert report.bounds["lower"] == pytest.approx(-1e-3, rel=1e-9)
 
     def test_second_validation_makes_no_zeta_call(self, monkeypatch, zeta_handle):
         # sigma_1 was a 29-call bisection on every thm1.5 and cor1.6 validation
