@@ -406,7 +406,7 @@ def _real_growth_margins(spec: EnvelopeSpec, zeta_at, mon: MonitorSeries) -> dic
     """thm1.7i: I + t <= u <= S + zeta(I) t, and u stays real."""
     return {"lower": mon.re_min - (mon.time + spec.i),
             "upper": (zeta_at(spec.i) * mon.time + spec.s) - mon.re_max,
-            "imag_confined": -np.maximum(np.abs(mon.im_min), np.abs(mon.im_max))}
+            "imag_confined": 0.0 - np.maximum(np.abs(mon.im_min), np.abs(mon.im_max))}
 
 
 def _lattice_margins(spec: EnvelopeSpec, zeta_at, mon: MonitorSeries) -> dict:
@@ -520,9 +520,12 @@ def envelope_check(run: RunRecord, spec: EnvelopeSpec, theorem: str) -> Envelope
     The hypotheses are those of validate_envelope_hypotheses under the run's
     FlowConfig, and the zeta values of the bounds are evaluated at its
     EvalConfig.  Margins are signed distances to the bounds, each bound's the
-    worst over the rows of run.monitors (thm1.7iii bounds the last row only);
-    the check passes when the worst margin stays above -(slack), with slack =
-    1e-6 plus ten times the run's self-convergence error estimate.
+    worst over the rows of run.monitors after the first, the datum, where
+    the run has any (thm1.7iii bounds the last row only): ``spec`` holds the
+    datum's extrema, so the datum meets most bounds with equality, and a
+    margin of 0 there would hide every later one.  The check passes when the
+    worst margin stays above -(slack), with slack = 1e-6 plus ten times the
+    run's self-convergence error estimate.
     """
     check = validate_envelope_hypotheses(spec, theorem, run.cfg)
     if check.margins is None:
@@ -531,7 +534,9 @@ def envelope_check(run: RunRecord, spec: EnvelopeSpec, theorem: str) -> Envelope
     eval_cfg = run.cfg.nonlinearity.eval_cfg
     margins = check.margins(spec, lambda x: special.riemann_zeta(complex(x), eval_cfg).real,
                             run.monitors)
-    bounds = {name: float(np.min(margin)) for name, margin in margins.items()}
+    after = slice(1, None) if run.monitors.time.size > 1 else slice(None)
+    bounds = {name: float(np.min(margin[after] if np.ndim(margin) else margin))
+              for name, margin in margins.items()}
     worst = min(bounds.values())
     return EnvelopeReport(theorem=theorem, passed=bool(worst >= -slack),
                           worst_margin=worst, slack=slack, bounds=bounds)

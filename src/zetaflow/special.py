@@ -11,8 +11,8 @@ route is one kernel call for all the residues (Euler-Maclaurin one per sign
 of Re s), with one contract: (R, R' or None, estimate), with a leading
 residue axis, R and R' from one pass and one estimate bounding each.  A call
 whose points make one Euler-Maclaurin group, as a size-1 call right of
-Re s = -3 does, returns that kernel call's arrays as they are.  The routes,
-as the router names them:
+Re s = -3 does, or all reflect, returns that kernel call's arrays as they
+are.  The routes, as the router names them:
 
 * "reflect" left of Re s = -3, at every |Im s|, when a = 1 or a is a
   residue r/m of a given period m.  Hurwitz's formula (Apostol,
@@ -1190,73 +1190,108 @@ def _em_grid(sigmas, ts, alphas: tuple, tol: float):
 # ln Gamma and psi by Stirling's series, for the reflection route.
 # ---------------------------------------------------------------------------
 
-# Stirling's series is summed to J terms after an upward shift to Re z >= 10.
-# The remainder bounds below are taken per point and hold at every |Im z|;
-# there they stay under 2e-17.
-_STIRLING_TERMS = 8
-_STIRLING_RE = 10.0
-# B_2j / (2j (2j-1)) and B_2j / (2j) for j = 1..J+1; the last bounds the remainder
+# Stirling's series is summed to J terms after an upward shift to Re z >= X,
+# at most 7 steps, and 3 on the reflection's Re w > 4.  The remainders'
+# largest values over Re z >= X (see _log_gamma) are 0.1 eps and 0.3 eps.
+_STIRLING_TERMS = 10
+_STIRLING_RE = 7.0
+# B_2j / (2j (2j-1)) and B_2j / (2j) for j = 1..J+1; the last bound the remainders
 _LOG_GAMMA_COEF = tuple(b / ((2 * j + 2) * (2 * j + 1))
                         for j, b in enumerate(_BERNOULLI[:_STIRLING_TERMS + 1]))
 _DIGAMMA_COEF = tuple(b / (2 * j + 2) for j, b in enumerate(_BERNOULLI[:_STIRLING_TERMS + 1]))
-_STIRLING_POWERS = np.arange(1, _STIRLING_TERMS + 1)[:, None]
-_LOG_GAMMA_COEF_COL = np.array(_LOG_GAMMA_COEF[:_STIRLING_TERMS])[:, None]
-_DIGAMMA_COEF_COL = np.array(_DIGAMMA_COEF[:_STIRLING_TERMS])[:, None]
+# sum_{j=1..J} c_j x^j = x (A(x^2) + x B(x^2)), A and B of the odd and the
+# even j; for Horner's rule, their coefficients of y^i, from the highest i,
+# as columns: A and B of ln Gamma, then of psi
+_STIRLING_POLY = np.array([[coef[2 * i + odd] for coef in (_LOG_GAMMA_COEF, _DIGAMMA_COEF)
+                            for odd in (0, 1)]
+                           for i in range(_STIRLING_TERMS // 2 - 1, -1, -1)])[:, :, None]
+_STIRLING_ROWS = {rows: tuple(_STIRLING_POLY[:, :rows]) for rows in (2, 4)}
+_LOG_GAMMA_TAIL = abs(_LOG_GAMMA_COEF[-1]) * _STIRLING_RE ** -(2 * _STIRLING_TERMS + 1)
+_DIGAMMA_TAIL = abs(_DIGAMMA_COEF[-1]) * _STIRLING_RE ** -(2 * _STIRLING_TERMS + 2)
+_SHIFT_STEPS = np.arange(_STIRLING_RE)[:, None]                 # i = 0..X-1 as a column
 _HALF_LOG_TWO_PI = 0.5 * math.log(_TWO_PI)
+
+
+def _row_sum(rows: np.ndarray) -> np.ndarray:
+    """The sum over the leading axis of a complex array, row by row in order.
+
+    Summed as floats, so every point has two columns: numpy adds the rows
+    of a complex array with one column in another order, so a size-1 call
+    would round otherwise.
+    """
+    return rows.view(float).sum(axis=0).view(complex)
 
 
 def _log_gamma(w: np.ndarray, want_digamma: bool):
     """ln Gamma(w), principal branch, for Re w > 0, with an error bound per point.
 
-    With z = w + n, n the least shift putting the point at Re z >= 10,
+    With z = w + n, n the least shift putting the point at Re z >= X = 7,
 
         ln Gamma(w) = (z - 1/2) ln z - z + ln(2 pi)/2
                       + sum_{j=1..J} B_2j / (2j (2j-1) z^(2j-1)) - sum_{i<n} ln(w+i),
-        psi(w)      = ln z - 1/(2z) - sum_{j=1..J} B_2j / (2j z^2j) - sum_{i<n} 1/(w+i).
+        psi(w)      = ln z - 1/(2z) - sum_{j=1..J} B_2j / (2j z^2j) - sum_{i<n} 1/(w+i),
 
-    The remainder of the first is at most the first omitted term times
-    sec^(2J+2)(arg z / 2) (DLMF 5.11.ii); that of the second the first
-    omitted term over min_{t >= 0} |t^2 + z^2| / |z|^2, 1 for |arg z| <= pi/4
-    and |sin(2 arg z)| beyond (Binet's integral for psi).  Each bound adds
-    about eps times each term above.  Returns (ln Gamma, bound) or, with
-    ``want_digamma``, (ln Gamma, bound, psi, bound).
+    each ln(w+i) = ln|w+i| + i arg(w+i) principal, as Re(w+i) > 0, and
+    ln z alike, from real functions.  The series are summed by Horner's rule
+    in z^-4, the terms of odd and of even j side by side (_STIRLING_POLY).
+    The remainder of the first series is at most the first omitted term
+    c |z|^-(2J+1) times sec^(2J+2)(arg z / 2) (DLMF 5.11.ii); that is
+    c 2^(J+1) |z|^-J (|z| + Re z)^-(J+1), which falls as |z| and Re z grow,
+    so at most c X^-(2J+1) at every Re z >= X.  That of the second is at
+    most the first omitted term d |z|^-(2J+2) over min_{t >= 0}
+    |t^2 + z^2| / |z|^2, 1 for |arg z| <= pi/4 and 2 Re z |Im z| / |z|^2
+    beyond (Binet's integral for psi), so at most d X^-(2J+2), as beyond
+    pi/4 |z|^2 >= 2 X^2 and 2 Re z |Im z| >= 2 X^2.  Each bound adds about
+    eps times each term above.  The sums over the shift run in row order
+    (_row_sum), so a point's values do not depend on its batch.  Returns
+    (ln Gamma, bound) or, with ``want_digamma``, (ln Gamma, bound, psi,
+    bound).
     """
-    shift = np.maximum(0.0, np.ceil(_STIRLING_RE - w.real))
+    shift = np.ceil(_STIRLING_RE - w.real)
+    np.maximum(shift, 0.0, out=shift)
     z = w + shift
-    x, abs_z = z.real, np.abs(z)
-    log_z = np.log(z)
+    abs_z = np.abs(z)
+    log_z = np.empty_like(z)
+    np.log(abs_z, out=log_z.real)
+    np.arctan2(z.imag, z.real, out=log_z.imag)
     inv = 1.0 / z
-    powers = (inv * inv) ** _STIRLING_POWERS                 # z^-2j, j = 1..J
-    series = z * (_LOG_GAMMA_COEF_COL * powers).sum(axis=0)
-    lg = (z - 0.5) * log_z - z + _HALF_LOG_TWO_PI + series
-    # sec^2(arg z / 2) = 2|z| / (|z| + Re z)
-    sec2 = 2.0 * abs_z / (abs_z + x)
-    lg_err = (abs(_LOG_GAMMA_COEF[_STIRLING_TERMS]) * abs_z ** -(2 * _STIRLING_TERMS + 1)
-              * sec2 ** (_STIRLING_TERMS + 1))
+    x = inv * inv
+    # Horner's rule in y = x^2 for A and B (of psi too), then A + x B: the
+    # series of ln Gamma is that times x z = 1/z, that of psi times x
+    y = x * x
+    top, *rest = _STIRLING_ROWS[4 if want_digamma else 2]
+    acc = top * y
+    for coef in rest[:-1]:
+        acc += coef
+        acc *= y
+    acc += rest[-1]
+    series = x * acc[1::2]
+    series += acc[::2]
+    lg = (z - 0.5) * log_z + (inv * series[0] - z) + _HALF_LOG_TWO_PI
     # rounding: the shifted point and (z - 1/2) ln z, about eps |z| |ln z|
     # each, then the sums, about eps of each summand
-    rounding = 2.0 * abs_z * (np.abs(log_z) + 1.0) + 4.0
+    abs_log_z = np.abs(log_z)
+    rounding = (abs_log_z + 1.0) * abs_z
     most = int(shift.max())
     if most:
-        # ln(w+i) for i < shift at each point, 0 past it
-        i = np.arange(most)[:, None]
-        steps = np.where(i < shift, w + i, 1.0)
-        logs = np.log(steps)
-        lg = lg - logs.sum(axis=0)
-        rounding = rounding + 2.0 * np.abs(logs).sum(axis=0)
-    lg_err = lg_err + _EPS * rounding
+        # w + i and ln(w+i) for i < shift at each point, 1 and 0 past it
+        inside = _SHIFT_STEPS[:most] < shift
+        steps = np.where(inside, w + _SHIFT_STEPS[:most], 1.0)
+        logs = np.empty_like(steps)
+        np.log(np.abs(steps), out=logs.real)
+        np.arctan2(steps.imag, steps.real, out=logs.imag)
+        lg -= _row_sum(logs)
+        rounding += np.abs(logs).sum(axis=0)
+    lg_err = (2.0 * _EPS) * rounding + (4.0 * _EPS + _LOG_GAMMA_TAIL)
     if not want_digamma:
         return lg, lg_err
-    psi = log_z - 0.5 * inv - (_DIGAMMA_COEF_COL * powers).sum(axis=0)
-    abs_y = np.abs(z.imag)
-    angle = np.where(x >= abs_y, 1.0, 2.0 * x * abs_y / (abs_z * abs_z))
-    psi_err = abs(_DIGAMMA_COEF[_STIRLING_TERMS]) * abs_z ** -(2 * _STIRLING_TERMS + 2) / angle
-    rounding = 2.0 * np.abs(log_z) + 3.0
+    psi = log_z - 0.5 * inv - x * series[1]
+    rounding = 2.0 * abs_log_z + 3.0
     if most:
-        recips = np.where(i < shift, 1.0 / steps, 0.0)
-        psi = psi - recips.sum(axis=0)
-        rounding = rounding + 2.0 * np.abs(recips).sum(axis=0)
-    return lg, lg_err, psi, psi_err + _EPS * rounding
+        recips = np.where(inside, 1.0 / steps, 0.0)
+        psi -= _row_sum(recips)
+        rounding += 2.0 * np.abs(recips).sum(axis=0)
+    return lg, lg_err, psi, _EPS * rounding + _DIGAMMA_TAIL
 
 
 # ---------------------------------------------------------------------------
@@ -1265,27 +1300,27 @@ def _log_gamma(w: np.ndarray, want_digamma: bool):
 # every residue r of the period.
 # ---------------------------------------------------------------------------
 
-# sum_{n>=1} ln(n+1)^j n^-4 for j = 1, 2 (0.79 and 0.60), rounded up: with the
-# n = 0 term |ln a|^j a^-Re u they bound |zeta^(j)(u, a)| for Re u >= 4
-_ZETA_D1_TAIL = 0.8
-_ZETA_D2_TAIL = 0.7
+# (c1, c0): |zeta^(j)(u, a)| <= (c1 |ln a|^j + c0) |Z| for j = 1, 2 at
+# Re u >= 4, Z the computed zeta(u, a) off by under 5% (see _reflect)
+_ZETA_D1 = (1.2, 1.0)
+_ZETA_D2 = (1.2, 0.8)
 
 
 @lru_cache(maxsize=16)
-def _reflect_tables(period: int, residues: tuple):
-    """The constant factors of _reflect for a period m and its residues r, read-only.
+def _reflect_tables(period: int, alphas: tuple):
+    """The constant factors of _reflect for a period m and its residues a = r/m.
 
-    q = 2kr/m mod 2, shape (R, m, 1), and ln(k/m) as a column, k = 1..m.
+    q = 2kr/m mod 2, shape (R, m, 1), read-only, and the Euler-Maclaurin
+    parameters k/m, k = 1..m.
     """
     k = np.arange(1, period + 1)
-    q = (2 * np.multiply.outer(np.array(residues), k) % (2 * period)) / period
-    tables = (q[:, :, None], np.log(k / period)[:, None])
-    for arr in tables:
-        arr.setflags(write=False)
-    return tables
+    residues = np.array([round(a * period) for a in alphas])
+    q = (2 * np.multiply.outer(residues, k) % (2 * period) / period)[:, :, None]
+    q.setflags(write=False)
+    return q, tuple(int(j) / period for j in k)
 
 
-def _reflect(s: np.ndarray, period: int, alphas, tol: float, want_deriv: bool):
+def _reflect(s: np.ndarray, period: int, alphas: tuple, tol: float, want_deriv: bool):
     """Regular parts of zeta(s, r/m), and with ``want_deriv`` of zeta', for each r/m in ``alphas``.
 
     Returns (values, derivatives or None, estimates), each of shape
@@ -1294,94 +1329,105 @@ def _reflect(s: np.ndarray, period: int, alphas, tol: float, want_deriv: bool):
     G sum_k C_k Z_k and its s-derivative -G ((psi(u) - ln(2 pi m)) sum_k C_k
     Z_k - (pi/2) sum_k S_k Z_k + sum_k C_k Z_k'), both from one ln Gamma
     (with psi) and one Euler-Maclaurin call for every Z_k (and Z_k'),
-    k = 1..m, planned at a = 1/m, at _H_TAIL_SHARE ``tol`` over the largest
-    weight |G| sum_k |C_k| (for the derivative, |G| sum_k (|C_k| (|psi(u) -
-    ln(2 pi m)| + 1) + (pi/2) |S_k|)).  The estimate adds the rounding of
-    every factor: of G and the products times |G| sum_k |C_k| |Z_k|, of the
-    phase times |G| sum_k |S_k| |Z_k| (absolute near the trivial zeros), and
-    of u = 1 - s, eps |Re u| / 2, times a bound on the u-derivative; with
-    ``want_deriv`` it bounds the error of the value and of the derivative.
-    Raises AccuracyError where a factor leaves the float64 range.
+    k = 1..m, planned at a = 1/m, at _H_TAIL_SHARE ``tol`` over the weight
+    m max |G| e^|Im phase|, which bounds |G| sum_k |C_k| and |G| sum_k |S_k|
+    at every point, as |C_k|, |S_k| <= cosh(Im phase) (for the derivative,
+    times max |psi(u) - ln(2 pi m)| + 1 + pi/2).  Both |G| e^|Im phase| and
+    e^|Im phase| are tested in logs before any factor is formed: where one
+    would leave the float64 range, AccuracyError names the first such point.
+
+    The value's estimate is |G| (sum_k |C_k| (E_k + rel |Z_k|) + phase
+    cosh(Im phase) sum_k |Z_k|) + eps/|1-s|, E_k the Euler-Maclaurin
+    estimate and the last term the rounding of 1/(s-1).  rel counts the
+    relative rounding of G (ln Gamma, u ln(2 pi m), exp) and of each term
+    (the products, the sum over k, a = k/m), and u = 1 - s, off by
+    eps Re u / 2, times bounds on the u-derivative over |G| |C_k| |Z_k|:
+    |psi(u) - ln u| < 0.2 for |u| >= 4, so |psi(u) - ln(2 pi m)| <
+    |ln u - ln(2 pi m)| + 0.2, and |zeta'(u, a)| <= (c1 |ln a| + c0) |Z|
+    (_ZETA_D1, with |ln a| <= ln m).  phase counts the absolute error of
+    the phase, and of u times (pi/2), times |S_k| <= cosh(Im phase), so
+    the estimate holds at the trivial zeros too.  The bounds _ZETA_D1 and
+    _ZETA_D2 on |zeta^(j)(u, a)|, j = 1, 2: for Re u >= 4 and a in (0, 1],
+    |zeta^(j)(u, a)| <= |ln a|^j a^-Re u + T_j, T_j = sum_{n>=1}
+    ln(n+1)^j n^-4 (0.79 and 0.60), and |zeta(u, a)| >= (2 - zeta(4))
+    a^-Re u > 0.917 a^-Re u, as |sum_{n>=1} (a/(n+a))^u| <= zeta(4) - 1;
+    so |zeta^(j)(u, a)| <= 1.09 (|ln a|^j + T_j) |zeta(u, a)|, and the
+    constants hold for a computed Z off by up to 5%.  With ``want_deriv``
+    the estimate bounds the error of the value and of the derivative, whose
+    terms take the rounding of G and the phase's error without u's, and u's
+    times a bound on the u-derivative of the derivative.
     """
     m = period
     u = 1.0 - s
-
-    def overflow(finite, what):
-        if not finite.all():
-            s_bad = complex(s[~finite][0])
-            raise AccuracyError(f"{what} overflows "
-                                + _at(s_bad, alphas[0] if len(alphas) == 1 else alphas, "reflect"))
-
-    abs_u = np.abs(u)
     big_l = math.log(_TWO_PI * m)
     gamma = _log_gamma(u, want_deriv)
-    lg, lg_err = gamma[:2]
-    q, log_a = _reflect_tables(m, tuple(round(a * m) for a in alphas))
-    half = np.remainder(0.5 * u.real, 2.0) + 0.5j * u.imag          # u/2 mod 2
+    lg = gamma[0]
+    q, em_alphas = _reflect_tables(m, alphas)
+    half = 0.5 * u
+    abs_u = np.abs(u)
+    # the relative rounding of G and the terms, and with that of u (see
+    # above), eps Re u / 2 = eps Re(u/2), taken before u/2 is reduced mod 2
+    rounding = gamma[1] + _EPS * (np.abs(lg) + (2.0 * big_l + 0.5) * abs_u + (m + 8.0))
+    rel = rounding + _EPS * (np.hypot(np.log(abs_u) - big_l, np.arctan2(u.imag, u.real))
+                             + (1.2 + _ZETA_D1[0] * math.log(m))) * half.real
+    np.remainder(half.real, 2.0, out=half.real)                     # u/2 mod 2
     phase = math.pi * (half - q)                                     # (R, m, n)
-    with np.errstate(over="ignore", invalid="ignore"):      # checked below
-        g = 2.0 * np.exp(lg - u * big_l)
-        cos, sin = np.cos(phase), np.sin(phase)
-        abs_g, abs_c, abs_s = np.abs(g), np.abs(cos), np.abs(sin)
-        overflow(np.isfinite(abs_g), "2 Gamma(1-s) (2 pi m)^(s-1)")
-        # cosh(pi |Im s| / 2) passes the float64 range near |Im s| = 452
-        overflow(np.isfinite(abs_g * (abs_c + abs_s).sum(axis=(0, 1))),
-                 "2 Gamma(1-s) (2 pi m)^(s-1) cos(pi (1-s)/2 - 2 pi k r/m)")
+    # ln(|G| e^|Im phase| / 2), and |Im phase|, which passes the float64
+    # range near |Im s| = 452, tested before any factor is formed
+    log_g = lg - u * big_l
+    eta = np.abs(phase[0, 0].imag)                                  # pi |Im u| / 2
+    reach = log_g.real + eta
+    top, limit = float(reach.max()), _LOG_FLOAT_MAX - math.log(2.0 * m)
+    if not (top < limit and float(eta.max()) < _LOG_FLOAT_MAX):
+        s_bad = complex(s[np.argmin((reach < limit) & (eta < _LOG_FLOAT_MAX))])
+        raise AccuracyError("2 Gamma(1-s) (2 pi m)^(s-1) cos(pi (1-s)/2 - 2 pi k r/m) overflows "
+                            + _at(s_bad, alphas[0] if len(alphas) == 1 else alphas, "reflect"))
+    # the phase's absolute error, 1.5 eps |Im u| + 4 pi eps, and with that
+    # of u times pi/2, eps (pi/4) Re u
+    dphase = (3.0 * _EPS / math.pi) * eta + 4.0 * math.pi * _EPS
+    phase_err = dphase + (0.25 * math.pi * _EPS) * u.real
+    g = 2.0 * np.exp(log_g)
+    abs_g = np.abs(g)
+    weight = 2.0 * m * math.exp(top)              # >= |G| sum_k (|C_k|, |S_k|)
     if want_deriv:
         dlog = gamma[2] - big_l
         abs_dlog = np.abs(dlog)
-        weight = abs_c * (abs_dlog + 1.0) + (0.5 * math.pi) * abs_s
-    else:
-        weight = abs_c
-    tol_em = _H_TAIL_SHARE * tol / max(1.0, float(np.max(abs_g * weight.sum(axis=1))))
+        weight *= float(abs_dlog.max()) + (1.0 + 0.5 * math.pi)
+    regs, dregs, em_est = euler_maclaurin_split(
+        u, em_alphas, tol=_H_TAIL_SHARE * tol / max(1.0, weight), want_deriv=want_deriv)
     pole = 1.0 / (u - 1.0)
-    regs, dregs, em_est = euler_maclaurin_split(u, tuple((k + 1) / m for k in range(m)),
-                                                tol=tol_em, want_deriv=want_deriv)
     zs = regs + pole
+    cos = np.cos(phase)
     sums = (cos * zs).sum(axis=1)
-    abs_z = np.abs(zs)
-    # relative rounding of G (ln Gamma, u ln(2 pi m), exp) and of each term
-    # (the products, the sum over k and a = k/m); absolute error of the phase
-    rel_g = lg_err + _EPS * (np.abs(lg) + 2.0 * abs_u * big_l + 2.0)
-    rel = rel_g + _EPS * (m + 6 + 0.5 * abs_u)
-    dphase = _EPS * (4.0 * math.pi + 1.5 * np.abs(u.imag))
-    # u = 1 - s is off by eps |Re u| / 2; |zeta'(u, a)| and |zeta''(u, a)|
-    # are at most |ln a|^j a^-Re u plus the tails of _ZETA_D1_TAIL, _ZETA_D2_TAIL
-    inexact_u = 0.5 * _EPS * np.abs(u.real)
-    a_pow = np.exp(-log_a * u.real)
-    s_pole = 1.0 / (s - 1.0)
-    # |dV/du| <= |G| sum_k ((|psi(u) - ln(2 pi m)| |C_k| + (pi/2) |S_k|) |Z_k|
-    # + |C_k| |Z_k'|), and |psi(u) - ln u| < 0.2 for |u| >= 4
-    dlog_bound = np.abs(np.log(u) - big_l) + 0.2
-    d1 = np.abs(log_a) * a_pow + _ZETA_D1_TAIL
-    est = (abs_g * (abs_c * (em_est + (rel + inexact_u * dlog_bound) * abs_z
-                             + inexact_u * d1)
-                    + abs_s * (dphase + inexact_u * 0.5 * math.pi) * abs_z).sum(axis=1)
-           + _EPS * np.abs(s_pole))
-    value = g * sums - s_pole
+    inv_u = 1.0 / u                                     # -1/(s-1)
+    value = g * sums + inv_u
+    abs_c, abs_z = np.abs(cos), np.abs(zs)
+    pole_err = _EPS / abs_u
+    est = ((abs_c * (em_est + rel * abs_z)).sum(axis=1)
+           + phase_err * np.cosh(eta) * abs_z.sum(axis=0)) * abs_g + pole_err
     if not want_deriv:
         return value, None, est
     dzs = dregs - pole * pole
+    sin = np.sin(phase)
+    abs_s = np.abs(sin)
     dsums = (cos * dzs).sum(axis=1)
     ssums = (sin * zs).sum(axis=1)
-    dvalue = -g * (dlog * sums - (0.5 * math.pi) * ssums + dsums)
+    bracket = dlog * sums - (0.5 * math.pi) * ssums + dsums
+    dvalue = -(g * bracket)
     abs_dz = np.abs(dzs)
     # the terms of the bracket, and a bound on the u-derivative of V',
     # with |psi'(u)| < 0.3 for |u| >= 4
     c_part = abs_dlog * abs_z + abs_dz
     s_part = (0.5 * math.pi) * abs_z
-    d2 = log_a * log_a * a_pow + _ZETA_D2_TAIL
-    second = (abs_c * ((abs_dlog * abs_dlog + 0.3 + 0.25 * math.pi ** 2) * abs_z
-                       + 2.0 * abs_dlog * abs_dz + d2)
-              + abs_s * math.pi * (abs_dlog * abs_z + abs_dz))
+    with_d2 = 0.3 + 0.25 * math.pi ** 2 + _ZETA_D2[0] * math.log(m) ** 2 + _ZETA_D2[1]
+    second = (abs_c * ((abs_dlog * abs_dlog + with_d2) * abs_z + 2.0 * abs_dlog * abs_dz)
+              + math.pi * abs_s * c_part)
     psi_err = gamma[3] + _EPS * (np.abs(gamma[2]) + big_l)
-    dest = (abs_g * (weight * em_est
-                     + abs_c * (rel * c_part + psi_err * abs_z)
-                     + abs_s * (rel * s_part + dphase * c_part)
-                     + abs_c * dphase * s_part
-                     + inexact_u * second).sum(axis=1)
-            + _EPS * np.abs(s_pole) ** 2)
-    return value, dvalue + s_pole * s_pole, np.maximum(est, dest)
+    dest = ((((abs_dlog + 1.0) * abs_c + (0.5 * math.pi) * abs_s) * em_est
+             + abs_c * (rounding * c_part + psi_err * abs_z + dphase * s_part)
+             + abs_s * (rounding * s_part + dphase * c_part)
+             + (0.5 * _EPS) * u.real * second).sum(axis=1) * abs_g + pole_err / abs_u)
+    return value, dvalue + inv_u * inv_u, np.maximum(est, dest)
 
 
 # ---------------------------------------------------------------------------
@@ -1432,12 +1478,12 @@ def hurwitz_split_many(s, alpha, tol: float = 1e-12, deriv: bool = False,
     once per sign group (_em_left): as one group, {-2.9, 0.5+300i} takes
     N = 179 and the -2.9 point comes out 3e-7 off, against 2.5e-13 alone.
     ``deriv`` False gives R, True the pair (R, R') from the same kernel
-    calls, with one estimate bounding each.  Where one Euler-Maclaurin group
-    holds every point, every point right of Re s = -3 in one sign group,
-    the kernel's arrays are the result, as they are.  Returns (values,
-    estimates, routes), routes holding a code per point (SERIES_EM, HERMITE
-    or REFLECT, indexing ROUTES), each shaped like ``s`` with a leading axis
-    over a sequence ``alpha``.
+    calls, with one estimate bounding each.  Where one kernel call holds
+    every point, every point right of Re s = -3 in one sign group or every
+    point reflecting, the kernel's arrays are the result, as they are.
+    Returns (values, estimates, routes), routes holding a code per point
+    (SERIES_EM, HERMITE or REFLECT, indexing ROUTES), each shaped like ``s``
+    with a leading axis over a sequence ``alpha``.
     """
     alphas, single_alpha = _check_alphas(alpha)
     if period is None:
@@ -1448,12 +1494,18 @@ def hurwitz_split_many(s, alpha, tol: float = 1e-12, deriv: bool = False,
     flat = s.ravel()
     shape = s.shape if single_alpha else (len(alphas),) + s.shape
     lo, hi = _re_hull(flat) if flat.size else (math.nan, math.nan)
+    # where one kernel call holds every point, its arrays are the result
     if lo >= _H_RULE_RE_LIMIT and _em_left(lo) == _em_left(hi):
-        # one Euler-Maclaurin group holds every point: its arrays are the result
-        regular, dregular, est = euler_maclaurin_split(flat, alphas, tol=tol, want_deriv=deriv)
+        route, kernel = SERIES_EM, euler_maclaurin_split(flat, alphas, tol=tol, want_deriv=deriv)
+    elif period is not None and hi < _H_RULE_RE_LIMIT:
+        route, kernel = REFLECT, _reflect(flat, period, alphas, tol, deriv)
+    else:
+        kernel = None
+    if kernel is not None:
+        regular, dregular, est = kernel
         values = ((regular.reshape(shape), dregular.reshape(shape)) if deriv
                   else regular.reshape(shape))
-        return values, est.reshape(shape), np.zeros(shape, dtype=np.int8)
+        return values, est.reshape(shape), np.full(shape, route, dtype=np.int8)
     out = np.empty((len(alphas), flat.size), dtype=complex)
     dout = np.empty_like(out) if deriv else None
     est = np.empty(out.shape)

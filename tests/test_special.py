@@ -824,6 +824,37 @@ class TestLogGamma:
             assert abs(lg[i] - ref_lg) <= lg_err[i] < 1e-12, x
             assert abs(psi[i] - ref_psi) <= psi_err[i] < 1e-13, x
 
+    @staticmethod
+    def _wide_points():
+        # Re w just above and just below each integer in (0, 30], so every
+        # count of the upward shift occurs, at |Im w| up to 450
+        rng = np.random.default_rng(21)
+        re = np.concatenate([np.arange(30.0) + 0.02, np.arange(30.0) + 0.98])
+        im = np.concatenate([rng.uniform(0.0, 20.0, 30), rng.uniform(20.0, 450.0, 30)])
+        return re + 1j * rng.permutation(rng.choice([-1.0, 1.0], 60) * im)
+
+    def test_wide_range_batch_and_single_points_within_stated_bound(self):
+        # the branch of the shift term: ln Gamma is the principal one
+        mpmath = pytest.importorskip("mpmath")
+        w = self._wide_points()
+        batch = sp._log_gamma(w, True)
+        for i, x in enumerate(w):
+            with mpmath.workdps(30):
+                z = mpmath.mpc(x.real, x.imag)
+                ref_lg, ref_psi = complex(mpmath.loggamma(z)), complex(mpmath.digamma(z))
+            for lg, lg_err, psi, psi_err in ([part[i] for part in batch],
+                                             [part[0] for part in sp._log_gamma(w[i:i + 1], True)]):
+                assert abs(lg - ref_lg) <= lg_err <= 1e-13 * max(1.0, abs(ref_lg)), x
+                assert abs(psi - ref_psi) <= psi_err <= 1e-13 * max(1.0, abs(ref_psi)), x
+
+    @pytest.mark.parametrize("want_digamma", [False, True])
+    def test_size_one_calls_equal_the_batch_bitwise(self, want_digamma):
+        w = self._wide_points()
+        batch = sp._log_gamma(w, want_digamma)
+        singles = [sp._log_gamma(w[i:i + 1], want_digamma) for i in range(w.size)]
+        for k, part in enumerate(batch):
+            assert np.array_equal(part, np.concatenate([one[k] for one in singles])), k
+
 
 class TestBoundConstants:
     def test_e_r_at_one(self):
