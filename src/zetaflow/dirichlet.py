@@ -214,16 +214,38 @@ class LFunctionHandle:
         residues at once; it gives each point one route for every residue,
         and with ``deriv`` R_r and R'_r from the same kernel calls.  Each
         sum over the residues is one elementwise sum, in the same order at
-        every point and batch size.  ``routes`` holds the route code per
-        residue (leading axis) and point; the rows are equal.
+        every point and batch size, and the combination runs on blocks of
+        special._TEMP_BLOCK / R points (R residues), so no temporary of a
+        wide batch outgrows 64 kB.  ``routes`` holds the route code per
+        residue (leading axis) and point; the rows are equal.  Raises
+        PoleError, naming the first such point and its index, where a
+        principal character meets s = 1; only a batch whose Re s hull holds
+        1 is searched.
         """
         s = np.asarray(s, dtype=complex)
         flat = s.ravel()
         alphas = self._residues[2]
-        lowest = special._re_hull(flat)[0] if flat.size else math.inf
+        lowest, highest = special._re_hull(flat) if flat.size else (math.inf, math.inf)
+        if lowest <= 1.0 <= highest and self.has_pole and (at := np.flatnonzero(flat == 1.0)).size:
+            index = ", ".join(str(int(i)) for i in np.unravel_index(at[0], s.shape))
+            where = f"s[{index}]" if s.ndim else "s"
+            raise PoleError(f"principal L-functions have a pole at s = 1: {where} = "
+                            f"{complex(flat[at[0]])!r}")
         values, ests, routes = special.hurwitz_split_many(
             flat, alphas, self._router_tol(lowest), deriv, self.period)
-        totals, est = self._combine(flat, values if deriv else (values,), ests)
+        regs = values if deriv else (values,)
+        if flat.size * len(alphas) <= special._TEMP_BLOCK:
+            totals, est = self._combine(flat, regs, ests)
+        else:
+            block = max(1, special._TEMP_BLOCK // len(alphas))
+            totals = [np.empty(flat.size, dtype=complex) for _ in regs]
+            est = np.empty(flat.size)
+            for i in range(0, flat.size, block):
+                cut = slice(i, i + block)
+                parts, est[cut] = self._combine(flat[cut], tuple(r[:, cut] for r in regs),
+                                                ests[:, cut])
+                for total, part in zip(totals, parts):
+                    total[cut] = part
         totals = [total.reshape(s.shape) for total in totals]
         return ((tuple(totals) if deriv else totals[0]), est.reshape(s.shape),
                 routes.reshape((len(alphas),) + s.shape))
@@ -329,10 +351,8 @@ def l_eval_with_estimate(handle: LFunctionHandle, s) -> tuple[complex, float, st
     The route is the router's route at s, which every residue takes.
     """
     s = complex(s)
-    if s == 1 and handle.has_pole:
-        raise PoleError("principal L-functions have a pole at s = 1")
-    vals, est, routes = handle.evaluate(np.array([s]))
-    value, est, route = complex(vals[0]), float(est[0]), special.ROUTES[routes[0, 0]]
+    vals, est, routes = handle.evaluate(np.array(s))
+    value, est, route = complex(vals), float(est), special.ROUTES[routes[0]]
     if not handle.eval_cfg.accepts(value, est):
         raise handle.eval_cfg.rejection(value, est,
                                         f"at s={s!r}, m={handle.period} (route {route})")
@@ -368,13 +388,6 @@ def sigma1_root(cfg: EvalConfig = DEFAULT_CONFIG) -> float:
 _SIGMA_STEP = 0.005
 _T_STEP = 0.2
 _BISECT_TOL = 1e-4
-# Lattice points per t-block of the scan.  Euler-Maclaurin's tail keeps about
-# seven complex arrays of the block alive; at a quarter of special._EM_BLOCK
-# they stay near a core's L2 cache.  On the strip benchmark's window (41
-# rows, t in [0, 300]; numpy 2.4, one x86-64 core, 2 MB L2) blocks of 2^12
-# points timed 13 ms a scan with a 1.3 MB allocation peak, 2^13 16 ms and
-# 2.0 MB, 2^14 20 ms and 3.5 MB, 2^11 17 ms.
-_SCAN_BLOCK = special._EM_BLOCK // 4
 
 
 @dataclass(frozen=True)
@@ -395,8 +408,8 @@ def sigma0_estimate(handle: LFunctionHandle, sigma_lo: float, sigma_hi: float,
     two sure points of opposite sign, sure where |Re L| exceeds its error
     estimate; a point within it, as at a zero of L on the grid, has no
     sign.  The window's Re L comes from the lattice evaluator
-    (LFunctionHandle._evaluate_grid) in t-blocks of about _SCAN_BLOCK
-    points, a bisection row as a 1-row lattice;
+    (LFunctionHandle._evaluate_grid) in t-blocks of about
+    special._TEMP_BLOCK points, a bisection row as a 1-row lattice;
     the pole of a principal character at s = 1 is dodged to 1 + 0.2i/7.
     Raises DomainError, naming the rows' range, left of Re s = -3, where
     the lattice (special.hurwitz_grid) does not reach.
@@ -421,7 +434,14 @@ def sigma0_estimate(handle: LFunctionHandle, sigma_lo: float, sigma_hi: float,
         pole = handle.has_pole & (np.abs(sigmas - 1.0) < 1e-12)
         for rows, grid_ts in ((~pole, ts), (pole, dodged)):
             if rows.any():
-                width = max(1, _SCAN_BLOCK // np.count_nonzero(rows))
+                # t-blocks of about special._TEMP_BLOCK lattice points:
+                # Euler-Maclaurin's tail keeps about seven complex arrays of
+                # the block alive, which stay near a core's L2 cache.  On the
+                # strip benchmark's window (41 rows, t in [0, 300]; numpy
+                # 2.4, one x86-64 core, 2 MB L2) blocks of 2^12 points timed
+                # 13 ms a scan with a 1.3 MB allocation peak, 2^13 16 ms and
+                # 2.0 MB, 2^14 20 ms and 3.5 MB, 2^11 17 ms.
+                width = max(1, special._TEMP_BLOCK // np.count_nonzero(rows))
                 for j in range(0, ts.size, width):
                     values, est = handle._evaluate_grid(sigmas[rows], grid_ts[j:j + width])
                     re = values.real

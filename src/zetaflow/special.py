@@ -51,7 +51,9 @@ are.  The routes, as the router names them:
   alone a wide batch takes the terms n^(-s) from a sieved table
   (_sieved_sums): only the prime rows take a complex exp, and every other
   row is the product of two earlier rows.  The partial sums are summed by
-  pairwise halving, of depth log2 N.
+  pairwise halving, of depth log2 N.  A group of more than _TEMP_BLOCK / R
+  points (R residues) runs the kernel on blocks of that many points, all
+  on the group's one plan and estimate, with the values of one whole call.
 
 The router's lattice twin, ``hurwitz_grid``, evaluates whole sigma x t
 lattices, value only, for the sigma0 scan of the dirichlet module: the rows
@@ -132,6 +134,19 @@ _SIEVE_PASS_OVERHEAD = 150.0
 # 2^15 timed alike, and 2^18 1.6 to 2 times slower on the 1501-point sigma0
 # row and the 5800-point census row (x86-64, 2 MB L2 per core).
 _EM_BLOCK = 1 << 14
+# Complex values per block of every other temporary that grows with a batch:
+# the Euler-Maclaurin kernel's point blocks (euler_maclaurin_split), the
+# L-combination's (LFunctionHandle.evaluate), the stacked Horner factors
+# (_em_horner) and the sigma0 scan's t-blocks.  The rule: no such temporary
+# above 64 kB, half of glibc's 128 kB default trim threshold, so that freeing
+# one does not leave glibc a heap top to give back to the system and the
+# next allocation to fault in again; and a few of them stay near a core's L2
+# cache.  A whole 128x128 field's temporaries are 256 kB: with the mmap
+# threshold fixed at 32 MiB, an ETD step of the field_2d march made about
+# 1,490 minor page faults with them and 240 in blocks, the rest mostly from
+# the partial-sum blocks (_EM_BLOCK, 256 kB, kept for the sums' speed) and
+# the step's own FFTs.
+_TEMP_BLOCK = 1 << 12
 # ln of the largest float64
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
@@ -959,6 +974,10 @@ def _em_split(s: np.ndarray, alpha, n_terms: int, n_corr: int, exact_lead,
     logs, la, neg_la, big_a, horner = _em_columns(alphas, n_terms)
     if sieved:
         partial, dpartial, decay = _sieved_sums(flat, n_terms, want_deriv)
+        # on the grid's residue axis: numpy rounds the complex product of a
+        # (1,) and a (1, 1) array otherwise than that of (n,) and (1, n), so
+        # a one-point block would round decay * tail otherwise
+        decay = decay[None]
     else:
         # partial sums of the defining series, each a from its own first term
         firsts = [1 if lead else 0 for lead in leads]
@@ -1031,10 +1050,6 @@ _DV_SHIFT = 2.0 * _V_ODD + 1.0
 _ONE, _HALF = np.array(1.0, dtype=complex), np.array(0.5, dtype=complex)
 for _const in (_V_ODD, _V_EVEN, _DV_SHIFT, _ONE, _HALF):
     _const.setflags(write=False)
-# Elements of one stacked op of _em_horner: the v_j of up to this many
-# (residue, point) elements are formed together, and of a larger grid one j
-# at a time, so no array outgrows the grid or 64 kB
-_HORNER_BLOCK = _EM_BLOCK // 4
 
 
 def _em_horner(grid: np.ndarray, horner, n_corr: int, want_deriv: bool):
@@ -1045,14 +1060,14 @@ def _em_horner(grid: np.ndarray, horner, n_corr: int, want_deriv: bool):
     v_{K-1} D_K)) with v_j = (s+2j-1)(s+2j) and D_j = C_j (N+a)^(2-2j).
     The v_j, and the derivative's factors v_j' = 2s+4j-1, are formed in
     blocks of consecutive j, one op per block over (j, residue, point), of
-    at most _HORNER_BLOCK elements or one j; the products are elementwise
+    at most _TEMP_BLOCK elements or one j; the products are elementwise
     those of one v_j at a time, at every batch size.
     """
     steps = n_corr - 1
     acc = horner[steps]
     dacc = np.zeros_like(grid) if want_deriv else None
     two_grid = 2.0 * grid if want_deriv and steps else None
-    block = max(1, _HORNER_BLOCK // grid.size)
+    block = max(1, _TEMP_BLOCK // grid.size)
     for top in range(steps, 0, -block):
         low = max(0, top - block)
         v = (grid + _V_ODD[low:top]) * (grid + _V_EVEN[low:top])
@@ -1102,6 +1117,12 @@ def euler_maclaurin_split(s, alpha, tol: float = 1e-12, want_deriv: bool = False
     reach a tenth of ``tol``.  For a = 1 alone the kernel takes the sieved
     table where _sieve_pays.  Raises AccuracyError at Re s <= -25, and
     where a^(-s) leaves the float64 range; both name the point.
+
+    The group is planned once, and a group of more than _TEMP_BLOCK / R
+    points (R the number of a) runs the kernel on consecutive blocks of
+    that many points with the group's plan, each written into one output
+    array: a point's values do not depend on its block, so they equal
+    one kernel call on the whole group, bit for bit.
     """
     alphas, single = _check_alphas(alpha)
     s = np.asarray(s, dtype=complex)
@@ -1117,8 +1138,20 @@ def euler_maclaurin_split(s, alpha, tol: float = 1e-12, want_deriv: bool = False
     est = np.empty((len(alphas), flat.size))
     np.add(remainder, _em_rounding(flat.real, re_min, re_max, big_s, alphas, n_terms, n_corr,
                                    leads, want_deriv, sieved), out=est)
-    return (*_em_split(s, alphas[0] if single else alphas, n_terms, n_corr,
-                       leads[0] if single else leads, want_deriv, sieved), est.reshape(shape))
+    if flat.size * len(alphas) <= _TEMP_BLOCK:
+        return (*_em_split(s, alphas[0] if single else alphas, n_terms, n_corr,
+                           leads[0] if single else leads, want_deriv, sieved), est.reshape(shape))
+    block = max(1, _TEMP_BLOCK // len(alphas))
+    regular = np.empty((len(alphas), flat.size), dtype=complex)
+    dregular = np.empty_like(regular) if want_deriv else None
+    for i in range(0, flat.size, block):
+        part, dpart = _em_split(flat[i:i + block], alphas, n_terms, n_corr, leads, want_deriv,
+                                sieved)
+        regular[:, i:i + block] = part
+        if want_deriv:
+            dregular[:, i:i + block] = dpart
+    return (regular.reshape(shape), dregular.reshape(shape) if want_deriv else None,
+            est.reshape(shape))
 
 
 def _lattice_sums(sigmas: np.ndarray, ts: np.ndarray, logs: np.ndarray, sieved: bool):
