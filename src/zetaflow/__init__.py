@@ -4,7 +4,8 @@ Evaluation of Hurwitz/Riemann zeta and Dirichlet L-functions from first
 principles, the holomorphic flow s' = lambda L(s) with zero classification,
 the reaction-diffusion flow du/dt = Lap(u) + lambda L(u) on a periodic
 torus with theorem-shaped envelope/stability/quench checks, and the
-certified local-existence constants behind the short-time Picard solver.
+local-existence constants behind the short-time Picard solver (closed-form
+bounds, except a sampled sup of |d|, so not certified).
 """
 
 from .errors import (AccuracyError, CharacterValidationError,

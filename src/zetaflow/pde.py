@@ -10,8 +10,10 @@ P(u) = |Re u - 1| + |Im u| (quench detection), field extrema, and sup |u|
 On top of the march sit the paper's theorem checks, one THEOREMS entry per
 id (hypotheses on the datum, lambda, the nonlinearity and thm1.8's target
 zero; a verdict on the run), the stability experiment around a stable zero,
-and a short-time Picard (Duhamel fixed point) solver with certified
-contraction constants that cross-validates the ETD march on [0, T_local].
+and a short-time Picard (Duhamel fixed point) solver that cross-validates
+the ETD march on [0, T_local].  Its contraction constants are closed-form
+bounds except d1, a sampled sup (see SolverConstants), so they are not
+certified.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ class GridField:
             raise DomainError("2-d grids must be square")
         if not self.length > 0:
             raise DomainError("length must be positive")
-        if not np.all(np.isfinite(self.values.real)) or not np.all(np.isfinite(self.values.imag)):
+        if not np.isfinite(self.values).all():  # complex: both parts finite
             raise DomainError("field values must be finite")
 
     @property
@@ -84,15 +86,30 @@ def _laplacian_eigs(shape: tuple, length: float) -> np.ndarray:
     return -(k[:, None] ** 2 + k[None, :] ** 2)
 
 
+def _by_axes(transform: Callable, values: np.ndarray) -> np.ndarray:
+    """np.fft.fftn or ifftn, bitwise: the 1-d ``transform`` along each axis, the last first.
+
+    That is fftn's own order, without its argument handling: about 30% of
+    a 32-point transform.
+    """
+    for axis in range(values.ndim - 1, -1, -1):
+        values = transform(values, axis=axis)
+    return values
+
+
+_fftn = partial(_by_axes, np.fft.fft)
+_ifftn = partial(_by_axes, np.fft.ifft)
+
+
 def heat_semigroup(field: GridField, t: float) -> GridField:
     """Apply exp(t Lap) spectrally; t = 0 is the identity, the mean is kept."""
     if t < 0:
         raise DomainError("the heat semigroup needs t >= 0")
     if t == 0:
         return field.copy()
-    vhat = np.fft.fftn(field.values)
+    vhat = _fftn(field.values)
     vhat *= np.exp(_laplacian_eigs(field.values.shape, field.length) * t)
-    return GridField(np.fft.ifftn(vhat), field.length, field.time)
+    return GridField(_ifftn(vhat), field.length, field.time)
 
 
 # phi2(z) = (e^z - 1 - z)/z^2 = sum_{k>=0} z^k/(k+2)!, coefficients from the highest power down
@@ -109,9 +126,9 @@ def _nonlinearity(cfg: FlowConfig, values: np.ndarray) -> np.ndarray:
     handle = cfg.nonlinearity
     if handle.has_pole:
         p = pole_distance(values)
-        idx = np.unravel_index(int(np.argmin(p)), p.shape)
-        min_p = float(p[idx])
+        min_p = float(p.min())
         if min_p < cfg.pole_guard_eps:
+            idx = np.unravel_index(int(p.argmin()), p.shape)  # the first least P
             raise QuenchSignal(idx, complex(values[idx]), min_p)
     out = handle.eval_many(values)
     finite = np.isfinite(out)
@@ -150,16 +167,34 @@ def etd_step(field: GridField, dt: float, cfg: FlowConfig) -> GridField:
         raise DomainError("dt must be positive")
     e, dt_phi1, dt_phi2 = _etd_multipliers(field.values.shape, field.length, dt)
     nu = _nonlinearity(cfg, field.values)
-    uhat = np.fft.fftn(field.values)
-    ahat = e * uhat + dt_phi1 * np.fft.fftn(nu)
-    a = np.fft.ifftn(ahat)
+    # combined in place: the multipliers are real, so every product and sum
+    # rounds as in the formulas above, and a 128x128 step allocates fewer
+    # 256 kB arrays, which glibc trims and the next step faults back in
+    ahat = _fftn(field.values)
+    ahat *= e
+    nuhat = _fftn(nu)
+    nuhat *= dt_phi1
+    ahat += nuhat
+    a = _ifftn(ahat)
     na = _nonlinearity(cfg, a)
-    out_hat = ahat + dt_phi2 * np.fft.fftn(na - nu)
-    return GridField(np.fft.ifftn(out_hat), field.length, field.time + dt)
+    na -= nu
+    out_hat = _fftn(na)
+    out_hat *= dt_phi2
+    out_hat += ahat
+    return GridField(_ifftn(out_hat), field.length, field.time + dt)
 
 
 @dataclass
 class QuenchInfo:
+    """Where and when a march's pole guard tripped.
+
+    ``time`` is the start of the macro step in which it tripped, the time
+    of the last monitor row; the quench itself lies within that step.
+    ``index``, ``value`` and ``min_p`` belong to the field or ETD stage
+    whose P fell below cfg.pole_guard_eps, possibly inside a halved
+    sub-step: its first grid index of least P, u there, and that P.
+    """
+
     time: float
     index: tuple
     value: complex
@@ -199,15 +234,20 @@ class RunRecord:
 
 
 def _monitor_row(field: GridField, target: complex | None) -> tuple:
-    """One field's MonitorSeries row: t, min P, Re and Im extrema, sup |u| [, sup |u - target|]."""
+    """One field's MonitorSeries row: t, min P, Re and Im extrema, sup |u| [, sup |u - target|].
+
+    The reductions are ndarray methods: the same reductions as np.min and
+    np.max, without their dispatch.
+    """
     v = field.values
-    row = (field.time, float(np.min(pole_distance(v))),
-           float(np.min(v.real)), float(np.max(v.real)),
-           float(np.min(v.imag)), float(np.max(v.imag)), float(np.max(np.abs(v))))
-    return row if target is None else row + (float(np.max(np.abs(v - target))),)
+    re, im = v.real, v.imag
+    row = (field.time, float(pole_distance(v).min()), float(re.min()), float(re.max()),
+           float(im.min()), float(im.max()), float(np.abs(v).max()))
+    return row if target is None else row + (float(np.abs(v - target).max()),)
 
 
-def _advance(field: GridField, dt: float, cfg: FlowConfig, depth: int = 0) -> GridField:
+def _advance(field: GridField, dt: float, cfg: FlowConfig, min_p: float | None = None,
+             depth: int = 0) -> GridField:
     """One macro step of size dt, halved locally on overshoot or a non-finite step.
 
     Near the pole the admissible jump shrinks with the pole distance, so the
@@ -216,22 +256,27 @@ def _advance(field: GridField, dt: float, cfg: FlowConfig, depth: int = 0) -> Gr
     not finite (etd_step's NumericalFailureError) is halved as an overshoot
     is; after _MAX_HALVINGS halvings NumericalFailureError carries the time
     and the last finite field.
+
+    ``min_p`` is inf P(field) where the caller has it (the march's last
+    monitor row); otherwise it is computed here, where L has a pole.
     """
     if depth > _MAX_HALVINGS:
         raise NumericalFailureError(f"time step halving exhausted at t = {field.time!r}",
                                     last_time=field.time, last_state=field)
     limit = _OVERSHOOT_JUMP
     if cfg.nonlinearity.has_pole:
-        limit = min(limit, 0.5 * float(np.min(pole_distance(field.values))))
+        if min_p is None:
+            min_p = float(pole_distance(field.values).min())
+        limit = min(limit, 0.5 * min_p)
     try:
         nxt = etd_step(field, dt, cfg)
     except NumericalFailureError:
         pass
     else:
-        if float(np.max(np.abs(nxt.values - field.values))) <= limit:
+        if float(np.abs(nxt.values - field.values).max()) <= limit:
             return nxt
-    half = _advance(field, dt / 2.0, cfg, depth + 1)
-    return _advance(half, dt / 2.0, cfg, depth + 1)
+    half = _advance(field, dt / 2.0, cfg, min_p, depth + 1)
+    return _advance(half, dt / 2.0, cfg, None, depth + 1)
 
 
 def integrate_pde(g: GridField, cfg: FlowConfig,
@@ -249,8 +294,13 @@ def integrate_pde(g: GridField, cfg: FlowConfig,
     standing and the reason in ``shadow_failure``.  A step of the run
     itself that stays non-finite through every halving raises
     NumericalFailureError (see _advance).
+
+    Each accepted field's P is taken once, in its monitor row, and that
+    row's min P sets the overshoot limit of the next step.
     """
-    if cfg.nonlinearity.has_pole and float(np.min(pole_distance(g.values))) <= cfg.pole_guard_eps:
+    field = g.copy()
+    rows = [_monitor_row(field, track_target)]
+    if cfg.nonlinearity.has_pole and rows[0][1] <= cfg.pole_guard_eps:
         raise DomainError("initial datum violates the pole guard")
 
     # a run to t_end = 0 takes no step: it holds the datum
@@ -258,14 +308,12 @@ def integrate_pde(g: GridField, cfg: FlowConfig,
     dt = cfg.t_end / max(n_steps, 1)
     snap_every = max(1, n_steps // _SNAPSHOT_BUDGET)
 
-    field = g.copy()
-    rows = [_monitor_row(field, track_target)]
     snapshot_times, snapshots = [field.time], [field.values.copy()]
     termination = "completed"
     quench = None
     for step in range(1, n_steps + 1):
         try:
-            field = _advance(field, dt, cfg)
+            field = _advance(field, dt, cfg, rows[-1][1])
         except QuenchSignal as sig:
             termination = "quenched"
             quench = QuenchInfo(time=field.time, index=sig.index,
@@ -705,12 +753,16 @@ def stability_experiment(z0: ZeroRecord, delta: float, datum: GridField,
 
 @dataclass(frozen=True)
 class SolverConstants:
-    """Certified constants for the short-time fixed-point solve.
+    """Constants for the short-time fixed-point solve; not certified.
 
     z1/z2 bound the Hurwitz composition and its Lipschitz constant on the
     box [-beta, beta]^2 with pole margin eps; m1/m2 are their L-function
     counterparts at period m; t_local = min(1/(2 m2), beta/(2 m1),
-    eps/(4 m1)) guarantees the Duhamel map contracts with factor <= 1/2.
+    eps/(4 m1)) makes the Duhamel map contract with factor <= 1/2 where
+    they are bounds.  h1, h2 and d2 are the paper's closed forms, but d1
+    is special.d_sup_bound, 1.1 x the sup of |d| sampled on a 101^2 grid,
+    which is not proven to bound it; so z1, m1 and t_local are not proven
+    either.
     """
 
     beta: float
@@ -799,14 +851,14 @@ def picard_local_solve(g: GridField, consts: SolverConstants, n_iter: int,
     T = consts.t_local
     xg, wg = np.polynomial.legendre.leggauss(32)
     eigs = _laplacian_eigs(g.values.shape, g.length)
-    ghat = np.fft.fftn(g.values)
+    ghat = _fftn(g.values)
 
     # representation nodes: 0, the 32 Gauss points of [0, T], and T
     nodes = np.concatenate([[0.0], T * (xg + 1.0) / 2.0, [T]])
     n_nodes = nodes.size
 
     def nonlin_hat(values: np.ndarray) -> np.ndarray:
-        return np.fft.fftn(cfg.lam * cfg.nonlinearity.eval_many(values))
+        return _fftn(cfg.lam * cfg.nonlinearity.eval_many(values))
 
     # per-target quadrature: nodes tau_ij = t_i (x+1)/2, weights t_i w / 2
     interp = []
@@ -830,7 +882,7 @@ def picard_local_solve(g: GridField, consts: SolverConstants, n_iter: int,
         for i, t_i in enumerate(nodes):
             tau_hat = (interp[i] @ flat_nhat).reshape((32,) + g.values.shape)
             integral = np.tensordot(quad_w[i], prop[i] * tau_hat, axes=(0, 0))
-            new.append(np.fft.ifftn(semi_g[i] + integral))
+            new.append(_ifftn(semi_g[i] + integral))
         dist = max(y_norm(a - b) for a, b in zip(new, current))
         if distances and distances[-1] > floor:
             ratio = dist / distances[-1]

@@ -51,6 +51,15 @@ class TestGridField:
         with pytest.raises(zf.DomainError):
             zf.GridField(vals)
 
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(np.inf, 0.0),
+                                     complex(0.0, np.nan), complex(0.0, -np.inf)])
+    def test_rejects_a_nonfinite_part(self, bad):
+        # one complex isfinite pass must see either part alone
+        vals = np.zeros(16, dtype=complex)
+        vals[3] = bad
+        with pytest.raises(zf.DomainError):
+            zf.GridField(vals)
+
     def test_rejects_3d(self):
         with pytest.raises(zf.DomainError):
             zf.GridField(np.zeros((16, 16, 16), dtype=complex))
@@ -137,6 +146,22 @@ class TestEtdStep:
             zf.etd_step(zf.GridField(vals), 0.01, cfg)
         assert sig.value.index == (5,)
         assert sig.value.min_p < 1e-3
+
+    @pytest.mark.parametrize("shape, first, second", [((16,), (5,), (9,)),
+                                                      ((16, 16), (3, 7), (7, 3))])
+    def test_quench_signal_names_the_first_of_a_tie(self, zeta_handle, shape, first, second):
+        # two points of exactly equal P = 2^-11 below the guard, different values
+        cfg = flow_cfg(zeta_handle, lam=1)
+        vals = np.full(shape, -2.0, dtype=complex)
+        vals[first] = 1.0 - 2.0 ** -11
+        vals[second] = 1.0 + 2.0 ** -11 * 1j
+        p = pm.pole_distance(vals)
+        assert p[first] == p[second] == p.min() == 2.0 ** -11
+        with pytest.raises(zf.QuenchSignal) as sig:
+            zf.etd_step(zf.GridField(vals), 0.01, cfg)
+        assert sig.value.index == first == np.unravel_index(np.argmin(p), shape)
+        assert sig.value.value == vals[first]
+        assert sig.value.min_p == 2.0 ** -11
 
     @pytest.mark.parametrize("shape,dt", [((32,), 0.04), ((32,), 0.02), ((16, 16), 1e-3)])
     def test_cached_multipliers_bitwise(self, zeta_handle, shape, dt):
@@ -298,6 +323,151 @@ class TestIntegratePde:
         run1 = zf.integrate_pde(zf.constant_field(2.0, shape=(16,)), cfg)
         run2 = zf.integrate_pde(zf.constant_field(2.0, shape=(16, 16)), cfg)
         assert abs(run1.final.values[0] - run2.final.values[0, 0]) < 1e-12
+
+
+def reference_march(g, cfg, track_target=None, estimate_error=False):
+    """integrate_pde as it was before its per-step bookkeeping was cut, a reference
+    written out here: np.fft.fftn and ifftn, each ETD product a new array, P taken
+    for the monitor row, the overshoot limit and the guard each, the guard by
+    argmin, and the monitor rows by np.min and np.max."""
+    def nonlinearity(values):
+        if cfg.nonlinearity.has_pole:
+            p = pm.pole_distance(values)
+            idx = np.unravel_index(int(np.argmin(p)), p.shape)
+            min_p = float(p[idx])
+            if min_p < cfg.pole_guard_eps:
+                raise zf.QuenchSignal(idx, complex(values[idx]), min_p)
+        out = cfg.nonlinearity.eval_many(values)
+        if not np.all(np.isfinite(out)):
+            raise zf.NumericalFailureError("not finite")
+        out *= cfg.lam
+        return out
+
+    def etd_step(field, dt):
+        e, dt_phi1, dt_phi2 = pm._etd_multipliers(field.values.shape, field.length, dt)
+        nu = nonlinearity(field.values)
+        ahat = e * np.fft.fftn(field.values) + dt_phi1 * np.fft.fftn(nu)
+        na = nonlinearity(np.fft.ifftn(ahat))
+        out_hat = ahat + dt_phi2 * np.fft.fftn(na - nu)
+        return zf.GridField(np.fft.ifftn(out_hat), field.length, field.time + dt)
+
+    def advance(field, dt, depth=0):
+        if depth > pm._MAX_HALVINGS:
+            raise zf.NumericalFailureError("halving exhausted", last_time=field.time,
+                                           last_state=field)
+        limit = pm._OVERSHOOT_JUMP
+        if cfg.nonlinearity.has_pole:
+            limit = min(limit, 0.5 * float(np.min(pm.pole_distance(field.values))))
+        try:
+            nxt = etd_step(field, dt)
+        except zf.NumericalFailureError:
+            pass
+        else:
+            if float(np.max(np.abs(nxt.values - field.values))) <= limit:
+                return nxt
+        return advance(advance(field, dt / 2.0, depth + 1), dt / 2.0, depth + 1)
+
+    def monitor_row(field):
+        v = field.values
+        row = (field.time, float(np.min(pm.pole_distance(v))),
+               float(np.min(v.real)), float(np.max(v.real)),
+               float(np.min(v.imag)), float(np.max(v.imag)), float(np.max(np.abs(v))))
+        return row if track_target is None else row + (float(np.max(np.abs(v - track_target))),)
+
+    n_steps = max(1, round(cfg.t_end / cfg.dt_init)) if cfg.t_end else 0
+    dt = cfg.t_end / max(n_steps, 1)
+    snap_every = max(1, n_steps // pm._SNAPSHOT_BUDGET)
+    field = g.copy()
+    rows = [monitor_row(field)]
+    snapshot_times, snapshots = [field.time], [field.values.copy()]
+    termination, quench = "completed", None
+    for step in range(1, n_steps + 1):
+        try:
+            field = advance(field, dt)
+        except zf.QuenchSignal as sig:
+            termination = "quenched"
+            quench = pm.QuenchInfo(field.time, sig.index, sig.value, sig.min_p)
+            break
+        field.time = step * dt
+        rows.append(monitor_row(field))
+        if rows[-1][6] > pm.ESCAPE_LIMIT:
+            termination = "escaped"
+            break
+        if step % snap_every == 0:
+            snapshot_times.append(field.time)
+            snapshots.append(field.values.copy())
+    if snapshot_times[-1] != field.time:
+        snapshot_times.append(field.time)
+        snapshots.append(field.values.copy())
+    err_est = None
+    if estimate_error and termination == "completed":
+        shadow = g.copy()
+        for _ in range(2 * n_steps):
+            shadow = advance(shadow, dt / 2.0)
+        err_est = float(np.max(np.abs(shadow.values - field.values)))
+    return pm.RunRecord(termination=termination, final=field, snapshot_times=snapshot_times,
+                        snapshots=snapshots, monitors=pm.MonitorSeries(*map(np.array, zip(*rows))),
+                        quench=quench, error_estimate=err_est, cfg=cfg, dt=dt,
+                        t_end=cfg.t_end, length=g.length)
+
+
+def run_bytes(run) -> dict:
+    """Every output of a RunRecord as bytes, so that signed zeros count."""
+    f64 = lambda *xs: np.array(xs, dtype=float).tobytes()
+    out = {"termination": run.termination, "final": run.final.values.tobytes(),
+           "final_time": f64(run.final.time), "snapshot_times": f64(*run.snapshot_times),
+           "snapshots": [snap.tobytes() for snap in run.snapshots],
+           "error_estimate": None if run.error_estimate is None else f64(run.error_estimate),
+           "shadow_failure": run.shadow_failure, "dt": f64(run.dt)}
+    for column in dataclasses.fields(pm.MonitorSeries):
+        values = getattr(run.monitors, column.name)
+        out[column.name] = None if values is None else values.tobytes()
+    if run.quench is not None:
+        q = run.quench
+        out["quench"] = (f64(q.time), tuple(int(i) for i in q.index),
+                         np.array(q.value, dtype=complex).tobytes(), f64(q.min_p))
+    return out
+
+
+class TestMarchReference:
+    """integrate_pde, bitwise against the march written out in reference_march."""
+
+    @staticmethod
+    def case(name, zeta_handle, chi4):
+        smooth = zf.smooth_real_field
+        if name == "disc":
+            datum = zf.disc_random_field(-2.0, 0.05, seed=5, shape=(32,))
+            return datum, flow_cfg(zeta_handle, lam=1, t_end=1.0, dt_init=0.04), -2.0, False
+        if name == "confine":  # Re u on both sides of -3: reflection and Euler-Maclaurin
+            datum = smooth(-7.3, -2.6, seed=6, shape=(32,))
+            return datum, flow_cfg(zeta_handle, lam=1, t_end=1.0, dt_init=0.04), None, False
+        if name == "quench":
+            datum = smooth(0.4, 0.6, seed=2, shape=(32,))
+            return datum, flow_cfg(zeta_handle, lam=-1, t_end=1.0, dt_init=2e-3), None, False
+        if name == "global":
+            datum = smooth(-6.9, -3.1, seed=7, shape=(32,))
+            return datum, flow_cfg(zeta_handle, lam=-1, t_end=0.5, dt_init=5e-3), None, False
+        if name == "chi4":  # no pole, so no guard; the shadow run too
+            datum = zf.fourier_field(2.2 + 0.5j, [(1, 0.08 + 0.06j)], shape=(32,))
+            handle = zf.l_function(chi4)
+            return datum, flow_cfg(handle, lam=1, t_end=0.2, dt_init=2e-3), None, True
+        datum = zf.disc_random_field(3.0 + 1.0j, 0.5, seed=8, shape=(32, 32))
+        return datum, flow_cfg(zeta_handle, lam=1, t_end=0.01, dt_init=1e-3), None, True
+
+    @pytest.mark.parametrize("name", ["disc", "confine", "quench", "global", "chi4", "2d"])
+    def test_run_record_bitwise(self, zeta_handle, chi4, monkeypatch, name):
+        datum, cfg, target, estimate = self.case(name, zeta_handle, chi4)
+        want = reference_march(datum, cfg, track_target=target, estimate_error=estimate)
+        steps = count_etd_steps(monkeypatch)
+        got = zf.integrate_pde(datum, cfg, track_target=target, estimate_error=estimate)
+        assert run_bytes(got) == run_bytes(want)
+        expected = {"quench": "quenched"}.get(name, "completed")
+        assert got.termination == expected
+        if name == "quench":  # the guard trips inside a halved sub-step
+            assert len(steps) > len(got.monitors.time) and min(steps) < cfg.dt_init / 2
+            assert got.quench.min_p < cfg.pole_guard_eps
+        if estimate:
+            assert got.error_estimate is not None
 
 
 class TestEnvelopeSpec:
