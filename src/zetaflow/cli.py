@@ -146,14 +146,22 @@ def _monitor_extrema(run: pde.RunRecord) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_eval(args) -> int:
+    reads = {"zeta": (), "hurwitz": ("alpha",), "l": ("principal", "character_file")}
+    for flag in ("alpha", "principal", "character_file"):
+        if getattr(args, flag) is not None and flag not in reads[args.function]:
+            raise ConfigurationError(f"{args.function} does not read --{flag.replace('_', '-')}")
+    if args.principal is not None and args.character_file is not None:
+        raise ConfigurationError("give one of --principal and --character-file: "
+                                 "both set the character")
     cfg = EvalConfig(abs_tol=args.abs_tol)
     s = _parse_complex(args.s)
     if args.function == "zeta":
         value, est, path = special.eval_diagnostics(s, 1.0, cfg)
         label = f"zeta({args.s})"
     elif args.function == "hurwitz":
-        value, est, path = special.eval_diagnostics(s, args.alpha, cfg)
-        label = f"zeta({args.s}, {args.alpha:g})"
+        alpha = 1.0 if args.alpha is None else args.alpha
+        value, est, path = special.eval_diagnostics(s, alpha, cfg)
+        label = f"zeta({args.s}, {alpha:g})"
     else:  # l; argparse restricts the choices
         handle = _nonlinearity_from_spec(_l_spec(args), cfg)
         value, est, path = dirichlet.l_eval_with_estimate(handle, s)
@@ -384,7 +392,7 @@ def _add_eval_args(p, with_function=True):
     if with_function:
         p.add_argument("function", choices=("zeta", "hurwitz", "l"))
     p.add_argument("--s", required=True, help="complex point, e.g. 2 or 0.5+14.13i")
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", type=float, default=None, help="hurwitz only; default 1")
     p.add_argument("--principal", type=int, default=None,
                    help="use the principal character of this period")
     p.add_argument("--character-file", default=None,

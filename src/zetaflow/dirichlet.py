@@ -214,13 +214,13 @@ class LFunctionHandle:
         residues at once; it gives each point one route for every residue,
         and with ``deriv`` R_r and R'_r from the same kernel calls.  Each
         sum over the residues is one elementwise sum, in the same order at
-        every point and batch size, and the combination runs on blocks of
-        special._TEMP_BLOCK / R points (R residues), so no temporary of a
-        wide batch outgrows 64 kB.  ``routes`` holds the route code per
-        residue (leading axis) and point; the rows are equal.  Raises
-        PoleError, naming the first such point and its index, where a
-        principal character meets s = 1; only a batch whose Re s hull holds
-        1 is searched.
+        every point and batch size, and the combination runs on point blocks
+        (special._point_blocks) of special._TEMP_BLOCK / R points (R
+        residues), so no temporary of a wide batch outgrows 64 kB.
+        ``routes`` holds the route code per residue (leading axis) and
+        point; the rows are equal.  Raises PoleError, naming the first such
+        point and its index, where a principal character meets s = 1; only a
+        batch whose Re s hull holds 1 is searched.
         """
         s = np.asarray(s, dtype=complex)
         flat = s.ravel()
@@ -234,18 +234,7 @@ class LFunctionHandle:
         values, ests, routes = special.hurwitz_split_many(
             flat, alphas, self._router_tol(lowest), deriv, self.period)
         regs = values if deriv else (values,)
-        if flat.size * len(alphas) <= special._TEMP_BLOCK:
-            totals, est = self._combine(flat, regs, ests)
-        else:
-            block = max(1, special._TEMP_BLOCK // len(alphas))
-            totals = [np.empty(flat.size, dtype=complex) for _ in regs]
-            est = np.empty(flat.size)
-            for i in range(0, flat.size, block):
-                cut = slice(i, i + block)
-                parts, est[cut] = self._combine(flat[cut], tuple(r[:, cut] for r in regs),
-                                                ests[:, cut])
-                for total, part in zip(totals, parts):
-                    total[cut] = part
+        est, *totals = special._point_blocks(self._combine, (flat, ests, *regs), len(alphas))
         totals = [total.reshape(s.shape) for total in totals]
         return ((tuple(totals) if deriv else totals[0]), est.reshape(s.shape),
                 routes.reshape((len(alphas),) + s.shape))
@@ -261,11 +250,11 @@ class LFunctionHandle:
         weight = self._residues[3]
         return self.eval_cfg.split_tol * min(1.0, self.period ** min(lowest, 1.0) / weight)
 
-    def _combine(self, flat: np.ndarray, regs: tuple, ests: np.ndarray):
-        """(totals, estimate) of L (and L') at the 1-d points ``flat`` from the regular parts.
+    def _combine(self, flat: np.ndarray, ests: np.ndarray, *regs: np.ndarray):
+        """(estimate, L, and L') at the 1-d points ``flat`` from the regular parts.
 
-        ``regs`` holds the (residue, point) arrays R_r, and R'_r after them
-        for the derivative; ``ests`` their (residue, point) estimates.  The
+        ``ests`` holds the (residue, point) estimates of the (residue, point)
+        arrays ``regs``: R_r, and R'_r after it for the derivative.  The
         chi-weighting, the pole term phi(m)/(s-1) of a principal character
         and the factor m^(-s), as ``evaluate`` states them.
         """
@@ -299,7 +288,7 @@ class LFunctionHandle:
             bound += 4.0 * _EPS
             bound *= largest
             est += bound
-        return totals, est
+        return (est, *totals)
 
     def _evaluate_grid(self, sigmas, ts):
         """(L, estimates) on the lattice of the arrays ``sigmas`` x ``ts``, shaped (row, column).
@@ -311,9 +300,8 @@ class LFunctionHandle:
         regs, ests = special.hurwitz_grid(sigmas, ts, self._residues[2],
                                           self._router_tol(float(sigmas.min())))
         flat = (sigmas[:, None] + 1j * ts[None, :]).ravel()
-        totals, est = self._combine(flat, (regs.reshape(len(regs), -1),),
-                                    ests.reshape(len(regs), -1))
-        return totals[0].reshape(regs.shape[1:]), est.reshape(regs.shape[1:])
+        est, total = self._combine(flat, ests.reshape(len(regs), -1), regs.reshape(len(regs), -1))
+        return total.reshape(regs.shape[1:]), est.reshape(regs.shape[1:])
 
     def eval_many(self, s) -> np.ndarray:
         """Vectorized evaluation on an array of points away from s = 1."""
@@ -434,6 +422,12 @@ def sigma0_estimate(handle: LFunctionHandle, sigma_lo: float, sigma_hi: float,
         pole = handle.has_pole & (np.abs(sigmas - 1.0) < 1e-12)
         for rows, grid_ts in ((~pole, ts), (pole, dodged)):
             if rows.any():
+                row_sigmas = sigmas[rows]
+
+                def signs(block_ts: np.ndarray) -> tuple:
+                    values, est = handle._evaluate_grid(row_sigmas, block_ts)
+                    return (np.where(np.abs(values.real) > est, np.sign(values.real), 0.0),)
+
                 # t-blocks of about special._TEMP_BLOCK lattice points:
                 # Euler-Maclaurin's tail keeps about seven complex arrays of
                 # the block alive, which stay near a core's L2 cache.  On the
@@ -441,11 +435,7 @@ def sigma0_estimate(handle: LFunctionHandle, sigma_lo: float, sigma_hi: float,
                 # 2.4, one x86-64 core, 2 MB L2) blocks of 2^12 points timed
                 # 13 ms a scan with a 1.3 MB allocation peak, 2^13 16 ms and
                 # 2.0 MB, 2^14 20 ms and 3.5 MB, 2^11 17 ms.
-                width = max(1, special._TEMP_BLOCK // np.count_nonzero(rows))
-                for j in range(0, ts.size, width):
-                    values, est = handle._evaluate_grid(sigmas[rows], grid_ts[j:j + width])
-                    re = values.real
-                    out[rows, j:j + width] = np.where(np.abs(re) > est, np.sign(re), 0.0)
+                out[rows] = special._point_blocks(signs, (grid_ts,), row_sigmas.size)[0]
         return out
 
     def first_change(row: np.ndarray) -> float | None:

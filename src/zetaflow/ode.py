@@ -192,7 +192,8 @@ def integrate_flow(cfg: FlowConfig, s0: complex, record_at=None,
         k1 = k[6]  # FSAL: k7 = F(y_new)
         times.append(t)
         states.append(y)
-        if pending and abs(t - pending[0]) <= 1e-13 * max(1.0, abs(pending[0])):
+        # every checkpoint at this time, so a repeated one takes no step of its own
+        while pending and abs(t - pending[0]) <= 1e-13 * max(1.0, abs(pending[0])):
             checkpoint_states[pending.pop(0)] = y
 
         if handle.has_pole and pole_distance(y) < cfg.pole_guard_eps:

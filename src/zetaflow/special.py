@@ -8,11 +8,13 @@ entry point.  One predicate, ``_route_masks``, gives each point one route,
 which every residue takes, from the point and whether the residues share a
 period alone, so a point takes the same route at every batch size.  Each
 route is one kernel call for all the residues (Euler-Maclaurin one per sign
-of Re s), with one contract: (R, R' or None, estimate), with a leading
-residue axis, R and R' from one pass and one estimate bounding each.  A call
-whose points make one Euler-Maclaurin group, as a size-1 call right of
-Re s = -3 does, or all reflect, returns that kernel call's arrays as they
-are.  The routes, as the router names them:
+of Re s), with one contract: a kernel takes the 1-d points, the router's
+checked tuple of residues, the tolerance and whether to form R', and
+returns (R, R' or None, estimate), each shaped (residue, point), R and R'
+from one pass and one estimate bounding each.  A call whose points make
+one Euler-Maclaurin group, as a size-1 call right of Re s = -3 does, or
+all reflect, returns that kernel call's arrays as they are.  The routes,
+as the router names them:
 
 * "reflect" left of Re s = -3, at every |Im s|, when a = 1 or a is a
   residue r/m of a given period m.  Hurwitz's formula (Apostol,
@@ -54,6 +56,9 @@ are.  The routes, as the router names them:
   pairwise halving, of depth log2 N.  A group of more than _TEMP_BLOCK / R
   points (R residues) runs the kernel on blocks of that many points, all
   on the group's one plan and estimate, with the values of one whole call.
+
+Every loop over a batch's points, here and in the dirichlet module, is one
+block rule, _point_blocks, which runs a call that fits in one block unsliced.
 
 The router's lattice twin, ``hurwitz_grid``, evaluates whole sigma x t
 lattices, value only, for the sigma0 scan of the dirichlet module: the rows
@@ -151,6 +156,31 @@ _TEMP_BLOCK = 1 << 12
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
+def _point_blocks(kernel, arrays: tuple, width: int, limit: int = _TEMP_BLOCK) -> tuple:
+    """``kernel(*arrays)``'s results, run on blocks of at most max(1, limit // width) points.
+
+    The points lie on the last axis of each array, and ``width`` counts the
+    elements a point adds to the kernel's largest temporary.  A call that
+    fits in one block runs unsliced and returns the kernel's results as they
+    are; otherwise each result, an array with the points on its last axis
+    or None, fills one output array.  A point's results must not depend on
+    its block, nor be a view into a block's temporary, which they would keep.
+    """
+    size = arrays[0].shape[-1]
+    if size <= 1 or size * width <= limit:
+        return kernel(*arrays)
+    block, outs = max(1, limit // width), None
+    for i in range(0, size, block):
+        parts = kernel(*(a[..., i:i + block] for a in arrays))
+        if outs is None:
+            outs = tuple(None if part is None else np.empty(part.shape[:-1] + (size,), part.dtype)
+                         for part in parts)
+        for out, part in zip(outs, parts):
+            if out is not None:
+                out[..., i:i + block] = part
+    return outs
+
+
 @dataclass(frozen=True)
 class EvalConfig:
     """Tolerance for zeta evaluations.
@@ -211,8 +241,8 @@ def _check_alphas(alpha) -> tuple[tuple, bool]:
 def _checked_tuple(alphas: tuple) -> tuple:
     """The a of a tuple, checked.
 
-    Cached: the tuple a router call checked and hands on to its kernel is
-    not checked again.
+    Cached: the residue tuple of an L-function, which each router call of
+    its handle hands over, is checked once.
     """
     return tuple(map(_check_alpha, alphas))
 
@@ -535,13 +565,16 @@ def _sieve_pays(points: int, n_terms: int) -> bool:
 
 
 def _halving_sum(rows: np.ndarray) -> np.ndarray:
-    """Sum over the leading axis by pairwise halving, in place: depth ceil(log2 n)."""
+    """Sum over the leading axis by pairwise halving, depth ceil(log2 n), into a new array.
+
+    All but the last sum run in place in ``rows``.
+    """
     n = rows.shape[0]
-    while n > 1:
+    while n > 2:
         half = n // 2
         rows[:half] += rows[n - half:n]
         n -= half
-    return rows[0]
+    return rows[0] + rows[1] if n == 2 else rows[0].copy()
 
 
 def _sieved_table(s: np.ndarray, n_rows: int) -> np.ndarray:
@@ -555,7 +588,7 @@ def _sieved_table(s: np.ndarray, n_rows: int) -> np.ndarray:
     return table
 
 
-def _sieved_sums(flat: np.ndarray, n_terms: int, want_deriv: bool):
+def _sieved_sums(s: np.ndarray, n_terms: int, want_deriv: bool):
     """Sums of n^(-s) and -ln n n^(-s) over n = 1..N, and (N+1)^(-s), from the sieved table.
 
     Rows n = 1..N+1, points along the contiguous axis, blocked to _EM_BLOCK
@@ -563,17 +596,14 @@ def _sieved_sums(flat: np.ndarray, n_terms: int, want_deriv: bool):
     """
     rows = n_terms + 1
     logs = _em_logs(1.0, n_terms)[0][:n_terms, None]         # ln n, n = 1..N
-    partial = np.empty_like(flat)
-    dpartial = np.empty_like(flat) if want_deriv else None
-    decay = np.empty_like(flat)
-    block = max(1, _EM_BLOCK // rows)
-    for i in range(0, flat.size, block):
-        table = _sieved_table(flat[i:i + block], rows)
-        decay[i:i + block] = table[n_terms]
-        if want_deriv:
-            dpartial[i:i + block] = -_halving_sum(logs * table[:n_terms])
-        partial[i:i + block] = _halving_sum(table[:n_terms])
-    return partial, dpartial, decay
+
+    def sums(block):
+        table = _sieved_table(block, rows)
+        decay = table[n_terms].copy()
+        dpartial = -_halving_sum(logs * table[:n_terms]) if want_deriv else None
+        return _halving_sum(table[:n_terms]), dpartial, decay
+
+    return _point_blocks(sums, (s,), rows, _EM_BLOCK)
 
 
 @lru_cache(maxsize=32)
@@ -761,7 +791,8 @@ def _least_corrections(re_min: float) -> int:
     return max(1, math.floor(-(re_min + 1.0) / 2.0) + 1)
 
 
-def _em_plan(s: np.ndarray, alpha: float, tol: float, want_deriv: bool, re_min: float):
+def _em_plan(s: np.ndarray, alpha: float, tol: float, want_deriv: bool, re_min: float,
+             re_max: float):
     """Term count N, correction count K and error bounds for an Euler-Maclaurin group.
 
     The group is planned for its cell (see _CELL_LADDER): N and K are a
@@ -771,8 +802,9 @@ def _em_plan(s: np.ndarray, alpha: float, tol: float, want_deriv: bool, re_min: 
     every point of the cell.  Raises AccuracyError, naming the group's
     point and route "series-em", at Re s <= -25, where no K <= 12 bounds
     the remainder, and where no N <= 2^31 meets it, and DomainError, naming
-    the point, where |s| is not finite.  Returns (N, K, remainder bound,
-    S), S = max|s| of the group itself, as the rounding counts it.
+    the point, where |s| is not finite.  ``re_min`` and ``re_max`` are the
+    group's Re s hull.  Returns (N, K, remainder bound, S), S = max|s| of
+    the group itself, as the rounding counts it.
     """
     abs_s = np.abs(s)
     big_s = float(abs_s.max())
@@ -784,7 +816,6 @@ def _em_plan(s: np.ndarray, alpha: float, tol: float, want_deriv: bool, re_min: 
     if _least_corrections(re_lo / _CELL_RE_GRID) > _EM_MAX_CORRECTIONS:
         raise AccuracyError(f"no remainder bound with K <= {_EM_MAX_CORRECTIONS} corrections "
                             + _at(complex(s[np.argmin(s.real)]), alpha, "series-em"))
-    re_max = float(s.real.max()) if s.size > 1 else re_min
     im_rung = None
     if re_lo < 0:
         im_rung = _rung_up(max(float(np.abs(s.imag).max()), _CELL_IM_FLOOR), _CELL_LADDER)
@@ -948,32 +979,27 @@ def _leading_power(s: np.ndarray, alpha: float) -> np.ndarray:
     return np.exp(-prod) * (1.0 - (residual + s * lo))
 
 
-def _em_split(s: np.ndarray, alpha, n_terms: int, n_corr: int, exact_lead,
+def _em_split(s: np.ndarray, alphas: tuple, n_terms: int, n_corr: int, leads: tuple,
               want_deriv: bool, sieved: bool):
     """Euler-Maclaurin evaluation with the 1/(s-1) pole kept symbolic.
 
-    Returns (regular, d_regular or None) with zeta(s, alpha) = regular +
-    1/(s-1) and zeta'(s, alpha) = d_regular - 1/(s-1)^2, for ``n_terms``
-    terms and ``n_corr`` corrections.  ``alpha`` is one a, or a tuple of them
-    that gives the results a leading residue axis; ``exact_lead`` is then a
-    tuple of flags, one per a.  Where an a's flag is set its n = 0 term
-    comes from _leading_power, and with ``sieved`` (a = 1 alone) the terms
-    come from _sieved_sums.  The residues share one exp over (residue, point, term),
-    blocked to _EM_BLOCK elements, and one pass of every other step, with
-    their constants held as columns (_em_columns); the arithmetic per
-    element is that of a single a.
+    Returns (regular, d_regular or None) at the 1-d points ``s``, shaped
+    (residue, point) over ``alphas``, with zeta(s, a) = regular + 1/(s-1)
+    and zeta'(s, a) = d_regular - 1/(s-1)^2, for ``n_terms`` terms and
+    ``n_corr`` corrections.  Where an a's flag in ``leads`` is set its
+    n = 0 term comes from _leading_power, and with ``sieved`` (a = 1 alone)
+    the terms come from _sieved_sums.  The residues share one exp over
+    (residue, point, term), blocked to _EM_BLOCK elements, and one pass of
+    every other step, with their constants held as columns (_em_columns);
+    the arithmetic per element is that of a single a.
     """
-    s = np.asarray(s, dtype=complex)
-    single = not isinstance(alpha, tuple)
-    alphas, leads = ((alpha,), (exact_lead,)) if single else (alpha, exact_lead)
-    flat = s.ravel()
     # numpy's complex product rounds differently where an operand is
     # broadcast, so the products past the partial sums take every point
     # repeated per a
-    grid = flat[None] if len(alphas) == 1 else flat[None].repeat(len(alphas), axis=0)
+    grid = s[None] if len(alphas) == 1 else s[None].repeat(len(alphas), axis=0)
     logs, la, neg_la, big_a, horner = _em_columns(alphas, n_terms)
     if sieved:
-        partial, dpartial, decay = _sieved_sums(flat, n_terms, want_deriv)
+        partial, dpartial, decay = _sieved_sums(s, n_terms, want_deriv)
         # on the grid's residue axis: numpy rounds the complex product of a
         # (1,) and a (1, 1) array otherwise than that of (n,) and (1, n), so
         # a one-point block would round decay * tail otherwise
@@ -993,19 +1019,10 @@ def _em_split(s: np.ndarray, alpha, n_terms: int, n_corr: int, exact_lead,
             return (np.array([m.sum(axis=-1) for m, _ in rows]),
                     np.array([-(m * t).sum(axis=-1) for m, t in rows]) if want_deriv else None)
 
-        block = max(1, _EM_BLOCK // (len(alphas) * max(n_terms, 1)))
-        if flat.size <= block:
-            partial, dpartial = sums(flat)
-        else:
-            partial = np.empty((len(alphas), flat.size), dtype=complex)
-            dpartial = np.empty_like(partial) if want_deriv else None
-            for i in range(0, flat.size, block):
-                partial[:, i:i + block], part = sums(flat[i:i + block])
-                if want_deriv:
-                    dpartial[:, i:i + block] = part
+        partial, dpartial = _point_blocks(sums, (s,), len(alphas) * n_terms, _EM_BLOCK)
         for r, (a, lead) in enumerate(zip(alphas, leads)):
             if lead:
-                power = _leading_power(flat, a)
+                power = _leading_power(s, a)
                 partial[r] += power
                 if want_deriv:
                     hi, lo = _log_parts(a)[:2]
@@ -1014,11 +1031,10 @@ def _em_split(s: np.ndarray, alpha, n_terms: int, n_corr: int, exact_lead,
 
     boundary, tail, dboundary, dtail = _em_tail(grid, la, neg_la, big_a, horner, n_corr,
                                                 want_deriv)
-    shape = s.shape if single else (len(alphas),) + s.shape
-    regular = (partial + boundary + decay * tail).reshape(shape)
+    regular = partial + boundary + decay * tail
     if not want_deriv:
         return regular, None
-    return regular, (dpartial + dboundary + decay * dtail).reshape(shape)
+    return regular, dpartial + dboundary + decay * dtail
 
 
 def _em_tail(grid: np.ndarray, la, neg_la, big_a, horner, n_corr: int, want_deriv: bool):
@@ -1099,59 +1115,39 @@ def _exact_leads(flat: np.ndarray, alphas: tuple, tol: float, big_s: float,
                  for a in alphas)
 
 
-def euler_maclaurin_split(s, alpha, tol: float = 1e-12, want_deriv: bool = False):
-    """Euler-Maclaurin split evaluation (vectorized), for one a or several.
+def euler_maclaurin_split(s: np.ndarray, alphas: tuple, tol: float, want_deriv: bool):
+    """The Euler-Maclaurin route's kernel: (R, R' or None, estimates) at the 1-d points ``s``.
 
-    Returns (regular, d_regular or None, error_estimate), all shaped like
-    ``s``, with a leading residue axis where ``alpha`` is a sequence.  All
-    the a of a sequence run in one kernel call (_em_split) on one plan,
-    made by _em_plan at the least a.  That plan holds for every a: its
-    remainder majorants M(x) = |C_{K+1}| Pi x^(-p) / p and, for the
-    derivative, M(x) (H + ln x + 1/p), p > 0, are read at x = N + a and
-    fall as x grows, the second as its x-derivative is
-    -p x^(-p-1) (H + ln x) < 0 for x > 1.  Each a's estimate is that
-    remainder bound plus the float64 rounding of the kernel with its own a
-    (_em_rounding), so rounding alone can take it past ``tol``: at large
-    |Im s|, and left of Re s = 0.  The leading term a^(-s) is formed to a
-    few eps (_leading_power) for each a where its plain rounding could
-    reach a tenth of ``tol``.  For a = 1 alone the kernel takes the sieved
-    table where _sieve_pays.  Raises AccuracyError at Re s <= -25, and
-    where a^(-s) leaves the float64 range; both name the point.
+    Each is shaped (residue, point) over the router's checked residues
+    ``alphas``, R and R' the regular parts as the router states them.  All
+    the a run in one kernel call (_em_split) on one plan, made by _em_plan
+    at the least a.  That plan holds for every a: its remainder majorants
+    M(x) = |C_{K+1}| Pi x^(-p) / p and, for the derivative,
+    M(x) (H + ln x + 1/p), p > 0, are read at x = N + a and fall as x
+    grows, the second as its x-derivative is -p x^(-p-1) (H + ln x) < 0 for
+    x > 1.  Each a's estimate is that remainder bound plus the float64
+    rounding of the kernel with its own a (_em_rounding), so rounding alone
+    can take it past ``tol``: at large |Im s|, and left of Re s = 0.  The
+    leading term a^(-s) is formed to a few eps (_leading_power) for each a
+    where its plain rounding could reach a tenth of ``tol``.  For a = 1
+    alone the kernel takes the sieved table where _sieve_pays.  Raises
+    AccuracyError at Re s <= -25, and where a^(-s) leaves the float64
+    range; both name the point.
 
-    The group is planned once, and a group of more than _TEMP_BLOCK / R
-    points (R the number of a) runs the kernel on consecutive blocks of
-    that many points with the group's plan, each written into one output
-    array: a point's values do not depend on its block, so they equal
-    one kernel call on the whole group, bit for bit.
+    The group is planned once, and the kernel runs on the block rule's
+    point blocks (_point_blocks), of _TEMP_BLOCK / R points for R residues,
+    all on the group's plan: a point's values do not depend on its block,
+    so they equal one kernel call on the whole group, bit for bit.
     """
-    alphas, single = _check_alphas(alpha)
-    s = np.asarray(s, dtype=complex)
-    shape = s.shape if single else (len(alphas),) + s.shape
-    if s.size == 0:
-        empty = np.empty(shape, dtype=complex)
-        return empty, (empty.copy() if want_deriv else None), np.zeros(shape)
-    flat = s.ravel()
-    re_min, re_max = _re_hull(flat)
-    n_terms, n_corr, remainder, big_s = _em_plan(flat, min(alphas), tol, want_deriv, re_min)
-    leads = _exact_leads(flat, alphas, tol, big_s, re_max)
-    sieved = alphas == (1.0,) and _sieve_pays(flat.size, n_terms)
-    est = np.empty((len(alphas), flat.size))
-    np.add(remainder, _em_rounding(flat.real, re_min, re_max, big_s, alphas, n_terms, n_corr,
+    re_min, re_max = _re_hull(s)
+    n_terms, n_corr, remainder, big_s = _em_plan(s, min(alphas), tol, want_deriv, re_min, re_max)
+    leads = _exact_leads(s, alphas, tol, big_s, re_max)
+    sieved = alphas == (1.0,) and _sieve_pays(s.size, n_terms)
+    est = np.empty((len(alphas), s.size))
+    np.add(remainder, _em_rounding(s.real, re_min, re_max, big_s, alphas, n_terms, n_corr,
                                    leads, want_deriv, sieved), out=est)
-    if flat.size * len(alphas) <= _TEMP_BLOCK:
-        return (*_em_split(s, alphas[0] if single else alphas, n_terms, n_corr,
-                           leads[0] if single else leads, want_deriv, sieved), est.reshape(shape))
-    block = max(1, _TEMP_BLOCK // len(alphas))
-    regular = np.empty((len(alphas), flat.size), dtype=complex)
-    dregular = np.empty_like(regular) if want_deriv else None
-    for i in range(0, flat.size, block):
-        part, dpart = _em_split(flat[i:i + block], alphas, n_terms, n_corr, leads, want_deriv,
-                                sieved)
-        regular[:, i:i + block] = part
-        if want_deriv:
-            dregular[:, i:i + block] = dpart
-    return (regular.reshape(shape), dregular.reshape(shape) if want_deriv else None,
-            est.reshape(shape))
+    return (*_point_blocks(lambda block: _em_split(block, alphas, n_terms, n_corr, leads,
+                                                   want_deriv, sieved), (s,), len(alphas)), est)
 
 
 def _lattice_sums(sigmas: np.ndarray, ts: np.ndarray, logs: np.ndarray, sieved: bool):
@@ -1162,19 +1158,16 @@ def _lattice_sums(sigmas: np.ndarray, ts: np.ndarray, logs: np.ndarray, sieved: 
     blocks of _EM_BLOCK elements.
     """
     weights = np.exp(np.multiply.outer(-sigmas, logs))
-    partial = np.empty((sigmas.size, ts.size), dtype=complex)
-    decay = np.empty_like(partial)
-    block = max(1, _EM_BLOCK // logs.size)
-    for j in range(0, ts.size, block):
-        col = ts[j:j + block]
+
+    def sums(col):
         if sieved:
             phases = _sieved_table(1j * col, logs.size)
         else:
             phases = np.exp(np.multiply.outer(logs, -1j * col))
-        sums = np.einsum("kn,nj->kj", weights[:, :-1], phases[:-1].view(float), optimize=False)
-        partial[:, j:j + block] = sums.view(complex)
-        decay[:, j:j + block] = np.multiply.outer(weights[:, -1], phases[-1])
-    return partial, decay
+        partial = np.einsum("kn,nj->kj", weights[:, :-1], phases[:-1].view(float), optimize=False)
+        return partial.view(complex), np.multiply.outer(weights[:, -1], phases[-1])
+
+    return _point_blocks(sums, (ts,), logs.size, _EM_BLOCK)
 
 
 def _em_grid(sigmas, ts, alphas: tuple, tol: float):
@@ -1197,7 +1190,7 @@ def _em_grid(sigmas, ts, alphas: tuple, tol: float):
     """
     flat = (sigmas[:, None] + 1j * ts[None, :]).ravel()
     re_min, re_max = float(sigmas.min()), float(sigmas.max())
-    n_terms, n_corr, remainder, big_s = _em_plan(flat, min(alphas), tol, False, re_min)
+    n_terms, n_corr, remainder, big_s = _em_plan(flat, min(alphas), tol, False, re_min, re_max)
     leads = _exact_leads(flat, alphas, tol, big_s, re_max)
     sieved = alphas == (1.0,) and _sieve_pays(ts.size, n_terms)
     logs, la, neg_la, big_a, horner = _em_columns(alphas, n_terms)
@@ -1427,7 +1420,7 @@ def _reflect(s: np.ndarray, period: int, alphas: tuple, tol: float, want_deriv: 
         abs_dlog = np.abs(dlog)
         weight *= float(abs_dlog.max()) + (1.0 + 0.5 * math.pi)
     regs, dregs, em_est = euler_maclaurin_split(
-        u, em_alphas, tol=_H_TAIL_SHARE * tol / max(1.0, weight), want_deriv=want_deriv)
+        u, em_alphas, _H_TAIL_SHARE * tol / max(1.0, weight), want_deriv)
     pole = 1.0 / (u - 1.0)
     zs = regs + pole
     cos = np.cos(phase)
@@ -1529,7 +1522,7 @@ def hurwitz_split_many(s, alpha, tol: float = 1e-12, deriv: bool = False,
     lo, hi = _re_hull(flat) if flat.size else (math.nan, math.nan)
     # where one kernel call holds every point, its arrays are the result
     if lo >= _H_RULE_RE_LIMIT and _em_left(lo) == _em_left(hi):
-        route, kernel = SERIES_EM, euler_maclaurin_split(flat, alphas, tol=tol, want_deriv=deriv)
+        route, kernel = SERIES_EM, euler_maclaurin_split(flat, alphas, tol, deriv)
     elif period is not None and hi < _H_RULE_RE_LIMIT:
         route, kernel = REFLECT, _reflect(flat, period, alphas, tol, deriv)
     else:
@@ -1560,7 +1553,7 @@ def hurwitz_split_many(s, alpha, tol: float = 1e-12, deriv: bool = False,
     em, left = ~(reflect | on_h), _em_left(flat.real)
     for group in (em & left, em & ~left):
         if group.any():
-            put(group, *euler_maclaurin_split(flat[group], alphas, tol=tol, want_deriv=deriv))
+            put(group, *euler_maclaurin_split(flat[group], alphas, tol, deriv))
     values = (out.reshape(shape), dout.reshape(shape)) if deriv else out.reshape(shape)
     return values, est.reshape(shape), np.repeat(codes[None], len(alphas), axis=0).reshape(shape)
 

@@ -60,7 +60,8 @@ def test_blocked_group_equals_one_whole_kernel_call(alphas, sizes, deriv, group,
             min(block, size - i) for i in range(0, size, block)], size
         # the group's plan, as euler_maclaurin_split makes it
         re_min, re_max = sp._re_hull(pts)
-        n_terms, n_corr, remainder, big_s = sp._em_plan(pts, min(alphas), tol, deriv, re_min)
+        n_terms, n_corr, remainder, big_s = sp._em_plan(pts, min(alphas), tol, deriv, re_min,
+                                                       re_max)
         leads = sp._exact_leads(pts, alphas, tol, big_s, re_max)
         sieved = alphas == (1.0,) and sp._sieve_pays(size, n_terms)
         assert {tuple(plan) for _, *plan in calls} == {(n_terms, n_corr, leads, sieved)}
@@ -84,7 +85,7 @@ def test_blocked_combination_equals_one_whole_call(character, deriv):
         values, est, _ = handle.evaluate(pts, deriv=deriv)
         regs, ests, _ = sp.hurwitz_split_many(pts, alphas, handle._router_tol(pts.real.min()),
                                               deriv, handle.period)
-        totals, whole_est = handle._combine(pts, regs if deriv else (regs,), ests)
+        whole_est, *totals = handle._combine(pts, ests, *(regs if deriv else (regs,)))
         for total, value in zip(totals, values if deriv else (values,)):
             assert value.tobytes() == total.tobytes(), size
         assert est.tobytes() == whole_est.tobytes(), size
@@ -101,7 +102,7 @@ def test_one_point_blocks_equal_the_whole_call(alphas, sieved, group):
     # array, about a third of these points came out an ulp off
     pts = _points(group, 300)
     re_min, re_max = sp._re_hull(pts)
-    n_terms, n_corr, _, big_s = sp._em_plan(pts, min(alphas), 1e-12, True, re_min)
+    n_terms, n_corr, _, big_s = sp._em_plan(pts, min(alphas), 1e-12, True, re_min, re_max)
     leads = sp._exact_leads(pts, alphas, 1e-12, big_s, re_max)
     whole = sp._em_split(pts, alphas, n_terms, n_corr, leads, True, sieved)
     for i in range(pts.size):
@@ -118,7 +119,7 @@ def test_blocked_group_within_its_estimate(alphas, sizes, group):
     size = sizes[-1]
     block = sp._TEMP_BLOCK // len(alphas)
     pts = _points(group, size)
-    reg, dreg, est = sp.euler_maclaurin_split(pts, alphas, want_deriv=True)
+    reg, dreg, est = sp.euler_maclaurin_split(pts, alphas, 1e-12, True)
     sample = sorted({0, size - 1} | {i + d for i in range(block, size, block) for d in (-1, 0)})
     for order, vals in enumerate((reg, dreg)):
         for j, alpha in enumerate(alphas):

@@ -77,6 +77,25 @@ class TestEval:
         assert run(["eval", "hurwitz", "--s", "2", "--alpha", "0.5"]) == 0
         _within_printed_estimate(capsys.readouterr().out, math.pi ** 2 / 2)
 
+    def test_hurwitz_alpha_defaults_to_one(self, capsys):
+        assert run(["eval", "hurwitz", "--s", "2"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("zeta(2, 1) = ")
+        _within_printed_estimate(out, math.pi ** 2 / 6)
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["eval", "zeta", "--s", "2", "--alpha", "0.5"], "--alpha"),
+        (["eval", "hurwitz", "--s", "2", "--alpha", "0.5", "--principal", "3"], "--principal"),
+        (["l", "--s", "2", "--alpha", "0.5", "--principal", "3"], "--alpha"),
+        (["l", "--s", "2", "--principal", "3", "--character-file", "chi4.json"],
+         "--character-file"),
+    ], ids=["zeta-alpha", "hurwitz-principal", "l-alpha", "l-principal-and-file"])
+    def test_flag_the_function_does_not_read_is_config_error(self, argv, flag, capsys):
+        # each of these once exited 0 and dropped the flag
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and flag in err, err
+
     def test_character_file(self, tmp_path, capsys, chi4):
         import zetaflow as zf
         doc = zf.character_to_json(chi4)
@@ -137,6 +156,16 @@ class TestFlow:
         assert float(last[0]) == pytest.approx(50.0)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["termination"] == "completed"
+
+    def test_ode_convergence_writes_the_zero(self, tmp_path):
+        out = tmp_path / "conv"
+        assert run(["flow", "--mode", "ode", "--datum", "const:-2.5", "--tend", "600",
+                    "--atol", "1e-6", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["termination"] == "converged"
+        zero = summary["converged_to"]
+        assert zero["kind"] == "trivial_sink"
+        assert abs(complex(zero["location"]["re"], zero["location"]["im"]) + 2.0) < 1e-8
 
     def test_tolerances_enter_config_hash(self, tmp_path):
         # rtol changes the trajectory, so it must change the run's identity
@@ -208,8 +237,13 @@ class TestFlow:
          "thm1.8 needs a disc datum around a zero z0 of L with lambda Re L'(z0) < 0;"),
         (["--datum", "disc:3:0.05", "--seed", "1", "--check", "thm1.8"],
          "thm1.8 needs a disc datum around a zero z0 of L with lambda Re L'(z0) < 0 (|F|"),
+        (["--datum", "const:3", "--mode", "ode", "--check", "thm1.5"],
+         "--check applies to --mode pde"),
+        (["--datum", "const:3", "--mode", "picard", "--check", "thm1.5"],
+         "--check applies to --mode pde"),
     ], ids=["thm1.9-defocusing", "thm1.7i-focusing", "thm1.5-focusing",
-            "thm1.7i-principal3", "thm1.8-repelling", "thm1.8-not-a-zero"])
+            "thm1.7i-principal3", "thm1.8-repelling", "thm1.8-not-a-zero",
+            "check-mode-ode", "check-mode-picard"])
     def test_check_outside_its_theorem_rejected_before_run(self, tmp_path, monkeypatch, capsys,
                                                            argv, needs):
         # each ran the march and reported a false counterexample (or a pass
@@ -460,6 +494,10 @@ class TestConfigDocument:
     (["flow", "--datum", "const:2", "--nonlinearity", "principal:x"], "principal:x"),
     (["eval", "zeta", "--s", "2,x"], "2,x"),
     (["--config", "{dir}/bad.json", "eval"], "bad.json"),
+    (["flow", "--datum", "const:2", "--nonlinearity", "zeta2"], "unknown nonlinearity spec"),
+    (["flow", "--datum", "const:2", "--nonlinearity", "file:{dir}/missing.json"],
+     "character file not found"),
+    (["flow", "--datum", "range:-5,-3"], "a seed is mandatory"),
 ])
 def test_malformed_input_is_config_error(tmp_path, capsys, argv, spec):
     (tmp_path / "bad.json").write_text("{not json")

@@ -9,6 +9,27 @@ import zetaflow.ode as om
 import oracles
 
 
+class StubHandle:
+    """An L-function stand-in: F from ``f`` and F' from ``df``, with a zero estimate."""
+
+    period = 1
+    has_pole = False
+    eval_cfg = zf.EvalConfig()
+
+    def __init__(self, f, df=lambda s: 1.0):
+        self.f, self.df = f, df
+
+    def eval_point(self, s):
+        return complex(self.f(complex(s)))
+
+    def evaluate(self, s, deriv=False):
+        s = np.asarray(s, dtype=complex)
+        f = np.array([self.f(complex(z)) for z in s.ravel()], dtype=complex).reshape(s.shape)
+        df = np.array([self.df(complex(z)) for z in s.ravel()], dtype=complex).reshape(s.shape)
+        routes = np.zeros((1,) + s.shape, dtype=np.int8)
+        return ((f, df) if deriv else f), np.zeros(s.shape), routes
+
+
 def flow_cfg(zeta_handle, **kw):
     kw.setdefault("nonlinearity", zeta_handle)
     return zf.FlowConfig(**kw)
@@ -131,6 +152,32 @@ class TestIntegrateFlow:
         for t in marks:
             assert t in res.times
 
+    def test_repeated_checkpoint_is_landed_on_once(self, zeta_handle):
+        # a repeated time once took a zero-length step, whose floored error
+        # norm grew the next step six-fold: 26 samples instead of 24
+        cfg = flow_cfg(zeta_handle, lam=1, t_end=2.0)
+        once = zf.integrate_flow(cfg, 2.0, record_at=[0.5, 1.0])
+        twice = zf.integrate_flow(cfg, 2.0, record_at=[0.5, 0.5, 1.0])
+        assert twice.times == once.times and twice.states == once.states
+        assert twice.checkpoint_states == once.checkpoint_states
+
+    @pytest.mark.parametrize("outside", [complex("nan"), 1e308], ids=["nan-stage", "inf-stage"])
+    def test_non_finite_stage_rejects_the_step(self, outside):
+        # F = -s on |s| < 2: the first step, dt = 5, puts a stage at -15, where
+        # F (nan) or the next stage (1e308 times a tableau weight) is not
+        # finite; the step is rejected and the run goes on, from smaller steps
+        visits = []
+
+        def f(s):
+            if abs(s) < 2.0:
+                return -s
+            visits.append(s)
+            return outside
+        cfg = zf.FlowConfig(nonlinearity=StubHandle(f), lam=1, t_end=5.0, dt_init=5.0)
+        res = zf.integrate_flow(cfg, 1.0)
+        assert visits and res.termination == "completed"
+        assert abs(res.final_state - math.exp(-5.0)) < 1e-7
+
     def test_zero_horizon(self, zeta_handle):
         cfg = flow_cfg(zeta_handle, lam=1, t_end=0.0)
         res = zf.integrate_flow(cfg, 2.0)
@@ -157,6 +204,15 @@ class TestClassifyZero:
         assert rec.kind == "source"
         assert rec.residual < 1e-8
         assert abs(rec.location - (0.5 + 14.134725141734693j)) < 1e-9
+
+    def test_residual_above_the_limit_is_an_accuracy_error(self):
+        # |F| = 1e-6 admits the seed, and two refinement steps leave it there
+        with pytest.raises(zf.AccuracyError, match="residual above 1e-8"):
+            om._classify(StubHandle(lambda s: 1e-6), 0.5 + 14.0j)
+
+    def test_vanishing_re_derivative_is_degenerate(self):
+        with pytest.raises(zf.DegenerateZeroError, match="sink/source undecidable"):
+            om._classify(StubHandle(lambda s: 1e-13, lambda s: 1e-11 + 1.0j), 0.5 + 14.0j)
 
     def test_rejects_non_zero(self):
         with pytest.raises(zf.DomainError):
@@ -302,6 +358,19 @@ class TestZeroCensus:
         monkeypatch.setattr(om.special, "hurwitz_split_many", counted)
         assert zf.count_zeros_box(-1e-3, 1.001, 1e-3, 30.001) == 3
         assert calls == [2 * 97 + 2 * 481, 2 * 96 + 2 * 480]
+
+    def test_second_seed_on_a_found_zero_is_dropped(self):
+        # both seeds converge on the zero at 14.1347: one record, no skip
+        scan = om._census(np.array([0.5 + 14.10j, 0.5 + 14.17j]), 40.0, zf.EvalConfig())
+        assert scan.skipped == []
+        (rec,) = scan.records
+        assert abs(rec.location - (0.5 + 14.134725141734693j)) < 1e-9
+
+    @pytest.mark.parametrize("box", [(0.0, 0.0, 1.0, 2.0), (0.0, 1.0, 2.0, 2.0),
+                                     (1.0, 0.0, 1.0, 2.0)])
+    def test_degenerate_box_is_a_domain_error(self, box):
+        with pytest.raises(zf.DomainError, match="degenerate box"):
+            zf.count_zeros_box(*box)
 
     def test_box_must_exclude_pole(self):
         with pytest.raises(zf.DomainError):

@@ -311,6 +311,21 @@ class TestIntegratePde:
             "no error estimate: the shadow run failed numerically at t = 0"]
         assert summary["check"]["slack"] == 1e-6
 
+    def test_shadow_quench_leaves_the_run_standing(self, zeta_handle, monkeypatch):
+        # the halved-step shadow quenches where the run itself completes
+        original = pm.etd_step
+
+        def etd_step(field, dt, cfg):
+            if dt < cfg.dt_init:
+                raise zf.QuenchSignal(0, complex(field.values[0]), 1e-4)
+            return original(field, dt, cfg)
+        monkeypatch.setattr(pm, "etd_step", etd_step)
+        cfg = flow_cfg(zeta_handle, lam=1, t_end=0.05, dt_init=1e-2)
+        run = zf.integrate_pde(zf.constant_field(3.0, shape=(16,)), cfg, estimate_error=True)
+        assert run.termination == "completed"
+        assert run.error_estimate is None
+        assert run.shadow_failure == "quenched at t = 0"
+
     def test_snapshot_budget(self, zeta_handle):
         cfg = flow_cfg(zeta_handle, lam=1, t_end=1.0, dt_init=1e-3)
         run = zf.integrate_pde(zf.constant_field(2.0, shape=(16,)), cfg)
@@ -647,6 +662,15 @@ class TestEnvelopeCheck:
         spec = zf.EnvelopeSpec.from_field(datum)
         with pytest.raises(zf.ConfigurationError):
             zf.envelope_check(run, spec, "thm1.5")
+
+    def test_theorem_without_an_envelope(self, zeta_handle):
+        # thm1.9's hypotheses hold on a focusing real datum, but its verdict
+        # is a termination, not an envelope
+        datum = zf.constant_field(-3.0, shape=(16,))
+        cfg = flow_cfg(zeta_handle, lam=-1, t_end=0.02, dt_init=1e-2)
+        run = zf.integrate_pde(datum, cfg)
+        with pytest.raises(zf.ConfigurationError, match="thm1.9 is not an envelope check"):
+            zf.envelope_check(run, zf.EnvelopeSpec.from_field(datum), "thm1.9")
 
     def test_unknown_theorem(self, zeta_handle):
         datum = zf.constant_field(2.0, shape=(16,))

@@ -40,7 +40,8 @@ def _extremes(pts):
 
 def _plan(pts, alpha, deriv):
     try:
-        return sp._em_plan(pts, alpha, 1e-12, deriv, float(pts.real.min()))[:3]
+        return sp._em_plan(pts, alpha, 1e-12, deriv, float(pts.real.min()),
+                           float(pts.real.max()))[:3]
     except zf.AccuracyError as err:
         return str(err).split(" at s=")[0]
 
@@ -105,6 +106,6 @@ def test_cached_failure_names_the_callers_point():
     sp._cell_plan.cache_clear()
     for s in (0.5001 + 10.0j, 0.5002 + 10.0001j):
         with pytest.raises(zf.AccuracyError) as err:
-            sp.euler_maclaurin_split(np.array([s]), 1.0, tol=1e-300)
+            sp.euler_maclaurin_split(np.array([s]), (1.0,), 1e-300, False)
         assert repr(s) in str(err.value) and "route series-em" in str(err.value)
     assert sp._cell_plan.cache_info().hits == 1

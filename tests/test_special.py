@@ -12,6 +12,12 @@ import oracles
 RHO1 = 0.5 + 14.134725141734693j  # first critical-line zero (standard value)
 
 
+def _em_one(pts, alpha, tol=1e-12, want_deriv=False):
+    """euler_maclaurin_split for the one a ``alpha``, its arrays shaped like ``pts``."""
+    reg, dreg, est = sp.euler_maclaurin_split(pts, (alpha,), tol, want_deriv)
+    return reg[0], None if dreg is None else dreg[0], est[0]
+
+
 def _order(values, deriv):
     """R, or R' of the pair (R, R') that a router call with ``deriv`` returns."""
     return values[1] if deriv else values
@@ -120,7 +126,7 @@ class TestHurwitzZeta:
             alpha = rng.choice([0.25, 0.5, 1.0])
             hermite = (1.0 / (s - 1.0) + sp.hermite_d(s, alpha)
                        + sp.hermite_h(s, alpha, CFG))
-            reg, _, _ = sp.euler_maclaurin_split(np.array([s]), alpha, tol=1e-13)
+            reg, _, _ = _em_one(np.array([s]), float(alpha), tol=1e-13)
             series = complex(reg[0]) + 1.0 / (s - 1.0)
             assert abs(hermite - series) < CFG.abs_tol
 
@@ -306,9 +312,10 @@ class TestPlannedEulerMaclaurin:
         return np.concatenate([low, high])
 
     def _check(self, mpmath, pts, alpha, tol, want_deriv):
-        reg, dreg, est = sp.euler_maclaurin_split(pts, alpha, tol=tol, want_deriv=want_deriv)
+        reg, dreg, est = _em_one(pts, alpha, tol=tol, want_deriv=want_deriv)
         # the planned remainder meets tol; the estimate adds float64 rounding
-        assert sp._em_plan(pts, alpha, tol, want_deriv, float(pts.real.min()))[2] <= tol
+        assert sp._em_plan(pts, alpha, tol, want_deriv, float(pts.real.min()),
+                           float(pts.real.max()))[2] <= tol
         assert (dreg is None) != want_deriv
         for i, s in enumerate(pts):
             s = complex(s)
@@ -350,15 +357,16 @@ class TestPlannedEulerMaclaurin:
         pts = self._points(size, size)[::2]
         alphas = (0.75, 0.25, 0.5, 1.0)
         for want_deriv in (False, True):
-            reg, dreg, est = sp.euler_maclaurin_split(pts, alphas, want_deriv=want_deriv)
+            reg, dreg, est = sp.euler_maclaurin_split(pts, alphas, 1e-12, want_deriv)
             assert reg.shape == est.shape == (len(alphas), pts.size)
-            plan = sp._em_plan(pts, 0.25, 1e-12, want_deriv, float(pts.real.min()))
+            hull = float(pts.real.min()), float(pts.real.max())
+            plan = sp._em_plan(pts, 0.25, 1e-12, want_deriv, *hull)
             kept = 0
             for r, alpha in enumerate(alphas):
-                own = sp._em_plan(pts, alpha, 1e-12, want_deriv, float(pts.real.min()))
+                own = sp._em_plan(pts, alpha, 1e-12, want_deriv, *hull)
                 assert own[2] <= 1e-12 and plan[2] <= 1e-12
                 if own[:2] == plan[:2] and alpha < 1.0:     # a = 1 alone may take the table
-                    one, done, _ = sp.euler_maclaurin_split(pts, alpha, want_deriv=want_deriv)
+                    one, done, _ = _em_one(pts, alpha, want_deriv=want_deriv)
                     assert np.array_equal(one, reg[r]), alpha
                     assert not want_deriv or np.array_equal(done, dreg[r]), alpha
                     kept += 1
@@ -378,7 +386,7 @@ class TestPlannedEulerMaclaurin:
             sp.hurwitz_zeta(600.0, 0.25)
         assert "s=(600+0j), alpha=0.25" in str(err.value)
         with pytest.raises(zf.AccuracyError) as err:
-            sp.euler_maclaurin_split(np.array([0.5 + 1.0j, 800.0]), (0.25, 0.75))
+            sp.euler_maclaurin_split(np.array([0.5 + 1.0j, 800.0]), (0.25, 0.75), 1e-12, False)
         assert "s=(800+0j)" in str(err.value)
         assert sp.riemann_zeta(600.0) == 1.0
 
@@ -386,9 +394,9 @@ class TestPlannedEulerMaclaurin:
                                      complex(float("inf"), 1.0)])
     def test_non_finite_point_is_a_domain_error(self, bad):
         # _em_plan died converting NaN to an integer
-        for alpha in (1.0, (0.25, 0.75)):
+        for alphas in ((1.0,), (0.25, 0.75)):
             with pytest.raises(zf.DomainError) as err:
-                sp.euler_maclaurin_split(np.array([0.5 + 1.0j, bad]), alpha)
+                sp.euler_maclaurin_split(np.array([0.5 + 1.0j, bad]), alphas, 1e-12, False)
             assert f"s={bad!r}" in str(err.value)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
@@ -399,8 +407,7 @@ class TestPlannedEulerMaclaurin:
         rng = np.random.default_rng(int(alpha * 100) + 2)
         pts = rng.uniform(-3.0, 0.0, 12) + 1j * rng.uniform(-20.0, 20.0, 12)
         for s in pts:
-            reg, dreg, _ = sp.euler_maclaurin_split(np.array([s]), alpha, tol=1e-12,
-                                                    want_deriv=True)
+            reg, dreg, _ = _em_one(np.array([s]), alpha, tol=1e-12, want_deriv=True)
             for got, deriv in ((reg[0] + 1.0 / (s - 1.0), 0),
                                (dreg[0] - 1.0 / (s - 1.0) ** 2, 1)):
                 ref = oracles.mp_zeta(mpmath, s, alpha, deriv)
@@ -416,7 +423,7 @@ class TestPlannedEulerMaclaurin:
         ref = oracles.mp_zeta(mpmath, s, alpha)
         ests = []
         for tol in (1e-12, 1e-13, 9e-15):
-            reg, _, est = sp.euler_maclaurin_split(np.array([s]), alpha, tol=tol)
+            reg, _, est = _em_one(np.array([s]), alpha, tol=tol)
             assert abs(reg[0] + 1.0 / (s - 1.0) - ref) <= est[0], (alpha, tol)
             ests.append(est[0])
         assert ests[0] >= ests[1] >= ests[2], ests
@@ -767,12 +774,12 @@ class TestRouteBoundary:
         # does not depend on the rest of the batch
         kernels, em_split = self._recording_kernel(monkeypatch)
         pts = 0.5 + 1j * np.linspace(14.0, 20.0, 32)
-        reg, dreg, _ = sp.euler_maclaurin_split(pts, 1.0, want_deriv=True)
+        reg, dreg, _ = _em_one(pts, 1.0, want_deriv=True)
         (n_terms, n_corr, sieved), = kernels
         assert not sieved and not sp._sieve_pays(pts.size, n_terms)
         for i in range(pts.size):
-            one, done = em_split(pts[i:i + 1], 1.0, n_terms, n_corr, False, True, False)
-            assert one[0] == reg[i] and done[0] == dreg[i], pts[i]
+            one, done = em_split(pts[i:i + 1], (1.0,), n_terms, n_corr, (False,), True, False)
+            assert one[0, 0] == reg[i] and done[0, 0] == dreg[i], pts[i]
 
     @pytest.mark.parametrize("deriv", [False, True])
     def test_table_kernel_agrees_with_direct_kernel(self, deriv):
@@ -784,7 +791,8 @@ class TestRouteBoundary:
         for n_terms in (*range(1, 65), 126, 127, 148, 163):
             rounding = [sp._em_rounding(pts.real, lo, hi, big_s, (1.0,), n_terms, 6, (False,),
                                         deriv, sieved)[0] for sieved in (False, True)]
-            direct, table = (sp._em_split(pts, 1.0, n_terms, 6, False, deriv, sieved)[deriv]
+            direct, table = (sp._em_split(pts, (1.0,), n_terms, 6, (False,), deriv,
+                                          sieved)[deriv][0]
                              for sieved in (False, True))
             assert np.all(np.abs(table - direct) <= sum(rounding)), n_terms
 
