@@ -416,10 +416,20 @@ def reference_march(g, cfg, track_target=None, estimate_error=False):
         snapshots.append(field.values.copy())
     err_est = None
     if estimate_error and termination == "completed":
-        shadow = g.copy()
-        for _ in range(2 * n_steps):
-            shadow = advance(shadow, dt / 2.0)
-        err_est = float(np.max(np.abs(shadow.values - field.values)))
+        # n/2 steps of 2 dt, none of them halved, and |u_2dt - u_dt| / 3;
+        # else 2n steps of dt/2 and |u_dt/2 - u_dt|
+        try:
+            if n_steps % 2:
+                raise zf.NumericalFailureError("odd n")
+            shadow = g.copy()
+            for _ in range(n_steps // 2):
+                shadow = advance(shadow, 2.0 * dt, depth=pm._MAX_HALVINGS)
+            err_est = float(np.max(np.abs(shadow.values - field.values))) / 3.0
+        except (zf.QuenchSignal, zf.NumericalFailureError):
+            shadow = g.copy()
+            for _ in range(2 * n_steps):
+                shadow = advance(shadow, dt / 2.0)
+            err_est = float(np.max(np.abs(shadow.values - field.values)))
     return pm.RunRecord(termination=termination, final=field, snapshot_times=snapshot_times,
                         snapshots=snapshots, monitors=pm.MonitorSeries(*map(np.array, zip(*rows))),
                         quench=quench, error_estimate=err_est, cfg=cfg, dt=dt,
@@ -483,6 +493,103 @@ class TestMarchReference:
             assert got.quench.min_p < cfg.pole_guard_eps
         if estimate:
             assert got.error_estimate is not None
+
+
+def fine_estimate(datum, run):
+    """The dt/2 shadow's estimate of ``run``, marched here: 2n steps of dt/2."""
+    shadow = datum.copy()
+    for _ in range(2 * round(run.t_end / run.dt)):
+        shadow = pm._advance(shadow, run.dt / 2.0, run.cfg)
+    return float(np.max(np.abs(shadow.values - run.final.values)))
+
+
+def fail_at(monkeypatch, fails, exc) -> list:
+    """Make pm.etd_step raise ``exc`` wherever fails(dt, cfg); return the list of its dt."""
+    calls = []
+    original = pm.etd_step
+
+    def etd_step(field, dt, cfg):
+        calls.append(dt)
+        if fails(dt, cfg):
+            raise exc
+        return original(field, dt, cfg)
+    monkeypatch.setattr(pm, "etd_step", etd_step)
+    return calls
+
+
+class TestShadow:
+    """The self-convergence estimate: n/2 steps of 2 dt where n is even, else 2n of dt/2."""
+
+    @pytest.mark.parametrize("name", ["const", "2d"])
+    def test_coarse_estimate_reads_the_error(self, zeta_handle, chi4, name):
+        if name == "const":  # criterion 06's datum, to a shorter horizon
+            datum = zf.constant_field(3.0, shape=(32,))
+            cfg = flow_cfg(zeta_handle, lam=1, t_end=0.5, dt_init=2e-3)
+        else:
+            datum, cfg, _, _ = TestMarchReference.case(name, zeta_handle, chi4)
+        run = zf.integrate_pde(datum, cfg, estimate_error=True)
+        assert (run.shadow, run.shadow_fallback) == ("coarse", None)
+        # u_dt - u_dt/4 is 15/16 of u_dt's error, ETD-RK2 being second order
+        ref = zf.integrate_pde(datum, dataclasses.replace(cfg, dt_init=cfg.dt_init / 4))
+        error = float(np.max(np.abs(run.final.values - ref.final.values))) * 16.0 / 15.0
+        assert abs(run.error_estimate - error) <= 0.1 * error
+        report = zf.envelope_check(run, zf.EnvelopeSpec.from_field(datum), "thm1.5")
+        assert report.slack == 1e-6 + 7.0 * run.error_estimate
+
+    def test_odd_n_takes_the_fine_shadow_bitwise(self, zeta_handle, monkeypatch):
+        datum = zf.constant_field(3.0, shape=(16,))
+        cfg = flow_cfg(zeta_handle, lam=1, t_end=0.05, dt_init=1e-2)
+        steps = count_etd_steps(monkeypatch)
+        run = zf.integrate_pde(datum, cfg, estimate_error=True)
+        assert steps == [0.01] * 5 + [0.005] * 10
+        assert (run.shadow, run.shadow_fallback) == ("fine", "odd n")
+        assert run.error_estimate == fine_estimate(datum, run)
+        report = zf.envelope_check(run, zf.EnvelopeSpec.from_field(datum), "thm1.5")
+        assert report.slack == 1e-6 + 10.0 * run.error_estimate
+
+    @pytest.mark.parametrize("exc, why", [
+        (zf.NumericalFailureError("injected"), "would halve a step"),
+        (zf.QuenchSignal(0, 3.0 + 0j, 1e-4), "quenched")])
+    def test_a_failed_coarse_shadow_falls_back(self, zeta_handle, monkeypatch, exc, why):
+        datum = zf.constant_field(3.0, shape=(16,))
+        cfg = flow_cfg(zeta_handle, lam=1, t_end=0.04, dt_init=1e-2)
+        steps = fail_at(monkeypatch, lambda dt, cfg: dt == 2 * cfg.dt_init, exc)
+        run = zf.integrate_pde(datum, cfg, estimate_error=True)
+        # the coarse step that would halve is not halved: the fine shadow follows
+        assert steps == [0.01] * 4 + [0.02] + [0.005] * 8
+        assert run.termination == "completed" and run.shadow_failure is None
+        assert (run.shadow, run.shadow_fallback) == ("fine", f"the coarse shadow {why} at t = 0")
+        assert run.error_estimate == fine_estimate(datum, run)
+
+    def test_both_shadows_failing_leave_the_run_standing(self, zeta_handle, monkeypatch,
+                                                         tmp_path):
+        fail_at(monkeypatch, lambda dt, cfg: dt != cfg.dt_init, zf.NumericalFailureError("x"))
+        cfg = flow_cfg(zeta_handle, lam=1, t_end=0.04, dt_init=1e-2)
+        run = zf.integrate_pde(zf.constant_field(3.0, shape=(16,)), cfg, estimate_error=True)
+        assert run.termination == "completed"
+        assert (run.error_estimate, run.shadow) == (None, None)
+        assert run.shadow_fallback == "the coarse shadow would halve a step at t = 0"
+        assert run.shadow_failure == "failed numerically at t = 0"
+        out = tmp_path / "shadow"
+        assert cli_main(["flow", "--datum", "const:3", "--check", "thm1.5", "--tend", "0.04",
+                         "--dt", "0.01", "--grid", "16", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["flags"] == [
+            "no error estimate: the shadow run failed numerically at t = 0"]
+        check = summary["check"]
+        assert (check["error_estimate"], check["shadow"], check["slack"]) == (None, None, 1e-6)
+        assert check["shadow_fallback"] == "the coarse shadow would halve a step at t = 0"
+
+    def test_summary_names_the_estimate(self, tmp_path):
+        out = tmp_path / "coarse"
+        assert cli_main(["flow", "--datum", "const:3", "--check", "thm1.5", "--tend", "0.04",
+                         "--dt", "0.01", "--grid", "16", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        check = summary["check"]
+        assert summary["flags"] == [] and check["passed"] is True
+        assert (check["shadow"], check["shadow_fallback"]) == ("coarse", None)
+        assert 0.0 < check["error_estimate"] < 1e-7
+        assert check["slack"] == 1e-6 + 7.0 * check["error_estimate"]
 
 
 class TestEnvelopeSpec:
